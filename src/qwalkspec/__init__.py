@@ -101,7 +101,6 @@ from .supports import (
     closed_form_charpoly_su2,
     closed_form_spectrum_su,
     closed_form_spectrum_su2,
-    greedy_matching_distance,
     identity_suite,
     ihara_style_charpoly,
     max_matching_distance,

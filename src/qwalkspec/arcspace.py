@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValencyError
 from .graphs import Graph, is_regular
-from .intmat import int_eye, int_zeros, mat_mul
+from .intmat import int_zeros, mat_mul
 
 
 @dataclass(frozen=True)
@@ -101,24 +101,3 @@ def scaled_reflection_q(a: ArcSpace) -> np.ndarray:
         q[i, i] -= a.k
     return q
 
-
-def arc_permutation(a: ArcSpace, perm) -> list:
-    """Arc indices induced by a vertex permutation.
-
-    Returns sigma with sigma[j] = index, in the arc space of the relabeled
-    graph, of arc j's image.  Useful for similarity checks in tests.
-    """
-    target = {}
-    relabeled = sorted(
-        tuple(sorted((perm[u], perm[v]))) for (u, v) in a.graph.edges
-    )
-    idx = 0
-    for u, v in relabeled:
-        target[(u, v)] = idx
-        target[(v, u)] = idx + 1
-        idx += 2
-    return [target[(perm[t], perm[h])] for (t, h) in a.arcs]
-
-
-def identity_like(a: ArcSpace) -> np.ndarray:
-    return int_eye(a.size)

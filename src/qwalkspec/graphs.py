@@ -116,10 +116,6 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def common_neighbor_count(g: Graph, u: int, v: int) -> int:
-    return len(g.neighbors(u) & g.neighbors(v))
-
-
 def srg_params(g: Graph) -> Optional[SrgParams]:
     """SRG parameters, or None if g is not strongly regular.
 

@@ -12,8 +12,9 @@ Two exact characteristic-polynomial backends are provided:
 * ``modular_charpoly``  -- Hessenberg reduction + the Hessenberg determinant
   recurrence modulo a batch of word-sized primes, recombined by CRT.  The
   prime batch is sized from a rigorous Hadamard-style coefficient bound, so
-  the result is exact, not probabilistic.  This is the fast path for the
-  96x96 arc matrices that dominate corpus experiments.
+  the result is exact, not probabilistic; the primes are capped from the
+  dimension so no int64 dot product in the kernels can wrap.  This is the
+  fast path for the 96x96 arc matrices that dominate corpus experiments.
 
 ``char_poly`` dispatches between the two; they are cross-checked in tests.
 """
@@ -21,6 +22,7 @@ Two exact characteristic-polynomial backends are provided:
 from __future__ import annotations
 
 import math
+import threading
 from operator import index
 from typing import Iterable
 
@@ -66,7 +68,7 @@ def _as_object(a: np.ndarray) -> np.ndarray:
 def _max_abs(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
-    return int(max(abs(x) for x in a.flat))
+    return int(np.abs(a).max())
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,12 +100,7 @@ def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
 
 def positive_support(m: np.ndarray) -> np.ndarray:
     """0/1 matrix marking the strictly positive entries of m."""
-    out = np.empty(m.shape, dtype=object)
-    flat_in = m.flat
-    flat_out = out.flat
-    for i in range(m.size):
-        flat_out[i] = 1 if flat_in[i] > 0 else 0
-    return out
+    return (m > 0).astype(np.int64).astype(object)
 
 
 def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -186,8 +183,10 @@ def bareiss_determinant(m: np.ndarray) -> int:
 # Modular charpoly: Hessenberg mod p + CRT, exact via Hadamard bound
 # ---------------------------------------------------------------------------
 
-_PRIME_CEILING = (1 << 26) - 1  # keeps all int64 dot products far from overflow
-_primes_cache: list = []
+_PRIME_CEILING = (1 << 26) - 1
+_INT64_MAX = (1 << 63) - 1
+_primes_lock = threading.Lock()
+_primes_cache: dict = {}  # ceiling -> primes at or below it, descending
 
 
 def _is_prime(m: int) -> bool:
@@ -213,13 +212,27 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _primes(count: int) -> list:
-    x = _primes_cache[-1] - 2 if _primes_cache else _PRIME_CEILING
-    while len(_primes_cache) < count:
-        if _is_prime(x):
-            _primes_cache.append(x)
-        x -= 2
-    return _primes_cache[:count]
+def _prime_ceiling(n: int) -> int:
+    """Odd bound on the CRT primes for an n x n matrix, so no int64 kernel can wrap.
+
+    The Hessenberg update and the determinant recurrence each sum fewer than
+    n products of residues below p, so n * (p - 1)^2 <= 2^63 - 1 suffices.
+    Up to n = 2048 this is the fixed 2^26 - 1; larger matrices get smaller primes.
+    """
+    c = min(_PRIME_CEILING, math.isqrt(_INT64_MAX // max(n, 1)) + 1)
+    return c if c % 2 else c - 1
+
+
+def _primes(count: int, ceiling: int) -> list:
+    """The ``count`` largest primes at or below the odd number ``ceiling``."""
+    with _primes_lock:
+        found = _primes_cache.setdefault(ceiling, [])
+        x = found[-1] - 2 if found else ceiling
+        while len(found) < count:
+            if _is_prime(x):
+                found.append(x)
+            x -= 2
+        return found[:count]
 
 
 def _coefficient_bound_bits(m: np.ndarray) -> float:
@@ -297,17 +310,19 @@ def modular_charpoly(m: np.ndarray) -> CharPoly:
     if n == 0:
         return CharPoly((1,))
     bits = _coefficient_bound_bits(m) + 12  # guard bits
+    ceiling = _prime_ceiling(n)
     primes = []
     total = 0.0
-    for p in _primes(max(1, int(bits / 25) + 2)):
+    for p in _primes(max(1, int(bits / 25) + 2), ceiling):
         primes.append(p)
         total += math.log2(p)
         if total > bits + 1:
             break
     while total <= bits + 1:
-        p = _primes(len(primes) + 1)[-1]
+        p = _primes(len(primes) + 1, ceiling)[-1]
         primes.append(p)
         total += math.log2(p)
+    assert n * (primes[0] - 1) ** 2 <= _INT64_MAX, "int64 dot products could wrap"
 
     big = _max_abs(m) >= _INT64_SAFE
     if big:

@@ -5,6 +5,20 @@ and S+(U^3).  Cospectrality is decided by exact integer coefficient
 equality, never by comparing floating-point root multisets: the entire value
 of the invariant is exactness.
 
+Each polynomial comes from the cheapest exact route:
+
+* A and S+(U^3): ``char_poly`` of the matrix (Berkowitz, or the modular
+  Hessenberg/CRT backend with a Hadamard-bounded prime count);
+* S+(U): ``closed_form_charpoly_su``, an integer polynomial composition of
+  the adjacency char poly;
+* S+(U^2): ``closed_form_charpoly_su2`` for k > 2; at k = 2, where
+  S+(U^2) = S+(U)^2, the Graeffe root-squaring of the S+(U) polynomial.
+
+None of these rounds.  The brute-force polynomials stay one call away, as
+``char_poly(support_u(a))`` and ``char_poly(support_u_power(a, 2))`` or
+``qwalkspec spectrum --form charpoly``, and the tests hold the two routes
+equal.
+
 A cospectral verdict on all four invariants proves nothing about
 isomorphism; reports say "cospectral", not "isomorphic".
 """
@@ -23,8 +37,13 @@ from .arcspace import build_arc_space
 from .errors import HypothesisError, ValencyError
 from .graphs import Graph, is_connected, is_regular
 from .intmat import char_poly
-from .polynomials import CharPoly
-from .supports import adjacency_charpoly, build_support_set
+from .polynomials import CharPoly, poly_graeffe
+from .supports import (
+    adjacency_charpoly,
+    closed_form_charpoly_su,
+    closed_form_charpoly_su2,
+    support_u_power,
+)
 
 log = logging.getLogger(__name__)
 
@@ -91,16 +110,22 @@ def profile(g: Graph, graph_id: str) -> InvariantProfile:
         raise HypothesisError(f"{graph_id}: valency k >= 2 required, got k={k}")
     if not is_connected(g):
         raise HypothesisError(f"{graph_id}: graph is not connected")
-    supports = build_support_set(build_arc_space(g))
     log.debug("profiling %s (n=%d, k=%d)", graph_id, g.n, k)
+    cp_a = adjacency_charpoly(g)
+    cp_s1 = closed_form_charpoly_su(g, cp_a)
+    if k > 2:
+        cp_s2 = closed_form_charpoly_su2(g, cp_a)
+    else:
+        # k = 2: W = 2 S+(U), so S+(U^2) = S+(U)^2 and its roots are the squares.
+        cp_s2 = CharPoly(tuple(poly_graeffe(cp_s1.coeffs)))
     return InvariantProfile(
         graph_id=graph_id,
         n=g.n,
         k=k,
-        charpoly_a=adjacency_charpoly(g),
-        charpoly_s1=char_poly(supports.s1),
-        charpoly_s2=char_poly(supports.s2),
-        charpoly_s3=char_poly(supports.s3),
+        charpoly_a=cp_a,
+        charpoly_s1=cp_s1,
+        charpoly_s2=cp_s2,
+        charpoly_s3=char_poly(support_u_power(build_arc_space(g), 3)),
     )
 
 

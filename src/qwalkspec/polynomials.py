@@ -120,6 +120,32 @@ def poly_pow(p: Sequence[int], e: int) -> list:
     return out
 
 
+def poly_graeffe(p: Sequence[int]) -> list:
+    """Graeffe root-squaring: the monic q whose roots are the squares of p's.
+
+    For monic p of degree d, q(x^2) = (-1)^d p(x) p(-x); the product is even,
+    so q is read off its even-index coefficients, exactly over Z.
+    """
+    p = poly_trim(p)
+    d = len(p) - 1
+    even = poly_mul(p, [(-1) ** i * c for i, c in enumerate(p)])
+    assert not any(even[1::2]), "p(x)p(-x) must be even"
+    return [(-1) ** d * c for c in even[0::2]]
+
+
+def poly_compose_homogeneous(p: Sequence[int], x: Sequence[int], y: Sequence[int]) -> list:
+    """y^d * p(x/y) for p of degree d, expanded exactly: sum_j p_j x^j y^(d-j).
+
+    Horner in x with a running power of y, so O(d) polynomial products.
+    """
+    acc: list = []
+    y_pow = [1]
+    for c in reversed(poly_trim(p)):
+        acc = poly_add(poly_mul(acc, x), poly_scale(y_pow, c))
+        y_pow = poly_mul(y_pow, y)
+    return acc
+
+
 def poly_divide_exact(p: Sequence[int], q: Sequence[int]) -> list:
     """Quotient p/q when q divides p exactly over Z, else DivisibilityError."""
     p, q = poly_trim(p), poly_trim(q)

@@ -44,12 +44,12 @@ from .intmat import char_poly, int_eye, mat_equal, mat_mul, mat_pow, positive_su
 from .jacobi import symmetric_eigenvalues
 from .polynomials import (
     CharPoly,
-    poly_add,
+    poly_compose_homogeneous,
     poly_divide_exact,
+    poly_graeffe,
     poly_mul,
     poly_pow,
     poly_roots,
-    poly_scale,
 )
 
 EIGENVALUE_CLUSTER_TOL = 1e-6
@@ -274,15 +274,7 @@ def _compose_quadratic(coeffs: Sequence[int], k: int) -> list:
     This is t^deg * p((t^2 + k - 1)/t): the product of t^2 - lambda*t + (k-1)
     over the roots lambda of p, expanded exactly.
     """
-    deg = len(coeffs) - 1
-    base = [k - 1, 0, 1]
-    acc: list = []
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term = poly_mul([0] * (deg - j) + [1], poly_pow(base, j))
-        acc = poly_add(acc, poly_scale(term, c))
-    return acc
+    return poly_compose_homogeneous(coeffs, [k - 1, 0, 1], [0, 1])
 
 
 def adjacency_charpoly(g: Graph) -> CharPoly:
@@ -337,30 +329,19 @@ def closed_form_charpoly_su2(g: Graph, cp_a: Optional[CharPoly] = None) -> CharP
     Applies theta -> theta^2 + 1 to the closed-form S+(U) spectrum at the
     polynomial level.  Each adjacency eigenvalue family lambda != k maps to
     the monic quadratic with root sum lambda^2 - 2k + 4 and root product
-    lambda^2 + (k-2)^2; the product of those quadratics is assembled from
-    psi(c) * psi(-c) (psi = adjacency char poly without the x - k factor),
-    whose even part E satisfies E(lambda^2-like arguments) exactly:
+    lambda^2 + (k-2)^2, i.e. (t+k-2)^2 - (t-1) lambda^2.  With q the Graeffe
+    square of psi (the adjacency char poly without the x - k factor), whose
+    roots are the lambda^2, their product is
 
-        prod_{lambda != k} [(1-t) lambda^2 + (t+k-2)^2]
-            = sum_j E_j (-(t+k-2)^2)^j (1-t)^(n-1-j).
+        prod_{lambda != k} [(t+k-2)^2 - (t-1) lambda^2]
+            = (t-1)^(n-1) q((t+k-2)^2 / (t-1)).
     """
     k = _require_walk_hypotheses(g, 3)
     n = g.n
     if cp_a is None:
         cp_a = adjacency_charpoly(g)
     psi = poly_divide_exact(cp_a.coeffs, [-k, 1])
-    psi_neg = [(-1) ** i * c for i, c in enumerate(psi)]
-    even = poly_mul(psi, psi_neg)
-    assert all(c == 0 for c in even[1::2]), "psi(c)psi(-c) must be even"
-    e_coeffs = even[0::2]
-    a_lin = [1, -1]  # 1 - t
-    b_neg = poly_scale(poly_mul([k - 2, 1], [k - 2, 1]), -1)  # -(t + k - 2)^2
-    body: list = []
-    for j, c in enumerate(e_coeffs):
-        if c == 0:
-            continue
-        term = poly_mul(poly_pow(b_neg, j), poly_pow(a_lin, n - 1 - j))
-        body = poly_add(body, poly_scale(term, c))
+    body = poly_compose_homogeneous(poly_graeffe(psi), poly_pow([k - 2, 1], 2), [-1, 1])
     rhs = poly_mul([-(k * k - 2 * k + 2), 1], body)
     rhs = poly_mul(rhs, poly_pow([-2, 1], n * (k - 2) + 1))
     return CharPoly(tuple(rhs))
@@ -434,16 +415,3 @@ def max_matching_distance(computed: Sequence[complex], expected: Sequence[comple
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
-
-def greedy_matching_distance(computed: Sequence[complex], expected: Sequence[complex]) -> float:
-    """Greedy nearest-neighbour matching distance on the complex plane."""
-    if len(computed) != len(expected):
-        raise ValueError(f"multiset sizes differ: {len(computed)} vs {len(expected)}")
-    remaining = list(expected)
-    worst = 0.0
-    for z in computed:
-        dists = [abs(z - w) for w in remaining]
-        idx = int(np.argmin(dists))
-        worst = max(worst, dists[idx])
-        remaining.pop(idx)
-    return worst

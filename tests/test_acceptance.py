@@ -125,8 +125,14 @@ def test_criterion_6_relabeling_invariance():
             for which in ("a", "s1", "s2", "s3"):
                 if p.charpoly(which).coeffs != base.charpoly(which).coeffs:
                     failures.append(f"{gid} trial {trial}: {which} changed")
-    _finish(6, "char polys of A, S+(U), S+(U^2), S+(U^3) invariant under 50 relabelings",
-            t0, failures, budget=60)
+            # profile takes s1 and s2 from closed forms; brute force must agree
+            a = q.build_arc_space(h)
+            brute = {"s1": q.support_u(a), "s2": q.support_u_power(a, 2)}
+            for which, m in brute.items():
+                if q.char_poly(m).coeffs != base.charpoly(which).coeffs:
+                    failures.append(f"{gid} trial {trial}: brute-force {which} differs")
+    _finish(6, "char polys of A, S+(U), S+(U^2), S+(U^3) invariant under 50 relabelings,"
+            " brute-force S+(U), S+(U^2) equal to the profile's", t0, failures, budget=60)
 
 
 def test_criterion_7_srg_conjecture_experiment():

@@ -89,6 +89,10 @@ def test_positive_support_examples():
     assert mat_equal(positive_support(z), z)
     m = int_matrix([[-1, 0], [2, -5]])
     assert positive_support(m).tolist() == [[0, 0], [1, 0]]
+    # Python ints 0/1 in an object array, as the exact kernels expect
+    assert positive_support(m).dtype == object
+    assert {type(x) for x in positive_support(m).flat} == {int}
+    assert positive_support(int_matrix([[2**70, -(2**70)]])).tolist() == [[1, 0]]
     # idempotent
     s = positive_support(m)
     assert mat_equal(positive_support(s), s)
@@ -230,3 +234,19 @@ def test_trace_and_format():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         char_poly(int_eye(2), method="magic")
+
+
+def test_prime_ceiling_keeps_int64_dots_exact():
+    from qwalkspec.intmat import _PRIME_CEILING, _prime_ceiling, _primes
+
+    limit = 2**63 - 1
+    # unchanged primes up to dimension 2048, where n * (2^26 - 2)^2 still fits
+    for n in (1, 24, 406, 2047, 2048):
+        assert _prime_ceiling(n) == _PRIME_CEILING
+    for n in (2049, 5050, 10**6):
+        c = _prime_ceiling(n)
+        assert c < _PRIME_CEILING and c % 2 == 1
+        assert n * (c - 1) ** 2 <= limit < n * (c + 1) ** 2
+        primes = _primes(4, c)
+        assert primes == sorted(set(primes), reverse=True) and primes[0] <= c
+

@@ -9,6 +9,8 @@ from qwalkspec import (
     batch_compare,
     batch_to_csv,
     batch_to_json,
+    build_arc_space,
+    char_poly,
     compare,
     complete_graph,
     cycle_graph,
@@ -19,6 +21,8 @@ from qwalkspec import (
     relabel,
     rook_graph,
     shrikhande_graph,
+    support_u,
+    support_u_power,
 )
 
 
@@ -37,6 +41,16 @@ def test_profile_petersen_adjacency_charpoly():
 def test_profile_c3_support_charpoly():
     p = profile(cycle_graph(3), "C3")
     assert p.charpoly_s1.coeffs == (1, 0, 0, -2, 0, 0, 1)
+
+
+def test_profile_closed_forms_match_brute_force(small_corpus):
+    # odd and even cycles take the k = 2 Graeffe route for s2
+    extra = [(f"C{n}", cycle_graph(n)) for n in (7, 8, 11)]
+    for gid, g in small_corpus + extra:
+        a = build_arc_space(g)
+        p = profile(g, gid)
+        assert p.charpoly_s1 == char_poly(support_u(a)), gid
+        assert p.charpoly_s2 == char_poly(support_u_power(a, 2)), gid
 
 
 def test_profile_hypothesis_errors_carry_id():

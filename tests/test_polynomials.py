@@ -14,7 +14,16 @@ from qwalkspec import (
     poly_roots,
     squarefree_decomposition,
 )
-from qwalkspec.polynomials import poly_derivative, poly_primitive, poly_trim
+from qwalkspec import char_poly, int_matrix, mat_mul
+from qwalkspec.polynomials import (
+    poly_add,
+    poly_compose_homogeneous,
+    poly_derivative,
+    poly_graeffe,
+    poly_primitive,
+    poly_scale,
+    poly_trim,
+)
 
 
 def test_poly_mul_examples():
@@ -23,6 +32,25 @@ def test_poly_mul_examples():
     # (t^2-1)^3 matches repeated multiplication
     sq = [-1, 0, 1]
     assert poly_pow(sq, 3) == poly_mul(sq, poly_mul(sq, sq))
+
+
+def test_graeffe_squares_the_roots():
+    # roots 1, -2, 3 -> 1, 4, 9
+    p = poly_mul(poly_mul([-1, 1], [2, 1]), [-3, 1])
+    assert poly_graeffe(p) == poly_mul(poly_mul([-1, 1], [-4, 1]), [-9, 1])
+    rng = np.random.default_rng(2)
+    for n in range(1, 9):
+        m = int_matrix(rng.integers(-5, 6, size=(n, n)).tolist())
+        assert poly_graeffe(char_poly(m).coeffs) == list(char_poly(mat_mul(m, m)).coeffs)
+
+
+def test_compose_homogeneous_matches_term_sum():
+    p, x, y = [3, -1, 0, 2], [1, 0, 1], [-2, 1]
+    d = len(p) - 1
+    expected = []
+    for j, c in enumerate(p):
+        expected = poly_add(expected, poly_scale(poly_mul(poly_pow(x, j), poly_pow(y, d - j)), c))
+    assert poly_compose_homogeneous(p, x, y) == expected
 
 
 def test_poly_divide_exact():
