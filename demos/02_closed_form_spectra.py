@@ -30,7 +30,7 @@ brute = q.char_poly(q.support_u(a))
 closed = q.closed_form_charpoly_su(g)
 print("\nchar poly of S+(U):", brute)
 print("closed form equals brute force:", brute == closed)
-print("Ihara-style factorization holds:", q.char_poly_identity_check(g))
+print("Ihara-style factorization holds:", brute.coeffs == q.ihara_style_charpoly(g).coeffs)
 
 # %% Numeric cross-check -----------------------------------------------------
 # Root extraction goes through an exact squarefree decomposition first, so

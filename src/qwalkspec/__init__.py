@@ -95,7 +95,6 @@ from .supports import (
     SupportSet,
     adjacency_charpoly,
     build_support_set,
-    char_poly_identity_check,
     charpoly_root_multiset,
     closed_form_charpoly_su,
     closed_form_charpoly_su2,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValencyError
 from .graphs import Graph, is_regular
-from .intmat import int_zeros, mat_mul
+from .intmat import int_eye, int_zeros, mat_mul
 
 
 @dataclass(frozen=True)
@@ -58,27 +58,27 @@ def build_arc_space(g: Graph) -> ArcSpace:
     return ArcSpace(g, k, tuple(arcs), tuple(reverse))
 
 
+def _incidence(a: ArcSpace, end: int) -> np.ndarray:
+    """n x nk 0/1 matrix marking the tail (end 0) or head (end 1) of each arc."""
+    m = int_zeros(a.n, a.size)
+    m[np.array(a.arcs)[:, end], np.arange(a.size)] = 1
+    return m
+
+
 def ins_matrix(a: ArcSpace) -> np.ndarray:
     """n x nk 0/1 matrix: entry (i, j) = 1 iff vertex i is the head of arc j."""
-    m = int_zeros(a.n, a.size)
-    for j, (_, head) in enumerate(a.arcs):
-        m[head, j] = 1
-    return m
+    return _incidence(a, 1)
 
 
 def outs_matrix(a: ArcSpace) -> np.ndarray:
     """n x nk 0/1 matrix: entry (i, j) = 1 iff vertex i is the tail of arc j."""
-    m = int_zeros(a.n, a.size)
-    for j, (tail, _) in enumerate(a.arcs):
-        m[tail, j] = 1
-    return m
+    return _incidence(a, 0)
 
 
 def reversal_matrix(a: ArcSpace) -> np.ndarray:
     """The arc-reversal permutation P: symmetric, P^2 = I, zero diagonal."""
     m = int_zeros(a.size, a.size)
-    for j, r in enumerate(a.reverse):
-        m[r, j] = 1
+    m[list(a.reverse), np.arange(a.size)] = 1
     return m
 
 
@@ -88,16 +88,10 @@ def scaled_transition_matrix(a: ArcSpace) -> np.ndarray:
     Entry (j, i) is 2 when arc i can continue into arc j without
     backtracking, 2 - k when j is the reversal of i, and 0 otherwise.
     """
-    w = 2 * mat_mul(outs_matrix(a).T, ins_matrix(a))
-    for j, r in enumerate(a.reverse):
-        w[r, j] -= a.k
-    return w
+    return 2 * mat_mul(outs_matrix(a).T, ins_matrix(a)) - a.k * reversal_matrix(a)
 
 
 def scaled_reflection_q(a: ArcSpace) -> np.ndarray:
     """kQ = 2*ins^T*ins - k*I; satisfies (kQ)^2 = k^2 I."""
-    q = 2 * mat_mul(ins_matrix(a).T, ins_matrix(a))
-    for i in range(a.size):
-        q[i, i] -= a.k
-    return q
-
+    ins = ins_matrix(a)
+    return 2 * mat_mul(ins.T, ins) - a.k * int_eye(a.size)

@@ -26,13 +26,15 @@ import sys
 from functools import cached_property
 from typing import List, Optional, Tuple
 
-from .arcspace import build_arc_space
+import numpy as np
+
+from .arcspace import ArcSpace, build_arc_space
 from .errors import Graph6Error, HypothesisError, ParameterError, ValencyError
 from .generators import parse_generator_spec
 from .graph6 import read_graph6_file
 from .graphs import Graph, adjacency_matrix, is_regular
 from .intmat import char_poly, mat_equal
-from .invariants import batch_compare, batch_to_csv, batch_to_json, compare, profile
+from .invariants import BatchResult, batch_compare, batch_to_csv, batch_to_json, compare, profile
 from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly
 from .supports import (
@@ -245,7 +247,7 @@ def cmd_spectrum(args) -> int:
 
 
 class _VerifyInputs:
-    """Polynomials several verify checks of one graph share, each computed once on first use."""
+    """What several verify checks of one graph share, each computed once on first use."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -255,8 +257,16 @@ class _VerifyInputs:
         return adjacency_charpoly(self.g)
 
     @cached_property
+    def arcs(self) -> ArcSpace:
+        return build_arc_space(self.g)
+
+    @cached_property
     def cp_s1(self) -> CharPoly:
-        return char_poly(support_u(build_arc_space(self.g)))
+        return char_poly(support_u(self.arcs))
+
+    @cached_property
+    def s2(self) -> np.ndarray:
+        return support_u_power(self.arcs, 2)
 
 
 def _run_check(check: str, g: Graph, inputs: _VerifyInputs) -> Tuple[str, str]:
@@ -279,13 +289,12 @@ def _run_check(check: str, g: Graph, inputs: _VerifyInputs) -> Tuple[str, str]:
         if check == "thm41":
             if k is None or k <= 2:
                 return "SKIP", f"hypothesis k>2 (got k={k})"
-            a = build_arc_space(g)
-            ok = mat_equal(support_u_power(a, 2), su2_via_identity(a))
+            ok = mat_equal(inputs.s2, su2_via_identity(inputs.arcs))
             return ("PASS", "") if ok else ("FAIL", "S+(U^2) != S+(U)^2 + I")
         if check == "thm43":
             if k is None or k <= 2:
                 return "SKIP", f"hypothesis k>2 (got k={k})"
-            lhs = char_poly(support_u_power(build_arc_space(g), 2))
+            lhs = char_poly(inputs.s2)
             rhs = closed_form_charpoly_su2(g, inputs.cp_a)
             return ("PASS", "") if lhs.coeffs == rhs.coeffs else ("FAIL", "charpoly mismatch")
         raise ParameterError(f"unknown check {check!r}")
@@ -353,15 +362,7 @@ def cmd_compare(args) -> int:
     if args.format == "json":
         text = json.dumps(report.to_json(), indent=2) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id1", "id2", "a", "s1", "s2", "s3", "distinguishing_invariant"])
-        writer.writerow(
-            [id1, id2]
-            + [report.verdicts[w] for w in ("a", "s1", "s2", "s3")]
-            + [report.distinguishing_invariant or ""]
-        )
-        text = buf.getvalue()
+        text = batch_to_csv(BatchResult([report], []))
     else:
         lines = [f"# {id1} vs {id2}"]
         for which in ("a", "s1", "s2", "s3"):

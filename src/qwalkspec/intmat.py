@@ -1,9 +1,15 @@
 """Dense exact integer matrices and division-free characteristic polynomials.
 
-Matrices are numpy arrays with ``dtype=object`` holding Python ints, so all
-arithmetic is arbitrary precision.  ``mat_mul`` transparently drops to an
-int64 kernel when an a-priori bound proves the product cannot overflow, which
-keeps the sign-exact pipeline fast without ever risking silent wraparound.
+One representation rule holds throughout: an exact matrix is an ``int64``
+array when its entries are known to lie below ``_INT64_SAFE = 2^62`` in
+magnitude, and an ``object`` array of Python ints otherwise.  The
+constructors check the entries; ``mat_mul`` checks an a-priori bound on the
+product (the inner dimension times the largest entries of both factors), runs
+int64 ``@`` below it and exact object ``np.dot`` above it, so nothing ever
+wraps silently.  The arc and walk matrices of this package are therefore all
+int64.  Object ints remain only where big integers really arise: user input
+at or above 2^62, the Berkowitz recurrence, Bareiss elimination and the CRT
+recombination.  Every function accepts either representation.
 
 Two exact characteristic-polynomial backends are provided:
 
@@ -16,7 +22,7 @@ Two exact characteristic-polynomial backends are provided:
   dimension so no int64 dot product in the kernels can wrap.  This is the
   fast path for the 96x96 arc matrices that dominate corpus experiments.
 
-``char_poly`` dispatches between the two; they are cross-checked in tests.
+``char_poly`` picks one by dimension; they are cross-checked in tests.
 """
 
 from __future__ import annotations
@@ -34,56 +40,41 @@ _INT64_SAFE = 1 << 62
 
 
 def int_matrix(rows: Iterable[Iterable[int]]) -> np.ndarray:
-    """Build an exact integer matrix (dtype=object) from nested iterables.
+    """Build an exact integer matrix from nested iterables.
 
-    Entries must be integral (floats are rejected, not truncated).
+    Entries must be integral (floats are rejected, not truncated).  The
+    result is int64 when every entry is below 2^62 in magnitude, object
+    otherwise.
     """
     data = [[index(x) for x in row] for row in rows]
-    m = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
-    for i, row in enumerate(data):
-        if len(row) != m.shape[1]:
-            raise ValueError("ragged rows")
-        m[i, :] = row
-    return m
+    cols = len(data[0]) if data else 0
+    if any(len(row) != cols for row in data):
+        raise ValueError("ragged rows")
+    big = any(abs(x) >= _INT64_SAFE for row in data for x in row)
+    return np.array(data, dtype=object if big else np.int64).reshape(len(data), cols)
 
 
 def int_zeros(rows: int, cols: int) -> np.ndarray:
-    m = np.empty((rows, cols), dtype=object)
-    m[:, :] = 0
-    return m
+    return np.zeros((rows, cols), dtype=np.int64)
 
 
 def int_eye(n: int) -> np.ndarray:
-    m = int_zeros(n, n)
-    for i in range(n):
-        m[i, i] = 1
-    return m
-
-
-def _as_object(a: np.ndarray) -> np.ndarray:
-    """int64 array -> object array of Python ints."""
-    return np.array(a.tolist(), dtype=object).reshape(a.shape)
+    return np.eye(n, dtype=np.int64)
 
 
 def _max_abs(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
-    return int(np.abs(a).max())
+    return max(int(a.max()), -int(a.min()))
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product."""
+    """Exact matrix product: int64 when a bound proves it fits, object otherwise."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    inner = a.shape[1]
-    if inner == 0:
-        return int_zeros(a.shape[0], b.shape[1])
-    bound = inner * _max_abs(a) * _max_abs(b)
-    if bound < _INT64_SAFE:
-        a64 = np.array(a.tolist(), dtype=np.int64).reshape(a.shape)
-        b64 = np.array(b.tolist(), dtype=np.int64).reshape(b.shape)
-        return _as_object(a64 @ b64)
-    return np.dot(a, b)
+    if a.shape[1] * _max_abs(a) * _max_abs(b) < _INT64_SAFE:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return np.dot(a.astype(object), b.astype(object))
 
 
 def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
@@ -99,8 +90,8 @@ def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
 
 
 def positive_support(m: np.ndarray) -> np.ndarray:
-    """0/1 matrix marking the strictly positive entries of m."""
-    return (m > 0).astype(np.int64).astype(object)
+    """0/1 int64 matrix marking the strictly positive entries of m."""
+    return (m > 0).astype(np.int64)
 
 
 def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -108,7 +99,7 @@ def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def mat_trace(a: np.ndarray) -> int:
-    return int(sum(a[i, i] for i in range(min(a.shape))))
+    return sum(int(x) for x in a.diagonal())
 
 
 def format_matrix(a: np.ndarray) -> str:
@@ -126,7 +117,7 @@ def berkowitz_charpoly(m: np.ndarray) -> CharPoly:
     n = _require_square(m)
     if n == 0:
         return CharPoly((1,))
-    a = m if m.dtype == object else _as_object(m)
+    a = m.astype(object)
     # c holds the coefficients of det(tI - leading submatrix), descending.
     c = [1, -int(a[0, 0])]
     for i in range(1, n):
@@ -243,8 +234,9 @@ def _coefficient_bound_bits(m: np.ndarray) -> float:
     the i largest row norms of M.
     """
     n = m.shape[0]
-    row_sq = [max(1, sum(int(x) * int(x) for x in m[i, :])) for i in range(n)]
-    half_logs = sorted((0.5 * math.log2(r) for r in row_sq), reverse=True)
+    a = m.astype(object)
+    row_sq = np.maximum((a * a).sum(axis=1), 1)
+    half_logs = sorted((0.5 * math.log2(int(r)) for r in row_sq), reverse=True)
     acc = 0.0
     best = 0.0
     for i in range(1, n + 1):
@@ -258,7 +250,7 @@ def _coefficient_bound_bits(m: np.ndarray) -> float:
 
 def _hessenberg_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Reduce to upper Hessenberg form mod p by a similarity transform."""
-    h = np.mod(a, p).astype(np.int64)
+    h = np.mod(a, p).astype(np.int64)  # a may be int64 or object
     n = h.shape[0]
     for j in range(n - 2):
         col = h[j + 1 :, j]
@@ -324,19 +316,7 @@ def modular_charpoly(m: np.ndarray) -> CharPoly:
         total += math.log2(p)
     assert n * (primes[0] - 1) ** 2 <= _INT64_MAX, "int64 dot products could wrap"
 
-    big = _max_abs(m) >= _INT64_SAFE
-    if big:
-        ints = [[int(x) for x in row] for row in m]
-    else:
-        a64 = np.array(m.tolist(), dtype=np.int64).reshape(m.shape)
-
-    residues = []
-    for p in primes:
-        if big:
-            ap = np.array([[x % p for x in row] for row in ints], dtype=np.int64)
-        else:
-            ap = a64 % p
-        residues.append(_charpoly_mod(ap, p))
+    residues = [_charpoly_mod(m, p) for p in primes]
 
     coeffs = []
     for idx in range(n + 1):
@@ -356,20 +336,13 @@ def modular_charpoly(m: np.ndarray) -> CharPoly:
 _AUTO_MODULAR_DIM = 24
 
 
-def char_poly(m: np.ndarray, method: str = "auto") -> CharPoly:
+def char_poly(m: np.ndarray) -> CharPoly:
     """Exact characteristic polynomial det(tI - M), monic, integer coefficients.
 
-    method: "berkowitz", "modular", or "auto" (Berkowitz for small matrices,
-    the modular CRT backend above dimension 24; both are exact).
+    Berkowitz for small matrices, the modular CRT backend above dimension 24;
+    both are exact.
     """
-    n = _require_square(m)
-    if method == "berkowitz":
-        return berkowitz_charpoly(m)
-    if method == "modular":
-        return modular_charpoly(m)
-    if method != "auto":
-        raise ValueError(f"unknown charpoly method {method!r}")
-    if n <= _AUTO_MODULAR_DIM:
+    if _require_square(m) <= _AUTO_MODULAR_DIM:
         return berkowitz_charpoly(m)
     return modular_charpoly(m)
 

@@ -1,56 +1,23 @@
-"""Cyclic Jacobi eigenvalue iteration for symmetric matrices.
+"""Numeric eigenvalues of exact symmetric integer matrices, by LAPACK.
 
-Adequate and robust at the dimensions this package meets (adjacency matrices
-of desk-scale graphs).  Non-symmetric spectra are never computed in floating
-point here; they go through exact characteristic polynomials instead.
+Used for reporting only: the adjacency spectrum behind the closed-form
+spectra and ``spectrum --which a --form numeric``.  Non-symmetric spectra
+are never computed in floating point here; they go through exact
+characteristic polynomials instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-REL_OFF_TOL = 1e-12
-_MAX_SWEEPS = 60
 
-
-def symmetric_eigenvalues(m: np.ndarray, rel_tol: float = REL_OFF_TOL) -> np.ndarray:
+def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, with multiplicity.
 
-    Cyclic Jacobi rotations; sweeps stop once the off-diagonal Frobenius norm
-    drops below rel_tol times the initial Frobenius norm of the matrix.
-    Raises ValueError if the input is not exactly symmetric.
+    Raises ValueError if the input is not square and exactly symmetric.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix not square: {m.shape}")
     if not np.array_equal(m, m.T):
         raise ValueError("matrix not symmetric")
-    n = m.shape[0]
-    a = np.array(m.tolist(), dtype=float).reshape(n, n)
-    threshold = rel_tol * float(np.linalg.norm(a))
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
-        if off <= threshold:
-            return np.sort(np.diag(a).copy())
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-300 * abs(diff):
-                    continue
-                tau = diff / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise RuntimeError("Jacobi iteration did not converge")
+    return np.linalg.eigvalsh(m.astype(float))

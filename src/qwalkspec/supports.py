@@ -59,10 +59,7 @@ def support_u(a: ArcSpace) -> np.ndarray:
     """S+(U) = outs^T ins - P: the non-backtracking arc matrix (k >= 2)."""
     if a.k < 2:
         raise ValencyError(f"support of the walk needs valency >= 2, got k={a.k}")
-    m = mat_mul(outs_matrix(a).T, ins_matrix(a))
-    for j, r in enumerate(a.reverse):
-        m[r, j] -= 1
-    return m
+    return mat_mul(outs_matrix(a).T, ins_matrix(a)) - reversal_matrix(a)
 
 
 def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
@@ -314,13 +311,6 @@ def ihara_style_charpoly(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:
         poly_pow([-1, 0, 1], g.n * (k - 2) // 2),
     )
     return CharPoly(tuple(rhs))
-
-
-def char_poly_identity_check(g: Graph, cp_a: Optional[CharPoly] = None) -> bool:
-    """Exact equality of char_poly(S+(U)) with its Ihara-style factorization."""
-    rhs = ihara_style_charpoly(g, cp_a)
-    lhs = char_poly(support_u(build_arc_space(g)))
-    return lhs.coeffs == rhs.coeffs
 
 
 def closed_form_charpoly_su2(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qwalkspec import (
@@ -19,6 +20,7 @@ from qwalkspec import (
     scaled_reflection_q,
     scaled_transition_matrix,
     support_u,
+    support_u_power,
 )
 
 
@@ -159,3 +161,14 @@ def test_ins_outs_reconstruct_adjacency(corpus):
     for _, g in corpus:
         a = build_arc_space(g)
         assert mat_equal(mat_mul(ins_matrix(a), outs_matrix(a).T), adjacency_matrix(g))
+
+
+def test_arc_matrices_are_int64(corpus):
+    builders = (ins_matrix, outs_matrix, reversal_matrix, scaled_transition_matrix,
+                scaled_reflection_q, support_u)
+    for gid, g in corpus:
+        a = build_arc_space(g)
+        for build in builders:
+            assert build(a).dtype == np.int64, (gid, build.__name__)
+        for m in (2, 3):
+            assert support_u_power(a, m).dtype == np.int64, (gid, m)

@@ -32,11 +32,37 @@ def rand_int_matrix(rng, n, lo=-9, hi=9):
 
 def test_int_matrix_constructors():
     m = int_matrix([[1, 2], [3, 4]])
-    assert m.dtype == object
+    assert m.dtype == np.int64
     assert mat_equal(int_eye(2), int_matrix([[1, 0], [0, 1]]))
+    assert int_eye(2).dtype == np.int64
     assert int_zeros(2, 3).shape == (2, 3)
+    assert int_zeros(2, 3).dtype == np.int64
     with pytest.raises(ValueError):
         int_matrix([[1, 2], [3]])
+
+
+def test_int_matrix_int64_below_2_62_object_from_2_62():
+    edge = 2**62
+    for x in (edge - 1, -(edge - 1)):
+        m = int_matrix([[x, 0]])
+        assert m.dtype == np.int64 and m[0, 0] == x
+    for x in (edge, -edge):
+        m = int_matrix([[x, 0]])
+        assert m.dtype == object and m[0, 0] == x and isinstance(m[0, 0], int)
+    with pytest.raises(TypeError):
+        int_matrix([[1.0, 2]])
+
+
+def test_mat_mul_int64_inputs_past_the_bound_stay_exact():
+    a = int_matrix([[2**40]])
+    assert a.dtype == np.int64
+    c = mat_mul(a, a)
+    assert c.dtype == object and c[0, 0] == 2**80
+    # 2 * (2^31)^2 = 2^63 would wrap an int64 accumulator
+    b = int_matrix([[2**31, 2**31]])
+    assert mat_mul(b, b.T)[0, 0] == 2**63
+    small = mat_mul(int_matrix([[3, 1]]), int_matrix([[2], [5]]))
+    assert small.dtype == np.int64 and small[0, 0] == 11
 
 
 def test_mat_mul_identity_and_dims():
@@ -89,10 +115,9 @@ def test_positive_support_examples():
     assert mat_equal(positive_support(z), z)
     m = int_matrix([[-1, 0], [2, -5]])
     assert positive_support(m).tolist() == [[0, 0], [1, 0]]
-    # Python ints 0/1 in an object array, as the exact kernels expect
-    assert positive_support(m).dtype == object
-    assert {type(x) for x in positive_support(m).flat} == {int}
-    assert positive_support(int_matrix([[2**70, -(2**70)]])).tolist() == [[1, 0]]
+    assert positive_support(m).dtype == np.int64
+    huge = positive_support(int_matrix([[2**70, -(2**70)]]))
+    assert huge.tolist() == [[1, 0]] and huge.dtype == np.int64
     # idempotent
     s = positive_support(m)
     assert mat_equal(positive_support(s), s)
@@ -229,11 +254,6 @@ def test_trace_and_format():
     m = int_matrix([[1, 2], [3, 4]])
     assert mat_trace(m) == 5
     assert format_matrix(m) == "1 2\n3 4"
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        char_poly(int_eye(2), method="magic")
 
 
 def test_prime_ceiling_keeps_int64_dots_exact():
