@@ -59,6 +59,16 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_graphs(args) -> List[Tuple[str, Graph]]:
     out: List[Tuple[str, Graph]] = []
     for path in args.input or []:
@@ -132,37 +142,33 @@ def _spectrum_payload(gid: str, g: Graph, which: str, form: str) -> dict:
 
     # numeric
     if which == "a":
-        vals = [complex(v) for v in symmetric_eigenvalues(adjacency_matrix(g))]
-    elif which == "s1":
+        vals = symmetric_eigenvalues(adjacency_matrix(g))
+    elif which in ("s1", "s2"):
         try:
-            vals = sorted(
-                closed_form_spectrum_su(g).numeric_values(),
-                key=lambda z: (z.real, z.imag),
-            )
+            closed = closed_form_spectrum_su if which == "s1" else closed_form_spectrum_su2
+            vals = closed(g).numeric_values()
         except HypothesisError:
-            vals = _sorted_roots(g, which)
-    elif which == "s2":
-        try:
-            vals = sorted(
-                closed_form_spectrum_su2(g).numeric_values(),
-                key=lambda z: (z.real, z.imag),
-            )
-        except HypothesisError:
-            vals = _sorted_roots(g, which)
+            vals = charpoly_root_multiset(_charpoly_of(g, which))
     else:
-        vals = _sorted_roots(g, which)
-    return {
-        "id": gid,
-        "which": which,
-        "form": form,
-        "values": [_fmt_complex(v) for v in vals],
-    }
+        vals = charpoly_root_multiset(_charpoly_of(g, which))
+    return {"id": gid, "which": which, "form": form, "values": _display_values(vals)}
 
 
-def _sorted_roots(g: Graph, which: str) -> list:
-    return sorted(
-        charpoly_root_multiset(_charpoly_of(g, which)), key=lambda z: (z.real, z.imag)
-    )
+def _display_values(vals) -> List[str]:
+    """Values to 12 digits, in the order of what is printed.
+
+    Parts below 1e-12 * max(1, max |z|) are rounding noise and print as 0
+    (never -0), and the order is by the printed digits, so values that print
+    alike are not ordered by digits nobody sees.
+    """
+    vals = [complex(v) for v in vals]
+    tol = 1e-12 * max([1.0] + [abs(z) for z in vals])
+
+    def shown(x: float) -> float:
+        return float(_fmt_real(x)) if abs(x) >= tol else 0.0
+
+    rounded = sorted((shown(z.real), shown(z.imag)) for z in vals)
+    return [_fmt_complex(complex(re, im)) for re, im in rounded]
 
 
 def _charpoly_of(g: Graph, which: str) -> CharPoly:
@@ -446,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(sp)
     sp.add_argument("--include-cross-class", action="store_true",
                     help="also report pairs with different (n, k)")
-    sp.add_argument("--threads", type=int, default=os.cpu_count(),
-                    help="worker threads for profile computation")
+    sp.add_argument("--threads", type=_positive_int, metavar="N",
+                    help="worker processes that compute the profiles"
+                         " (default: the CPUs this process may run on, at most one per graph)")
     sp.set_defaults(func=cmd_batch)
     return parser
 

@@ -264,7 +264,9 @@ def _hessenberg_mod(a: np.ndarray, p: int) -> np.ndarray:
         inv = pow(int(h[j + 1, j]), p - 2, p)
         if j + 2 < n:
             mults = (h[j + 2 :, j] * inv) % p
-            h[j + 2 :, :] = (h[j + 2 :, :] - np.outer(mults, h[j + 1, :])) % p
+            # Row j + 1 is zero left of column j, and column j below it cancels.
+            h[j + 2 :, j + 1 :] = (h[j + 2 :, j + 1 :] - np.outer(mults, h[j + 1, j + 1 :])) % p
+            h[j + 2 :, j] = 0
             h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ mults) % p
     return h
 

@@ -21,6 +21,11 @@ equal.
 
 A cospectral verdict on all four invariants proves nothing about
 isomorphism; reports say "cospectral", not "isomorphic".
+
+``batch_compare`` profiles a corpus in worker processes (its ``threads``
+argument, the CLI's ``--threads``), not threads: the modular char poly of
+S+(U^3) runs in numpy calls too short to release the interpreter lock for
+long, so threads would not overlap.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import csv
 import io
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -141,6 +146,15 @@ def compare(p: InvariantProfile, q: InvariantProfile) -> CompareReport:
     return CompareReport((p.graph_id, q.graph_id), verdicts, distinguishing)
 
 
+def _build(item: Tuple[str, Graph]):
+    """The profile of one corpus graph, or (id, reason) if it breaks a hypothesis."""
+    gid, g = item
+    try:
+        return profile(g, gid)
+    except (HypothesisError, ValencyError) as e:
+        return (gid, str(e))
+
+
 def batch_compare(
     corpus: Sequence[Tuple[str, Graph]],
     include_cross_class: bool = False,
@@ -152,27 +166,31 @@ def batch_compare(
     Pairs with different (n, k) are trivially distinguished and omitted
     unless include_cross_class is set.  Output order is deterministic:
     lexicographic by id pair.
+
+    ``threads`` worker processes profile the graphs (default: the CPUs this
+    process may run on), never more than there are graphs; with one, the
+    graphs are profiled in this process.  An exception a worker raises
+    reaches the caller.  The workers are forked, so they start with numpy
+    and qwalkspec imported; spawned ones would import them again, which
+    takes longer than profiling a small graph.
     """
-    profiles: List[InvariantProfile] = []
-    skipped: List[Tuple[str, str]] = []
+    if threads is None:
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(corpus), threads or 1)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def build(item):
-        gid, g = item
-        try:
-            return profile(g, gid)
-        except (HypothesisError, ValencyError) as e:
-            return (gid, str(e))
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(build, corpus))
+        # Largest graphs first, so the slowest profile does not start last.
+        order = sorted(range(len(corpus)), key=lambda i: -corpus[i][1].edge_count)
+        results: list = [None] * len(corpus)
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            for i, r in zip(order, pool.map(_build, [corpus[i] for i in order])):
+                results[i] = r
     else:
-        results = [build(item) for item in corpus]
-    for r in results:
-        if isinstance(r, InvariantProfile):
-            profiles.append(r)
-        else:
-            skipped.append(r)
+        results = [_build(item) for item in corpus]
+    profiles = [r for r in results if isinstance(r, InvariantProfile)]
+    skipped: List[Tuple[str, str]] = [r for r in results if not isinstance(r, InvariantProfile)]
 
     reports = []
     for i in range(len(profiles)):

@@ -2,7 +2,16 @@ import json
 import subprocess
 import sys
 
-from qwalkspec import complete_graph, cycle_graph, petersen_graph, write_graph6_file
+import pytest
+
+from qwalkspec import (
+    complete_graph,
+    cycle_graph,
+    parse_generator_spec,
+    petersen_graph,
+    relabel,
+    write_graph6_file,
+)
 from qwalkspec.cli import main
 
 
@@ -47,6 +56,23 @@ def test_spectrum_numeric_adjacency(capsys):
     assert code == 0
     values = [line for line in out.splitlines() if not line.startswith("#")]
     assert values == ["-1", "-1", "2"]
+
+
+@pytest.mark.parametrize("spec", ["cycle:4", "hypercube:4", "complete_bipartite:3,3"])
+def test_spectrum_numeric_prints_no_rounding_noise(tmp_path, capsys, spec):
+    g = parse_generator_spec(spec)
+    outputs = []
+    for i, perm in enumerate([list(range(g.n)), list(reversed(range(g.n)))]):
+        path = tmp_path / f"{i}.g6"
+        write_graph6_file(str(path), [relabel(g, perm)])
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--input", str(path), "--which", "a", "--form", "numeric"
+        )
+        assert code == 0
+        outputs.append(out.splitlines()[1:])
+    assert not any("e-" in v for v in outputs[0])
+    assert "0" in outputs[0] and "-0" not in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_spectrum_numeric_s3(capsys):
@@ -167,6 +193,14 @@ def test_batch_on_g6_file(tmp_path, capsys):
     assert len(payload["pairs"]) == 1  # only the two C6 share (n, k)
     ids = payload["pairs"][0]["ids"]
     assert ids == sorted(ids)
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+def test_batch_rejects_threads_below_one(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--generate", "cycle:5", "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_batch_csv_output_to_file(tmp_path, capsys):

@@ -158,15 +158,57 @@ def test_batch_compare_prunes_by_nk():
 
 
 def test_batch_compare_deterministic_order_and_threads():
+    # Two (n, k) classes, k = 2 cycles, and an irregular, a disconnected and a k = 1 graph.
     corpus = [
         ("b", cycle_graph(5)),
+        ("irregular", Graph(4, [(0, 1), (1, 2), (2, 3)])),
         ("a", relabel(cycle_graph(5), [4, 3, 2, 1, 0])),
+        ("k4", complete_graph(4)),
+        ("disconnected", Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
         ("c", Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])),
+        ("k1", Graph(4, [(0, 1), (2, 3)])),
+        ("k4'", relabel(complete_graph(4), [2, 0, 3, 1])),
     ]
-    r1 = batch_compare(corpus, threads=1)
-    r2 = batch_compare(corpus, threads=4)
-    assert [r.pair for r in r1.pairs] == [r.pair for r in r2.pairs]
+    results = {t: batch_compare(corpus, threads=t) for t in (1, 2, 4)}
+    r1 = results[1]
     assert [r.pair for r in r1.pairs] == sorted(r.pair for r in r1.pairs)
+    assert len(r1.pairs) == 4  # three C5 pairs and the two K4
+    assert [gid for gid, _ in r1.skipped] == ["irregular", "disconnected", "k1"]
+    for t in (2, 4):
+        assert batch_to_json(results[t]) == batch_to_json(r1)
+        assert results[t].skipped == r1.skipped
+
+
+def test_batch_compare_worker_exception_reaches_caller(monkeypatch):
+    import qwalkspec.invariants as inv
+
+    real_profile = inv.profile
+
+    def failing_profile(g, gid):
+        if gid == "bad":
+            raise RuntimeError("boom in bad")
+        return real_profile(g, gid)
+
+    monkeypatch.setattr(inv, "profile", failing_profile)
+    corpus = [("good", cycle_graph(5)), ("bad", cycle_graph(6)), ("k4", complete_graph(4))]
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match="boom in bad"):
+            batch_compare(corpus, threads=threads)
+
+
+def test_batch_compare_no_pool_for_one_worker_or_one_graph(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    two = [("C5", cycle_graph(5)), ("C5'", relabel(cycle_graph(5), [1, 0, 2, 3, 4]))]
+    assert len(batch_compare(two, threads=1).pairs) == 1
+    assert batch_compare(two[:1], threads=4).pairs == []
+    assert batch_compare(two[:1]).pairs == []
+    with pytest.raises(AssertionError, match="process pool"):
+        batch_compare(two, threads=2)
 
 
 def test_batch_json_and_csv_schemas():
