@@ -23,7 +23,7 @@ for entry in spec.entries:
 
 # %% Exact certification -----------------------------------------------------
 # Expand the closed form into an integer polynomial straight from the
-# adjacency char poly and compare with the Berkowitz/modular char poly of
+# adjacency char poly and compare with the exact (modular CRT) char poly of
 # the actual 30x30 support matrix.  Equality is exact, coefficient by
 # coefficient.
 brute = q.char_poly(q.support_u(a))

@@ -9,12 +9,12 @@ class ParameterError(ValueError):
     """Invalid parameters passed to a named graph generator."""
 
 
-class ValencyError(ValueError):
-    """Graph is not regular, or its valency is too small for the operation."""
-
-
 class HypothesisError(ValueError):
     """A theorem hypothesis (connectivity, regularity, valency bound) is violated."""
+
+
+class ValencyError(HypothesisError):
+    """Graph is not regular, or its valency is too small for the operation."""
 
 
 class DivisibilityError(ArithmeticError):

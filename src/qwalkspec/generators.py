@@ -11,6 +11,7 @@ from typing import Iterable
 
 from .errors import ParameterError
 from .graphs import Graph
+from .intmat import _is_prime
 
 
 def cycle_graph(n: int) -> Graph:
@@ -92,17 +93,6 @@ def rook_graph(m: int, m2: int = None) -> Graph:
             edges.add((m * r + c1, m * r + c2))  # same row
             edges.add((m * c1 + r, m * c2 + r))  # same column
     return Graph(m * m, edges)
-
-
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def paley_graph(q: int) -> Graph:

@@ -102,14 +102,8 @@ def write_graph6(g: Graph) -> str:
 
     nbits = n * (n - 1) // 2
     bits = bytearray(nbits)
-    pos_of = {}
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            pos_of[(i, j)] = bit
-            bit += 1
-    for (u, v) in g.edges:
-        bits[pos_of[(u, v)]] = 1
+    for (u, v) in g.edges:  # u < v; the bits run column by column of the upper triangle
+        bits[v * (v - 1) // 2 + u] = 1
 
     payload = []
     for start in range(0, nbits, 6):

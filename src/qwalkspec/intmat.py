@@ -11,18 +11,16 @@ int64.  Object ints remain only where big integers really arise: user input
 at or above 2^62, the Berkowitz recurrence, Bareiss elimination and the CRT
 recombination.  Every function accepts either representation.
 
-Two exact characteristic-polynomial backends are provided:
+``char_poly`` has one exact engine, ``modular_charpoly``: Hessenberg
+reduction and the Hessenberg determinant recurrence modulo word-sized primes,
+recombined by one CRT step.  The primes are taken, largest first, until their
+product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
+plus guard bits, so the result is exact, not probabilistic; they are capped
+from the dimension so no int64 dot product in the kernels can wrap.
 
-* ``berkowitz_charpoly`` -- the division-free Berkowitz algorithm over the
-  integers, O(n^4).  Reference implementation, fine up to dimension ~40.
-* ``modular_charpoly``  -- Hessenberg reduction + the Hessenberg determinant
-  recurrence modulo a batch of word-sized primes, recombined by CRT.  The
-  prime batch is sized from a rigorous Hadamard-style coefficient bound, so
-  the result is exact, not probabilistic; the primes are capped from the
-  dimension so no int64 dot product in the kernels can wrap.  This is the
-  fast path for the 96x96 arc matrices that dominate corpus experiments.
-
-``char_poly`` picks one by dimension; they are cross-checked in tests.
+``berkowitz_charpoly``, the division-free Berkowitz algorithm over the
+integers (O(n^4)), is not on any product path: it is the independent
+reference the tests compare ``char_poly`` against.
 """
 
 from __future__ import annotations
@@ -113,7 +111,11 @@ def format_matrix(a: np.ndarray) -> str:
 
 
 def berkowitz_charpoly(m: np.ndarray) -> CharPoly:
-    """char poly det(tI - M) by the Berkowitz algorithm, exact over Z."""
+    """char poly det(tI - M) by the Berkowitz algorithm, exact over Z.
+
+    The reference that tests compare ``char_poly`` against; no product path
+    calls it.
+    """
     n = _require_square(m)
     if n == 0:
         return CharPoly((1,))
@@ -181,6 +183,7 @@ _primes_cache: dict = {}  # ceiling -> primes at or below it, descending
 
 
 def _is_prime(m: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: exact for every m < 3.1e23."""
     if m < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -190,7 +193,7 @@ def _is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 23, 29, 31, 37):
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(base, d, m)
         if x in (1, m - 1):
             continue
@@ -305,47 +308,23 @@ def modular_charpoly(m: np.ndarray) -> CharPoly:
         return CharPoly((1,))
     bits = _coefficient_bound_bits(m) + 12  # guard bits
     ceiling = _prime_ceiling(n)
-    primes = []
-    total = 0.0
-    for p in _primes(max(1, int(bits / 25) + 2), ceiling):
-        primes.append(p)
-        total += math.log2(p)
-        if total > bits + 1:
-            break
-    while total <= bits + 1:
-        p = _primes(len(primes) + 1, ceiling)[-1]
-        primes.append(p)
-        total += math.log2(p)
+    primes: list = []
+    while sum(map(math.log2, primes)) <= bits + 1:
+        primes = _primes(len(primes) + 1, ceiling)
     assert n * (primes[0] - 1) ** 2 <= _INT64_MAX, "int64 dot products could wrap"
 
-    residues = [_charpoly_mod(m, p) for p in primes]
+    residues = np.stack([_charpoly_mod(m, p) for p in primes]).astype(object)
 
-    coeffs = []
-    for idx in range(n + 1):
-        x, mod = int(residues[0][idx]), primes[0]
-        for j in range(1, len(primes)):
-            pj = primes[j]
-            inv = pow(mod % pj, pj - 2, pj)
-            x = x + mod * (((int(residues[j][idx]) - x) * inv) % pj)
-            mod *= pj
-        x %= mod
-        if x > mod // 2:
-            x -= mod
-        coeffs.append(x)
-    return CharPoly(tuple(coeffs))
-
-
-_AUTO_MODULAR_DIM = 24
+    # CRT: e_p = 1 mod p and 0 mod every other prime, so sum e_p r_p is the
+    # coefficient mod M, lifted to the symmetric range (-M/2, M/2].
+    big_m = math.prod(primes)
+    basis = np.array([big_m // p * pow(big_m // p, -1, p) for p in primes], dtype=object)
+    coeffs = (basis @ residues) % big_m
+    return CharPoly(tuple(c - big_m if c > big_m // 2 else c for c in coeffs))
 
 
 def char_poly(m: np.ndarray) -> CharPoly:
-    """Exact characteristic polynomial det(tI - M), monic, integer coefficients.
-
-    Berkowitz for small matrices, the modular CRT backend above dimension 24;
-    both are exact.
-    """
-    if _require_square(m) <= _AUTO_MODULAR_DIM:
-        return berkowitz_charpoly(m)
+    """Exact characteristic polynomial det(tI - M), monic, integer coefficients."""
     return modular_charpoly(m)
 
 

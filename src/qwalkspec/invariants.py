@@ -39,11 +39,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .arcspace import build_arc_space
-from .errors import HypothesisError, ValencyError
-from .graphs import Graph, is_connected, is_regular
+from .errors import HypothesisError
+from .graphs import Graph
 from .intmat import char_poly
 from .polynomials import CharPoly, poly_graeffe
 from .supports import (
+    _require_walk_hypotheses,
     adjacency_charpoly,
     closed_form_charpoly_su,
     closed_form_charpoly_su2,
@@ -66,7 +67,7 @@ class InvariantProfile:
     charpoly_s3: CharPoly
 
     def charpoly(self, which: str) -> CharPoly:
-        return getattr(self, f"charpoly_{which}" if which != "a" else "charpoly_a")
+        return getattr(self, f"charpoly_{which}")
 
     def to_json(self) -> dict:
         return {
@@ -108,13 +109,10 @@ class BatchResult:
 
 def profile(g: Graph, graph_id: str) -> InvariantProfile:
     """All four exact char polys of a connected regular graph with k >= 2."""
-    k = is_regular(g)
-    if k is None:
-        raise HypothesisError(f"{graph_id}: graph is not regular")
-    if k < 2:
-        raise HypothesisError(f"{graph_id}: valency k >= 2 required, got k={k}")
-    if not is_connected(g):
-        raise HypothesisError(f"{graph_id}: graph is not connected")
+    try:
+        k = _require_walk_hypotheses(g, 2)
+    except HypothesisError as e:
+        raise HypothesisError(f"{graph_id}: {e}") from None
     log.debug("profiling %s (n=%d, k=%d)", graph_id, g.n, k)
     cp_a = adjacency_charpoly(g)
     cp_s1 = closed_form_charpoly_su(g, cp_a)
@@ -151,7 +149,7 @@ def _build(item: Tuple[str, Graph]):
     gid, g = item
     try:
         return profile(g, gid)
-    except (HypothesisError, ValencyError) as e:
+    except HypothesisError as e:
         return (gid, str(e))
 
 

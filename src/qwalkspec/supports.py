@@ -249,13 +249,9 @@ def closed_form_spectrum_su2(g: Graph) -> ClosedFormSpectrum:
                 entries.append(RationalEigenvalue(e.value**2 + 1, e.multiplicity))
         else:
             lam2 = e.root_sum**2
-            if isinstance(e.root_sum, int):
-                new_sum = lam2 - 2 * k + 4
-                new_prod = lam2 + (k - 2) ** 2
-            else:
-                new_sum = float(lam2 - 2 * k + 4)
-                new_prod = float(lam2 + (k - 2) ** 2)
-            entries.append(QuadraticPair(new_sum, new_prod, e.multiplicity, e.conjugate))
+            entries.append(
+                QuadraticPair(lam2 - 2 * k + 4, lam2 + (k - 2) ** 2, e.multiplicity, e.conjugate)
+            )
     entries.append(RationalEigenvalue(2, two_mult))
     return ClosedFormSpectrum(n, k, tuple(entries))
 

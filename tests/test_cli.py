@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from qwalkspec import (
+    Graph,
     complete_graph,
     cycle_graph,
     parse_generator_spec,
@@ -116,6 +117,34 @@ def test_verify_all_pass_and_skip(capsys):
     )
     assert code == 0  # skipped checks do not fail the run
     assert "SKIP" in out and "k>2" in out
+
+
+def test_verify_skips_need_no_brute_force_char_poly(tmp_path, capsys, monkeypatch):
+    irregular = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    path = tmp_path / "irregular.g6"
+    write_graph6_file(str(path), [irregular])
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 0 and "None" not in out
+    assert out.count("SKIP  hypothesis: graph is not regular") == 4  # all but identities
+
+    # the closed forms reject these graphs before any brute-force char poly is needed
+    def no_char_poly(m):
+        raise AssertionError("brute-force char poly computed for a skipped check")
+
+    monkeypatch.setattr("qwalkspec.cli.char_poly", no_char_poly)
+    two_k4 = Graph(8, [(i, j) for b in (0, 4) for i in range(b, b + 4) for j in range(i + 1, b + 4)])
+    matching = Graph(6, [(0, 1), (2, 3), (4, 5)])
+    path = tmp_path / "skipped.g6"
+    write_graph6_file(str(path), [two_k4, matching])
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "json")
+    assert code == 0
+    statuses = [(r["check"], r["status"]) for r in json.loads(out)["results"]]
+    assert statuses == [
+        ("identities", "PASS"), ("thm32", "SKIP"), ("thm41", "PASS"), ("thm43", "SKIP"),
+        ("ihara", "SKIP"),
+        ("identities", "PASS"), ("thm32", "SKIP"), ("thm41", "SKIP"), ("thm43", "SKIP"),
+        ("ihara", "SKIP"),
+    ]
 
 
 def test_verify_identities_text_format(capsys):

@@ -115,8 +115,10 @@ def test_generator_errors():
         cycle_graph(2)
     with pytest.raises(ParameterError):
         paley_graph(7)  # 7 = 3 mod 4
-    with pytest.raises(ParameterError):
-        paley_graph(9)  # prime power, not prime
+    # prime powers and Carmichael numbers, all = 1 mod 4
+    for q in (9, 25, 561, 1105):
+        with pytest.raises(ParameterError):
+            paley_graph(q)
     with pytest.raises(ParameterError):
         rook_graph(4, 5)
     with pytest.raises(ParameterError):

@@ -166,10 +166,15 @@ def test_berkowitz_vs_cofactor_oracle(n):
         assert list(berkowitz_charpoly(m).coeffs) == cofactor_charpoly(m.tolist())
 
 
-@pytest.mark.parametrize("n", [2, 5, 9, 17, 30])
-def test_berkowitz_vs_modular(n):
+@pytest.mark.parametrize(
+    "n, scale",
+    [pytest.param(n, 1, id=str(n)) for n in (1, 2, 5, 9, 17, 30)]
+    + [pytest.param(6, 2**62, id="6-entries-from-2^62")],
+)
+def test_berkowitz_vs_modular(n, scale):
     rng = np.random.default_rng(200 + n)
-    m = rand_int_matrix(rng, n, lo=-20, hi=20)
+    m = int_matrix((rng.integers(-20, 21, size=(n, n)).astype(object) * scale).tolist())
+    assert (m.dtype == object) == (scale > 1)
     assert berkowitz_charpoly(m).coeffs == modular_charpoly(m).coeffs
 
 
@@ -270,3 +275,15 @@ def test_prime_ceiling_keeps_int64_dots_exact():
         primes = _primes(4, c)
         assert primes == sorted(set(primes), reverse=True) and primes[0] <= c
 
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    from qwalkspec.intmat import _is_prime
+
+    def trial_division(q):
+        return q >= 2 and all(q % f for f in range(2, int(q**0.5) + 1))
+
+    assert [q for q in range(-2, 20000) if _is_prime(q) != trial_division(q)] == []
+    # strong pseudoprimes to every base up to 17, and up to 23; 2^61 - 1 is prime
+    assert not _is_prime(341550071728321)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2**61 - 1)
