@@ -16,16 +16,16 @@ print("canonical arc order:", a.arcs)
 print("reversal permutation:", a.reverse)
 
 print("\nins (rows = vertices, cols = arcs; marks heads):")
-print(q.format_matrix(q.ins_matrix(a)))
+print(q.ins_matrix(a))
 print("\nouts (marks tails):")
-print(q.format_matrix(q.outs_matrix(a)))
+print(q.outs_matrix(a))
 
 # %% The scaled walk matrix W = k*U ----------------------------------------
 # Entries: 2 for a non-backtracking continuation, 2-k for a backtracking
 # one, 0 otherwise.  At k=2 the backtracking entries vanish.
 w = q.scaled_transition_matrix(a)
 print("\nW = k*U for C3 (entries 0 and 2 only at k=2):")
-print(q.format_matrix(w))
+print(w)
 
 k4 = q.build_arc_space(q.complete_graph(4))
 w4 = q.scaled_transition_matrix(k4)
@@ -40,5 +40,5 @@ for name, ok in q.identity_suite(q.complete_graph(4)):
 # %% The walk support is the non-backtracking matrix ------------------------
 s1 = q.support_u(a)
 print("\nS+(U) for C3 (two disjoint directed 3-cycles):")
-print(q.format_matrix(s1))
+print(s1)
 print("char poly:", q.char_poly(s1))  # (t^3 - 1)^2

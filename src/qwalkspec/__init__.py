@@ -46,7 +46,6 @@ from .graphs import (
     Graph,
     SrgParams,
     adjacency_matrix,
-    degrees,
     is_connected,
     is_regular,
     relabel,
@@ -54,16 +53,13 @@ from .graphs import (
 )
 from .intmat import (
     bareiss_determinant,
-    berkowitz_charpoly,
     char_poly,
-    format_matrix,
     int_eye,
     int_matrix,
     int_zeros,
     mat_equal,
     mat_mul,
     mat_pow,
-    mat_trace,
     modular_charpoly,
     positive_support,
 )
@@ -81,7 +77,6 @@ from .jacobi import symmetric_eigenvalues
 from .polynomials import (
     CharPoly,
     poly_divide_exact,
-    poly_equal,
     poly_gcd,
     poly_mul,
     poly_pow,
@@ -95,14 +90,12 @@ from .supports import (
     SupportSet,
     adjacency_charpoly,
     build_support_set,
-    charpoly_root_multiset,
     closed_form_charpoly_su,
     closed_form_charpoly_su2,
     closed_form_spectrum_su,
     closed_form_spectrum_su2,
     identity_suite,
     ihara_style_charpoly,
-    max_matching_distance,
     su2_via_identity,
     support_u,
     support_u_power,

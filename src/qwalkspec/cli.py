@@ -36,10 +36,9 @@ from .graphs import Graph, adjacency_matrix, is_regular
 from .intmat import char_poly, mat_equal
 from .invariants import BatchResult, batch_compare, batch_to_csv, batch_to_json, compare, profile
 from .jacobi import symmetric_eigenvalues
-from .polynomials import CharPoly
+from .polynomials import CharPoly, poly_roots
 from .supports import (
     adjacency_charpoly,
-    charpoly_root_multiset,
     closed_form_charpoly_su,
     closed_form_charpoly_su2,
     closed_form_spectrum_su,
@@ -119,15 +118,16 @@ def _fmt_complex(z: complex) -> str:
 
 def _spectrum_payload(gid: str, g: Graph, which: str, form: str) -> dict:
     if form == "closed":
-        if which == "s1":
-            spec = closed_form_spectrum_su(g)
-        elif which == "s2":
-            spec = closed_form_spectrum_su2(g)
-        else:
+        if which not in ("s1", "s2"):
             raise HypothesisError(
                 f"{gid}: no closed form for {which!r}; closed form exists for s1 (k >= 2)"
                 " and s2 (k > 2) only"
             )
+        closed = closed_form_spectrum_su if which == "s1" else closed_form_spectrum_su2
+        try:
+            spec = closed(g)
+        except HypothesisError as e:
+            raise HypothesisError(f"{gid}: {e}") from None
         return {"id": gid, "which": which, "form": form, "spectrum": spec.to_json()}
 
     if form == "charpoly":
@@ -148,9 +148,9 @@ def _spectrum_payload(gid: str, g: Graph, which: str, form: str) -> dict:
             closed = closed_form_spectrum_su if which == "s1" else closed_form_spectrum_su2
             vals = closed(g).numeric_values()
         except HypothesisError:
-            vals = charpoly_root_multiset(_charpoly_of(g, which))
+            vals = poly_roots(_charpoly_of(g, which).coeffs)
     else:
-        vals = charpoly_root_multiset(_charpoly_of(g, which))
+        vals = poly_roots(_charpoly_of(g, which).coeffs)
     return {"id": gid, "which": which, "form": form, "values": _display_values(vals)}
 
 

@@ -85,17 +85,12 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return int_matrix(a)
 
 
-def degrees(g: Graph) -> list:
+def is_regular(g: Graph) -> Optional[int]:
+    """The common degree if g is regular, else None."""
     d = [0] * g.n
     for u, v in g.edges:
         d[u] += 1
         d[v] += 1
-    return d
-
-
-def is_regular(g: Graph) -> Optional[int]:
-    """The common degree if g is regular, else None."""
-    d = degrees(g)
     k = d[0]
     return k if all(x == k for x in d) else None
 

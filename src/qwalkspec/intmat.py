@@ -1,4 +1,4 @@
-"""Dense exact integer matrices and division-free characteristic polynomials.
+"""Dense exact integer matrices and their exact characteristic polynomials.
 
 One representation rule holds throughout: an exact matrix is an ``int64``
 array when its entries are known to lie below ``_INT64_SAFE = 2^62`` in
@@ -8,19 +8,17 @@ product (the inner dimension times the largest entries of both factors), runs
 int64 ``@`` below it and exact object ``np.dot`` above it, so nothing ever
 wraps silently.  The arc and walk matrices of this package are therefore all
 int64.  Object ints remain only where big integers really arise: user input
-at or above 2^62, the Berkowitz recurrence, Bareiss elimination and the CRT
-recombination.  Every function accepts either representation.
+at or above 2^62, Bareiss elimination and the CRT recombination.  Every
+function accepts either representation.
 
 ``char_poly`` has one exact engine, ``modular_charpoly``: Hessenberg
 reduction and the Hessenberg determinant recurrence modulo word-sized primes,
 recombined by one CRT step.  The primes are taken, largest first, until their
 product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
 plus guard bits, so the result is exact, not probabilistic; they are capped
-from the dimension so no int64 dot product in the kernels can wrap.
-
-``berkowitz_charpoly``, the division-free Berkowitz algorithm over the
-integers (O(n^4)), is not on any product path: it is the independent
-reference the tests compare ``char_poly`` against.
+from the dimension so no int64 dot product in the kernels can wrap.  The
+tests hold it equal to an independent reference, the division-free Berkowitz
+algorithm in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -94,52 +92,6 @@ def positive_support(m: np.ndarray) -> np.ndarray:
 
 def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
-def mat_trace(a: np.ndarray) -> int:
-    return sum(int(x) for x in a.diagonal())
-
-
-def format_matrix(a: np.ndarray) -> str:
-    """Debug text format: one row per line, entries space-separated."""
-    return "\n".join(" ".join(str(x) for x in row) for row in a)
-
-
-# ---------------------------------------------------------------------------
-# Berkowitz (division-free, arbitrary precision)
-# ---------------------------------------------------------------------------
-
-
-def berkowitz_charpoly(m: np.ndarray) -> CharPoly:
-    """char poly det(tI - M) by the Berkowitz algorithm, exact over Z.
-
-    The reference that tests compare ``char_poly`` against; no product path
-    calls it.
-    """
-    n = _require_square(m)
-    if n == 0:
-        return CharPoly((1,))
-    a = m.astype(object)
-    # c holds the coefficients of det(tI - leading submatrix), descending.
-    c = [1, -int(a[0, 0])]
-    for i in range(1, n):
-        row = a[i, :i]
-        col = a[:i, i]
-        sub = a[:i, :i]
-        s = [1, -int(a[i, i])]
-        v = col
-        for _ in range(i):
-            s.append(-int(np.dot(row, v)))
-            v = np.dot(sub, v)
-        # apply the lower-triangular Toeplitz matrix built from s
-        cn = [0] * (i + 2)
-        for q, cq in enumerate(c):
-            for d, sd in enumerate(s):
-                p = q + d
-                if p < i + 2:
-                    cn[p] += sd * cq
-        c = cn
-    return CharPoly(tuple(c[::-1]))
 
 
 # ---------------------------------------------------------------------------

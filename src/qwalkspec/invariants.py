@@ -7,8 +7,8 @@ of the invariant is exactness.
 
 Each polynomial comes from the cheapest exact route:
 
-* A and S+(U^3): ``char_poly`` of the matrix (Berkowitz, or the modular
-  Hessenberg/CRT backend with a Hadamard-bounded prime count);
+* A and S+(U^3): ``char_poly`` of the matrix (the modular Hessenberg/CRT
+  engine with a Hadamard-bounded prime count);
 * S+(U): ``closed_form_charpoly_su``, an integer polynomial composition of
   the adjacency char poly;
 * S+(U^2): ``closed_form_charpoly_su2`` for k > 2; at k = 2, where
@@ -150,7 +150,7 @@ def _build(item: Tuple[str, Graph]):
     try:
         return profile(g, gid)
     except HypothesisError as e:
-        return (gid, str(e))
+        return (gid, str(e).removeprefix(f"{gid}: "))
 
 
 def batch_compare(

@@ -77,10 +77,6 @@ def poly_trim(p: Sequence[int]) -> list:
     return p
 
 
-def poly_equal(p: Sequence[int], q: Sequence[int]) -> bool:
-    return poly_trim(p) == poly_trim(q)
-
-
 def poly_add(p: Sequence[int], q: Sequence[int]) -> list:
     out = [0] * max(len(p), len(q))
     for i, c in enumerate(p):

@@ -49,7 +49,6 @@ from .polynomials import (
     poly_graeffe,
     poly_mul,
     poly_pow,
-    poly_roots,
 )
 
 EIGENVALUE_CLUSTER_TOL = 1e-6
@@ -377,27 +376,3 @@ def identity_suite(g: Graph) -> List[tuple]:
             )
         )
     return checks
-
-
-# ---------------------------------------------------------------------------
-# Numeric cross-check helpers
-# ---------------------------------------------------------------------------
-
-
-def charpoly_root_multiset(cp: CharPoly) -> list:
-    """Numeric roots of a characteristic polynomial, with multiplicity."""
-    return poly_roots(list(cp.coeffs))
-
-
-def max_matching_distance(computed: Sequence[complex], expected: Sequence[complex]) -> float:
-    """Largest pointwise distance under an optimal matching of two root multisets."""
-    from scipy.optimize import linear_sum_assignment
-
-    if len(computed) != len(expected):
-        raise ValueError(f"multiset sizes differ: {len(computed)} vs {len(expected)}")
-    a = np.array(computed, dtype=complex)
-    b = np.array(expected, dtype=complex)
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
-

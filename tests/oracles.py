@@ -1,8 +1,22 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent oracles and numeric helpers for the test suite.
 
-These deliberately avoid the library's polynomial and charpoly code paths so
-that agreement between oracle and implementation is meaningful.
+The oracles deliberately avoid the library's polynomial and charpoly code
+paths so that agreement between oracle and implementation is meaningful:
+
+* ``cofactor_charpoly`` and ``naive_determinant``: Laplace expansion, for
+  dimensions up to about 8;
+* ``berkowitz_charpoly``: the division-free Berkowitz algorithm over the
+  integers (O(n^4)), the reference ``char_poly`` is compared against at any
+  size.  It returns the library's ``CharPoly`` container only so results
+  compare directly.
+
+``max_matching_distance`` compares numeric root multisets for the
+cross-checks against the closed-form spectra; it is the only user of scipy.
 """
+
+import numpy as np
+
+from qwalkspec import CharPoly
 
 
 def _padd(a, b):
@@ -68,3 +82,46 @@ def naive_determinant(m):
     n = len(m)
     # det(M) = (-1)^n * charpoly(0)
     return (-1) ** n * cp[0]
+
+
+def berkowitz_charpoly(m):
+    """char poly det(tI - M) by the Berkowitz algorithm, exact over Z."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix not square: {m.shape}")
+    n = m.shape[0]
+    if n == 0:
+        return CharPoly((1,))
+    a = m.astype(object)
+    # c holds the coefficients of det(tI - leading submatrix), descending.
+    c = [1, -int(a[0, 0])]
+    for i in range(1, n):
+        row = a[i, :i]
+        col = a[:i, i]
+        sub = a[:i, :i]
+        s = [1, -int(a[i, i])]
+        v = col
+        for _ in range(i):
+            s.append(-int(np.dot(row, v)))
+            v = np.dot(sub, v)
+        # apply the lower-triangular Toeplitz matrix built from s
+        cn = [0] * (i + 2)
+        for q, cq in enumerate(c):
+            for d, sd in enumerate(s):
+                p = q + d
+                if p < i + 2:
+                    cn[p] += sd * cq
+        c = cn
+    return CharPoly(tuple(c[::-1]))
+
+
+def max_matching_distance(computed, expected):
+    """Largest pointwise distance under an optimal matching of two root multisets."""
+    from scipy.optimize import linear_sum_assignment
+
+    if len(computed) != len(expected):
+        raise ValueError(f"multiset sizes differ: {len(computed)} vs {len(expected)}")
+    a = np.array(computed, dtype=complex)
+    b = np.array(expected, dtype=complex)
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())

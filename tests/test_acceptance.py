@@ -12,7 +12,7 @@ import numpy as np
 
 import qwalkspec as q
 from conftest import corpus_graphs
-from oracles import cofactor_charpoly
+from oracles import berkowitz_charpoly, cofactor_charpoly, max_matching_distance
 
 CORPUS = corpus_graphs()
 
@@ -161,12 +161,12 @@ def test_criterion_8_oracle_cross_checks():
     for trial in range(100):
         n = int(rng.integers(1, 9))
         m = q.int_matrix(rng.integers(-9, 10, size=(n, n)).tolist())
-        if list(q.berkowitz_charpoly(m).coeffs) != cofactor_charpoly(m.tolist()):
+        if list(berkowitz_charpoly(m).coeffs) != cofactor_charpoly(m.tolist()):
             failures.append(f"random matrix trial {trial} (n={n})")
     for gid, g in CORPUS:
-        roots = q.charpoly_root_multiset(cp_s1(gid, g))
+        roots = q.poly_roots(cp_s1(gid, g).coeffs)
         expected = q.closed_form_spectrum_su(g).numeric_values()
-        dist = q.max_matching_distance(roots, expected)
+        dist = max_matching_distance(roots, expected)
         if dist > 1e-6:
             failures.append(f"{gid}: root matching distance {dist:.2e}")
     _finish(8, "Berkowitz vs cofactor oracle; numeric roots vs closed form at 1e-6",

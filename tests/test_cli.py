@@ -351,3 +351,44 @@ def test_missing_input_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--input", "/nonexistent/x.g6")
     assert code == 2
     assert "x.g6" in err
+
+
+# Runs each argv through main() in one interpreter and prints [[exit code, stdout, stderr]].
+_CLI_RUNS = """
+import contextlib, io, json, sys
+{prelude}
+from qwalkspec.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_cli_runs_without_scipy():
+    runs = [
+        ["spectrum", "--which", which, "--form", "numeric", "--generate", "petersen"]
+        for which in ("a", "s1", "s3")
+    ] + [
+        ["verify", "--checks", "all", "--generate", "petersen"],
+        ["compare", "shrikhande", "rook:4"],
+        ["batch", "--threads", "1", "--generate", "petersen", "--generate", "shrikhande",
+         "--generate", "rook:4"],
+    ]
+
+    def run(prelude):
+        result = subprocess.run(
+            [sys.executable, "-c", _CLI_RUNS.format(prelude=prelude), json.dumps(runs)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    # A None entry in sys.modules makes every import of scipy raise ImportError.
+    blocked = run('sys.modules["scipy"] = None')
+    assert [code for code, _, _ in blocked] == [0] * len(runs)
+    assert blocked == run("")

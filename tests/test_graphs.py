@@ -9,7 +9,6 @@ from qwalkspec import (
     circulant_graph,
     complete_bipartite_graph,
     cycle_graph,
-    degrees,
     generate,
     hypercube_graph,
     is_connected,
@@ -156,7 +155,8 @@ def test_relabel_preserves_predicates(corpus):
         assert is_regular(h) == is_regular(g)
         assert is_connected(h) == is_connected(g)
         assert srg_params(h) == srg_params(g)
-        assert degrees(h).count(0) == degrees(g).count(0)
+        isolated_h, isolated_g = ((adjacency_matrix(x).sum(axis=1) == 0).sum() for x in (h, g))
+        assert isolated_h == isolated_g
 
 
 def test_relabel_rejects_non_permutation():

@@ -145,6 +145,22 @@ def test_batch_compare_skips_with_diagnostics():
     assert "connected" in result.skipped[0][1]
 
 
+def test_batch_skip_reasons_do_not_repeat_the_id():
+    corpus = [
+        ("irregular", Graph(4, [(0, 1), (1, 2), (2, 3)])),
+        ("disconnected", Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+        ("k1", Graph(4, [(0, 1), (2, 3)])),
+        ("C4", cycle_graph(4)),
+    ]
+    skipped = batch_compare(corpus, threads=1).skipped
+    assert not any(reason.startswith(gid) for gid, reason in skipped)
+    assert skipped == [
+        ("irregular", "graph is not regular"),
+        ("disconnected", "graph is not connected"),
+        ("k1", "valency k >= 2 required, got k=1"),
+    ]
+
+
 def test_batch_compare_prunes_by_nk():
     corpus = [
         ("C4", cycle_graph(4)),

@@ -7,7 +7,6 @@ from qwalkspec import (
     CharPoly,
     DivisibilityError,
     poly_divide_exact,
-    poly_equal,
     poly_gcd,
     poly_mul,
     poly_pow,
@@ -63,8 +62,8 @@ def test_poly_divide_exact():
 
 
 def test_poly_equal_ignores_trailing_zeros():
-    assert poly_equal([1, 2, 0, 0], [1, 2])
-    assert not poly_equal([1, 2], [1, 2, 3])
+    assert poly_trim([1, 2, 0, 0]) == poly_trim([1, 2])
+    assert poly_trim([1, 2]) != poly_trim([1, 2, 3])
 
 
 def test_poly_trim_and_primitive():
@@ -96,7 +95,7 @@ def test_squarefree_decomposition():
     out = [1]
     for f, m in dec:
         out = poly_mul(out, poly_pow(f, m))
-    assert poly_equal(out, p)
+    assert poly_trim(out) == poly_trim(p)
 
 
 def test_poly_roots_high_multiplicity():
