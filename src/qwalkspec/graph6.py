@@ -137,7 +137,9 @@ def parse_graph6_file(lines, source: str = "<input>") -> List[Tuple[str, Graph]]
 
 
 def read_graph6_file(path: str) -> List[Tuple[str, Graph]]:
-    with open(path, "r", encoding="ascii") as fh:
+    # latin-1 maps every byte to one character, so a byte outside graph6's
+    # range reaches _byte_values and is reported with its line and offset.
+    with open(path, "r", encoding="latin-1") as fh:
         return parse_graph6_file(fh, source=path)
 
 

@@ -15,17 +15,31 @@ function accepts either representation.
 reduction and the Hessenberg determinant recurrence modulo word-sized primes,
 recombined by one CRT step.  The primes are taken, largest first, until their
 product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
-plus guard bits, so the result is exact, not probabilistic; they are capped
-from the dimension so no int64 dot product in the kernels can wrap.  The
-tests hold it equal to an independent reference, the division-free Berkowitz
-algorithm in ``tests/oracles.py``.
+plus guard bits, so the result is exact, not probabilistic.  The tests hold
+it equal to an independent reference, the division-free Berkowitz algorithm
+in ``tests/oracles.py``.
+
+One kernel serves every prime at once.  It holds the residues of M modulo
+all P primes as a (P, n, n) float64 stack and reduces it by Gauss transforms
+in panels of ``_PANEL`` columns: inside a panel each step keeps its update
+as H = h + c E^T - u r and costs one stacked matrix-vector product, and the
+end of the panel writes all the updates back with one stacked matrix
+product and one modular reduction (see ``_hessenberg_stack``).  The
+arithmetic is exact by construction.  Residues are symmetric, at most
+(p + 1) / 2 in magnitude, and every sum has at most n + ``_PANEL`` products
+of them, so ``_prime_ceiling`` caps the primes to keep every sum an integer
+below 2^53, where float64 is exact; the order of summation, and whether BLAS
+fuses a multiply-add, then cannot change a result.  ``_reduce`` maps such a
+sum back to a residue exactly, so a zero test on a residue is exact.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from operator import index
+from time import perf_counter
 from typing import Iterable
 
 import numpy as np
@@ -33,6 +47,8 @@ import numpy as np
 from .polynomials import CharPoly
 
 _INT64_SAFE = 1 << 62
+
+log = logging.getLogger(__name__)
 
 
 def int_matrix(rows: Iterable[Iterable[int]]) -> np.ndarray:
@@ -125,11 +141,11 @@ def bareiss_determinant(m: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Modular charpoly: Hessenberg mod p + CRT, exact via Hadamard bound
+# Modular charpoly: one blocked float64 Hessenberg kernel over every CRT prime
 # ---------------------------------------------------------------------------
 
-_PRIME_CEILING = (1 << 26) - 1
-_INT64_MAX = (1 << 63) - 1
+_PANEL = 32  # columns per panel of the blocked Hessenberg reduction
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer of smaller magnitude exactly
 _primes_lock = threading.Lock()
 _primes_cache: dict = {}  # ceiling -> primes at or below it, descending
 
@@ -158,15 +174,24 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _prime_ceiling(n: int) -> int:
-    """Odd bound on the CRT primes for an n x n matrix, so no int64 kernel can wrap.
+def _sum_terms(n: int) -> int:
+    """Products of residues one float64 sum of the kernel may hold, for dimension n.
 
-    The Hessenberg update and the determinant recurrence each sum fewer than
-    n products of residues below p, so n * (p - 1)^2 <= 2^63 - 1 suffices.
-    Up to n = 2048 this is the fixed 2^26 - 1; larger matrices get smaller primes.
+    The kernel's sums have at most n + b products (b = _PANEL); b + 2 more leave
+    far more than p of headroom below 2^53 for ``_reduce``.  n is rounded up to
+    a power of two so that few distinct ceilings, and prime lists, exist.
     """
-    c = min(_PRIME_CEILING, math.isqrt(_INT64_MAX // max(n, 1)) + 1)
-    return c if c % 2 else c - 1
+    return (1 << max(n - 1, 0).bit_length()) + 2 * _PANEL + 2
+
+
+def _prime_ceiling(n: int) -> int:
+    """Largest odd c with _sum_terms(n) * ((c + 1) / 2)^2 < 2^53.
+
+    Residues are symmetric, |r| <= (p + 1) / 2, so below this ceiling every
+    sum the kernel forms is an integer float64 represents exactly.
+    """
+    half = math.isqrt((_FLOAT_EXACT - 1) // _sum_terms(n))
+    return 2 * half - 1
 
 
 def _primes(count: int, ceiling: int) -> list:
@@ -203,54 +228,120 @@ def _coefficient_bound_bits(m: np.ndarray) -> float:
     return best
 
 
-def _hessenberg_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Reduce to upper Hessenberg form mod p by a similarity transform."""
-    h = np.mod(a, p).astype(np.int64)  # a may be int64 or object
-    n = h.shape[0]
-    for j in range(n - 2):
-        col = h[j + 1 :, j]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        piv = j + 1 + int(nz[0])
-        if piv != j + 1:
-            h[[j + 1, piv], :] = h[[piv, j + 1], :]
-            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        inv = pow(int(h[j + 1, j]), p - 2, p)
-        if j + 2 < n:
-            mults = (h[j + 2 :, j] * inv) % p
-            # Row j + 1 is zero left of column j, and column j below it cancels.
-            h[j + 2 :, j + 1 :] = (h[j + 2 :, j + 1 :] - np.outer(mults, h[j + 1, j + 1 :])) % p
-            h[j + 2 :, j] = 0
-            h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ mults) % p
+def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Symmetric residues of the float64 integers x modulo the odd primes p, in place.
+
+    For |x| <= 2^53 - p the result is exact, congruent to x and at most
+    (p + 1) / 2 in magnitude, so below p, and a residue is 0 exactly when x is
+    divisible by p.  x / p is correctly rounded, so it lies within
+    |x / p| * 2^-53 < 1 / p of the true quotient.  ``rint`` therefore picks
+    the integer nearest x / p unless x / p lies within 1 / p of a
+    half-integer, which for odd p means x = +-(p +- 1) / 2 mod p; either
+    neighbour then leaves |r| <= (p + 1) / 2.  The quotient times p equals
+    x - r, below 2^53 in magnitude, so that product and the difference are
+    exact.  Multiplying by a rounded 1 / p instead doubles the quotient's
+    error and can leave |r| = (p + 3) / 2 for |x| near 2^53.
+    """
+    q = x / p
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _swap(i: int, k: int, h, c, u, r) -> None:
+    """Swap rows and columns i and k of H = h + c E^T - u r (see ``_hessenberg_stack``)."""
+    for x in (h, c, u):
+        row = x[..., i, :].copy()
+        x[..., i, :] = x[..., k, :]
+        x[..., k, :] = row
+    for x in (h, r):
+        col = x[..., i].copy()
+        x[..., i] = x[..., k]
+        x[..., k] = col
+
+
+def _hessenberg_stack(m: np.ndarray, primes: list) -> np.ndarray:
+    """Upper Hessenberg forms of M modulo every prime, as one (P, n, n) float64 stack.
+
+    Column j is cleared by the Gauss transform L = I + u e_{j+1}^T, where u
+    holds the multipliers below row j + 1: H <- L^-1 H L.  Within a panel of
+    up to ``_PANEL`` columns the transforms are kept, not applied: after t of
+    them the current matrix is H = h + c E^T - u r, with h the matrix at the
+    start of the panel, E the unit columns e_{j+1} of the steps so far, r
+    their pivot rows and c = h u - u (r u) their updated columns.  A step
+    forms only its column j and pivot row of H, and costs one stacked gemv
+    ``h @ u``; the end of the panel applies all of them with one stacked gemm
+    and one ``_reduce``.  Every sum has at most n + _PANEL products of
+    residues (c is left unreduced), which ``_prime_ceiling`` keeps exact.
+
+    The pivot is the first nonzero entry of the column, per prime.  When the
+    primes agree, as they almost always do, one swap serves all of them;
+    otherwise each prime swaps alone.
+    """
+    n, count = m.shape[0], len(primes)
+    p3 = np.array(primes, dtype=np.float64)[:, None, None]
+    p2 = p3[:, :, 0]
+    moduli = np.array(primes, dtype=object if m.dtype == object else np.int64)[:, None, None]
+    h = _reduce((m[None] % moduli).astype(np.float64), p3)
+    for j0 in range(0, n - 2, _PANEL):
+        w = min(_PANEL, n - 2 - j0)
+        u = np.zeros((count, n, w))
+        c = np.zeros((count, n, w))
+        r = np.zeros((count, w, n))
+        for t in range(w):
+            j = j0 + t
+            col = h[:, j + 1 :, j] - (u[:, j + 1 :, :t] @ r[:, :t, j, None])[:, :, 0]
+            if t:
+                col += c[:, j + 1 :, t - 1]
+            _reduce(col, p2)
+            first = (col != 0).argmax(axis=1).tolist()  # 0 also when the column is zero
+            if first.count(first[0]) == count:
+                if first[0]:
+                    _swap(j + 1, j + 1 + first[0], h, c, u, r)
+                    col[:, [0, first[0]]] = col[:, [first[0], 0]]
+            else:
+                for q, f in enumerate(first):
+                    if f:
+                        _swap(j + 1, j + 1 + f, h[q], c[q], u[q], r[q])
+                        col[q, [0, f]] = col[q, [f, 0]]
+            r[:, t, j] = col[:, 0]
+            row = h[:, j + 1, j + 1 :] - (u[:, j + 1, None, :t] @ r[:, :t, j + 1 :])[:, 0]
+            r[:, t, j + 1 :] = _reduce(row, p2)
+            # A zero pivot means a zero column: no transform, u stays 0.
+            inv = [pow(int(x), -1, p) if x else 0 for x, p in zip(col[:, 0].tolist(), primes)]
+            mult = _reduce(col[:, 1:, None] * np.array(inv, dtype=np.float64)[:, None, None], p3)
+            u[:, j + 2 :, t] = mult[:, :, 0]
+            ru = _reduce(r[:, : t + 1, j + 2 :] @ mult, p3)
+            c[:, :, t] = (h[:, :, j + 2 :] @ mult - u[:, :, : t + 1] @ ru)[:, :, 0]
+        h[:, :, j0 + 1 : j0 + 1 + w] += c
+        h[:, j0 + 2 :, j0:] -= u[:, j0 + 2 :] @ r[:, :, j0:]
+        _reduce(h[:, :, j0:], p3)
     return h
 
 
-def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients (ascending) of det(tI - A) mod p."""
-    h = _hessenberg_mod(a, p)
-    n = h.shape[0]
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    beta = np.zeros(0, dtype=np.int64)  # running subdiagonal products
+def _charpoly_stack(h: np.ndarray, primes: list) -> np.ndarray:
+    """Coefficients (ascending) of det(tI - H) modulo each prime, one row per prime.
+
+    The Hessenberg determinant recurrence: with p_i the char poly of the
+    leading i x i block,
+    p_i = (t - H[i-1, i-1]) p_{i-1} - sum_{m >= 1} H[i-1-m, i-1] beta_m p_{i-1-m},
+    where beta_m is the product of the m subdiagonal entries between.
+    """
+    count, n = h.shape[0], h.shape[1]
+    p2 = np.array(primes, dtype=np.float64)[:, None]
+    polys = np.zeros((count, n + 1, n + 1))  # polys[:, n - i] holds p_i, so p_{i-1}..p_0 are contiguous
+    polys[:, n, 0] = 1
+    beta = np.ones((count, n))
     for i in range(1, n + 1):
-        prev = polys[i - 1, :i]
-        cur = np.zeros(i + 1, dtype=np.int64)
-        cur[1:] = prev
-        cur[:i] = (cur[:i] - h[i - 1, i - 1] * prev) % p
-        if i >= 2:
-            sub = int(h[i - 1, i - 2])
-            grown = np.empty(i - 1, dtype=np.int64)
-            grown[0] = sub
-            if i > 2:
-                grown[1:] = (sub * beta) % p
-            beta = grown
-            # weight for p_{i-1-j} is H[i-1-j, i-1] * prod of subdiagonals
-            w = (h[i - 2 :: -1, i - 1] * beta) % p
-            contrib = (w @ polys[i - 2 :: -1, :i]) % p
-            cur[:i] = (cur[:i] - contrib) % p
-        polys[i, : i + 1] = cur % p
-    return polys[n]
+        if i > 1:
+            beta[:, 1:i] = _reduce(h[:, i - 1, i - 2, None] * beta[:, : i - 1], p2)
+        weights = _reduce(h[:, i - 1 :: -1, i - 1] * beta[:, :i], p2)
+        cur = polys[:, n - i, : i + 1]
+        cur[:, 1:] = polys[:, n - i + 1, :i]
+        cur[:, :i] -= (weights[:, None, :] @ polys[:, n - i + 1 :, :i])[:, 0]
+        _reduce(cur, p2)
+    return polys[:, 0]
 
 
 def modular_charpoly(m: np.ndarray) -> CharPoly:
@@ -258,21 +349,28 @@ def modular_charpoly(m: np.ndarray) -> CharPoly:
     n = _require_square(m)
     if n == 0:
         return CharPoly((1,))
+    start = perf_counter()
     bits = _coefficient_bound_bits(m) + 12  # guard bits
     ceiling = _prime_ceiling(n)
     primes: list = []
     while sum(map(math.log2, primes)) <= bits + 1:
         primes = _primes(len(primes) + 1, ceiling)
-    assert n * (primes[0] - 1) ** 2 <= _INT64_MAX, "int64 dot products could wrap"
+    assert _sum_terms(n) * ((primes[0] + 1) // 2) ** 2 < _FLOAT_EXACT, "float64 sums could round"
 
-    residues = np.stack([_charpoly_mod(m, p) for p in primes]).astype(object)
+    residues = _charpoly_stack(_hessenberg_stack(m, primes), primes).astype(np.int64).astype(object)
 
     # CRT: e_p = 1 mod p and 0 mod every other prime, so sum e_p r_p is the
     # coefficient mod M, lifted to the symmetric range (-M/2, M/2].
     big_m = math.prod(primes)
     basis = np.array([big_m // p * pow(big_m // p, -1, p) for p in primes], dtype=object)
-    coeffs = (basis @ residues) % big_m
-    return CharPoly(tuple(c - big_m if c > big_m // 2 else c for c in coeffs))
+    coeffs = tuple(c - big_m if c > big_m // 2 else c for c in (basis @ residues) % big_m)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "charpoly n=%d primes=%d bound_bits=%.0f actual_bits=%d ms=%.1f",
+            n, len(primes), bits, max(abs(c).bit_length() for c in coeffs),
+            (perf_counter() - start) * 1e3,
+        )
+    return CharPoly(coeffs)
 
 
 def char_poly(m: np.ndarray) -> CharPoly:

@@ -311,6 +311,15 @@ def test_bad_g6_file_exit_2(tmp_path, capsys):
     assert "bad.g6:2" in err
 
 
+@pytest.mark.parametrize("command", [["batch"], ["verify"], ["spectrum", "--which", "a"]])
+def test_g6_file_with_non_ascii_byte_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "utf8.g6"
+    path.write_bytes(b"C~\n\xc3\xa9\n")
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:2: byte 195 out of range [63, 126] at offset 0\n"
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "qwalkspec.cli", "verify", "--generate", "cycle:3",
@@ -335,16 +344,16 @@ def test_usage_error_exit_2():
 def test_qwalk_log_env():
     import os
 
+    argv = [sys.executable, "-m", "qwalkspec.cli", "batch", "--generate", "cycle:4",
+            "--generate", "circulant:4,1"]
     env = dict(os.environ, QWALK_LOG="debug")
-    result = subprocess.run(
-        [sys.executable, "-m", "qwalkspec.cli", "batch", "--generate", "cycle:4",
-         "--generate", "circulant:4,1"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    result = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "profiling" in result.stderr
+    assert "charpoly n=8 primes=" in result.stderr
+    env.pop("QWALK_LOG")
+    quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (quiet.returncode, quiet.stdout, quiet.stderr) == (0, result.stdout, "")
 
 
 def test_missing_input_file_exit_2(capsys):

@@ -1,6 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qwalkspec import (
@@ -105,6 +107,26 @@ def test_backends_agree_at_dimension_96():
 
     s2 = support_u_power(build_arc_space(shrikhande_graph()), 2)
     assert berkowitz_charpoly(s2).coeffs == modular_charpoly(s2).coeffs
+
+
+def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
+    from qwalkspec import petersen_graph, support_u_power
+
+    s3 = support_u_power(build_arc_space(petersen_graph()), 3)
+    with caplog.at_level(logging.INFO, logger="qwalkspec.intmat"):
+        quiet = modular_charpoly(s3)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
+        cp = modular_charpoly(s3)
+    assert cp == quiet
+    [record] = caplog.records
+    fields = dict(part.split("=") for part in record.getMessage().split()[1:])
+    assert record.getMessage().startswith("charpoly ")
+    assert sorted(fields) == ["actual_bits", "bound_bits", "ms", "n", "primes"]
+    assert int(fields["n"]) == 30 and int(fields["primes"]) >= 1
+    actual = max(abs(c).bit_length() for c in cp.coeffs)
+    assert int(fields["actual_bits"]) == actual < float(fields["bound_bits"])
+    assert float(fields["ms"]) >= 0
 
 
 def test_positive_support_examples():
@@ -258,19 +280,91 @@ def test_trace_and_format():
     assert str(m) == "[[1 2]\n [3 4]]"
 
 
-def test_prime_ceiling_keeps_int64_dots_exact():
-    from qwalkspec.intmat import _PRIME_CEILING, _prime_ceiling, _primes
+def test_prime_ceiling_is_tight_for_float64_sums():
+    from qwalkspec.intmat import _PANEL, _prime_ceiling, _primes
 
-    limit = 2**63 - 1
-    # unchanged primes up to dimension 2048, where n * (2^26 - 2)^2 still fits
-    for n in (1, 24, 406, 2047, 2048):
-        assert _prime_ceiling(n) == _PRIME_CEILING
-    for n in (2049, 5050, 10**6):
+    for n in (1, 2, 24, 96, 128, 406, 2048, 2049, 10**6):
+        rounded = 1 << (n - 1).bit_length()
+        terms = rounded + 2 * _PANEL + 2
         c = _prime_ceiling(n)
-        assert c < _PRIME_CEILING and c % 2 == 1
-        assert n * (c - 1) ** 2 <= limit < n * (c + 1) ** 2
-        primes = _primes(4, c)
-        assert primes == sorted(set(primes), reverse=True) and primes[0] <= c
+        assert c % 2 == 1 and _prime_ceiling(rounded) == c
+        # c is the largest odd number whose symmetric residues keep every sum below 2^53
+        assert terms * ((c + 1) // 2) ** 2 < 2**53 <= terms * ((c + 3) // 2) ** 2
+        primes = _primes(6, c)
+        assert primes == sorted(set(primes), reverse=True)
+        assert primes[0] <= c and all(q % 2 for q in primes)
+
+
+def _ceiling_primes():
+    from qwalkspec.intmat import _prime_ceiling, _primes
+
+    return sorted({q for n in (1, 96, 406, 2048) for q in _primes(20, _prime_ceiling(n))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ceiling_primes()), st.integers(-(2**53), 2**53))
+# Rounding x * (1/p) in place of x / p gives |r| = (p + 3) / 2 on this one.
+@example(4128193, 9007199237995862)
+@example(13627741, 2**53 - 13627741)
+@example(13627741, -(2**53 - 13627741))
+def test_reduce_gives_exact_symmetric_residues(p, x):
+    from qwalkspec.intmat import _reduce
+
+    assume(abs(x) <= 2**53 - p)  # the precondition of _reduce
+    r = _reduce(np.array([float(x)]), np.float64(p))[0]
+    assert r == int(r) and (x - int(r)) % p == 0
+    assert abs(r) <= (p + 1) // 2
+
+
+def _pivot_split_matrix(n, seed, big):
+    """A matrix whose second Hessenberg pivot is divisible by exactly one prime of its CRT plan.
+
+    With M[1, 0] = 1 the first Gauss transform is integral, so the entry H[2, 1]
+    it leaves is an integer; M[2, 1] is shifted to make it the largest prime
+    below the ceiling (times 2^63 + 1 when ``big``, which needs object
+    entries).  That prime is always in the plan, and only it divides the entry.
+    """
+    from qwalkspec.intmat import _prime_ceiling, _primes
+
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-9, 10, size=(n, n)).astype(object)
+    m[1, 0] = 1
+    lower = [int(m[i, 0]) for i in range(2, n)]
+    # H[2, 1] of L^-1 M L with L = I + u e_1^T, u = (0, 0, M[2, 0], ..., M[n-1, 0])
+    h21 = m[2, 1] - lower[0] * m[1, 1] + sum(
+        (m[2, k] - lower[0] * m[1, k]) * lower[k - 2] for k in range(2, n)
+    )
+    h31 = m[3, 1] - lower[1] * m[1, 1] + sum(
+        (m[3, k] - lower[1] * m[1, k]) * lower[k - 2] for k in range(2, n)
+    )
+    primes = _primes(200, _prime_ceiling(n))
+    target = primes[0] * (2**63 + 1 if big else 1)
+    m[2, 1] += target - h21
+    assert [q for q in primes if target % q == 0] == [primes[0]]
+    assert all(h31 % q for q in primes)
+    return int_matrix(m.tolist())
+
+
+@pytest.mark.parametrize(
+    "n, big",
+    [pytest.param(n, False, id=str(n)) for n in (4, 7, 20, 40)]
+    + [pytest.param(n, True, id=f"{n}-object") for n in (5, 20)],
+)
+def test_primes_that_disagree_on_the_pivot_swap_alone(n, big, monkeypatch):
+    from qwalkspec import intmat
+
+    m = _pivot_split_matrix(n, 300 + n, big)
+    assert (m.dtype == object) == big
+    alone = []
+    swap = intmat._swap
+
+    def spy(i, k, h, *rest):
+        alone.append(h.ndim == 2)
+        swap(i, k, h, *rest)
+
+    monkeypatch.setattr(intmat, "_swap", spy)
+    assert modular_charpoly(m).coeffs == berkowitz_charpoly(m).coeffs
+    assert any(alone)
 
 
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
