@@ -19,18 +19,22 @@ plus guard bits, so the result is exact, not probabilistic.  The tests hold
 it equal to an independent reference, the division-free Berkowitz algorithm
 in ``tests/oracles.py``.
 
-One kernel serves every prime at once.  It holds the residues of M modulo
-all P primes as a (P, n, n) float64 stack and reduces it by Gauss transforms
-in panels of ``_PANEL`` columns: inside a panel each step keeps its update
-as H = h + c E^T - u r and costs one stacked matrix-vector product, and the
-end of the panel writes all the updates back with one stacked matrix
-product and one modular reduction (see ``_hessenberg_stack``).  The
-arithmetic is exact by construction.  Residues are symmetric, at most
-(p + 1) / 2 in magnitude, and every sum has at most n + ``_PANEL`` products
-of them, so ``_prime_ceiling`` caps the primes to keep every sum an integer
-below 2^53, where float64 is exact; the order of summation, and whether BLAS
-fuses a multiply-add, then cannot change a result.  ``_reduce`` maps such a
-sum back to a residue exactly, so a zero test on a residue is exact.
+One kernel serves many primes at once.  It holds the residues of M modulo
+P primes as a (P, n, n) float64 stack and reduces it by Gauss transforms in
+panels of ``_PANEL`` columns: inside a panel each step keeps its update as
+H = h + c E^T - u r and costs one stacked matrix-vector product, and the end
+of the panel writes all the updates back with one stacked matrix product and
+one modular reduction (see ``_hessenberg_stack``).  A stack holds as many
+primes as fit in ``_STACK_BYTES``, at least one; a plan with more primes
+runs the kernel once per group of them, so its memory stays a small multiple
+of the larger of that budget and one n x n matrix, however many primes M
+needs.  The arithmetic is exact by construction.  Residues are symmetric, at
+most (p + 1) / 2 in magnitude, and every sum has at most n + ``_PANEL``
+products of them, so ``_prime_ceiling`` caps the primes to keep every sum an
+integer below 2^53, where float64 is exact; the order of summation, and
+whether BLAS fuses a multiply-add, then cannot change a result.  ``_reduce``
+maps such a sum back to a residue exactly, so a zero test on a residue is
+exact.
 """
 
 from __future__ import annotations
@@ -145,6 +149,7 @@ def bareiss_determinant(m: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 _PANEL = 32  # columns per panel of the blocked Hessenberg reduction
+_STACK_BYTES = 1 << 23  # float64 bytes of one stack of residues: caps the primes reduced at once
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer of smaller magnitude exactly
 _primes_lock = threading.Lock()
 _primes_cache: dict = {}  # ceiling -> primes at or below it, descending
@@ -249,18 +254,6 @@ def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return x
 
 
-def _swap(i: int, k: int, h, c, u, r) -> None:
-    """Swap rows and columns i and k of H = h + c E^T - u r (see ``_hessenberg_stack``)."""
-    for x in (h, c, u):
-        row = x[..., i, :].copy()
-        x[..., i, :] = x[..., k, :]
-        x[..., k, :] = row
-    for x in (h, r):
-        col = x[..., i].copy()
-        x[..., i] = x[..., k]
-        x[..., k] = col
-
-
 def _hessenberg_stack(m: np.ndarray, primes: list) -> np.ndarray:
     """Upper Hessenberg forms of M modulo every prime, as one (P, n, n) float64 stack.
 
@@ -275,9 +268,8 @@ def _hessenberg_stack(m: np.ndarray, primes: list) -> np.ndarray:
     and one ``_reduce``.  Every sum has at most n + _PANEL products of
     residues (c is left unreduced), which ``_prime_ceiling`` keeps exact.
 
-    The pivot is the first nonzero entry of the column, per prime.  When the
-    primes agree, as they almost always do, one swap serves all of them;
-    otherwise each prime swaps alone.
+    The pivot is the first nonzero entry of the column, per prime: primes
+    whose pivot is not already in place swap its row and column in.
     """
     n, count = m.shape[0], len(primes)
     p3 = np.array(primes, dtype=np.float64)[:, None, None]
@@ -295,16 +287,15 @@ def _hessenberg_stack(m: np.ndarray, primes: list) -> np.ndarray:
             if t:
                 col += c[:, j + 1 :, t - 1]
             _reduce(col, p2)
-            first = (col != 0).argmax(axis=1).tolist()  # 0 also when the column is zero
-            if first.count(first[0]) == count:
-                if first[0]:
-                    _swap(j + 1, j + 1 + first[0], h, c, u, r)
-                    col[:, [0, first[0]]] = col[:, [first[0], 0]]
-            else:
-                for q, f in enumerate(first):
-                    if f:
-                        _swap(j + 1, j + 1 + f, h[q], c[q], u[q], r[q])
-                        col[q, [0, f]] = col[q, [f, 0]]
+            first = (col != 0).argmax(axis=1)  # 0 also when the column is zero
+            q = np.flatnonzero(first)
+            if q.size:
+                f, k = first[q], j + 1 + first[q]
+                for x in (h, c, u):
+                    x[q, j + 1], x[q, k] = x[q, k], x[q, j + 1]
+                for x in (h, r):
+                    x[q, :, j + 1], x[q, :, k] = x[q, :, k], x[q, :, j + 1]
+                col[q, 0], col[q, f] = col[q, f], col[q, 0]
             r[:, t, j] = col[:, 0]
             row = h[:, j + 1, j + 1 :] - (u[:, j + 1, None, :t] @ r[:, :t, j + 1 :])[:, 0]
             r[:, t, j + 1 :] = _reduce(row, p2)
@@ -341,7 +332,7 @@ def _charpoly_stack(h: np.ndarray, primes: list) -> np.ndarray:
         cur[:, 1:] = polys[:, n - i + 1, :i]
         cur[:, :i] -= (weights[:, None, :] @ polys[:, n - i + 1 :, :i])[:, 0]
         _reduce(cur, p2)
-    return polys[:, 0]
+    return polys[:, 0].copy()  # not a view, which would keep all of polys alive
 
 
 def modular_charpoly(m: np.ndarray) -> CharPoly:
@@ -357,7 +348,10 @@ def modular_charpoly(m: np.ndarray) -> CharPoly:
         primes = _primes(len(primes) + 1, ceiling)
     assert _sum_terms(n) * ((primes[0] + 1) // 2) ** 2 < _FLOAT_EXACT, "float64 sums could round"
 
-    residues = _charpoly_stack(_hessenberg_stack(m, primes), primes).astype(np.int64).astype(object)
+    step = max(1, _STACK_BYTES // (8 * (n + 1) ** 2))
+    groups = [primes[i : i + step] for i in range(0, len(primes), step)]
+    parts = [_charpoly_stack(_hessenberg_stack(m, group), group) for group in groups]
+    residues = np.concatenate(parts).astype(np.int64).astype(object)
 
     # CRT: e_p = 1 mod p and 0 mod every other prime, so sum e_p r_p is the
     # coefficient mod M, lifted to the symmetric range (-M/2, M/2].

@@ -350,21 +350,32 @@ def _pivot_split_matrix(n, seed, big):
     [pytest.param(n, False, id=str(n)) for n in (4, 7, 20, 40)]
     + [pytest.param(n, True, id=f"{n}-object") for n in (5, 20)],
 )
-def test_primes_that_disagree_on_the_pivot_swap_alone(n, big, monkeypatch):
-    from qwalkspec import intmat
-
+def test_primes_that_disagree_on_the_pivot_swap_alone(n, big):
     m = _pivot_split_matrix(n, 300 + n, big)
     assert (m.dtype == object) == big
-    alone = []
-    swap = intmat._swap
-
-    def spy(i, k, h, *rest):
-        alone.append(h.ndim == 2)
-        swap(i, k, h, *rest)
-
-    monkeypatch.setattr(intmat, "_swap", spy)
     assert modular_charpoly(m).coeffs == berkowitz_charpoly(m).coeffs
-    assert any(alone)
+
+
+@pytest.mark.parametrize("per_group", [1, 2])
+def test_primes_are_reduced_in_groups_that_fit_the_stack_budget(per_group, monkeypatch):
+    from qwalkspec import intmat, petersen_graph, support_u_power
+
+    s3 = support_u_power(build_arc_space(petersen_graph()), 3)
+    n = s3.shape[0]
+    whole = modular_charpoly(s3)
+    groups = []
+    stack = intmat._hessenberg_stack
+
+    def spy(m, primes):
+        groups.append(primes)
+        return stack(m, primes)
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
+    monkeypatch.setattr(intmat, "_STACK_BYTES", per_group * 8 * (n + 1) ** 2)
+    assert modular_charpoly(s3) == whole
+    assert len(groups) > 1 and all(len(g) <= per_group for g in groups)
+    primes = [q for g in groups for q in g]
+    assert primes == sorted(set(primes), reverse=True)
 
 
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
