@@ -120,15 +120,11 @@ def _spectrum_payload(gid: str, g: Graph, which: str, form: str) -> dict:
     if form == "closed":
         if which not in ("s1", "s2"):
             raise HypothesisError(
-                f"{gid}: no closed form for {which!r}; closed form exists for s1 (k >= 2)"
+                f"no closed form for {which!r}; closed form exists for s1 (k >= 2)"
                 " and s2 (k > 2) only"
             )
         closed = closed_form_spectrum_su if which == "s1" else closed_form_spectrum_su2
-        try:
-            spec = closed(g)
-        except HypothesisError as e:
-            raise HypothesisError(f"{gid}: {e}") from None
-        return {"id": gid, "which": which, "form": form, "spectrum": spec.to_json()}
+        return {"id": gid, "which": which, "form": form, "spectrum": closed(g).to_json()}
 
     if form == "charpoly":
         cp = _charpoly_of(g, which)
@@ -233,10 +229,12 @@ def _spectrum_csv(payloads: List[dict]) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    graphs = _load_graphs(args)
     payloads = []
-    for gid, g in graphs:
-        payloads.append(_spectrum_payload(gid, g, args.which, args.form))
+    for gid, g in _load_graphs(args):
+        try:
+            payloads.append(_spectrum_payload(gid, g, args.which, args.form))
+        except HypothesisError as e:
+            raise HypothesisError(f"{gid}: {e}") from None
     if args.format == "json":
         text = json.dumps(payloads if len(payloads) > 1 else payloads[0], indent=2) + "\n"
     elif args.format == "csv":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,11 +26,12 @@ class Graph:
     edges: frozenset
 
     def __init__(self, n: int, edges: Iterable[tuple]):
-        if not isinstance(n, int) or n < 1:
+        n = index(n)  # a float is a TypeError, a numpy integer becomes an int
+        if n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         norm = set()
         for e in edges:
-            u, v = e
+            u, v = map(index, e)
             if u == v:
                 raise ValueError(f"loop edge ({u},{v}) not allowed")
             if not (0 <= u < n and 0 <= v < n):

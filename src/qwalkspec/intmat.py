@@ -1,15 +1,14 @@
 """Dense exact integer matrices and their exact characteristic polynomials.
 
-One representation rule holds throughout: an exact matrix is an ``int64``
-array when its entries are known to lie below ``_INT64_SAFE = 2^62`` in
-magnitude, and an ``object`` array of Python ints otherwise.  The
-constructors check the entries; ``mat_mul`` checks an a-priori bound on the
-product (the inner dimension times the largest entries of both factors), runs
-int64 ``@`` below it and exact object ``np.dot`` above it, so nothing ever
-wraps silently.  The arc and walk matrices of this package are therefore all
-int64.  Object ints remain only where big integers really arise: user input
-at or above 2^62, Bareiss elimination and the CRT recombination.  Every
-function accepts either representation.
+An exact matrix is an ``int64`` array with entries below 2^62 in magnitude,
+and no other matrix type exists.  Every public function that computes on a
+matrix runs one check, ``_int64``: bool and integer arrays are range-checked
+and converted, an entry at or above 2^62 raises ``OverflowError``, and float,
+complex and object arrays raise ``TypeError`` rather than be truncated.
+``mat_mul`` raises ``OverflowError`` when its a-priori bound on the product
+(the inner dimension times the largest entries of both factors) reaches 2^62,
+so nothing wraps silently.  Python ints remain only as scalars, where big
+integers really arise: the coefficient bound, Bareiss and the CRT step.
 
 ``char_poly`` has one exact engine, ``modular_charpoly``: Hessenberg
 reduction and the Hessenberg determinant recurrence modulo word-sized primes,
@@ -42,7 +41,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
-from operator import index
+from operator import index, mul
 from time import perf_counter
 from typing import Iterable
 
@@ -56,18 +55,12 @@ log = logging.getLogger(__name__)
 
 
 def int_matrix(rows: Iterable[Iterable[int]]) -> np.ndarray:
-    """Build an exact integer matrix from nested iterables.
-
-    Entries must be integral (floats are rejected, not truncated).  The
-    result is int64 when every entry is below 2^62 in magnitude, object
-    otherwise.
-    """
+    """Exact int64 matrix from nested iterables of integers; floats are rejected, not truncated."""
     data = [[index(x) for x in row] for row in rows]
     cols = len(data[0]) if data else 0
     if any(len(row) != cols for row in data):
         raise ValueError("ragged rows")
-    big = any(abs(x) >= _INT64_SAFE for row in data for x in row)
-    return np.array(data, dtype=object if big else np.int64).reshape(len(data), cols)
+    return _int64(np.array(data, dtype=np.int64).reshape(len(data), cols))
 
 
 def int_zeros(rows: int, cols: int) -> np.ndarray:
@@ -78,19 +71,25 @@ def int_eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def _max_abs(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    return max(int(a.max()), -int(a.min()))
+def _int64(m: np.ndarray) -> np.ndarray:
+    """m as an exact int64 matrix: the one check at every public entry point."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "biu":
+        raise TypeError(f"exact matrices are integer arrays, not {m.dtype}; see int_matrix")
+    if m.size and max(int(m.max()), -int(m.min())) >= _INT64_SAFE:
+        raise OverflowError("matrix entry at or above 2^62 in magnitude")
+    return m.astype(np.int64, copy=False)
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product: int64 when a bound proves it fits, object otherwise."""
+    """Exact int64 matrix product; ``OverflowError`` unless a bound proves it fits."""
+    a, b = _int64(a), _int64(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    if a.shape[1] * _max_abs(a) * _max_abs(b) < _INT64_SAFE:
-        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    return np.dot(a.astype(object), b.astype(object))
+    bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    if bound >= _INT64_SAFE:  # |entries| < 2^62 here, so np.abs cannot wrap
+        raise OverflowError("matrix product may reach 2^62 in magnitude")
+    return a @ b
 
 
 def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
@@ -99,7 +98,7 @@ def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
         raise ValueError(f"matrix not square: {a.shape}")
     if e < 1:
         raise ValueError("exponent must be a positive integer")
-    out = a
+    out = a = _int64(a)
     for _ in range(e - 1):
         out = mat_mul(out, a)
     return out
@@ -107,7 +106,7 @@ def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
 
 def positive_support(m: np.ndarray) -> np.ndarray:
     """0/1 int64 matrix marking the strictly positive entries of m."""
-    return (m > 0).astype(np.int64)
+    return (_int64(m) > 0).astype(np.int64)
 
 
 def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -121,10 +120,10 @@ def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 def bareiss_determinant(m: np.ndarray) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
-    n = _require_square(m)
+    m, n = _int64_square(m)
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in m]
+    a = m.tolist()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -219,9 +218,8 @@ def _coefficient_bound_bits(m: np.ndarray) -> float:
     the i largest row norms of M.
     """
     n = m.shape[0]
-    a = m.astype(object)
-    row_sq = np.maximum((a * a).sum(axis=1), 1)
-    half_logs = sorted((0.5 * math.log2(int(r)) for r in row_sq), reverse=True)
+    row_sq = [max(sum(map(mul, row, row)), 1) for row in m.tolist()]  # exact Python ints
+    half_logs = sorted((0.5 * math.log2(r) for r in row_sq), reverse=True)
     acc = 0.0
     best = 0.0
     for i in range(1, n + 1):
@@ -274,8 +272,7 @@ def _hessenberg_stack(m: np.ndarray, primes: list) -> np.ndarray:
     n, count = m.shape[0], len(primes)
     p3 = np.array(primes, dtype=np.float64)[:, None, None]
     p2 = p3[:, :, 0]
-    moduli = np.array(primes, dtype=object if m.dtype == object else np.int64)[:, None, None]
-    h = _reduce((m[None] % moduli).astype(np.float64), p3)
+    h = _reduce((m[None] % p3.astype(np.int64)).astype(np.float64), p3)
     for j0 in range(0, n - 2, _PANEL):
         w = min(_PANEL, n - 2 - j0)
         u = np.zeros((count, n, w))
@@ -337,7 +334,7 @@ def _charpoly_stack(h: np.ndarray, primes: list) -> np.ndarray:
 
 def modular_charpoly(m: np.ndarray) -> CharPoly:
     """char poly det(tI - M) via CRT over word-sized primes, exact."""
-    n = _require_square(m)
+    m, n = _int64_square(m)
     if n == 0:
         return CharPoly((1,))
     start = perf_counter()
@@ -372,7 +369,9 @@ def char_poly(m: np.ndarray) -> CharPoly:
     return modular_charpoly(m)
 
 
-def _require_square(m: np.ndarray) -> int:
+def _int64_square(m: np.ndarray) -> tuple:
+    """``_int64(m)`` and its dimension; ValueError unless it is square."""
+    m = _int64(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix not square: {m.shape}")
-    return m.shape[0]
+    return m, m.shape[0]

@@ -9,6 +9,8 @@ paths so that agreement between oracle and implementation is meaningful:
   integers (O(n^4)), the reference ``char_poly`` is compared against at any
   size.  It returns the library's ``CharPoly`` container only so results
   compare directly.
+* ``int_product``: the matrix product over Python ints, the reference for
+  ``mat_mul``.
 
 ``max_matching_distance`` compares numeric root multisets for the
 cross-checks against the closed-form spectra; it is the only user of scipy.
@@ -82,6 +84,13 @@ def naive_determinant(m):
     n = len(m)
     # det(M) = (-1)^n * charpoly(0)
     return (-1) ** n * cp[0]
+
+
+def int_product(a, b):
+    """a @ b as nested lists of Python ints, which cannot overflow."""
+    rows, inner, cols = a.shape[0], b.shape[0], b.shape[1]
+    a, b = a.tolist(), b.tolist()
+    return [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
 
 
 def berkowitz_charpoly(m):

@@ -90,7 +90,7 @@ def test_spectrum_closed_form_unavailable_for_s3(capsys):
         capsys, "spectrum", "--generate", "petersen", "--which", "s3", "--form", "closed"
     )
     assert code == 1
-    assert "no closed form" in err
+    assert err.startswith("error: petersen: no closed form for 's3'")
 
 
 def test_spectrum_closed_s2_requires_k3(capsys):
@@ -99,6 +99,25 @@ def test_spectrum_closed_s2_requires_k3(capsys):
     )
     assert code == 1
     assert "k > 2" in err or "k >= 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["--generate", "petersen", "--generate", "complete:2", "--which", "s1",
+             "--form", "charpoly"],
+            "error: complete:2: support of the walk needs valency >= 2, got k=1\n",
+        ),
+        (
+            ["--generate", "complete_bipartite:2,3", "--which", "s3", "--form", "numeric"],
+            "error: complete_bipartite:2,3: graph is not regular\n",
+        ),
+    ],
+    ids=["charpoly", "numeric"],
+)
+def test_spectrum_errors_name_the_graph(capsys, argv, err):
+    assert run_cli(capsys, "spectrum", *argv) == (1, "", err)
 
 
 def test_verify_all_pass_and_skip(capsys):

@@ -34,6 +34,15 @@ def test_graph_normalizes_and_validates():
         Graph(0, [])
 
 
+def test_graph_takes_integers_only_and_stores_python_ints():
+    for n, edges in ((3, [(0.5, 1), (1, 2), (0, 2)]), (3.0, [(0, 1)]), (3, [(0, 1.0)])):
+        with pytest.raises(TypeError):
+            Graph(n, edges)
+    g = Graph(np.int64(3), [(np.int64(0), np.int32(1)), (np.uint8(2), 1)])
+    assert g == Graph(3, [(0, 1), (1, 2)])
+    assert type(g.n) is int and {type(x) for e in g.edges for x in e} == {int}
+
+
 def test_cycle3_edges():
     assert cycle_graph(3).edges == frozenset({(0, 1), (1, 2), (0, 2)})
 

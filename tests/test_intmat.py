@@ -22,7 +22,7 @@ from qwalkspec import (
     scaled_transition_matrix,
 )
 
-from oracles import berkowitz_charpoly, cofactor_charpoly, naive_determinant
+from oracles import berkowitz_charpoly, cofactor_charpoly, int_product, naive_determinant
 
 
 def rand_int_matrix(rng, n, lo=-9, hi=9):
@@ -40,28 +40,57 @@ def test_int_matrix_constructors():
         int_matrix([[1, 2], [3]])
 
 
-def test_int_matrix_int64_below_2_62_object_from_2_62():
+def test_int_matrix_int64_below_2_62_overflow_from_2_62():
     edge = 2**62
     for x in (edge - 1, -(edge - 1)):
         m = int_matrix([[x, 0]])
         assert m.dtype == np.int64 and m[0, 0] == x
-    for x in (edge, -edge):
-        m = int_matrix([[x, 0]])
-        assert m.dtype == object and m[0, 0] == x and isinstance(m[0, 0], int)
+    for x in (edge, -edge, 2**63, -(2**63), 10**50):
+        with pytest.raises(OverflowError):
+            int_matrix([[x, 0]])
     with pytest.raises(TypeError):
         int_matrix([[1.0, 2]])
 
 
-def test_mat_mul_int64_inputs_past_the_bound_stay_exact():
+def test_mat_mul_raises_overflow_when_its_bound_reaches_2_62():
     a = int_matrix([[2**40]])
-    assert a.dtype == np.int64
-    c = mat_mul(a, a)
-    assert c.dtype == object and c[0, 0] == 2**80
+    with pytest.raises(OverflowError):
+        mat_mul(a, a)
     # 2 * (2^31)^2 = 2^63 would wrap an int64 accumulator
     b = int_matrix([[2**31, 2**31]])
-    assert mat_mul(b, b.T)[0, 0] == 2**63
+    with pytest.raises(OverflowError):
+        mat_mul(b, b.T)
     small = mat_mul(int_matrix([[3, 1]]), int_matrix([[2], [5]]))
     assert small.dtype == np.int64 and small[0, 0] == 11
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: char_poly(np.array([[0.5, 1.0], [2.0, 3.0]])), TypeError, id="float"),
+        pytest.param(lambda: char_poly(np.array([[1.9]])), TypeError, id="float-1x1"),
+        pytest.param(
+            lambda: char_poly(np.array([[2**63 + 5, 1], [1, 0]], dtype=np.uint64)),
+            OverflowError,
+            id="uint64-from-2^63",
+        ),
+        pytest.param(lambda: mat_mul(np.array([[0.5]]), np.array([[0.5]])), TypeError, id="mat_mul"),
+        pytest.param(
+            lambda: bareiss_determinant(np.array([[0.5, 1], [2, 3]])), TypeError, id="bareiss"
+        ),
+        pytest.param(lambda: positive_support(np.array([[1j]])), TypeError, id="complex-support"),
+        pytest.param(
+            lambda: modular_charpoly(np.array([[1, 2], [3, 4]], dtype=object)),
+            TypeError,
+            id="object",
+        ),
+        pytest.param(lambda: mat_pow(np.array([[0.5]]), 1), TypeError, id="mat_pow"),
+        pytest.param(lambda: int_matrix([[2**62]]), OverflowError, id="int_matrix-2^62"),
+    ],
+)
+def test_inexact_or_oversized_matrices_are_rejected_not_truncated(call, error):
+    with pytest.raises(error, match="int_matrix" if error is TypeError else "2\\^62"):
+        call()
 
 
 def test_mat_mul_identity_and_dims():
@@ -71,23 +100,46 @@ def test_mat_mul_identity_and_dims():
         mat_mul(m, int_zeros(3, 2))
 
 
-def test_mat_mul_huge_entries_exact():
-    big = 10**50
-    a = int_matrix([[big, 1], [0, big]])
-    b = int_matrix([[big, 0], [1, big]])
-    c = mat_mul(a, b)
-    assert c[0, 0] == big * big + 1
-    assert c[0, 1] == big
-    assert isinstance(c[0, 0], int)
+def test_mat_mul_rejects_entries_from_2_62():
+    one, zero = int_matrix([[1]]), int_zeros(1, 1)
+    assert mat_mul(int_matrix([[2**62 - 1]]), one)[0, 0] == 2**62 - 1
+    # the entry check, not the product bound (which is 0 here), rejects these
+    for big in (np.array([[x]]) for x in (2**62, -(2**62), -(2**63))):
+        with pytest.raises(OverflowError):
+            mat_mul(big, zero)
+        with pytest.raises(OverflowError):
+            mat_mul(zero, big)
+    with pytest.raises(OverflowError):
+        mat_mul(np.array([[2**63 + 5]], dtype=np.uint64), zero)
 
 
-def test_mat_mul_int64_path_matches_object_path():
-    rng = np.random.default_rng(0)
-    a = rand_int_matrix(rng, 7)
-    b = rand_int_matrix(rng, 7)
-    fast = mat_mul(a, b)
-    slow = np.dot(a, b)
-    assert mat_equal(fast, slow)
+@st.composite
+def _mat_mul_operands(draw):
+    rows, inner, cols = draw(st.tuples(*[st.integers(0, 4)] * 3))
+
+    def matrix(r, c):
+        hi = 2 ** draw(st.integers(0, 62)) - 1
+        entry = st.one_of(st.sampled_from([-hi, hi]), st.integers(-hi, hi))
+        flat = draw(st.lists(entry, min_size=r * c, max_size=r * c))
+        return np.array(flat, dtype=np.int64).reshape(r, c)
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mat_mul_operands())
+@example((int_matrix([[2**61 - 1]]), int_matrix([[2]])))  # bound 2^62 - 2: fits
+@example((int_matrix([[2**61]]), int_matrix([[2]])))  # bound exactly 2^62
+@example((int_matrix([[2**31, -(2**31)]]), int_matrix([[2**30], [2**30]])))  # 2^62, true product 0
+def test_mat_mul_equals_the_int_product_or_raises_exactly_when_its_bound_reaches_2_62(operands):
+    a, b = operands
+    top = [max((abs(int(x)) for x in m.flat), default=0) for m in (a, b)]
+    if a.shape[1] * top[0] * top[1] >= 2**62:
+        with pytest.raises(OverflowError):
+            mat_mul(a, b)
+    else:
+        c = mat_mul(a, b)
+        assert c.dtype == np.int64 and c.tolist() == int_product(a, b)
 
 
 def test_mat_pow():
@@ -135,8 +187,10 @@ def test_positive_support_examples():
     m = int_matrix([[-1, 0], [2, -5]])
     assert positive_support(m).tolist() == [[0, 0], [1, 0]]
     assert positive_support(m).dtype == np.int64
-    huge = positive_support(int_matrix([[2**70, -(2**70)]]))
-    assert huge.tolist() == [[1, 0]] and huge.dtype == np.int64
+    edge = positive_support(int_matrix([[2**62 - 1, -(2**62 - 1)]]))
+    assert edge.tolist() == [[1, 0]] and edge.dtype == np.int64
+    flags = positive_support(np.array([[True, False]]))
+    assert flags.tolist() == [[1, 0]] and flags.dtype == np.int64
     # idempotent
     s = positive_support(m)
     assert mat_equal(positive_support(s), s)
@@ -188,12 +242,12 @@ def test_berkowitz_vs_cofactor_oracle(n):
 @pytest.mark.parametrize(
     "n, scale",
     [pytest.param(n, 1, id=str(n)) for n in (1, 2, 5, 9, 17, 30)]
-    + [pytest.param(6, 2**62, id="6-entries-from-2^62")],
+    + [pytest.param(6, 2**56, id="6-entries-multiples-of-2^56")],
 )
 def test_berkowitz_vs_modular(n, scale):
     rng = np.random.default_rng(200 + n)
     m = int_matrix((rng.integers(-20, 21, size=(n, n)).astype(object) * scale).tolist())
-    assert (m.dtype == object) == (scale > 1)
+    assert m.dtype == np.int64
     assert berkowitz_charpoly(m).coeffs == modular_charpoly(m).coeffs
 
 
@@ -208,7 +262,7 @@ def test_modular_handles_structured_matrices():
 
 
 def test_modular_huge_entries():
-    big = 10**30
+    big = 2**61 - 1
     m = int_matrix([[big, 1], [1, -big]])
     cp = modular_charpoly(m)
     # det = -big^2 - 1, trace = 0
@@ -321,8 +375,9 @@ def _pivot_split_matrix(n, seed, big):
 
     With M[1, 0] = 1 the first Gauss transform is integral, so the entry H[2, 1]
     it leaves is an integer; M[2, 1] is shifted to make it the largest prime
-    below the ceiling (times 2^63 + 1 when ``big``, which needs object
-    entries).  That prime is always in the plan, and only it divides the entry.
+    below the ceiling, times 2^37 when ``big``: a power of two adds no odd
+    prime, and 2^37 keeps the entry below 2^62 where 2^38 would not.  That
+    prime is always in the plan, and only it divides the entry.
     """
     from qwalkspec.intmat import _prime_ceiling, _primes
 
@@ -338,7 +393,7 @@ def _pivot_split_matrix(n, seed, big):
         (m[3, k] - lower[1] * m[1, k]) * lower[k - 2] for k in range(2, n)
     )
     primes = _primes(200, _prime_ceiling(n))
-    target = primes[0] * (2**63 + 1 if big else 1)
+    target = primes[0] * (2**37 if big else 1)
     m[2, 1] += target - h21
     assert [q for q in primes if target % q == 0] == [primes[0]]
     assert all(h31 % q for q in primes)
@@ -348,11 +403,11 @@ def _pivot_split_matrix(n, seed, big):
 @pytest.mark.parametrize(
     "n, big",
     [pytest.param(n, False, id=str(n)) for n in (4, 7, 20, 40)]
-    + [pytest.param(n, True, id=f"{n}-object") for n in (5, 20)],
+    + [pytest.param(n, True, id=f"{n}-big") for n in (5, 20)],
 )
 def test_primes_that_disagree_on_the_pivot_swap_alone(n, big):
     m = _pivot_split_matrix(n, 300 + n, big)
-    assert (m.dtype == object) == big
+    assert m.dtype == np.int64 and (abs(m).max() > 2**60) == big
     assert modular_charpoly(m).coeffs == berkowitz_charpoly(m).coeffs
 
 
