@@ -54,6 +54,7 @@ from .graphs import (
 from .intmat import (
     bareiss_determinant,
     char_poly,
+    char_polys,
     int_eye,
     int_matrix,
     int_zeros,

@@ -10,30 +10,34 @@ complex and object arrays raise ``TypeError`` rather than be truncated.
 so nothing wraps silently.  Python ints remain only as scalars, where big
 integers really arise: the coefficient bound, Bareiss and the CRT step.
 
-``char_poly`` has one exact engine, ``modular_charpoly``: Hessenberg
-reduction and the Hessenberg determinant recurrence modulo word-sized primes,
-recombined by one CRT step.  The primes are taken, largest first, until their
-product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
-plus guard bits, so the result is exact, not probabilistic.  The tests hold
-it equal to an independent reference, the division-free Berkowitz algorithm
-in ``tests/oracles.py``.
+``char_poly`` has one exact engine, ``modular_charpoly``, the one-matrix
+case of ``char_polys``: Hessenberg reduction and the Hessenberg determinant
+recurrence modulo word-sized primes, recombined by one CRT step per matrix.
+The primes are taken, largest first, until their product exceeds 2^(B+1),
+with B a rigorous Hadamard-style coefficient bound plus guard bits, so the
+result is exact, not probabilistic.  The tests hold it equal to an
+independent reference, the division-free Berkowitz algorithm in
+``tests/oracles.py``.
 
-One kernel serves many primes at once.  It holds the residues of M modulo
-P primes as a (P, n, n) float64 stack and reduces it by Gauss transforms in
-panels of ``_PANEL`` columns: inside a panel each step keeps its update as
+One kernel serves many primes, and several same-size matrices, at once.  It
+holds S residues, each of one matrix modulo one of that matrix's primes, as
+an (S, n, n) float64 stack, and reduces it by Gauss transforms in panels of
+``_PANEL`` columns: inside a panel each step keeps its update as
 H = h + c E^T - u r and costs one stacked matrix-vector product, and the end
 of the panel writes all the updates back with one stacked matrix product and
-one modular reduction (see ``_hessenberg_stack``).  A stack holds as many
-primes as fit in ``_STACK_BYTES``, at least one; a plan with more primes
-runs the kernel once per group of them, so its memory stays a small multiple
-of the larger of that budget and one n x n matrix, however many primes M
-needs.  The arithmetic is exact by construction.  Residues are symmetric, at
-most (p + 1) / 2 in magnitude, and every sum has at most n + ``_PANEL``
-products of them, so ``_prime_ceiling`` caps the primes to keep every sum an
-integer below 2^53, where float64 is exact; the order of summation, and
-whether BLAS fuses a multiply-add, then cannot change a result.  ``_reduce``
-maps such a sum back to a residue exactly, so a zero test on a residue is
-exact.
+one modular reduction (see ``_hessenberg_stack``).  ``char_polys`` plans
+each matrix's primes as if it were alone and puts the residues of all its
+matrices of one size into the same stacks, so they share the kernel's fixed
+cost per step.  A stack holds as many residues as fit in ``_STACK_BYTES``,
+at least one; more run the kernel once per group of them, so its memory
+stays a small multiple of the larger of that budget and one n x n matrix,
+however many primes and matrices there are.  The arithmetic is exact by
+construction.  Residues are symmetric, at most (p + 1) / 2 in magnitude, and
+every sum has at most n + ``_PANEL`` products of them, so ``_prime_ceiling``
+caps the primes to keep every sum an integer below 2^53, where float64 is
+exact; the order of summation, and whether BLAS fuses a multiply-add, then
+cannot change a result.  ``_reduce`` maps such a sum back to a residue
+exactly, so a zero test on a residue is exact.
 """
 
 from __future__ import annotations
@@ -252,8 +256,23 @@ def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hessenberg_stack(m: np.ndarray, primes: list) -> np.ndarray:
-    """Upper Hessenberg forms of M modulo every prime, as one (P, n, n) float64 stack.
+def _residue_stack(slots: list) -> np.ndarray:
+    """Symmetric residues of one (S, n, n) float64 stack: slot s holds M_s mod p_s.
+
+    ``slots`` lists (M_s, p_s) for matrices of one dimension n.  Slots are
+    filled one by one, so no temporary is larger than one n x n matrix.
+    """
+    n = slots[0][0].shape[0]
+    h = np.empty((len(slots), n, n))
+    buf = np.empty((n, n), dtype=np.int64)
+    for hs, (m, p) in zip(h, slots):
+        hs[...] = np.remainder(m, p, out=buf)
+        _reduce(hs, p)
+    return h
+
+
+def _hessenberg_stack(h: np.ndarray, primes: list) -> np.ndarray:
+    """Upper Hessenberg forms of a residue stack, in place: slot s modulo primes[s].
 
     Column j is cleared by the Gauss transform L = I + u e_{j+1}^T, where u
     holds the multipliers below row j + 1: H <- L^-1 H L.  Within a panel of
@@ -266,18 +285,22 @@ def _hessenberg_stack(m: np.ndarray, primes: list) -> np.ndarray:
     and one ``_reduce``.  Every sum has at most n + _PANEL products of
     residues (c is left unreduced), which ``_prime_ceiling`` keeps exact.
 
-    The pivot is the first nonzero entry of the column, per prime: primes
-    whose pivot is not already in place swap its row and column in.
+    The pivot is the first nonzero entry of the column, per slot: slots
+    whose pivot is not already in place swap its row and column in.  Slots
+    are independent, so they may hold different matrices and repeat primes.
     """
-    n, count = m.shape[0], len(primes)
+    count, n = h.shape[0], h.shape[1]
     p3 = np.array(primes, dtype=np.float64)[:, None, None]
     p2 = p3[:, :, 0]
-    h = _reduce((m[None] % p3.astype(np.int64)).astype(np.float64), p3)
+    # Every panel reuses these buffers, through contiguous views of its width.
+    buf_u, buf_c, buf_r = (np.empty(count * n * min(_PANEL, n)) for _ in range(3))
     for j0 in range(0, n - 2, _PANEL):
         w = min(_PANEL, n - 2 - j0)
-        u = np.zeros((count, n, w))
-        c = np.zeros((count, n, w))
-        r = np.zeros((count, w, n))
+        u = buf_u[: count * n * w].reshape(count, n, w)
+        c = buf_c[: count * n * w].reshape(count, n, w)
+        r = buf_r[: count * w * n].reshape(count, w, n)
+        u.fill(0)  # c is written column by column before it is read; u and r start at 0
+        r.fill(0)
         for t in range(w):
             j = j0 + t
             col = h[:, j + 1 :, j] - (u[:, j + 1 :, :t] @ r[:, :t, j, None])[:, :, 0]
@@ -303,8 +326,9 @@ def _hessenberg_stack(m: np.ndarray, primes: list) -> np.ndarray:
             ru = _reduce(r[:, : t + 1, j + 2 :] @ mult, p3)
             c[:, :, t] = (h[:, :, j + 2 :] @ mult - u[:, :, : t + 1] @ ru)[:, :, 0]
         h[:, :, j0 + 1 : j0 + 1 + w] += c
-        h[:, j0 + 2 :, j0:] -= u[:, j0 + 2 :] @ r[:, :, j0:]
-        _reduce(h[:, :, j0:], p3)
+        for hs, us, rs, ps in zip(h, u, r, p3):  # slot by slot: temporaries of one n x n matrix
+            hs[j0 + 2 :, j0:] -= us[j0 + 2 :] @ rs[:, j0:]
+            _reduce(hs[:, j0:], ps)
     return h
 
 
@@ -332,36 +356,77 @@ def _charpoly_stack(h: np.ndarray, primes: list) -> np.ndarray:
     return polys[:, 0].copy()  # not a view, which would keep all of polys alive
 
 
-def modular_charpoly(m: np.ndarray) -> CharPoly:
-    """char poly det(tI - M) via CRT over word-sized primes, exact."""
-    m, n = _int64_square(m)
-    if n == 0:
-        return CharPoly((1,))
-    start = perf_counter()
-    bits = _coefficient_bound_bits(m) + 12  # guard bits
+def char_polys(matrices: Iterable[np.ndarray]) -> list:
+    """Exact char polys det(tI - M) of several matrices, in order, from one kernel pass per size."""
+    return _char_polys([_int64_square(m)[0] for m in matrices])
+
+
+def _char_polys(ms: list) -> list:
+    """The engine of ``char_polys`` and ``modular_charpoly``, on checked int64 matrices.
+
+    Each matrix gets its own prime plan, as if alone.  Every (matrix, prime)
+    slot of one dimension goes into the same residue stacks, at most
+    ``_STACK_BYTES`` each, so matrices of one size share the kernel's fixed
+    per-step cost; one CRT step per matrix then recombines its own slots.
+    """
+    out: list = [CharPoly((1,))] * len(ms)
+    by_dim: dict = {}
+    for i, m in enumerate(ms):
+        if m.shape[0]:
+            by_dim.setdefault(m.shape[0], []).append(i)
+    for n, members in by_dim.items():
+        start = perf_counter()
+        bits = {i: _coefficient_bound_bits(ms[i]) + 12 for i in members}  # guard bits
+        plans = {i: _plan_primes(n, bits[i]) for i in members}
+        slots = [(ms[i], p) for i in members for p in plans[i]]
+        step = max(1, _STACK_BYTES // (8 * (n + 1) ** 2))
+        parts = []
+        for s in range(0, len(slots), step):
+            group = slots[s : s + step]
+            primes = [p for _, p in group]
+            parts.append(_charpoly_stack(_hessenberg_stack(_residue_stack(group), primes), primes))
+        residues = np.concatenate(parts).astype(np.int64).astype(object)
+        at = 0
+        for i in members:
+            primes = plans[i]
+            out[i] = _crt(residues[at : at + len(primes)], primes)
+            at += len(primes)
+        if log.isEnabledFor(logging.DEBUG):
+            pass_ms = (perf_counter() - start) * 1e3
+            for i in members:
+                log.debug(
+                    "charpoly n=%d primes=%d bound_bits=%.0f actual_bits=%d"
+                    " pass_matrices=%d pass_ms=%.1f",
+                    n, len(plans[i]), bits[i], max(abs(c).bit_length() for c in out[i].coeffs),
+                    len(members), pass_ms,
+                )
+    return out
+
+
+def _plan_primes(n: int, bits: float) -> list:
+    """The largest primes below ``_prime_ceiling(n)`` whose product exceeds 2^(bits + 1)."""
     ceiling = _prime_ceiling(n)
     primes: list = []
     while sum(map(math.log2, primes)) <= bits + 1:
         primes = _primes(len(primes) + 1, ceiling)
     assert _sum_terms(n) * ((primes[0] + 1) // 2) ** 2 < _FLOAT_EXACT, "float64 sums could round"
+    return primes
 
-    step = max(1, _STACK_BYTES // (8 * (n + 1) ** 2))
-    groups = [primes[i : i + step] for i in range(0, len(primes), step)]
-    parts = [_charpoly_stack(_hessenberg_stack(m, group), group) for group in groups]
-    residues = np.concatenate(parts).astype(np.int64).astype(object)
 
-    # CRT: e_p = 1 mod p and 0 mod every other prime, so sum e_p r_p is the
-    # coefficient mod M, lifted to the symmetric range (-M/2, M/2].
+def _crt(residues: np.ndarray, primes: list) -> CharPoly:
+    """The char poly whose coefficients have the given residues, one row per prime.
+
+    e_p = 1 mod p and 0 mod every other prime, so sum e_p r_p is the
+    coefficient mod M, lifted to the symmetric range (-M/2, M/2].
+    """
     big_m = math.prod(primes)
     basis = np.array([big_m // p * pow(big_m // p, -1, p) for p in primes], dtype=object)
-    coeffs = tuple(c - big_m if c > big_m // 2 else c for c in (basis @ residues) % big_m)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "charpoly n=%d primes=%d bound_bits=%.0f actual_bits=%d ms=%.1f",
-            n, len(primes), bits, max(abs(c).bit_length() for c in coeffs),
-            (perf_counter() - start) * 1e3,
-        )
-    return CharPoly(coeffs)
+    return CharPoly(tuple(c - big_m if c > big_m // 2 else c for c in (basis @ residues) % big_m))
+
+
+def modular_charpoly(m: np.ndarray) -> CharPoly:
+    """char poly det(tI - M) via CRT over word-sized primes, exact: ``char_polys`` of one matrix."""
+    return _char_polys([_int64_square(m)[0]])[0]
 
 
 def char_poly(m: np.ndarray) -> CharPoly:

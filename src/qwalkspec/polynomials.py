@@ -104,10 +104,18 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> list:
 
 
 def poly_pow(p: Sequence[int], e: int) -> list:
+    """p^e; a binomial a t^i + b t^j expands by the binomial theorem, any other p by squaring."""
     if e < 0:
         raise ValueError("negative exponent")
-    out = [1]
     base = poly_trim(p)
+    terms = [(i, c) for i, c in enumerate(base) if c]
+    if len(terms) == 2:
+        (i, a), (j, b) = terms
+        out = [0] * (j * e + 1)
+        for m in range(e + 1):
+            out[i * (e - m) + j * m] = math.comb(e, m) * a ** (e - m) * b**m
+        return out
+    out = [1]
     while e:
         if e & 1:
             out = poly_mul(out, base)

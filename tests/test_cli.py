@@ -151,6 +151,7 @@ def test_verify_skips_need_no_brute_force_char_poly(tmp_path, capsys, monkeypatc
         raise AssertionError("brute-force char poly computed for a skipped check")
 
     monkeypatch.setattr("qwalkspec.cli.char_poly", no_char_poly)
+    monkeypatch.setattr("qwalkspec.cli.char_polys", no_char_poly)
     two_k4 = Graph(8, [(i, j) for b in (0, 4) for i in range(b, b + 4) for j in range(i + 1, b + 4)])
     matching = Graph(6, [(0, 1), (2, 3), (4, 5)])
     path = tmp_path / "skipped.g6"
@@ -164,6 +165,47 @@ def test_verify_skips_need_no_brute_force_char_poly(tmp_path, capsys, monkeypatc
         ("identities", "PASS"), ("thm32", "SKIP"), ("thm41", "SKIP"), ("thm43", "SKIP"),
         ("ihara", "SKIP"),
     ]
+
+
+@pytest.mark.parametrize(
+    "spec, checks, shared, s2_builds",
+    [
+        ("petersen", "all", [2], [2]),
+        ("petersen", "thm32", [1], []),
+        ("petersen", "thm43,ihara", [2], [2]),
+        ("petersen", "thm43", [1], [2]),
+        ("petersen", "identities,thm41", [], [2]),
+        ("cycle:6", "all", [1], []),
+    ],
+)
+def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s2_builds,
+                                                         capsys, monkeypatch):
+    from qwalkspec import cli, intmat
+
+    nk = 30 if spec == "petersen" else 12
+    passes, calls, builds = [], [], []
+    kernel, polys, power = intmat._hessenberg_stack, cli.char_polys, cli.support_u_power
+
+    def kernel_spy(h, primes):
+        passes.append(h.shape[1])
+        return kernel(h, primes)
+
+    def polys_spy(ms):
+        ms = list(ms)
+        calls.append(len(ms))
+        return polys(ms)
+
+    def power_spy(a, m):
+        builds.append(m)
+        return power(a, m)
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
+    monkeypatch.setattr(cli, "char_polys", polys_spy)
+    monkeypatch.setattr(cli, "support_u_power", power_spy)
+    code, out, _ = run_cli(capsys, "verify", "--generate", spec, "--checks", checks)
+    assert code == 0 and "FAIL" not in out
+    assert calls == shared and builds == s2_builds
+    assert passes.count(nk) == len(shared)
 
 
 def test_verify_identities_text_format(capsys):
@@ -320,6 +362,15 @@ def test_missing_input_exit_2(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--which", "a")
     assert code == 2
     assert "no input graphs" in err
+
+
+@pytest.mark.parametrize("command", ["batch", "verify"])
+def test_input_file_without_graphs_is_named_exit_2(tmp_path, capsys, command):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    code, out, err = run_cli(capsys, command, "--input", str(empty), "--generate", "petersen")
+    assert (code, out) == (2, "")
+    assert err == f"error: {empty}: no graph in this --input file\n"
 
 
 def test_bad_g6_file_exit_2(tmp_path, capsys):

@@ -162,9 +162,10 @@ def test_backends_agree_at_dimension_96():
 
 
 def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
-    from qwalkspec import petersen_graph, support_u_power
+    from qwalkspec import char_polys, petersen_graph, support_u, support_u_power
 
-    s3 = support_u_power(build_arc_space(petersen_graph()), 3)
+    a = build_arc_space(petersen_graph())
+    s1, s3 = support_u(a), support_u_power(a, 3)
     with caplog.at_level(logging.INFO, logger="qwalkspec.intmat"):
         quiet = modular_charpoly(s3)
     assert caplog.records == []
@@ -174,11 +175,22 @@ def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
     [record] = caplog.records
     fields = dict(part.split("=") for part in record.getMessage().split()[1:])
     assert record.getMessage().startswith("charpoly ")
-    assert sorted(fields) == ["actual_bits", "bound_bits", "ms", "n", "primes"]
+    assert sorted(fields) == ["actual_bits", "bound_bits", "n", "pass_matrices", "pass_ms", "primes"]
     assert int(fields["n"]) == 30 and int(fields["primes"]) >= 1
     actual = max(abs(c).bit_length() for c in cp.coeffs)
     assert int(fields["actual_bits"]) == actual < float(fields["bound_bits"])
-    assert float(fields["ms"]) >= 0
+    assert int(fields["pass_matrices"]) == 1 and float(fields["pass_ms"]) >= 0
+
+    # One line per matrix; the two 30 x 30 matrices share a pass, the 10 x 10 one does not.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
+        polys = char_polys([s1, adjacency_matrix(petersen_graph()), s3])
+    lines = [dict(part.split("=") for part in r.getMessage().split()[1:]) for r in caplog.records]
+    assert [(f["n"], f["pass_matrices"]) for f in lines] == [("30", "2"), ("30", "2"), ("10", "1")]
+    assert lines[0]["pass_ms"] == lines[1]["pass_ms"]
+    assert [int(f["actual_bits"]) for f in lines] == [
+        max(abs(c).bit_length() for c in p.coeffs) for p in (polys[0], polys[2], polys[1])
+    ]
 
 
 def test_positive_support_examples():
@@ -431,6 +443,91 @@ def test_primes_are_reduced_in_groups_that_fit_the_stack_budget(per_group, monke
     assert len(groups) > 1 and all(len(g) <= per_group for g in groups)
     primes = [q for g in groups for q in g]
     assert primes == sorted(set(primes), reverse=True)
+
+
+def _mixed_matrices():
+    """Matrices of sizes 0, 1, 5, 7 and 30, in mixed order, with repeats."""
+    from qwalkspec import petersen_graph, support_u, support_u_power
+
+    rng = np.random.default_rng(41)
+    a = build_arc_space(petersen_graph())
+    five, seven = rand_int_matrix(rng, 5), rand_int_matrix(rng, 7, -2**40, 2**40)
+    return [
+        five, int_zeros(0, 0), support_u(a), int_matrix([[-3]]), seven,
+        support_u_power(a, 2), five, rand_int_matrix(rng, 5), int_matrix([[7]]), support_u(a),
+    ]
+
+
+def test_residue_stack_holds_symmetric_residues_of_each_slot():
+    from qwalkspec.intmat import _prime_ceiling, _primes, _residue_stack
+
+    rng = np.random.default_rng(17)
+    big = int_matrix(rng.integers(-(2**61), 2**61, size=(6, 6)).tolist())
+    small = rand_int_matrix(rng, 6)
+    primes = _primes(3, _prime_ceiling(6))
+    slots = [(big, primes[0]), (small, primes[0]), (big, primes[2]), (small, primes[1])]
+    h = _residue_stack(slots)
+    assert h.dtype == np.float64 and h.shape == (4, 6, 6)
+    for hs, (m, p) in zip(h, slots):
+        r = hs.astype(np.int64)
+        assert (r == hs).all() and (np.abs(r) <= (p + 1) // 2).all()
+        assert ((r - m) % p == 0).all()
+
+
+def test_char_polys_equals_char_poly_and_berkowitz_on_mixed_sizes():
+    from qwalkspec import char_polys
+
+    ms = _mixed_matrices()
+    polys = char_polys(ms)
+    assert polys == [char_poly(m) for m in ms]
+    assert [p.coeffs for p in polys] == [berkowitz_charpoly(m).coeffs for m in ms]
+    assert char_polys([]) == [] and char_polys(iter(ms[:2])) == polys[:2]
+
+
+@pytest.mark.parametrize("per_stack", [1, 3, 4])
+def test_char_polys_routes_each_residue_to_its_matrix_across_stacks(per_stack, monkeypatch):
+    from qwalkspec import char_polys, intmat
+
+    ms = _mixed_matrices()
+    alone = [char_poly(m) for m in ms]
+    stacks = []
+    kernel = intmat._hessenberg_stack
+
+    def spy(h, primes):
+        stacks.append((h.shape[1], len(primes)))
+        return kernel(h, primes)
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
+    monkeypatch.setattr(intmat, "_STACK_BYTES", per_stack * 8 * (30 + 1) ** 2)
+    assert char_polys(ms) == alone
+    # the seven 30 x 30 slots of three matrices (2, 3 and 2 primes) fill
+    # several stacks, whose edges cut a matrix's slots at 3 and 4 per stack;
+    # every other size fits in one stack
+    dim30 = [count for n, count in stacks if n == 30]
+    assert sum(dim30) == 7 and len(dim30) == -(-7 // per_stack)
+    assert sorted({n for n, _ in stacks}) == [1, 5, 7, 30]
+
+
+def test_char_polys_stacks_slots_that_disagree_on_the_pivot_swap(monkeypatch):
+    """One stack holds a matrix whose largest prime swaps a pivot and matrices whose primes do not."""
+    from qwalkspec import char_polys, intmat
+
+    split = _pivot_split_matrix(20, 320, False)
+    rng = np.random.default_rng(9)
+    plain = [rand_int_matrix(rng, 20) for _ in range(2)]
+    ms = [plain[0], split, plain[1], split]
+    stacks = []
+    kernel = intmat._hessenberg_stack
+
+    def spy(h, primes):
+        stacks.append(primes)
+        return kernel(h, primes)
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
+    polys = char_polys(ms)
+    [primes] = stacks
+    assert primes.count(primes[0]) == len(ms)  # each plan starts at the largest prime
+    assert [p.coeffs for p in polys] == [berkowitz_charpoly(m).coeffs for m in ms]
 
 
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():

@@ -33,6 +33,20 @@ def test_poly_mul_examples():
     assert poly_pow(sq, 3) == poly_mul(sq, poly_mul(sq, sq))
 
 
+@pytest.mark.parametrize(
+    "p",
+    [[-1, 1], [1, 1], [-1, 0, 1], [-2, 1], [5, 1], [0, -3, 0, 2], [7, 0, 0, -1], [0, 0, 1], [4], [],
+     [1, 2, 1]],
+)
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 8, 25])
+def test_poly_pow_equals_repeated_multiplication(p, e):
+    # two-term p take the binomial expansion, the others repeated squaring
+    expected = [1]
+    for _ in range(e):
+        expected = poly_mul(expected, p)
+    assert poly_pow(p, e) == expected
+
+
 def test_graeffe_squares_the_roots():
     # roots 1, -2, 3 -> 1, 4, 9
     p = poly_mul(poly_mul([-1, 1], [2, 1]), [-3, 1])
