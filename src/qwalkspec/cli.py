@@ -23,7 +23,7 @@ import json
 import logging
 import os
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -254,11 +254,15 @@ def cmd_spectrum(args) -> int:
 
 
 class _VerifyInputs:
-    """What several verify checks of one graph share, each computed once on first use."""
+    """What several verify checks of one graph share, each computed once on first use.
+
+    ``k`` is the graph's valency, or None if it is not regular, decided once here.
+    """
 
     def __init__(self, g: Graph, checks: List[str]):
         self.g = g
         self.checks = checks
+        self.k = is_regular(g)
 
     @cached_property
     def cp_a(self) -> CharPoly:
@@ -274,11 +278,10 @@ class _VerifyInputs:
 
         thm43 uses S+(U^2) unless its k > 2 hypothesis fails on k.
         """
-        k = is_regular(self.g)
         matrices = {}
         if "thm32" in self.checks or "ihara" in self.checks:
             matrices["s1"] = support_u(self.arcs)
-        if "thm43" in self.checks and (k is None or k > 2):
+        if "thm43" in self.checks and (self.k is None or self.k > 2):
             matrices["s2"] = self.s2
         return dict(zip(matrices, char_polys(matrices.values())))
 
@@ -287,9 +290,9 @@ class _VerifyInputs:
         return support_u_power(self.arcs, 2)
 
 
-def _run_check(check: str, g: Graph, inputs: _VerifyInputs) -> Tuple[str, str]:
-    """Returns (status, detail) with status in PASS/FAIL/SKIP."""
-    k = is_regular(g)
+def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
+    """Returns (status, detail) with status in PASS/FAIL/SKIP; check is one of CHECK_NAMES."""
+    g, k = inputs.g, inputs.k
     try:
         if check == "identities":
             if k is None or k < 1:
@@ -304,18 +307,14 @@ def _run_check(check: str, g: Graph, inputs: _VerifyInputs) -> Tuple[str, str]:
             rhs = ihara_style_charpoly(g, inputs.cp_a)
             ok = inputs.brute_force["s1"] == rhs
             return ("PASS", "") if ok else ("FAIL", "factorization mismatch")
+        if k is not None and k <= 2:  # thm41 and thm43 both need k > 2
+            return "SKIP", f"hypothesis k>2 (got k={k})"
         if check == "thm41":
-            if k is not None and k <= 2:
-                return "SKIP", f"hypothesis k>2 (got k={k})"
             ok = mat_equal(inputs.s2, su2_via_identity(inputs.arcs))
             return ("PASS", "") if ok else ("FAIL", "S+(U^2) != S+(U)^2 + I")
-        if check == "thm43":
-            if k is not None and k <= 2:
-                return "SKIP", f"hypothesis k>2 (got k={k})"
-            rhs = closed_form_charpoly_su2(g, inputs.cp_a)
-            ok = inputs.brute_force["s2"] == rhs
-            return ("PASS", "") if ok else ("FAIL", "charpoly mismatch")
-        raise ParameterError(f"unknown check {check!r}")
+        rhs = closed_form_charpoly_su2(g, inputs.cp_a)  # thm43
+        ok = inputs.brute_force["s2"] == rhs
+        return ("PASS", "") if ok else ("FAIL", "charpoly mismatch")
     except HypothesisError as e:
         return "SKIP", f"hypothesis: {e}"
 
@@ -338,7 +337,7 @@ def cmd_verify(args) -> int:
     for gid, g in graphs:
         inputs = _VerifyInputs(g, wanted)
         for check in wanted:
-            status, detail = _run_check(check, g, inputs)
+            status, detail = _run_check(check, inputs)
             any_fail = any_fail or status == "FAIL"
             rows.append({"id": gid, "check": check, "status": status, "detail": detail})
 
@@ -471,10 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, so every call can share it."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; safe to call many times in one process."""
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (Graph6Error, ParameterError) as e:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .intmat import int_matrix
+from .intmat import int_matrix, mat_mul
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,6 @@ class Graph:
     def sorted_edges(self) -> list:
         """Edges as (u, v) with u < v, in lexicographic order."""
         return sorted(self.edges)
-
-    def neighbors(self, v: int) -> set:
-        return {w if u == v else u for (u, w) in self.edges if v in (u, w)}
 
 
 @dataclass(frozen=True)
@@ -116,33 +113,24 @@ def is_connected(g: Graph) -> bool:
 def srg_params(g: Graph) -> Optional[SrgParams]:
     """SRG parameters, or None if g is not strongly regular.
 
-    Returns (n, k, lambda, mu) iff g is regular, every adjacent pair has
-    exactly lambda common neighbors and every non-adjacent pair exactly mu.
-    Complete and edgeless graphs are degenerate (one of the pair classes is
-    empty) and yield None.
+    Reads (n, k, lambda, mu) off the defining identity
+    ``A^2 = kI + lambda A + mu (J - I - A)`` over Z: g is strongly regular iff
+    it is regular and ``A^2`` takes a single value lambda on the edges and a
+    single value mu on the non-adjacent pairs of distinct vertices.  Complete
+    and edgeless graphs are degenerate (one of the pair classes is empty) and
+    yield None.
     """
     k = is_regular(g)
     if k is None:
         return None
-    adj = [g.neighbors(v) for v in range(g.n)]
-    lam = mu = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            c = len(adj[u] & adj[v])
-            if (u, v) in g.edges:
-                if lam is None:
-                    lam = c
-                elif c != lam:
-                    return None
-            else:
-                if mu is None:
-                    mu = c
-                elif c != mu:
-                    return None
-    if lam is None or mu is None:
+    a = adjacency_matrix(g)
+    a2 = mat_mul(a, a)
+    lam = np.unique(a2[a == 1])
+    mu = np.unique(a2[(a == 0) & ~np.eye(g.n, dtype=bool)])
+    if len(lam) != 1 or len(mu) != 1:
         return None
     try:
-        return SrgParams(g.n, k, lam, mu)
+        return SrgParams(g.n, k, int(lam[0]), int(mu[0]))
     except ValueError:
         return None
 

@@ -69,17 +69,6 @@ class InvariantProfile:
     def charpoly(self, which: str) -> CharPoly:
         return getattr(self, f"charpoly_{which}")
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.graph_id,
-            "n": self.n,
-            "k": self.k,
-            "charpoly_a": self.charpoly_a.to_json_list(),
-            "charpoly_s1": self.charpoly_s1.to_json_list(),
-            "charpoly_s2": self.charpoly_s2.to_json_list(),
-            "charpoly_s3": self.charpoly_s3.to_json_list(),
-        }
-
 
 @dataclass(frozen=True)
 class CompareReport:

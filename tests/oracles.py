@@ -11,6 +11,8 @@ paths so that agreement between oracle and implementation is meaningful:
   compare directly.
 * ``int_product``: the matrix product over Python ints, the reference for
   ``mat_mul``.
+* ``pairwise_srg_params``: SRG parameters by intersecting neighbour sets
+  pair by pair, the reference for ``srg_params``.
 
 ``max_matching_distance`` compares numeric root multisets for the
 cross-checks against the closed-form spectra; it is the only user of scipy.
@@ -91,6 +93,24 @@ def int_product(a, b):
     rows, inner, cols = a.shape[0], b.shape[0], b.shape[1]
     a, b = a.tolist(), b.tolist()
     return [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+
+
+def pairwise_srg_params(g):
+    """(n, k, lambda, mu) of a strongly regular g from common-neighbour counts, else None."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    if len({len(s) for s in adj}) != 1:
+        return None
+    counts = {True: set(), False: set()}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            counts[v in adj[u]].add(len(adj[u] & adj[v]))
+    if len(counts[True]) != 1 or len(counts[False]) != 1:
+        return None
+    (lam,), (mu,), k = counts[True], counts[False], len(adj[0])
+    return (g.n, k, lam, mu) if k * (k - lam - 1) == (g.n - k - 1) * mu else None
 
 
 def berkowitz_charpoly(m):

@@ -183,8 +183,9 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
     from qwalkspec import cli, intmat
 
     nk = 30 if spec == "petersen" else 12
-    passes, calls, builds = [], [], []
+    passes, calls, builds, regular = [], [], [], []
     kernel, polys, power = intmat._hessenberg_stack, cli.char_polys, cli.support_u_power
+    is_regular = cli.is_regular
 
     def kernel_spy(h, primes):
         passes.append(h.shape[1])
@@ -199,13 +200,47 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
         builds.append(m)
         return power(a, m)
 
+    def regular_spy(g):
+        regular.append(g)
+        return is_regular(g)
+
     monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
     monkeypatch.setattr(cli, "char_polys", polys_spy)
     monkeypatch.setattr(cli, "support_u_power", power_spy)
+    monkeypatch.setattr(cli, "is_regular", regular_spy)
     code, out, _ = run_cli(capsys, "verify", "--generate", spec, "--checks", checks)
     assert code == 0 and "FAIL" not in out
     assert calls == shared and builds == s2_builds
     assert passes.count(nk) == len(shared)
+    assert len(regular) == 1  # one graph, its k decided once for every check
+
+
+def test_main_shares_one_parser_between_calls(capsys, monkeypatch):
+    from qwalkspec import cli
+
+    built = []
+    build = cli.build_parser
+
+    def build_spy():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", build_spy)
+    cli._parser.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "spectrum", "--which", "s1", "--generate", "petersen")
+        assert code == 0 and out.startswith("# petersen")
+        code, out, _ = run_cli(capsys, "compare", "cycle:5", "cycle:5")
+        assert code == 0 and out.startswith("# cycle:5#1 vs cycle:5#2")
+        code, out, _ = run_cli(capsys, "verify", "--generate", "cycle:6", "--format", "json")
+        assert code == 0
+        assert {r["id"] for r in json.loads(out)["results"]} == {"cycle:6"}
+        code, out, _ = run_cli(capsys, "spectrum", "--which", "a", "--form", "charpoly",
+                               "--generate", "cycle:4", "--format", "json")
+        assert code == 0 and json.loads(out)["id"] == "cycle:4"  # one payload, not a list
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_verify_identities_text_format(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import pairwise_srg_params
 
 from qwalkspec import (
     Graph,
@@ -8,6 +9,7 @@ from qwalkspec import (
     adjacency_matrix,
     circulant_graph,
     complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
     generate,
     hypercube_graph,
@@ -92,6 +94,23 @@ def test_srg_params_examples():
     assert srg_params(cycle_graph(6)) is None  # mu not constant
     assert srg_params(cycle_graph(5)) == SrgParams(5, 2, 0, 1)
     assert srg_params(Graph(3, [(0, 1)])) is None  # not regular
+    assert srg_params(complete_graph(5)) is None  # no non-adjacent pair
+    assert srg_params(Graph(4, [])) is None  # no edge
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    assert srg_params(prism) is None  # 3-regular, but lambda is 1 on triangles, 0 on rungs
+
+
+def test_srg_params_match_pairwise_reference(corpus):
+    rng = np.random.default_rng(5)
+    graphs = [g for _, g in corpus]
+    for _ in range(60):
+        n = int(rng.integers(1, 10))
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < 0.5]))
+    graphs += [paley_graph(17), rook_graph(3), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])]
+    for g in graphs:
+        p = srg_params(g)
+        assert (None if p is None else (p.n, p.k, p.lam, p.mu)) == pairwise_srg_params(g)
 
 
 def test_srg_shrikhande_and_rook():

@@ -238,9 +238,3 @@ def test_batch_json_and_csv_schemas():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "id1,id2,a,s1,s2,s3,distinguishing_invariant"
     assert len(lines) == 2
-
-
-def test_profile_json_keeps_exact_coefficients():
-    p = profile(cycle_graph(3), "C3")
-    blob = p.to_json()
-    assert blob["charpoly_s1"] == ["1", "0", "0", "-2", "0", "0", "1"]
