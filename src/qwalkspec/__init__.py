@@ -46,6 +46,7 @@ from .graphs import (
     Graph,
     SrgParams,
     adjacency_matrix,
+    find_isomorphism,
     is_connected,
     is_regular,
     relabel,

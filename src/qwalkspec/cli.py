@@ -34,7 +34,14 @@ from .generators import parse_generator_spec
 from .graph6 import read_graph6_file
 from .graphs import Graph, adjacency_matrix, is_regular
 from .intmat import char_poly, char_polys, mat_equal
-from .invariants import BatchResult, batch_compare, batch_to_csv, batch_to_json, compare, profile
+from .invariants import (
+    BatchResult,
+    batch_compare,
+    batch_to_csv,
+    batch_to_json,
+    certify,
+    fingerprint,
+)
 from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_roots
 from .supports import (
@@ -53,9 +60,21 @@ from .supports import (
 CHECK_NAMES = ("identities", "thm32", "thm41", "thm43", "ihara")
 
 
+@cache
+def _log_handler() -> logging.StreamHandler:
+    """The stderr handler of this process's root logger, added on first use."""
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    logging.getLogger().addHandler(handler)
+    return handler
+
+
 def _setup_logging() -> None:
+    """Apply this call's QWALK_LOG level, writing to the stderr of this call."""
     level_name = os.environ.get("QWALK_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
+    # Not setStream, which flushes the stream of an earlier call, perhaps closed by now.
+    _log_handler().stream = sys.stderr
+    logging.getLogger().setLevel(getattr(logging, level_name, logging.WARNING))
 
 
 def _positive_int(text: str) -> int:
@@ -372,7 +391,7 @@ def cmd_compare(args) -> int:
     if id1 == id2:
         id1, id2 = id1 + "#1", id2 + "#2"
     try:
-        report = compare(profile(g1, id1), profile(g2, id2))
+        report = certify(fingerprint(g1, id1), fingerprint(g2, id2))
     except HypothesisError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

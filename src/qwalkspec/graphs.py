@@ -1,9 +1,15 @@
-"""Simple undirected graphs and their structural predicates.
+"""Simple undirected graphs, their structural predicates and isomorphism witnesses.
 
 Graphs are immutable: a vertex count ``n`` and a frozenset of edges, each
 edge a pair ``(u, v)`` with ``0 <= u < v < n``.  Loops and multi-edges are
 rejected at construction time; the walk machinery downstream is only
 defined on simple graphs.
+
+``find_isomorphism`` searches for a vertex map by individualization and
+refinement, the scheme of McKay and Piperno, "Practical graph isomorphism,
+II" (arXiv:1301.1493), without their automorphism pruning.  It returns a
+map only after checking it on the adjacency matrices, so a map it returns
+is a proof of isomorphism; None proves nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .intmat import int_matrix, mat_mul
+from .intmat import int_matrix, mat_equal, mat_mul
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,89 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
         return SrgParams(g.n, k, int(lam[0]), int(mu[0]))
     except ValueError:
         return None
+
+
+ISOMORPHISM_BUDGET = 512  # search nodes find_isomorphism visits before it gives up
+
+
+def _refine(adj: np.ndarray, colours: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """Stable colour refinement of two n-vertex graphs at once, or None once they disagree.
+
+    ``adj`` is the block-diagonal adjacency matrix of g then h, ``colours``
+    one colour per vertex of both.  Every round recolours each vertex by its
+    colour and the number of its neighbours of each colour, named the same
+    way in both graphs, and compares the cell signatures: a colour that g and
+    h hold on different numbers of vertices means that no isomorphism maps
+    the current colouring of g onto that of h.
+    """
+    cells = int(colours.max()) + 1
+    while True:
+        counts = adj @ np.eye(cells)[colours]  # neighbours of each colour, exact small integers
+        keys = np.column_stack((colours, counts))
+        order = np.lexsort(keys.T[::-1])  # vertices by key, compared column by column
+        ranks = np.cumsum(np.any(keys[order[1:]] != keys[order[:-1]], axis=1))
+        colours = np.zeros(len(keys), dtype=np.int64)
+        colours[order[1:]] = ranks  # the rank of a vertex's key among the distinct keys
+        found = int(ranks[-1]) + 1
+        if not np.array_equal(np.bincount(colours[:n], minlength=found),
+                              np.bincount(colours[n:], minlength=found)):
+            return None
+        if found == cells:  # each round splits cells, so no new cell means stable
+            return colours
+        cells = found
+
+
+def find_isomorphism(
+    g: Graph, h: Graph, budget: int = ISOMORPHISM_BUDGET, stats: Optional[dict] = None
+) -> Optional[np.ndarray]:
+    """A vertex map pi with ``relabel(g, pi) == h``, checked exactly, or None.
+
+    Refines the colourings of g and h in lockstep, individualizes the first
+    vertex of g's smallest non-singleton cell against each vertex of h's
+    matching cell in turn, and recurses until the colouring is discrete.  A
+    discrete colouring pairs each vertex of g with one of h; the pairing is
+    returned only if ``A_h[pi][:, pi] == A_g`` holds entry by entry.  None
+    means no map was found within ``budget`` search nodes, not that g and h
+    are non-isomorphic.  ``stats``, if given, receives the nodes visited
+    under ``"nodes"``.
+    """
+    nodes = 0
+    found = None
+    if g.n == h.n and g.edge_count == h.edge_count:
+        n = g.n
+        a_g, a_h = adjacency_matrix(g), adjacency_matrix(h)
+        adj = np.zeros((2 * n, 2 * n))
+        adj[:n, :n], adj[n:, n:] = a_g, a_h
+
+        def search(colours: np.ndarray) -> Optional[np.ndarray]:
+            nonlocal nodes
+            nodes += 1
+            colours = _refine(adj, colours, n)
+            if colours is None:
+                return None
+            sizes = np.bincount(colours[:n])
+            if sizes.max() == 1:
+                pi = np.empty(n, dtype=np.int64)
+                pi[colours[n:]] = np.arange(n)  # pi[c] = the vertex of h coloured c
+                pi = pi[colours[:n]]
+                return pi if mat_equal(a_h[np.ix_(pi, pi)], a_g) else None
+            cell = int(np.flatnonzero(sizes == sizes[sizes > 1].min())[0])
+            v = int(np.flatnonzero(colours[:n] == cell)[0])
+            for w in np.flatnonzero(colours[n:] == cell):
+                if nodes >= budget:
+                    return None
+                branch = colours.copy()
+                branch[v] = branch[n + w] = sizes.size  # a colour of their own
+                pi = search(branch)
+                if pi is not None:
+                    return pi
+            return None
+
+        if budget >= 1:
+            found = search(np.zeros(2 * n, dtype=np.int64))
+    if stats is not None:
+        stats["nodes"] = nodes
+    return found
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

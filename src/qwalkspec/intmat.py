@@ -424,6 +424,25 @@ def _crt(residues: np.ndarray, primes: list) -> CharPoly:
     return CharPoly(tuple(c - big_m if c > big_m // 2 else c for c in (basis @ residues) % big_m))
 
 
+def char_poly_residue(m: np.ndarray) -> tuple:
+    """(p, coefficients of det(tI - M) mod p, ascending, each in [0, p)), from one kernel slot.
+
+    p is the first prime ``char_poly`` takes for M's dimension, so matrices of
+    one dimension get the same p and their residues can be compared directly:
+    residues that differ prove the char polys differ, equal ones prove nothing.
+    """
+    m, n = _int64_square(m)
+    p = _primes(1, _prime_ceiling(n))[0]
+    if not n:
+        return p, (1,)
+    start = perf_counter()
+    residues = _charpoly_stack(_hessenberg_stack(_residue_stack([(m, p)]), [p]), [p])[0]
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("charpoly n=%d primes=1 p=%d pass_ms=%.1f",
+                  n, p, (perf_counter() - start) * 1e3)
+    return p, tuple(np.mod(residues, p).astype(np.int64).tolist())
+
+
 def modular_charpoly(m: np.ndarray) -> CharPoly:
     """char poly det(tI - M) via CRT over word-sized primes, exact: ``char_polys`` of one matrix."""
     return _char_polys([_int64_square(m)[0]])[0]

@@ -1,11 +1,10 @@
-"""Cospectrality profiles and pairwise comparison of walk-support invariants.
+"""Cospectrality profiles and certified pairwise verdicts on walk-support invariants.
 
 A profile holds the exact characteristic polynomials of A, S+(U), S+(U^2)
-and S+(U^3).  Cospectrality is decided by exact integer coefficient
-equality, never by comparing floating-point root multisets: the entire value
-of the invariant is exactness.
-
-Each polynomial comes from the cheapest exact route:
+and S+(U^3), and ``compare`` decides cospectrality by exact integer
+coefficient equality, never by comparing floating-point root multisets: the
+entire value of the invariant is exactness.  Each polynomial comes from the
+cheapest exact route:
 
 * A and S+(U^3): ``char_poly`` of the matrix (the modular Hessenberg/CRT
   engine with a Hadamard-bounded prime count);
@@ -19,13 +18,33 @@ None of these rounds.  The brute-force polynomials stay one call away, as
 ``qwalkspec spectrum --form charpoly``, and the tests hold the two routes
 equal.
 
-A cospectral verdict on all four invariants proves nothing about
-isomorphism; reports say "cospectral", not "isomorphic".
+``batch_compare`` and the CLI's ``compare`` reach the same verdicts as
+``compare`` on the two profiles without the full CRT of S+(U^3) in most
+pairs.  A ``Fingerprint`` holds the exact A, S+(U) and S+(U^2) polynomials
+and ``char_poly_residue`` of S+(U^3): its char poly modulo the first prime
+of its dimension nk, one kernel slot instead of a dozen.  ``certify`` then
+compares A, S+(U) and S+(U^2) coefficient by coefficient, and proves the
+S+(U^3) verdict in one of four ways:
 
-``batch_compare`` profiles a corpus in worker processes (its ``threads``
-argument, the CLI's ``--threads``), not threads: the modular char poly of
-S+(U^3) runs in numpy calls too short to release the interpreter lock for
-long, so threads would not overlap.
+* "distinguished", because nk differs, so the degrees do;
+* "distinguished", because the residues differ mod p;
+* "cospectral", because the residues, A, S+(U) and S+(U^2) agree and
+  ``find_isomorphism`` returned a map it checked on the adjacency matrices;
+* either, from the exact char polys of both graphs, each computed at most
+  once, when none of the above applies.
+
+Equal residues alone decide nothing.  ``QWALK_LOG=debug`` logs each pair's
+S+(U^3) proof as one ``certificate`` line.
+
+A cospectral verdict on all four invariants does not certify isomorphism,
+and reports say "cospectral", not "isomorphic", whichever proof decided
+S+(U^3).
+
+``batch_compare`` fingerprints a corpus in worker processes (its
+``threads`` argument, the CLI's ``--threads``), not threads: the modular
+char poly of S+(U^3) runs in numpy calls too short to release the
+interpreter lock for long, so threads would not overlap.  The pairwise
+step runs in the calling process.
 """
 
 from __future__ import annotations
@@ -36,12 +55,15 @@ import json
 import logging
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .arcspace import build_arc_space
 from .errors import HypothesisError
-from .graphs import Graph
-from .intmat import char_poly
+from .graphs import Graph, find_isomorphism
+from .intmat import char_poly, char_poly_residue
 from .polynomials import CharPoly, poly_graeffe
 from .supports import (
     _require_walk_hypotheses,
@@ -71,6 +93,35 @@ class InvariantProfile:
 
 
 @dataclass(frozen=True)
+class Fingerprint:
+    """A graph's exact A, S+(U) and S+(U^2) char polys, and its S+(U^3) char poly mod one prime.
+
+    ``s3_residue`` is ``char_poly_residue`` of S+(U^3): (p, coefficients mod
+    p), with p fixed by the dimension nk.  ``charpoly_s3``, the exact
+    polynomial, is computed on first use only.
+    """
+
+    graph_id: str
+    graph: Graph
+    k: int
+    charpoly_a: CharPoly
+    charpoly_s1: CharPoly
+    charpoly_s2: CharPoly
+    s3_residue: Tuple[int, Tuple[int, ...]]
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    def charpoly(self, which: str) -> CharPoly:
+        return getattr(self, f"charpoly_{which}")
+
+    @cached_property
+    def charpoly_s3(self) -> CharPoly:
+        return char_poly(_s3(self.graph))
+
+
+@dataclass(frozen=True)
 class CompareReport:
     pair: Tuple[str, str]
     verdicts: dict  # invariant -> "cospectral" | "distinguished"
@@ -96,8 +147,8 @@ class BatchResult:
         }
 
 
-def profile(g: Graph, graph_id: str) -> InvariantProfile:
-    """All four exact char polys of a connected regular graph with k >= 2."""
+def _exact_polys(g: Graph, graph_id: str) -> tuple:
+    """k and the exact char polys of A, S+(U) and S+(U^2), from the closed forms."""
     try:
         k = _require_walk_hypotheses(g, 2)
     except HypothesisError as e:
@@ -110,34 +161,85 @@ def profile(g: Graph, graph_id: str) -> InvariantProfile:
     else:
         # k = 2: W = 2 S+(U), so S+(U^2) = S+(U)^2 and its roots are the squares.
         cp_s2 = CharPoly(tuple(poly_graeffe(cp_s1.coeffs)))
-    return InvariantProfile(
-        graph_id=graph_id,
-        n=g.n,
-        k=k,
-        charpoly_a=cp_a,
-        charpoly_s1=cp_s1,
-        charpoly_s2=cp_s2,
-        charpoly_s3=char_poly(support_u_power(build_arc_space(g), 3)),
-    )
+    return k, cp_a, cp_s1, cp_s2
+
+
+def _s3(g: Graph) -> np.ndarray:
+    return support_u_power(build_arc_space(g), 3)
+
+
+def profile(g: Graph, graph_id: str) -> InvariantProfile:
+    """All four exact char polys of a connected regular graph with k >= 2."""
+    k, cp_a, cp_s1, cp_s2 = _exact_polys(g, graph_id)
+    return InvariantProfile(graph_id, g.n, k, cp_a, cp_s1, cp_s2, char_poly(_s3(g)))
+
+
+def fingerprint(g: Graph, graph_id: str) -> Fingerprint:
+    """What ``certify`` needs of a connected regular graph with k >= 2: no full CRT of S+(U^3)."""
+    k, cp_a, cp_s1, cp_s2 = _exact_polys(g, graph_id)
+    return Fingerprint(graph_id, g, k, cp_a, cp_s1, cp_s2, char_poly_residue(_s3(g)))
 
 
 def compare(p: InvariantProfile, q: InvariantProfile) -> CompareReport:
     """Per-invariant exact cospectrality verdicts, in the order A, S1, S2, S3."""
-    verdicts = {}
-    distinguishing = None
-    for which in INVARIANT_ORDER:
-        same = p.charpoly(which).coeffs == q.charpoly(which).coeffs
-        verdicts[which] = "cospectral" if same else "distinguished"
-        if not same and distinguishing is None:
-            distinguishing = which
-    return CompareReport((p.graph_id, q.graph_id), verdicts, distinguishing)
+    return _report(p.graph_id, q.graph_id, {
+        which: p.charpoly(which).coeffs == q.charpoly(which).coeffs for which in INVARIANT_ORDER
+    })
+
+
+def certify(p: Fingerprint, q: Fingerprint) -> CompareReport:
+    """The verdicts of ``compare`` on the two profiles, each proved by the cheapest evidence.
+
+    A, S+(U) and S+(U^2) compare exact coefficients.  The S+(U^3) verdict
+    rests on one of four proofs, tried in this order:
+
+    * different dimensions nk: the char polys differ in degree;
+    * different residues mod the first prime of dimension nk: they differ;
+    * equal A, S+(U) and S+(U^2) polys and an isomorphism that
+      ``find_isomorphism`` checked: they are equal;
+    * the exact char polys of both, computed at most once per fingerprint.
+
+    Equal residues alone never decide the verdict.
+    """
+    same = {
+        which: p.charpoly(which).coeffs == q.charpoly(which).coeffs for which in ("a", "s1", "s2")
+    }
+    same["s3"], proof, args = _certify_s3(p, q, all(same.values()))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("certificate %s vs %s: s3 %s by " + proof,
+                  p.graph_id, q.graph_id, _verdict(same["s3"]), *args)
+    return _report(p.graph_id, q.graph_id, same)
+
+
+def _certify_s3(p: Fingerprint, q: Fingerprint, lower_cospectral: bool) -> tuple:
+    """Whether the S+(U^3) char polys are equal, and the log format and arguments of the proof."""
+    if p.n * p.k != q.n * q.k:
+        return False, "degree nk=%d/%d", (p.n * p.k, q.n * q.k)
+    if p.s3_residue != q.s3_residue:
+        return False, "mismatch mod p=%d", (p.s3_residue[0],)
+    stats: dict = {}
+    if lower_cospectral and find_isomorphism(p.graph, q.graph, stats=stats) is not None:
+        return True, "isomorphism witness nodes=%d", (stats["nodes"],)
+    coeffs = p.charpoly_s3.coeffs + q.charpoly_s3.coeffs
+    return (p.charpoly_s3 == q.charpoly_s3, "exact char poly bits=%d",
+            (max(abs(c).bit_length() for c in coeffs),))
+
+
+def _verdict(same: bool) -> str:
+    return "cospectral" if same else "distinguished"
+
+
+def _report(id1: str, id2: str, same: dict) -> CompareReport:
+    verdicts = {which: _verdict(same[which]) for which in INVARIANT_ORDER}
+    distinguishing = next((which for which in INVARIANT_ORDER if not same[which]), None)
+    return CompareReport((id1, id2), verdicts, distinguishing)
 
 
 def _build(item: Tuple[str, Graph]):
-    """The profile of one corpus graph, or (id, reason) if it breaks a hypothesis."""
+    """The fingerprint of one corpus graph, or (id, reason) if it breaks a hypothesis."""
     gid, g = item
     try:
-        return profile(g, gid)
+        return fingerprint(g, gid)
     except HypothesisError as e:
         return (gid, str(e).removeprefix(f"{gid}: "))
 
@@ -154,12 +256,13 @@ def batch_compare(
     unless include_cross_class is set.  Output order is deterministic:
     lexicographic by id pair.
 
-    ``threads`` worker processes profile the graphs (default: the CPUs this
-    process may run on), never more than there are graphs; with one, the
-    graphs are profiled in this process.  An exception a worker raises
-    reaches the caller.  The workers are forked, so they start with numpy
-    and qwalkspec imported; spawned ones would import them again, which
-    takes longer than profiling a small graph.
+    ``threads`` worker processes fingerprint the graphs (default: the CPUs
+    this process may run on), never more than there are graphs; with one,
+    the graphs are fingerprinted in this process.  An exception a worker
+    raises reaches the caller.  The workers are forked, so they start with
+    numpy and qwalkspec imported; spawned ones would import them again,
+    which takes longer than fingerprinting a small graph.  ``certify`` then
+    decides each pair in this process.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -168,7 +271,7 @@ def batch_compare(
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # Largest graphs first, so the slowest profile does not start last.
+        # Largest graphs first, so the slowest fingerprint does not start last.
         order = sorted(range(len(corpus)), key=lambda i: -corpus[i][1].edge_count)
         results: list = [None] * len(corpus)
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
@@ -176,18 +279,18 @@ def batch_compare(
                 results[i] = r
     else:
         results = [_build(item) for item in corpus]
-    profiles = [r for r in results if isinstance(r, InvariantProfile)]
-    skipped: List[Tuple[str, str]] = [r for r in results if not isinstance(r, InvariantProfile)]
+    prints = [r for r in results if isinstance(r, Fingerprint)]
+    skipped: List[Tuple[str, str]] = [r for r in results if not isinstance(r, Fingerprint)]
 
     reports = []
-    for i in range(len(profiles)):
-        for j in range(i + 1, len(profiles)):
-            p, q = profiles[i], profiles[j]
+    for i in range(len(prints)):
+        for j in range(i + 1, len(prints)):
+            p, q = prints[i], prints[j]
             if not include_cross_class and (p.n, p.k) != (q.n, q.k):
                 continue
             if p.graph_id > q.graph_id:
                 p, q = q, p
-            reports.append(compare(p, q))
+            reports.append(certify(p, q))
     reports.sort(key=lambda r: r.pair)
     return BatchResult(reports, skipped)
 

@@ -461,6 +461,36 @@ def test_qwalk_log_env():
     assert (quiet.returncode, quiet.stdout, quiet.stderr) == (0, result.stdout, "")
 
 
+def test_each_main_call_applies_its_own_qwalk_log(capsys, monkeypatch):
+    argv = ("compare", "shrikhande", "rook:4")
+    monkeypatch.delenv("QWALK_LOG", raising=False)
+    quiet = run_cli(capsys, *argv)
+    assert quiet[0] == 0 and quiet[2] == ""
+    monkeypatch.setenv("QWALK_LOG", "debug")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == quiet[:2]  # the verdicts print the same bytes
+    assert "DEBUG:qwalkspec.invariants:certificate shrikhande vs rook:4:" \
+        " s3 distinguished by mismatch mod p=" in err
+    monkeypatch.delenv("QWALK_LOG")
+    assert run_cli(capsys, *argv) == quiet
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_batch_output_is_the_same_with_debug_logging(fmt, capsys, monkeypatch):
+    argv = ("batch", "--threads", "1", "--format", fmt, "--generate", "shrikhande",
+            "--generate", "rook:4", "--generate", "circulant:16,1,2,5", "--generate", "cycle:5")
+    monkeypatch.delenv("QWALK_LOG", raising=False)
+    quiet = run_cli(capsys, *argv)
+    monkeypatch.setenv("QWALK_LOG", "debug")
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        monkeypatch.delenv("QWALK_LOG")
+        run_cli(capsys, *argv)  # back to the default level for later tests
+    assert (code, out) == quiet[:2] and quiet[2] == ""
+    assert err.count("DEBUG:qwalkspec.invariants:certificate ") == 3
+
+
 def test_missing_input_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--input", "/nonexistent/x.g6")
     assert code == 2

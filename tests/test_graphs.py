@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from oracles import pairwise_srg_params
@@ -11,6 +12,7 @@ from qwalkspec import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    find_isomorphism,
     generate,
     hypercube_graph,
     is_connected,
@@ -190,3 +192,83 @@ def test_relabel_preserves_predicates(corpus):
 def test_relabel_rejects_non_permutation():
     with pytest.raises(ValueError):
         relabel(cycle_graph(3), [0, 0, 1])
+
+
+def _twins():
+    """(name, g, h): h is g under a random relabelling or, for the circulant, a multiplier."""
+    rng = np.random.default_rng(11)
+    out = []
+    for spec in ("petersen", "shrikhande", "paley:13", "hypercube:4"):
+        g = parse_generator_spec(spec)
+        out.append((spec, g, relabel(g, list(rng.permutation(g.n)))))
+    connections = (1, 4, 9)
+    out.append(("circulant:24,1,4,9", circulant_graph(24, connections),
+                circulant_graph(24, [5 * c % 24 for c in connections])))
+    return out
+
+
+@pytest.mark.parametrize("name, g, h", _twins(), ids=[t[0] for t in _twins()])
+def test_find_isomorphism_returns_a_checked_map_on_twins(name, g, h):
+    stats = {}
+    pi = find_isomorphism(g, h, stats=stats)
+    assert pi is not None, name
+    assert sorted(pi.tolist()) == list(range(g.n))
+    a_g, a_h = adjacency_matrix(g), adjacency_matrix(h)
+    assert np.array_equal(a_h[pi][:, pi], a_g)
+    assert relabel(g, pi.tolist()) == h
+    assert 1 <= stats["nodes"] < 20
+
+
+def test_find_isomorphism_rejects_shrikhande_against_rook44(monkeypatch):
+    from qwalkspec import graphs
+
+    # Same SRG parameters, so refinement of the whole graphs cannot tell them apart.
+    g, h = shrikhande_graph(), rook_graph(4)
+    assert srg_params(g) == srg_params(h)
+    assert find_isomorphism(g, h) is None
+    # Without refinement every branch reaches a discrete colouring, a bijection that
+    # only the final adjacency check can reject.
+    monkeypatch.setattr(graphs, "_refine", lambda adj, colours, n: colours)
+    stats = {}
+    assert find_isomorphism(g, h, budget=200, stats=stats) is None
+    assert stats["nodes"] == 200
+    assert find_isomorphism(g, g) is not None  # and the check passes a true isomorphism
+
+
+def test_find_isomorphism_gives_up_when_the_budget_runs_out():
+    g = petersen_graph()
+    h = relabel(g, [3, 7, 1, 9, 0, 2, 8, 4, 6, 5])
+    stats = {}
+    assert find_isomorphism(g, h, budget=1, stats=stats) is None  # one cell: must branch
+    assert stats["nodes"] == 1
+    assert find_isomorphism(g, h) is not None
+
+
+def test_find_isomorphism_needs_equal_vertex_and_edge_counts():
+    stats = {}
+    assert find_isomorphism(cycle_graph(5), cycle_graph(6), stats=stats) is None
+    assert stats["nodes"] == 0
+    assert find_isomorphism(cycle_graph(4), Graph(4, [(0, 1), (1, 2), (2, 3)]), stats=stats) is None
+    assert stats["nodes"] == 0
+
+
+def test_find_isomorphism_agrees_with_networkx_on_small_graphs():
+    rng = np.random.default_rng(5)
+    found = 0
+    for _ in range(120):
+        n = int(rng.integers(2, 8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = int(rng.integers(0, len(pairs) + 1))
+        g, h = (Graph(n, [pairs[i] for i in rng.choice(len(pairs), m, replace=False)])
+                for _ in range(2))
+        stats = {}
+        pi = find_isomorphism(g, h, stats=stats)
+        assert stats["nodes"] < 512  # the search finished inside its budget
+        nx_g, nx_h = (nx.Graph(list(x.edges)) for x in (g, h))
+        nx_g.add_nodes_from(range(n))
+        nx_h.add_nodes_from(range(n))
+        assert (pi is not None) == nx.is_isomorphic(nx_g, nx_h)
+        if pi is not None:
+            assert relabel(g, pi.tolist()) == h
+            found += 1
+    assert 10 < found < 110

@@ -458,6 +458,26 @@ def _mixed_matrices():
     ]
 
 
+def test_char_poly_residue_is_char_poly_mod_the_first_prime_of_its_dimension(caplog):
+    from qwalkspec.intmat import (
+        _coefficient_bound_bits, _plan_primes, _prime_ceiling, _primes, char_poly_residue,
+    )
+
+    p1 = _primes(1, _prime_ceiling(1))[0]
+    half = (p1 + 1) // 2  # the residue with two symmetric representatives
+    edge = [int_matrix([[x]]) for x in (half, -half, half - 1, 1 - half, p1, -p1)]
+    for m in _mixed_matrices() + edge:
+        p, residues = char_poly_residue(m)
+        n = m.shape[0]
+        assert p == _primes(1, _prime_ceiling(n))[0]
+        assert p == _plan_primes(n, _coefficient_bound_bits(m) + 12)[0]
+        assert residues == tuple(c % p for c in char_poly(m).coeffs)
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
+        p, _ = char_poly_residue(_mixed_matrices()[2])
+    [record] = caplog.records
+    assert record.getMessage().startswith(f"charpoly n=30 primes=1 p={p} pass_ms=")
+
+
 def test_residue_stack_holds_symmetric_residues_of_each_slot():
     from qwalkspec.intmat import _prime_ceiling, _primes, _residue_stack
 

@@ -1,5 +1,8 @@
 import json
+import logging
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -11,19 +14,26 @@ from qwalkspec import (
     batch_to_json,
     build_arc_space,
     char_poly,
+    circulant_graph,
     compare,
     complete_graph,
     cycle_graph,
+    is_connected,
+    parse_generator_spec,
     petersen_graph,
     poly_mul,
     poly_pow,
     profile,
+    read_graph6_file,
     relabel,
     rook_graph,
     shrikhande_graph,
     support_u,
     support_u_power,
+    write_graph6_file,
 )
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
 
 
 def test_profile_petersen_adjacency_charpoly():
@@ -198,14 +208,14 @@ def test_batch_compare_deterministic_order_and_threads():
 def test_batch_compare_worker_exception_reaches_caller(monkeypatch):
     import qwalkspec.invariants as inv
 
-    real_profile = inv.profile
+    real_fingerprint = inv.fingerprint
 
-    def failing_profile(g, gid):
+    def failing_fingerprint(g, gid):
         if gid == "bad":
             raise RuntimeError("boom in bad")
-        return real_profile(g, gid)
+        return real_fingerprint(g, gid)
 
-    monkeypatch.setattr(inv, "profile", failing_profile)
+    monkeypatch.setattr(inv, "fingerprint", failing_fingerprint)
     corpus = [("good", cycle_graph(5)), ("bad", cycle_graph(6)), ("k4", complete_graph(4))]
     for threads in (1, 2):
         with pytest.raises(RuntimeError, match="boom in bad"):
@@ -238,3 +248,141 @@ def test_batch_json_and_csv_schemas():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "id1,id2,a,s1,s2,s3,distinguishing_invariant"
     assert len(lines) == 2
+
+
+def _random_regular(n, k, seed):
+    h = nx.random_regular_graph(k, n, seed=seed)
+    return Graph(n, [tuple(e) for e in h.edges()])
+
+
+def _verdict_corpus():
+    """The batch golden corpus, random regular graphs and relabelled or multiplied twins."""
+    rng = np.random.default_rng(3)
+    corpus = read_graph6_file(str(GOLDEN_DIR / "mixed.g6"))
+    corpus += [(spec, parse_generator_spec(spec))
+               for spec in ("complete:4", "petersen", "cycle:5", "shrikhande", "rook:4")]
+    corpus.append(("shrikhande~", relabel(shrikhande_graph(), list(rng.permutation(16)))))
+    # multiplying the connections by the unit 5 gives an isomorphic circulant
+    corpus += [(f"circulant:12,{a},{b}", circulant_graph(12, [a, b]))
+               for a, b in ((1, 4), (4, 5), (1, 5))]
+    for n, k, seed in ((10, 3, 1), (10, 3, 2), (12, 4, 3), (12, 4, 4)):
+        g = _random_regular(n, k, seed)
+        if is_connected(g):
+            corpus.append((f"rr{n}.{k}.{seed}", g))
+            corpus.append((f"rr{n}.{k}.{seed}~", relabel(g, list(rng.permutation(n)))))
+    return corpus
+
+
+def test_batch_verdicts_equal_compare_of_exact_profiles():
+    corpus = _verdict_corpus()
+    profiles = {}
+    for gid, g in corpus:
+        try:
+            profiles[gid] = profile(g, gid)
+        except HypothesisError:
+            pass
+    result = batch_compare(corpus, include_cross_class=True, threads=1)
+    assert len(result.pairs) == len(profiles) * (len(profiles) - 1) // 2
+    kinds = set()
+    for report in result.pairs:
+        expected = compare(*(profiles[gid] for gid in report.pair))
+        assert report == expected, report.pair
+        kinds.add(tuple(report.verdicts.values()))
+    # twins, shrikhande/rook44, and graphs that A already distinguishes all occur
+    assert ("cospectral",) * 4 in kinds
+    assert ("cospectral",) * 3 + ("distinguished",) in kinds
+    assert ("distinguished",) * 4 in kinds
+
+
+def test_cli_compare_verdicts_equal_compare_of_exact_profiles(tmp_path, capsys):
+    from qwalkspec.cli import main
+
+    corpus = _verdict_corpus()
+    by_id = dict(corpus)
+    pairs = [("shrikhande", "rook:4"), ("shrikhande", "shrikhande~"), ("petersen", "cycle:5"),
+             ("circulant:12,1,4", "circulant:12,4,5"), ("circulant:12,1,4", "circulant:12,1,5"),
+             ("rr12.4.3", "rr12.4.3~"), ("rr12.4.3", "rr12.4.4"), ("rr10.3.1", "rr10.3.2")]
+    for first, second in pairs:
+        paths = []
+        for gid in (first, second):
+            path = tmp_path / f"{len(paths)}.g6"
+            write_graph6_file(str(path), [by_id[gid]])
+            paths.append(str(path))
+        assert main(["compare", *paths, "--format", "json"]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        expected = compare(profile(by_id[first], first), profile(by_id[second], second))
+        assert verdicts == expected.verdicts, (first, second)
+
+
+def _spy_exact_s3(monkeypatch, nk):
+    """Records the graphs whose exact S+(U^3) char poly (dimension nk) is computed."""
+    import qwalkspec.invariants as inv
+
+    seen, real = [], inv.char_poly
+
+    def spy(m):
+        if m.shape[0] == nk:
+            seen.append(m.shape[0])
+        return real(m)
+
+    monkeypatch.setattr(inv, "char_poly", spy)
+    return seen
+
+
+def test_twins_without_a_witness_are_decided_by_the_exact_char_poly(monkeypatch, caplog):
+    import qwalkspec.invariants as inv
+
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
+    seen = _spy_exact_s3(monkeypatch, 96)
+    rng = np.random.default_rng(8)
+    corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
+        result = batch_compare(corpus, threads=1)
+    assert [r.distinguishing_invariant for r in result.pairs] == [None] * 3
+    assert len(seen) == 3  # once per graph, not once per pair
+    certificates = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("certificate")]
+    assert len(certificates) == 3
+    assert all(": s3 cospectral by exact char poly bits=" in line for line in certificates)
+
+
+def test_equal_residues_alone_never_decide_s3(monkeypatch, caplog):
+    import qwalkspec.invariants as inv
+
+    monkeypatch.setattr(inv, "char_poly_residue", lambda m: (7, (1,)))
+    seen = _spy_exact_s3(monkeypatch, 96)
+    corpus = [("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4))]
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
+        [report] = batch_compare(corpus, threads=1).pairs
+    assert report.distinguishing_invariant == "s3"
+    assert len(seen) == 2
+    bits = max(abs(c).bit_length() for gid, g in corpus for c in profile(g, gid).charpoly_s3.coeffs)
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")] == [
+        f"certificate rook44 vs shrikhande: s3 distinguished by exact char poly bits={bits}"
+    ]
+
+
+def test_each_pair_logs_the_certificate_of_its_s3_verdict(caplog):
+    rng = np.random.default_rng(9)
+    corpus = [("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4)),
+              ("shrikhande~", relabel(shrikhande_graph(), list(rng.permutation(16)))),
+              ("petersen", petersen_graph())]
+    with caplog.at_level(logging.INFO, logger="qwalkspec.invariants"):
+        quiet = batch_compare(corpus, include_cross_class=True, threads=1)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
+        result = batch_compare(corpus, include_cross_class=True, threads=1)
+    assert result == quiet
+    certificates = sorted(r.getMessage() for r in caplog.records
+                          if r.getMessage().startswith("certificate"))
+    assert len(certificates) == len(result.pairs) == 6
+    proofs = [line.split(": s3 ", 1)[1].split("=")[0] for line in certificates]
+    assert proofs == [
+        "distinguished by degree nk",  # petersen vs rook44
+        "distinguished by degree nk",  # petersen vs shrikhande
+        "distinguished by degree nk",  # petersen vs shrikhande~
+        "distinguished by mismatch mod p",  # rook44 vs shrikhande
+        "distinguished by mismatch mod p",  # rook44 vs shrikhande~
+        "cospectral by isomorphism witness nodes",  # shrikhande vs shrikhande~
+    ]
+    assert certificates[0] == "certificate petersen vs rook44: s3 distinguished by degree nk=30/96"
