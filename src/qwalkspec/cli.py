@@ -23,6 +23,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache, cached_property
 from typing import List, Optional, Tuple
 
@@ -62,19 +63,30 @@ CHECK_NAMES = ("identities", "thm32", "thm41", "thm43", "ihara")
 
 @cache
 def _log_handler() -> logging.StreamHandler:
-    """The stderr handler of this process's root logger, added on first use."""
+    """The stderr handler that ``_logging_to_stderr`` attaches, in ``basicConfig``'s format."""
     handler = logging.StreamHandler()
     handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
-    logging.getLogger().addHandler(handler)
     return handler
 
 
-def _setup_logging() -> None:
-    """Apply this call's QWALK_LOG level, writing to the stderr of this call."""
-    level_name = os.environ.get("QWALK_LOG", "warning").upper()
-    # Not setStream, which flushes the stream of an earlier call, perhaps closed by now.
-    _log_handler().stream = sys.stderr
-    logging.getLogger().setLevel(getattr(logging, level_name, logging.WARNING))
+@contextmanager
+def _logging_to_stderr():
+    """Send qwalkspec's records at QWALK_LOG's level (default warning) to stderr while main runs.
+
+    Only the ``qwalkspec`` logger changes, and only until the call returns,
+    so each call applies its own level and the host's loggers stay as they are.
+    """
+    logger = logging.getLogger("qwalkspec")
+    handler = _log_handler()
+    handler.stream = sys.stderr  # this call's, which a caller may have redirected
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(getattr(logging, os.environ.get("QWALK_LOG", "warning").upper(), logging.WARNING))
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def _positive_int(text: str) -> int:
@@ -497,10 +509,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command; safe to call many times in one process."""
-    _setup_logging()
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _logging_to_stderr():
+            return args.func(args)
     except (Graph6Error, ParameterError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -171,9 +171,7 @@ def _refine(adj: np.ndarray, colours: np.ndarray, n: int) -> Optional[np.ndarray
         cells = found
 
 
-def find_isomorphism(
-    g: Graph, h: Graph, budget: int = ISOMORPHISM_BUDGET, stats: Optional[dict] = None
-) -> Optional[np.ndarray]:
+def find_isomorphism(g: Graph, h: Graph, stats: Optional[dict] = None) -> Optional[np.ndarray]:
     """A vertex map pi with ``relabel(g, pi) == h``, checked exactly, or None.
 
     Refines the colourings of g and h in lockstep, individualizes the first
@@ -181,10 +179,12 @@ def find_isomorphism(
     matching cell in turn, and recurses until the colouring is discrete.  A
     discrete colouring pairs each vertex of g with one of h; the pairing is
     returned only if ``A_h[pi][:, pi] == A_g`` holds entry by entry.  None
-    means no map was found within ``budget`` search nodes, not that g and h
-    are non-isomorphic.  ``stats``, if given, receives the nodes visited
-    under ``"nodes"``.
+    means no map was found within ``ISOMORPHISM_BUDGET`` search nodes, not
+    that g and h are non-isomorphic.  ``stats``, if given, receives the
+    number of nodes visited under ``"nodes"``; it is the only way to learn
+    how much of the budget a search used.
     """
+    budget = ISOMORPHISM_BUDGET  # read per call, so that it can be patched
     nodes = 0
     found = None
     if g.n == h.n and g.edge_count == h.edge_count:

@@ -44,7 +44,8 @@ S+(U^3).
 ``threads`` argument, the CLI's ``--threads``), not threads: the modular
 char poly of S+(U^3) runs in numpy calls too short to release the
 interpreter lock for long, so threads would not overlap.  The pairwise
-step runs in the calling process.
+step, witness searches included, runs in the calling process; the exact
+S+(U^3) char polys that some pairs need run in the workers again.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class Fingerprint:
 
     @cached_property
     def charpoly_s3(self) -> CharPoly:
-        return char_poly(_s3(self.graph))
+        return _exact_s3(self.graph)
 
 
 @dataclass(frozen=True)
@@ -168,10 +169,14 @@ def _s3(g: Graph) -> np.ndarray:
     return support_u_power(build_arc_space(g), 3)
 
 
+def _exact_s3(g: Graph) -> CharPoly:
+    return char_poly(_s3(g))
+
+
 def profile(g: Graph, graph_id: str) -> InvariantProfile:
     """All four exact char polys of a connected regular graph with k >= 2."""
     k, cp_a, cp_s1, cp_s2 = _exact_polys(g, graph_id)
-    return InvariantProfile(graph_id, g.n, k, cp_a, cp_s1, cp_s2, char_poly(_s3(g)))
+    return InvariantProfile(graph_id, g.n, k, cp_a, cp_s1, cp_s2, _exact_s3(g))
 
 
 def fingerprint(g: Graph, graph_id: str) -> Fingerprint:
@@ -201,28 +206,40 @@ def certify(p: Fingerprint, q: Fingerprint) -> CompareReport:
 
     Equal residues alone never decide the verdict.
     """
+    return _certified(p, q, *_settle(p, q))
+
+
+def _settle(p: Fingerprint, q: Fingerprint) -> tuple:
+    """The A, S+(U) and S+(U^2) verdicts, and ``_settle_s3`` of the pair."""
     same = {
         which: p.charpoly(which).coeffs == q.charpoly(which).coeffs for which in ("a", "s1", "s2")
     }
-    same["s3"], proof, args = _certify_s3(p, q, all(same.values()))
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("certificate %s vs %s: s3 %s by " + proof,
-                  p.graph_id, q.graph_id, _verdict(same["s3"]), *args)
-    return _report(p.graph_id, q.graph_id, same)
+    return same, _settle_s3(p, q, all(same.values()))
 
 
-def _certify_s3(p: Fingerprint, q: Fingerprint, lower_cospectral: bool) -> tuple:
-    """Whether the S+(U^3) char polys are equal, and the log format and arguments of the proof."""
+def _settle_s3(p: Fingerprint, q: Fingerprint, lower_cospectral: bool) -> Optional[tuple]:
+    """The S+(U^3) verdict and a function naming its proof, or None if only the exact polys tell."""
     if p.n * p.k != q.n * q.k:
-        return False, "degree nk=%d/%d", (p.n * p.k, q.n * q.k)
+        return False, lambda: f"degree nk={p.n * p.k}/{q.n * q.k}"
     if p.s3_residue != q.s3_residue:
-        return False, "mismatch mod p=%d", (p.s3_residue[0],)
-    stats: dict = {}
-    if lower_cospectral and find_isomorphism(p.graph, q.graph, stats=stats) is not None:
-        return True, "isomorphism witness nodes=%d", (stats["nodes"],)
-    coeffs = p.charpoly_s3.coeffs + q.charpoly_s3.coeffs
-    return (p.charpoly_s3 == q.charpoly_s3, "exact char poly bits=%d",
-            (max(abs(c).bit_length() for c in coeffs),))
+        return False, lambda: f"mismatch mod p={p.s3_residue[0]}"
+    if lower_cospectral:
+        stats: dict = {}
+        if find_isomorphism(p.graph, q.graph, stats=stats) is not None:
+            return True, lambda: f"isomorphism witness nodes={stats['nodes']}"
+    return None
+
+
+def _certified(p: Fingerprint, q: Fingerprint, same: dict, s3: Optional[tuple]) -> CompareReport:
+    """The report of a settled pair, from the exact S+(U^3) polys if ``s3`` is None."""
+    if s3 is None:
+        s3 = p.charpoly_s3 == q.charpoly_s3, lambda: "exact char poly bits=%d" % max(
+            abs(c).bit_length() for c in p.charpoly_s3.coeffs + q.charpoly_s3.coeffs)
+    same["s3"], proof = s3
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("certificate %s vs %s: s3 %s by %s",
+                  p.graph_id, q.graph_id, _verdict(same["s3"]), proof())
+    return _report(p.graph_id, q.graph_id, same)
 
 
 def _verdict(same: bool) -> str:
@@ -258,31 +275,33 @@ def batch_compare(
 
     ``threads`` worker processes fingerprint the graphs (default: the CPUs
     this process may run on), never more than there are graphs; with one,
-    the graphs are fingerprinted in this process.  An exception a worker
-    raises reaches the caller.  The workers are forked, so they start with
-    numpy and qwalkspec imported; spawned ones would import them again,
-    which takes longer than fingerprinting a small graph.  ``certify`` then
-    decides each pair in this process.
+    all work runs in this process.  An exception a worker raises reaches the
+    caller.  The workers are forked, so they start with numpy and qwalkspec
+    imported; spawned ones would import them again, which takes longer than
+    fingerprinting a small graph.  Each pair is then settled as ``certify``
+    does, in this process; the graphs of the pairs that only the exact
+    S+(U^3) char polys settle get those polys from the same workers, each
+    graph once.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(corpus), threads or 1)
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        return _batch(corpus, include_cross_class, map)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        # Largest graphs first, so the slowest fingerprint does not start last.
-        order = sorted(range(len(corpus)), key=lambda i: -corpus[i][1].edge_count)
-        results: list = [None] * len(corpus)
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            for i, r in zip(order, pool.map(_build, [corpus[i] for i in order])):
-                results[i] = r
-    else:
-        results = [_build(item) for item in corpus]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return _batch(corpus, include_cross_class, pool.map)
+
+
+def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mapper) -> BatchResult:
+    """``batch_compare``, with ``mapper`` (``map`` or a pool's) running the per-graph work."""
+    results = _largest_first(mapper, _build, list(corpus), [g for _, g in corpus])
     prints = [r for r in results if isinstance(r, Fingerprint)]
     skipped: List[Tuple[str, str]] = [r for r in results if not isinstance(r, Fingerprint)]
 
-    reports = []
+    pairs = []
     for i in range(len(prints)):
         for j in range(i + 1, len(prints)):
             p, q = prints[i], prints[j]
@@ -290,9 +309,24 @@ def batch_compare(
                 continue
             if p.graph_id > q.graph_id:
                 p, q = q, p
-            reports.append(certify(p, q))
+            pairs.append((p, q, *_settle(p, q)))
+    # The graphs of the pairs that only the exact S+(U^3) polys settle, each once.
+    exact = list({id(f): f for p, q, _, s3 in pairs if s3 is None for f in (p, q)}.values())
+    graphs = [f.graph for f in exact]
+    for f, cp in zip(exact, _largest_first(mapper, _exact_s3, graphs, graphs)):
+        vars(f)["charpoly_s3"] = cp  # where the cached_property keeps its value
+    reports = [_certified(*pair) for pair in pairs]
     reports.sort(key=lambda r: r.pair)
     return BatchResult(reports, skipped)
+
+
+def _largest_first(mapper, fn, items: list, graphs: List[Graph]) -> list:
+    """``list(mapper(fn, items))``, started on the largest graph so the slowest does not start last."""
+    order = sorted(range(len(items)), key=lambda i: -graphs[i].edge_count)
+    out: list = [None] * len(items)
+    for i, r in zip(order, mapper(fn, [items[i] for i in order])):
+        out[i] = r
+    return out
 
 
 def batch_to_json(result: BatchResult) -> str:

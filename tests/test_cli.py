@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -475,6 +476,14 @@ def test_each_main_call_applies_its_own_qwalk_log(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == quiet
 
 
+def test_main_leaves_the_loggers_as_it_found_them(capsys, monkeypatch):
+    root, ours = logging.getLogger(), logging.getLogger("qwalkspec")
+    before = (root.level, list(root.handlers), ours.level, list(ours.handlers))
+    monkeypatch.setenv("QWALK_LOG", "debug")
+    assert run_cli(capsys, "compare", "shrikhande", "rook:4")[0] == 0
+    assert (root.level, root.handlers, ours.level, ours.handlers) == before
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_batch_output_is_the_same_with_debug_logging(fmt, capsys, monkeypatch):
     argv = ("batch", "--threads", "1", "--format", fmt, "--generate", "shrikhande",
@@ -482,11 +491,7 @@ def test_batch_output_is_the_same_with_debug_logging(fmt, capsys, monkeypatch):
     monkeypatch.delenv("QWALK_LOG", raising=False)
     quiet = run_cli(capsys, *argv)
     monkeypatch.setenv("QWALK_LOG", "debug")
-    try:
-        code, out, err = run_cli(capsys, *argv)
-    finally:
-        monkeypatch.delenv("QWALK_LOG")
-        run_cli(capsys, *argv)  # back to the default level for later tests
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == quiet[:2] and quiet[2] == ""
     assert err.count("DEBUG:qwalkspec.invariants:certificate ") == 3
 

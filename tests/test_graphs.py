@@ -229,19 +229,23 @@ def test_find_isomorphism_rejects_shrikhande_against_rook44(monkeypatch):
     # Without refinement every branch reaches a discrete colouring, a bijection that
     # only the final adjacency check can reject.
     monkeypatch.setattr(graphs, "_refine", lambda adj, colours, n: colours)
+    monkeypatch.setattr(graphs, "ISOMORPHISM_BUDGET", 200)
     stats = {}
-    assert find_isomorphism(g, h, budget=200, stats=stats) is None
+    assert find_isomorphism(g, h, stats=stats) is None
     assert stats["nodes"] == 200
     assert find_isomorphism(g, g) is not None  # and the check passes a true isomorphism
 
 
-def test_find_isomorphism_gives_up_when_the_budget_runs_out():
+def test_find_isomorphism_gives_up_when_the_budget_runs_out(monkeypatch):
+    from qwalkspec import graphs
+
     g = petersen_graph()
     h = relabel(g, [3, 7, 1, 9, 0, 2, 8, 4, 6, 5])
-    stats = {}
-    assert find_isomorphism(g, h, budget=1, stats=stats) is None  # one cell: must branch
-    assert stats["nodes"] == 1
     assert find_isomorphism(g, h) is not None
+    monkeypatch.setattr(graphs, "ISOMORPHISM_BUDGET", 1)
+    stats = {}
+    assert find_isomorphism(g, h, stats=stats) is None  # one cell: must branch
+    assert stats["nodes"] == 1
 
 
 def test_find_isomorphism_needs_equal_vertex_and_edge_counts():

@@ -346,6 +346,20 @@ def test_twins_without_a_witness_are_decided_by_the_exact_char_poly(monkeypatch,
     assert all(": s3 cospectral by exact char poly bits=" in line for line in certificates)
 
 
+def test_workers_compute_the_exact_char_polys_that_pairs_need(monkeypatch):
+    import qwalkspec.invariants as inv
+
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
+    rng = np.random.default_rng(8)
+    corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
+    corpus.append(("rook44", rook_graph(4)))
+    expected = batch_compare(corpus, threads=1)
+    seen = _spy_exact_s3(monkeypatch, 96)  # the parent's calls only: workers are other processes
+    assert batch_compare(corpus, threads=2) == expected
+    assert seen == []
+    assert [r.distinguishing_invariant for r in expected.pairs] == ["s3"] * 3 + [None] * 3
+
+
 def test_equal_residues_alone_never_decide_s3(monkeypatch, caplog):
     import qwalkspec.invariants as inv
 
