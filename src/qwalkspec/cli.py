@@ -41,7 +41,7 @@ from .invariants import (
     batch_to_csv,
     batch_to_json,
     certify,
-    fingerprint,
+    fingerprints,
 )
 from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_roots
@@ -403,7 +403,7 @@ def cmd_compare(args) -> int:
     if id1 == id2:
         id1, id2 = id1 + "#1", id2 + "#2"
     try:
-        report = certify(fingerprint(g1, id1), fingerprint(g2, id2))
+        report = certify(*fingerprints([(id1, g1), (id2, g2)]))
     except HypothesisError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .intmat import int_matrix, mat_equal, mat_mul
+from .intmat import mat_equal, mat_mul
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,10 @@ def adjacency_lists(g: Graph) -> list:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix (exact integer entries)."""
-    a = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        a[u][v] = 1
-        a[v][u] = 1
-    return int_matrix(a)
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    u, v = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
+    a[u, v] = a[v, u] = 1
+    return a
 
 
 def is_regular(g: Graph) -> Optional[int]:

@@ -28,15 +28,17 @@ of the panel writes all the updates back with one stacked matrix product and
 one modular reduction (see ``_hessenberg_stack``).  ``char_polys`` plans
 each matrix's primes as if it were alone and puts the residues of all its
 matrices of one size into the same stacks, so they share the kernel's fixed
-cost per step.  A stack holds as many residues as fit in ``_STACK_BYTES``,
-at least one; more run the kernel once per group of them, so its memory
-stays a small multiple of the larger of that budget and one n x n matrix,
-however many primes and matrices there are.  The arithmetic is exact by
-construction.  Residues are symmetric, at most (p + 1) / 2 in magnitude, and
-every sum has at most n + ``_PANEL`` products of them, so ``_prime_ceiling``
-caps the primes to keep every sum an integer below 2^53, where float64 is
-exact; the order of summation, and whether BLAS fuses a multiply-add, then
-cannot change a result.  ``_reduce`` maps such a sum back to a residue
+cost per step.  ``char_poly_residues`` does the same with one slot per
+matrix, modulo the first prime of its size, and stops before the CRT.  A
+stack holds as many residues as fit in ``_STACK_BYTES``, at least one; more
+run the kernel once per group of them, so its memory stays a small multiple
+of the larger of that budget and one n x n matrix, however many primes and
+matrices there are.  The arithmetic is exact by construction.  Residues are
+symmetric, at most (p + 1) / 2 in magnitude, and every sum has at most
+n + ``_PANEL`` products of them, so ``_prime_ceiling`` caps the primes to
+keep every sum an integer below 2^53, where float64 is exact; the order of
+summation, and whether BLAS fuses a multiply-add, then cannot change a
+result.  ``_reduce`` maps such a sum back to a residue
 exactly, so a zero test on a residue is exact.
 """
 
@@ -365,27 +367,17 @@ def _char_polys(ms: list) -> list:
     """The engine of ``char_polys`` and ``modular_charpoly``, on checked int64 matrices.
 
     Each matrix gets its own prime plan, as if alone.  Every (matrix, prime)
-    slot of one dimension goes into the same residue stacks, at most
-    ``_STACK_BYTES`` each, so matrices of one size share the kernel's fixed
-    per-step cost; one CRT step per matrix then recombines its own slots.
+    slot of one dimension goes into the same residue stacks (``_kernel``), so
+    matrices of one size share the kernel's fixed per-step cost; one CRT step
+    per matrix then recombines its own slots.
     """
     out: list = [CharPoly((1,))] * len(ms)
-    by_dim: dict = {}
-    for i, m in enumerate(ms):
-        if m.shape[0]:
-            by_dim.setdefault(m.shape[0], []).append(i)
-    for n, members in by_dim.items():
+    for n, members in _by_dim(ms).items():
         start = perf_counter()
         bits = {i: _coefficient_bound_bits(ms[i]) + 12 for i in members}  # guard bits
         plans = {i: _plan_primes(n, bits[i]) for i in members}
-        slots = [(ms[i], p) for i in members for p in plans[i]]
-        step = max(1, _STACK_BYTES // (8 * (n + 1) ** 2))
-        parts = []
-        for s in range(0, len(slots), step):
-            group = slots[s : s + step]
-            primes = [p for _, p in group]
-            parts.append(_charpoly_stack(_hessenberg_stack(_residue_stack(group), primes), primes))
-        residues = np.concatenate(parts).astype(np.int64).astype(object)
+        residues = _kernel([(ms[i], p) for i in members for p in plans[i]])
+        residues = residues.astype(np.int64).astype(object)
         at = 0
         for i in members:
             primes = plans[i]
@@ -401,6 +393,58 @@ def _char_polys(ms: list) -> list:
                     len(members), pass_ms,
                 )
     return out
+
+
+def char_poly_residues(matrices: Iterable[np.ndarray]) -> list:
+    """(p, coefficients of det(tI - M) mod p, ascending, each in [0, p)) of each matrix, in order.
+
+    p is the first prime ``char_poly`` takes for M's dimension, so matrices of
+    one dimension get the same p and their residues can be compared directly:
+    residues that differ prove the char polys differ, equal ones prove nothing.
+    Each matrix fills one kernel slot, and the slots of one dimension share
+    one pass, split into stacks of at most ``_STACK_BYTES``.
+    """
+    ms = [_int64_square(m)[0] for m in matrices]
+    out: list = [(_primes(1, _prime_ceiling(0))[0], (1,))] * len(ms)
+    for n, members in _by_dim(ms).items():
+        start = perf_counter()
+        p = _primes(1, _prime_ceiling(n))[0]
+        residues = np.mod(_kernel([(ms[i], p) for i in members]), p).astype(np.int64).tolist()
+        for i, row in zip(members, residues):
+            out[i] = p, tuple(row)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("charpoly n=%d primes=1 p=%d pass_matrices=%d pass_ms=%.1f",
+                      n, p, len(members), (perf_counter() - start) * 1e3)
+    return out
+
+
+def _by_dim(ms: list) -> dict:
+    """Indices of the nonempty matrices, by dimension, in order of first appearance."""
+    by_dim: dict = {}
+    for i, m in enumerate(ms):
+        if m.shape[0]:
+            by_dim.setdefault(m.shape[0], []).append(i)
+    return by_dim
+
+
+def _stack_slots(n: int) -> int:
+    """Residues of dimension n one stack holds: as many as fit in ``_STACK_BYTES``, at least one."""
+    return max(1, _STACK_BYTES // (8 * (n + 1) ** 2))
+
+
+def _kernel(slots: list) -> np.ndarray:
+    """Symmetric residues of det(tI - M_s) mod p_s, one row per (M_s, p_s) slot of one dimension.
+
+    The slots run through the kernel in stacks of ``_stack_slots(n)``, so its
+    memory stays bounded however many slots there are.
+    """
+    step = _stack_slots(slots[0][0].shape[0])
+    parts = []
+    for s in range(0, len(slots), step):
+        group = slots[s : s + step]
+        primes = [p for _, p in group]
+        parts.append(_charpoly_stack(_hessenberg_stack(_residue_stack(group), primes), primes))
+    return np.concatenate(parts)
 
 
 def _plan_primes(n: int, bits: float) -> list:
@@ -422,25 +466,6 @@ def _crt(residues: np.ndarray, primes: list) -> CharPoly:
     big_m = math.prod(primes)
     basis = np.array([big_m // p * pow(big_m // p, -1, p) for p in primes], dtype=object)
     return CharPoly(tuple(c - big_m if c > big_m // 2 else c for c in (basis @ residues) % big_m))
-
-
-def char_poly_residue(m: np.ndarray) -> tuple:
-    """(p, coefficients of det(tI - M) mod p, ascending, each in [0, p)), from one kernel slot.
-
-    p is the first prime ``char_poly`` takes for M's dimension, so matrices of
-    one dimension get the same p and their residues can be compared directly:
-    residues that differ prove the char polys differ, equal ones prove nothing.
-    """
-    m, n = _int64_square(m)
-    p = _primes(1, _prime_ceiling(n))[0]
-    if not n:
-        return p, (1,)
-    start = perf_counter()
-    residues = _charpoly_stack(_hessenberg_stack(_residue_stack([(m, p)]), [p]), [p])[0]
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("charpoly n=%d primes=1 p=%d pass_ms=%.1f",
-                  n, p, (perf_counter() - start) * 1e3)
-    return p, tuple(np.mod(residues, p).astype(np.int64).tolist())
 
 
 def modular_charpoly(m: np.ndarray) -> CharPoly:

@@ -20,9 +20,11 @@ equal.
 
 ``batch_compare`` and the CLI's ``compare`` reach the same verdicts as
 ``compare`` on the two profiles without the full CRT of S+(U^3) in most
-pairs.  A ``Fingerprint`` holds the exact A, S+(U) and S+(U^2) polynomials
-and ``char_poly_residue`` of S+(U^3): its char poly modulo the first prime
-of its dimension nk, one kernel slot instead of a dozen.  ``certify`` then
+pairs.  ``fingerprints`` gives each graph a ``Fingerprint``: the exact A,
+S+(U) and S+(U^2) polynomials, S+(U^3) packed into bits, and its char poly
+modulo the first prime of its dimension nk, one kernel slot instead of a
+dozen.  The graphs of one call share one kernel pass per size for their
+adjacency char polys and one for their S+(U^3) residues.  ``certify`` then
 compares A, S+(U) and S+(U^2) coefficient by coefficient, and proves the
 S+(U^3) verdict in one of four ways:
 
@@ -43,9 +45,12 @@ S+(U^3).
 ``batch_compare`` fingerprints a corpus in worker processes (its
 ``threads`` argument, the CLI's ``--threads``), not threads: the modular
 char poly of S+(U^3) runs in numpy calls too short to release the
-interpreter lock for long, so threads would not overlap.  The pairwise
-step, witness searches included, runs in the calling process; the exact
-S+(U^3) char polys that some pairs need run in the workers again.
+interpreter lock for long, so threads would not overlap.  Each worker task
+holds graphs of one nk, at most one task per worker for each nk, so a task
+pays the kernel's fixed cost per step once, not once per graph.  The
+pairwise step, witness searches included, runs in the calling process; the
+exact S+(U^3) char polys that some pairs need run in the workers again,
+from the packed supports.
 """
 
 from __future__ import annotations
@@ -55,16 +60,16 @@ import io
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .arcspace import build_arc_space
 from .errors import HypothesisError
-from .graphs import Graph, find_isomorphism
-from .intmat import char_poly, char_poly_residue
+from .graphs import Graph, adjacency_matrix, find_isomorphism
+from .intmat import _stack_slots, char_poly, char_poly_residues, char_polys
 from .polynomials import CharPoly, poly_graeffe
 from .supports import (
     _require_walk_hypotheses,
@@ -97,9 +102,10 @@ class InvariantProfile:
 class Fingerprint:
     """A graph's exact A, S+(U) and S+(U^2) char polys, and its S+(U^3) char poly mod one prime.
 
-    ``s3_residue`` is ``char_poly_residue`` of S+(U^3): (p, coefficients mod
-    p), with p fixed by the dimension nk.  ``charpoly_s3``, the exact
-    polynomial, is computed on first use only.
+    ``s3_residue`` is ``char_poly_residues`` of S+(U^3): (p, coefficients mod
+    p), with p fixed by the dimension nk.  ``s3_support`` is S+(U^3) itself,
+    packed by ``np.packbits`` into nk^2 / 8 bytes, so ``charpoly_s3``, the
+    exact polynomial, computed on first use only, does not build W^3 again.
     """
 
     graph_id: str
@@ -109,6 +115,7 @@ class Fingerprint:
     charpoly_s1: CharPoly
     charpoly_s2: CharPoly
     s3_residue: Tuple[int, Tuple[int, ...]]
+    s3_support: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -119,7 +126,8 @@ class Fingerprint:
 
     @cached_property
     def charpoly_s3(self) -> CharPoly:
-        return _exact_s3(self.graph)
+        nk = self.n * self.k
+        return char_poly(np.unpackbits(self.s3_support, count=nk * nk).reshape(nk, nk))
 
 
 @dataclass(frozen=True)
@@ -148,41 +156,55 @@ class BatchResult:
         }
 
 
-def _exact_polys(g: Graph, graph_id: str) -> tuple:
-    """k and the exact char polys of A, S+(U) and S+(U^2), from the closed forms."""
+def _checked_k(g: Graph, graph_id: str) -> int:
+    """The valency of a connected regular graph with k >= 2; else a HypothesisError naming it."""
     try:
         k = _require_walk_hypotheses(g, 2)
     except HypothesisError as e:
         raise HypothesisError(f"{graph_id}: {e}") from None
     log.debug("profiling %s (n=%d, k=%d)", graph_id, g.n, k)
-    cp_a = adjacency_charpoly(g)
+    return k
+
+
+def _closed_polys(g: Graph, k: int, cp_a: CharPoly) -> tuple:
+    """The exact char polys of S+(U) and S+(U^2), from the closed forms on the adjacency one."""
     cp_s1 = closed_form_charpoly_su(g, cp_a)
     if k > 2:
-        cp_s2 = closed_form_charpoly_su2(g, cp_a)
-    else:
-        # k = 2: W = 2 S+(U), so S+(U^2) = S+(U)^2 and its roots are the squares.
-        cp_s2 = CharPoly(tuple(poly_graeffe(cp_s1.coeffs)))
-    return k, cp_a, cp_s1, cp_s2
+        return cp_s1, closed_form_charpoly_su2(g, cp_a)
+    # k = 2: W = 2 S+(U), so S+(U^2) = S+(U)^2 and its roots are the squares.
+    return cp_s1, CharPoly(tuple(poly_graeffe(cp_s1.coeffs)))
 
 
 def _s3(g: Graph) -> np.ndarray:
     return support_u_power(build_arc_space(g), 3)
 
 
-def _exact_s3(g: Graph) -> CharPoly:
-    return char_poly(_s3(g))
-
-
 def profile(g: Graph, graph_id: str) -> InvariantProfile:
     """All four exact char polys of a connected regular graph with k >= 2."""
-    k, cp_a, cp_s1, cp_s2 = _exact_polys(g, graph_id)
-    return InvariantProfile(graph_id, g.n, k, cp_a, cp_s1, cp_s2, _exact_s3(g))
+    k = _checked_k(g, graph_id)
+    cp_a = adjacency_charpoly(g)
+    return InvariantProfile(graph_id, g.n, k, cp_a, *_closed_polys(g, k, cp_a), char_poly(_s3(g)))
 
 
-def fingerprint(g: Graph, graph_id: str) -> Fingerprint:
-    """What ``certify`` needs of a connected regular graph with k >= 2: no full CRT of S+(U^3)."""
-    k, cp_a, cp_s1, cp_s2 = _exact_polys(g, graph_id)
-    return Fingerprint(graph_id, g, k, cp_a, cp_s1, cp_s2, char_poly_residue(_s3(g)))
+def fingerprints(items: Iterable[Tuple[str, Graph]]) -> List[Fingerprint]:
+    """What ``certify`` needs of each (id, graph), in order: no full CRT of S+(U^3).
+
+    Every graph must be connected and regular with k >= 2; the first that is
+    not raises HypothesisError before any char poly runs.  The adjacency char
+    polys share one kernel pass per size, and so do the S+(U^3) residues.
+    """
+    return _fingerprints([(gid, g, _checked_k(g, gid)) for gid, g in items])
+
+
+def _fingerprints(checked: list) -> List[Fingerprint]:
+    """``fingerprints`` of (id, graph, k) triples whose hypotheses hold."""
+    cps_a = char_polys(adjacency_matrix(g) for _, g, _ in checked)
+    supports = [_s3(g) for _, g, _ in checked]
+    return [
+        Fingerprint(gid, g, k, cp_a, *_closed_polys(g, k, cp_a), residue, np.packbits(s3))
+        for (gid, g, k), cp_a, s3, residue
+        in zip(checked, cps_a, supports, char_poly_residues(supports))
+    ]
 
 
 def compare(p: InvariantProfile, q: InvariantProfile) -> CompareReport:
@@ -252,13 +274,20 @@ def _report(id1: str, id2: str, same: dict) -> CompareReport:
     return CompareReport((id1, id2), verdicts, distinguishing)
 
 
-def _build(item: Tuple[str, Graph]):
-    """The fingerprint of one corpus graph, or (id, reason) if it breaks a hypothesis."""
-    gid, g = item
-    try:
-        return fingerprint(g, gid)
-    except HypothesisError as e:
-        return (gid, str(e).removeprefix(f"{gid}: "))
+def _build(task: List[Tuple[str, Graph]]) -> list:
+    """``fingerprints`` of a task's graphs, with (id, reason) for each that breaks a hypothesis."""
+    checked, skipped = [], {}
+    for i, (gid, g) in enumerate(task):
+        try:
+            checked.append((gid, g, _checked_k(g, gid)))
+        except HypothesisError as e:
+            skipped[i] = (gid, str(e).removeprefix(f"{gid}: "))
+    prints = iter(_fingerprints(checked))
+    return [skipped[i] if i in skipped else next(prints) for i in range(len(task))]
+
+
+def _exact_s3(f: Fingerprint) -> CharPoly:
+    return f.charpoly_s3
 
 
 def batch_compare(
@@ -278,26 +307,35 @@ def batch_compare(
     all work runs in this process.  An exception a worker raises reaches the
     caller.  The workers are forked, so they start with numpy and qwalkspec
     imported; spawned ones would import them again, which takes longer than
-    fingerprinting a small graph.  Each pair is then settled as ``certify``
-    does, in this process; the graphs of the pairs that only the exact
-    S+(U^3) char polys settle get those polys from the same workers, each
-    graph once.
+    fingerprinting a small graph.  The work goes out in tasks of graphs of
+    one nk, largest nk first: a group of same-nk graphs is split into at most
+    one task per worker, and a task holds no more graphs than one kernel
+    stack of dimension nk, so a task's S+(U^3) residues take one kernel pass
+    and a worker's memory stays bounded.  Each pair is then settled as
+    ``certify`` does, in this process; the graphs of the pairs that only the
+    exact S+(U^3) char polys settle get those polys from the same workers,
+    each graph once.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(corpus), threads or 1)
     if workers <= 1:
-        return _batch(corpus, include_cross_class, map)
+        return _batch(corpus, include_cross_class, map, 1)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return _batch(corpus, include_cross_class, pool.map)
+        return _batch(corpus, include_cross_class, pool.map, workers)
 
 
-def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mapper) -> BatchResult:
-    """``batch_compare``, with ``mapper`` (``map`` or a pool's) running the per-graph work."""
-    results = _largest_first(mapper, _build, list(corpus), [g for _, g in corpus])
+def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mapper,
+           workers: int) -> BatchResult:
+    """``batch_compare``, with ``mapper`` (``map`` or a pool's) running the tasks of ``workers``."""
+    results: list = [None] * len(corpus)
+    tasks = _tasks(corpus, workers)
+    for task, built in zip(tasks, mapper(_build, [[corpus[i] for i in task] for task in tasks])):
+        for i, r in zip(task, built):
+            results[i] = r
     prints = [r for r in results if isinstance(r, Fingerprint)]
     skipped: List[Tuple[str, str]] = [r for r in results if not isinstance(r, Fingerprint)]
 
@@ -310,23 +348,33 @@ def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mappe
             if p.graph_id > q.graph_id:
                 p, q = q, p
             pairs.append((p, q, *_settle(p, q)))
-    # The graphs of the pairs that only the exact S+(U^3) polys settle, each once.
-    exact = list({id(f): f for p, q, _, s3 in pairs if s3 is None for f in (p, q)}.values())
-    graphs = [f.graph for f in exact]
-    for f, cp in zip(exact, _largest_first(mapper, _exact_s3, graphs, graphs)):
+    # The graphs of the pairs that only the exact S+(U^3) polys settle, each once, largest first.
+    exact = {id(f): f for p, q, _, s3 in pairs if s3 is None for f in (p, q)}.values()
+    exact = sorted(exact, key=lambda f: -f.n * f.k)
+    for f, cp in zip(exact, mapper(_exact_s3, exact)):
         vars(f)["charpoly_s3"] = cp  # where the cached_property keeps its value
     reports = [_certified(*pair) for pair in pairs]
     reports.sort(key=lambda r: r.pair)
     return BatchResult(reports, skipped)
 
 
-def _largest_first(mapper, fn, items: list, graphs: List[Graph]) -> list:
-    """``list(mapper(fn, items))``, started on the largest graph so the slowest does not start last."""
-    order = sorted(range(len(items)), key=lambda i: -graphs[i].edge_count)
-    out: list = [None] * len(items)
-    for i, r in zip(order, mapper(fn, [items[i] for i in order])):
-        out[i] = r
-    return out
+def _tasks(corpus: Sequence[Tuple[str, Graph]], workers: int) -> List[List[int]]:
+    """Corpus indices in tasks of one arc count nk each, largest nk first.
+
+    Each group of same-nk graphs splits into tasks of at most
+    ceil(group / workers) graphs, and of at most one kernel stack of
+    dimension nk (``intmat._stack_slots``).  A graph that is not regular
+    joins the group of its arc count and is skipped inside its task.
+    """
+    groups: dict = {}
+    for i, (_, g) in enumerate(corpus):
+        groups.setdefault(2 * g.edge_count, []).append(i)
+    tasks = []
+    for nk in sorted(groups, reverse=True):
+        group = groups[nk]
+        size = min(-(-len(group) // workers), _stack_slots(nk))
+        tasks += [group[s : s + size] for s in range(0, len(group), size)]
+    return tasks
 
 
 def batch_to_json(result: BatchResult) -> str:

@@ -13,6 +13,8 @@ paths so that agreement between oracle and implementation is meaningful:
   ``mat_mul``.
 * ``pairwise_srg_params``: SRG parameters by intersecting neighbour sets
   pair by pair, the reference for ``srg_params``.
+* ``nested_list_adjacency_matrix``: the adjacency matrix filled entry by
+  entry in nested lists, the reference for ``adjacency_matrix``.
 
 ``max_matching_distance`` compares numeric root multisets for the
 cross-checks against the closed-form spectra; it is the only user of scipy.
@@ -20,7 +22,7 @@ cross-checks against the closed-form spectra; it is the only user of scipy.
 
 import numpy as np
 
-from qwalkspec import CharPoly
+from qwalkspec import CharPoly, int_matrix
 
 
 def _padd(a, b):
@@ -93,6 +95,15 @@ def int_product(a, b):
     rows, inner, cols = a.shape[0], b.shape[0], b.shape[1]
     a, b = a.tolist(), b.tolist()
     return [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+
+
+def nested_list_adjacency_matrix(g):
+    """The 0/1 adjacency matrix of g, set entry by entry in nested lists."""
+    a = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        a[u][v] = 1
+        a[v][u] = 1
+    return int_matrix(a)
 
 
 def pairwise_srg_params(g):

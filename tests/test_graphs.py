@@ -1,7 +1,7 @@
 import networkx as nx
 import numpy as np
 import pytest
-from oracles import pairwise_srg_params
+from oracles import nested_list_adjacency_matrix, pairwise_srg_params
 
 from qwalkspec import (
     Graph,
@@ -64,6 +64,22 @@ def test_adjacency_matrix_c3_and_empty():
     assert a.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     z = adjacency_matrix(Graph(3, []))
     assert z.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+
+def test_adjacency_matrix_equals_the_nested_list_builder():
+    specs = ("cycle:7", "complete:5", "complete_bipartite:2,3", "petersen", "hypercube:4",
+             "circulant:12,1,5", "shrikhande", "rook:4", "paley:13")
+    graphs = [parse_generator_spec(spec) for spec in specs] + [Graph(1, []), Graph(5, [])]
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n = int(rng.integers(1, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = int(rng.integers(0, len(pairs) + 1))
+        graphs.append(Graph(n, [pairs[i] for i in rng.choice(len(pairs), m, replace=False)]))
+    for g in graphs:
+        a = adjacency_matrix(g)
+        assert a.dtype == np.int64 and a.shape == (g.n, g.n)
+        assert np.array_equal(a, nested_list_adjacency_matrix(g))
 
 
 def test_adjacency_matrix_structure(corpus):

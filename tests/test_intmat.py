@@ -458,24 +458,62 @@ def _mixed_matrices():
     ]
 
 
-def test_char_poly_residue_is_char_poly_mod_the_first_prime_of_its_dimension(caplog):
-    from qwalkspec.intmat import (
-        _coefficient_bound_bits, _plan_primes, _prime_ceiling, _primes, char_poly_residue,
-    )
+def _residue_cases():
+    """``_mixed_matrices()`` and the 1 x 1 matrices at the residues with two representatives."""
+    from qwalkspec.intmat import _prime_ceiling, _primes
 
     p1 = _primes(1, _prime_ceiling(1))[0]
     half = (p1 + 1) // 2  # the residue with two symmetric representatives
-    edge = [int_matrix([[x]]) for x in (half, -half, half - 1, 1 - half, p1, -p1)]
-    for m in _mixed_matrices() + edge:
-        p, residues = char_poly_residue(m)
+    edge = (half, -half, half - 1, 1 - half, p1, -p1)
+    return _mixed_matrices() + [int_matrix([[x]]) for x in edge]
+
+
+def test_char_poly_residues_are_char_poly_mod_the_first_prime_of_each_dimension(caplog):
+    from qwalkspec.intmat import (
+        _coefficient_bound_bits, _plan_primes, _prime_ceiling, _primes, char_poly_residues,
+    )
+
+    ms = _residue_cases()
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
+        found = char_poly_residues(ms)
+    assert len(found) == len(ms)
+    for m, (p, residues) in zip(ms, found):
         n = m.shape[0]
         assert p == _primes(1, _prime_ceiling(n))[0]
         assert p == _plan_primes(n, _coefficient_bound_bits(m) + 12)[0]
         assert residues == tuple(c % p for c in char_poly(m).coeffs)
-    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
-        p, _ = char_poly_residue(_mixed_matrices()[2])
-    [record] = caplog.records
-    assert record.getMessage().startswith(f"charpoly n=30 primes=1 p={p} pass_ms=")
+    assert found[1] == (_primes(1, _prime_ceiling(0))[0], (1,))  # the 0 x 0 matrix
+    assert found[0] == found[6] and found[2] == found[9]  # repeated matrices
+    # one pass, and one log line, per dimension; the 0 x 0 matrix needs none
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line.split(" primes=")[0] for line in lines] == [
+        "charpoly n=5", "charpoly n=30", "charpoly n=1", "charpoly n=7"]
+    p30 = found[2][0]
+    assert lines[1].startswith(f"charpoly n=30 primes=1 p={p30} pass_matrices=3 pass_ms=")
+    assert lines[2].startswith("charpoly n=1 primes=1 p=") and " pass_matrices=8 " in lines[2]
+    assert char_poly_residues([]) == [] and char_poly_residues(iter(ms[:3])) == found[:3]
+
+
+@pytest.mark.parametrize("per_stack", [1, 2, 5])
+def test_char_poly_residues_route_each_matrix_across_stacks(per_stack, monkeypatch):
+    from qwalkspec import intmat
+
+    ms = _residue_cases()
+    whole = intmat.char_poly_residues(ms)
+    stacks = []
+    kernel = intmat._hessenberg_stack
+
+    def spy(h, primes):
+        stacks.append((h.shape[1], len(primes)))
+        return kernel(h, primes)
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
+    monkeypatch.setattr(intmat, "_STACK_BYTES", per_stack * 8 * (1 + 1) ** 2)
+    assert intmat.char_poly_residues(ms) == whole
+    # the eight 1 x 1 matrices span several stacks; every larger size gets one slot per stack
+    dim1 = [count for n, count in stacks if n == 1]
+    assert sum(dim1) == 8 and len(dim1) == -(-8 // per_stack)
+    assert sorted(n for n, _ in stacks if n > 1) == [5, 5, 5, 7, 30, 30, 30]
 
 
 def test_residue_stack_holds_symmetric_residues_of_each_slot():

@@ -208,14 +208,14 @@ def test_batch_compare_deterministic_order_and_threads():
 def test_batch_compare_worker_exception_reaches_caller(monkeypatch):
     import qwalkspec.invariants as inv
 
-    real_fingerprint = inv.fingerprint
+    real_fingerprints = inv._fingerprints
 
-    def failing_fingerprint(g, gid):
-        if gid == "bad":
+    def failing_fingerprints(checked):
+        if any(gid == "bad" for gid, _, _ in checked):
             raise RuntimeError("boom in bad")
-        return real_fingerprint(g, gid)
+        return real_fingerprints(checked)
 
-    monkeypatch.setattr(inv, "fingerprint", failing_fingerprint)
+    monkeypatch.setattr(inv, "_fingerprints", failing_fingerprints)
     corpus = [("good", cycle_graph(5)), ("bad", cycle_graph(6)), ("k4", complete_graph(4))]
     for threads in (1, 2):
         with pytest.raises(RuntimeError, match="boom in bad"):
@@ -363,7 +363,7 @@ def test_workers_compute_the_exact_char_polys_that_pairs_need(monkeypatch):
 def test_equal_residues_alone_never_decide_s3(monkeypatch, caplog):
     import qwalkspec.invariants as inv
 
-    monkeypatch.setattr(inv, "char_poly_residue", lambda m: (7, (1,)))
+    monkeypatch.setattr(inv, "char_poly_residues", lambda ms: [(7, (1,)) for _ in ms])
     seen = _spy_exact_s3(monkeypatch, 96)
     corpus = [("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4))]
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
@@ -400,3 +400,92 @@ def test_each_pair_logs_the_certificate_of_its_s3_verdict(caplog):
         "cospectral by isomorphism witness nodes",  # shrikhande vs shrikhande~
     ]
     assert certificates[0] == "certificate petersen vs rook44: s3 distinguished by degree nk=30/96"
+
+
+def _spy_s3_builds(monkeypatch):
+    """Records the n of each graph whose S+(U^3) support is built."""
+    import qwalkspec.invariants as inv
+
+    seen, real = [], inv.support_u_power
+
+    def spy(a, m):
+        if m == 3:
+            seen.append(a.n)
+        return real(a, m)
+
+    monkeypatch.setattr(inv, "support_u_power", spy)
+    return seen
+
+
+def test_the_exact_route_builds_each_s3_support_once(monkeypatch, capsys):
+    import qwalkspec.invariants as inv
+    from qwalkspec.cli import main
+
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
+    seen = _spy_s3_builds(monkeypatch)
+    assert main(["compare", "shrikhande", "shrikhande", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",cospectral,cospectral,")
+    assert seen == [16, 16]
+    seen.clear()
+    rng = np.random.default_rng(8)
+    corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
+    corpus.append(("petersen", petersen_graph()))
+    result = batch_compare(corpus, threads=1)
+    assert [r.distinguishing_invariant for r in result.pairs] == [None] * 3
+    assert sorted(seen) == [10, 16, 16, 16]
+
+
+def _task_corpus():
+    """Four nk classes; the nk = 12 class mixes C6, K4, an irregular and a disconnected graph."""
+    rng = np.random.default_rng(21)
+    return [
+        ("c6", cycle_graph(6)),
+        ("irregular", Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])),
+        ("triangles", Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+        ("k4", complete_graph(4)),
+        ("c6~", relabel(cycle_graph(6), [3, 5, 0, 1, 4, 2])),
+        ("k4~", relabel(complete_graph(4), [2, 0, 3, 1])),
+        ("c5", cycle_graph(5)),
+        ("shrikhande", shrikhande_graph()),
+        ("c7", cycle_graph(7)),
+        ("rook44", rook_graph(4)),
+        ("c5~", relabel(cycle_graph(5), [4, 2, 0, 3, 1])),
+        ("shrikhande~", relabel(shrikhande_graph(), list(rng.permutation(16)))),
+    ]
+
+
+def test_batch_tasks_give_the_verdicts_of_compare_at_every_thread_count():
+    import qwalkspec.invariants as inv
+
+    corpus = _task_corpus()
+    # largest nk first; the nk = 12 class splits into at most one task per
+    # worker, and the skipped graphs share their tasks with regular ones
+    assert inv._tasks(corpus, 1) == [[7, 9, 11], [8], [0, 1, 2, 3, 4, 5], [6, 10]]
+    assert inv._tasks(corpus, 3) == [[7], [9], [11], [8], [0, 1], [2, 3], [4, 5], [6], [10]]
+    results = [batch_compare(corpus, include_cross_class=True, threads=t) for t in (1, 2, 3)]
+    assert results[1] == results[0] and results[2] == results[0]
+    assert results[0].skipped == [("irregular", "graph is not regular"),
+                                  ("triangles", "graph is not connected")]
+    profiles = {gid: profile(g, gid) for gid, g in corpus if gid not in ("irregular", "triangles")}
+    assert len(results[0].pairs) == len(profiles) * (len(profiles) - 1) // 2
+    for report in results[0].pairs:
+        assert report == compare(*(profiles[gid] for gid in report.pair)), report.pair
+
+
+def test_a_batch_task_takes_one_residue_pass_per_nk_class(monkeypatch):
+    from qwalkspec import intmat
+
+    corpus = _task_corpus()
+    passes = []
+    kernel = intmat._hessenberg_stack
+
+    def spy(h, primes):
+        passes.append((h.shape[1], len(primes)))
+        return kernel(h, primes)
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
+    batch_compare(corpus, threads=1)
+    # nk 96, 14, 12 and 10 hold 3, 1, 4 and 2 fingerprinted graphs; no
+    # adjacency matrix (n = 4 to 16) has one of those dimensions
+    assert [(n, slots) for n, slots in passes if n in (96, 14, 12, 10)] == [
+        (96, 3), (14, 1), (12, 4), (10, 2)]
