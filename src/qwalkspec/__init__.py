@@ -61,7 +61,6 @@ from .intmat import (
     int_zeros,
     mat_equal,
     mat_mul,
-    mat_pow,
     modular_charpoly,
     positive_support,
 )

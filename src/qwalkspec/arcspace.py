@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import intmat
 from .errors import ValencyError
 from .graphs import Graph, is_regular
 from .intmat import int_eye, int_zeros, mat_mul
@@ -48,14 +49,8 @@ def build_arc_space(g: Graph) -> ArcSpace:
         raise ValencyError("graph is not regular")
     if k < 1:
         raise ValencyError(f"valency {k} < 1: no arcs to index")
-    arcs = []
-    for u, v in g.sorted_edges():
-        arcs.append((u, v))
-        arcs.append((v, u))
-    reverse = []
-    for i in range(0, len(arcs), 2):
-        reverse.extend([i + 1, i])
-    return ArcSpace(g, k, tuple(arcs), tuple(reverse))
+    arcs = tuple(arc for u, v in g.sorted_edges() for arc in ((u, v), (v, u)))
+    return ArcSpace(g, k, arcs, tuple(i ^ 1 for i in range(len(arcs))))  # 2j <-> 2j + 1
 
 
 def _incidence(a: ArcSpace, end: int) -> np.ndarray:
@@ -95,3 +90,20 @@ def scaled_reflection_q(a: ArcSpace) -> np.ndarray:
     """kQ = 2*ins^T*ins - k*I; satisfies (kQ)^2 = k^2 I."""
     ins = ins_matrix(a)
     return 2 * mat_mul(ins.T, ins) - a.k * int_eye(a.size)
+
+
+def _walk_powers(a: ArcSpace, m: int) -> list:
+    """[W, W^2, ..., W^m], each W times the last, from the arc structure in O((nk)^2) per power.
+
+    (W M)[j] = 2 sum_{head(i) = tail(j)} M[i] - k M[rev(j)].  Each row of W has 1-norm
+    2(k-1) + |k-2| <= 3k, so no entry met reaches (3k)^m, checked against 2^62 first.
+    """
+    if (3 * a.k) ** m >= intmat._INT64_SAFE:
+        raise OverflowError(f"W^{m} at k={a.k} may reach 2^62 in magnitude")
+    tail, head = np.array(a.arcs).T
+    into, rev = np.argsort(head, kind="stable"), np.array(a.reverse)
+    powers = [int_eye(a.size)]
+    for _ in range(m):  # sums[v]: the rows of the k arcs into v
+        sums = powers[-1][into].reshape(a.n, a.k, a.size).sum(axis=1)
+        powers.append(2 * sums[tail] - a.k * powers[-1][rev])
+    return powers[1:]

@@ -98,18 +98,6 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
-    """Exact e-th power of a square matrix, e >= 1."""
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix not square: {a.shape}")
-    if e < 1:
-        raise ValueError("exponent must be a positive integer")
-    out = a = _int64(a)
-    for _ in range(e - 1):
-        out = mat_mul(out, a)
-    return out
-
-
 def positive_support(m: np.ndarray) -> np.ndarray:
     """0/1 int64 matrix marking the strictly positive entries of m."""
     return (_int64(m) > 0).astype(np.int64)

@@ -13,7 +13,8 @@ cheapest exact route:
 * S+(U^2): ``closed_form_charpoly_su2`` for k > 2; at k = 2, where
   S+(U^2) = S+(U)^2, the Graeffe root-squaring of the S+(U) polynomial.
 
-None of these rounds.  The brute-force polynomials stay one call away, as
+No nk x nk matrix product runs (see ``supports``), and none of these
+rounds.  The brute-force polynomials stay one call away, as
 ``char_poly(support_u(a))`` and ``char_poly(support_u_power(a, 2))`` or
 ``qwalkspec spectrum --form charpoly``, and the tests hold the two routes
 equal.
@@ -72,10 +73,10 @@ from .graphs import Graph, adjacency_matrix, find_isomorphism
 from .intmat import _stack_slots, char_poly, char_poly_residues, char_polys
 from .polynomials import CharPoly, poly_graeffe
 from .supports import (
+    _charpoly_su,
+    _charpoly_su2,
     _require_walk_hypotheses,
     adjacency_charpoly,
-    closed_form_charpoly_su,
-    closed_form_charpoly_su2,
     support_u_power,
 )
 
@@ -168,9 +169,9 @@ def _checked_k(g: Graph, graph_id: str) -> int:
 
 def _closed_polys(g: Graph, k: int, cp_a: CharPoly) -> tuple:
     """The exact char polys of S+(U) and S+(U^2), from the closed forms on the adjacency one."""
-    cp_s1 = closed_form_charpoly_su(g, cp_a)
+    cp_s1 = _charpoly_su(g.n, k, cp_a)
     if k > 2:
-        return cp_s1, closed_form_charpoly_su2(g, cp_a)
+        return cp_s1, _charpoly_su2(g.n, k, cp_a)
     # k = 2: W = 2 S+(U), so S+(U^2) = S+(U)^2 and its roots are the squares.
     return cp_s1, CharPoly(tuple(poly_graeffe(cp_s1.coeffs)))
 

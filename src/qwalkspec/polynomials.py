@@ -91,37 +91,23 @@ def poly_scale(p: Sequence[int], c: int) -> list:
 
 
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> list:
+    """p * q as one product of Python ints, their values at 2^B (Kronecker substitution)."""
     p, q = poly_trim(p), poly_trim(q)
     if not p or not q:
         return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+    bits = _kron_bits(sum(map(abs, p)) * sum(map(abs, q)))
+    return _kron_read(_kron_eval(p, bits) * _kron_eval(q, bits), len(p) + len(q) - 2, bits)
 
 
 def poly_pow(p: Sequence[int], e: int) -> list:
-    """p^e; a binomial a t^i + b t^j expands by the binomial theorem, any other p by squaring."""
+    """p^e as one big-int power of p's value at 2^B (Kronecker substitution)."""
     if e < 0:
         raise ValueError("negative exponent")
-    base = poly_trim(p)
-    terms = [(i, c) for i, c in enumerate(base) if c]
-    if len(terms) == 2:
-        (i, a), (j, b) = terms
-        out = [0] * (j * e + 1)
-        for m in range(e + 1):
-            out[i * (e - m) + j * m] = math.comb(e, m) * a ** (e - m) * b**m
-        return out
-    out = [1]
-    while e:
-        if e & 1:
-            out = poly_mul(out, base)
-        base = poly_mul(base, base)
-        e >>= 1
-    return out
+    p = poly_trim(p)
+    if not p:
+        return [] if e else [1]
+    bits = _kron_bits(sum(map(abs, p)) ** e)
+    return _kron_read(_kron_eval(p, bits) ** e, (len(p) - 1) * e, bits)
 
 
 def poly_graeffe(p: Sequence[int]) -> list:
@@ -135,19 +121,6 @@ def poly_graeffe(p: Sequence[int]) -> list:
     even = poly_mul(p, [(-1) ** i * c for i, c in enumerate(p)])
     assert not any(even[1::2]), "p(x)p(-x) must be even"
     return [(-1) ** d * c for c in even[0::2]]
-
-
-def poly_compose_homogeneous(p: Sequence[int], x: Sequence[int], y: Sequence[int]) -> list:
-    """y^d * p(x/y) for p of degree d, expanded exactly: sum_j p_j x^j y^(d-j).
-
-    Horner in x with a running power of y, so O(d) polynomial products.
-    """
-    acc: list = []
-    y_pow = [1]
-    for c in reversed(poly_trim(p)):
-        acc = poly_add(poly_mul(acc, x), poly_scale(y_pow, c))
-        y_pow = poly_mul(y_pow, y)
-    return acc
 
 
 def poly_divide_exact(p: Sequence[int], q: Sequence[int]) -> list:
@@ -268,3 +241,39 @@ def poly_roots(p: Sequence[int]) -> list:
         for v in vals:
             roots.extend([complex(v)] * mult)
     return roots
+
+
+# Kronecker substitution: evaluation at t = 2^B is a ring map; a result whose coefficients lie
+# below 2^(B-1) in magnitude reads back exactly as signed B-bit digits.  B comes from a bound on
+# the result's 1-norm, never the inputs': ||fg||_1 <= ||f||_1 ||g||_1, ``_homogeneous`` at 1-norms.
+
+
+def _kron_bits(bound: int) -> int:
+    """The digit width B, in whole bytes, that holds every integer of magnitude <= bound signed."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _kron_eval(p: Sequence[int], bits: int) -> int:
+    """p(2^bits), for |p_i| < 2^bits: its positive and negative parts as two byte strings."""
+    width = bits // 8
+    pos = b"".join(max(c, 0).to_bytes(width, "little") for c in p)
+    neg = b"".join(max(-c, 0).to_bytes(width, "little") for c in p)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kron_read(value: int, degree: int, bits: int) -> list:
+    """c_0..c_degree of value = sum_i c_i 2^(bits*i), |c_i| < 2^(bits-1): one to_bytes, offset."""
+    width = bits // 8
+    half = 1 << (bits - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * (degree + 1), "little")
+    raw = (value + offset).to_bytes(width * (degree + 1), "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
+
+
+def _homogeneous(p: Sequence[int], x: int, y: int) -> int:
+    """sum_j p_j x^j y^(d-j), p of degree d: y^d p(x/y) at integers x, y, by Horner."""
+    acc, y_pow = 0, 1
+    for c in reversed(p):
+        acc = acc * x + c * y_pow
+        y_pow *= y
+    return acc

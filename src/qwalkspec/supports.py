@@ -15,11 +15,16 @@ vanishes: the scaled walk matrix W equals k*B exactly (the backtracking
 entries 2 - k are zero), so supports of walk powers are simply supports of
 powers of B.
 
+S+(U^m) is the support of W^m, each power computed from the arc structure
+in O((nk)^2) (``arcspace._walk_powers``).
+
 ``closed_form_charpoly_su``/``_su2`` expand these eigenvalue lists into exact
 integer polynomials without ever computing an individual eigenvalue: the
 product over adjacency eigenvalues is a polynomial composition of the
-adjacency characteristic polynomial.  Floating point appears only in the
-report-oriented ``ClosedFormSpectrum``, never in an identity check.
+adjacency characteristic polynomial, evaluated once at t = 2^B as a Python
+int and read back as B-bit digits, with B from a bound on the result's
+1-norm.  Floating point appears only in the report-oriented
+``ClosedFormSpectrum``, never in an identity check.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 
 from .arcspace import (
     ArcSpace,
+    _walk_powers,
     build_arc_space,
     ins_matrix,
     outs_matrix,
@@ -40,16 +46,10 @@ from .arcspace import (
 )
 from .errors import HypothesisError, ValencyError
 from .graphs import Graph, adjacency_matrix, is_connected, is_regular
-from .intmat import char_poly, int_eye, mat_equal, mat_mul, mat_pow, positive_support
+from .intmat import char_poly, int_eye, mat_equal, mat_mul, positive_support
 from .jacobi import symmetric_eigenvalues
-from .polynomials import (
-    CharPoly,
-    poly_compose_homogeneous,
-    poly_divide_exact,
-    poly_graeffe,
-    poly_mul,
-    poly_pow,
-)
+from .polynomials import CharPoly, poly_divide_exact, poly_graeffe
+from .polynomials import _homogeneous, _kron_bits, _kron_read
 
 EIGENVALUE_CLUSTER_TOL = 1e-6
 
@@ -67,7 +67,7 @@ def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
         raise ValencyError(f"support of the walk needs valency >= 2, got k={a.k}")
     if m not in (2, 3):
         raise ValueError(f"only powers 2 and 3 are supported, got {m}")
-    return positive_support(mat_pow(scaled_transition_matrix(a), m))
+    return positive_support(_walk_powers(a, m)[-1])
 
 
 def su2_via_identity(a: ArcSpace) -> np.ndarray:
@@ -90,13 +90,7 @@ class SupportSet:
 def build_support_set(a: ArcSpace) -> SupportSet:
     if a.k < 2:
         raise ValencyError(f"support set needs valency >= 2, got k={a.k}")
-    w = scaled_transition_matrix(a)
-    w2 = mat_mul(w, w)
-    return SupportSet(
-        s1=support_u(a),
-        s2=positive_support(w2),
-        s3=positive_support(mat_mul(w2, w)),
-    )
+    return SupportSet(*map(positive_support, _walk_powers(a, 3)))  # S+(U) is the support of W
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +254,6 @@ def closed_form_spectrum_su2(g: Graph) -> ClosedFormSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def _compose_quadratic(coeffs: Sequence[int], k: int) -> list:
-    """sum_j c_j * t^(deg-j) * (t^2 + k - 1)^j for c_j the coefficient of x^j.
-
-    This is t^deg * p((t^2 + k - 1)/t): the product of t^2 - lambda*t + (k-1)
-    over the roots lambda of p, expanded exactly.
-    """
-    return poly_compose_homogeneous(coeffs, [k - 1, 0, 1], [0, 1])
-
-
 def adjacency_charpoly(g: Graph) -> CharPoly:
     return char_poly(adjacency_matrix(g))
 
@@ -280,16 +265,18 @@ def closed_form_charpoly_su(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPo
                 * (t - 1)^{n(k-2)/2 + 1} * (t + 1)^{n(k-2)/2}
     """
     k = _require_walk_hypotheses(g, 2)
-    n = g.n
-    if cp_a is None:
-        cp_a = adjacency_charpoly(g)
-    psi = poly_divide_exact(cp_a.coeffs, [-k, 1])  # k is a simple root: connected
-    body = _compose_quadratic(psi, k)
+    return _charpoly_su(g.n, k, adjacency_charpoly(g) if cp_a is None else cp_a)
+
+
+def _charpoly_su(n: int, k: int, cp_a: CharPoly) -> CharPoly:
+    """``closed_form_charpoly_su`` unchecked: psi = cp_a / (x - k), the product over lambda != k
+    is t^(n-1) psi((t^2 + k - 1)/t), and (t - 1)^(e+1) (t + 1)^e = (t^2 - 1)^e (t - 1)."""
+    psi = poly_divide_exact(cp_a.coeffs, [-k, 1])
     e = n * (k - 2) // 2
-    rhs = poly_mul([-(k - 1), 1], body)
-    rhs = poly_mul(rhs, poly_pow([-1, 1], e + 1))
-    rhs = poly_mul(rhs, poly_pow([1, 1], e))
-    return CharPoly(tuple(rhs))
+    bits = _kron_bits(k * _homogeneous([abs(c) for c in psi], k, 1) * 2 ** (e + 1))
+    t = 1 << bits
+    value = (t - k + 1) * _homogeneous(psi, t * t + k - 1, t) * (t * t - 1) ** e * (t - 1)
+    return CharPoly(tuple(_kron_read(value, n * k, bits)))
 
 
 def ihara_style_charpoly(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:
@@ -299,13 +286,12 @@ def ihara_style_charpoly(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:
     adjacency char poly coefficients.
     """
     k = _require_walk_hypotheses(g, 2)
-    if cp_a is None:
-        cp_a = adjacency_charpoly(g)
-    rhs = poly_mul(
-        _compose_quadratic(cp_a.coeffs, k),
-        poly_pow([-1, 0, 1], g.n * (k - 2) // 2),
-    )
-    return CharPoly(tuple(rhs))
+    a = (adjacency_charpoly(g) if cp_a is None else cp_a).coeffs
+    e = g.n * (k - 2) // 2
+    bits = _kron_bits(_homogeneous([abs(c) for c in a], k, 1) * 2**e)
+    t = 1 << bits
+    value = _homogeneous(a, t * t + k - 1, t) * (t * t - 1) ** e
+    return CharPoly(tuple(_kron_read(value, g.n * k, bits)))
 
 
 def closed_form_charpoly_su2(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:
@@ -322,14 +308,18 @@ def closed_form_charpoly_su2(g: Graph, cp_a: Optional[CharPoly] = None) -> CharP
             = (t-1)^(n-1) q((t+k-2)^2 / (t-1)).
     """
     k = _require_walk_hypotheses(g, 3)
-    n = g.n
-    if cp_a is None:
-        cp_a = adjacency_charpoly(g)
-    psi = poly_divide_exact(cp_a.coeffs, [-k, 1])
-    body = poly_compose_homogeneous(poly_graeffe(psi), poly_pow([k - 2, 1], 2), [-1, 1])
-    rhs = poly_mul([-(k * k - 2 * k + 2), 1], body)
-    rhs = poly_mul(rhs, poly_pow([-2, 1], n * (k - 2) + 1))
-    return CharPoly(tuple(rhs))
+    return _charpoly_su2(g.n, k, adjacency_charpoly(g) if cp_a is None else cp_a)
+
+
+def _charpoly_su2(n: int, k: int, cp_a: CharPoly) -> CharPoly:
+    """``closed_form_charpoly_su2`` unchecked: (t - (k^2 - 2k + 2)) * (t-1)^(n-1)
+    q((t+k-2)^2 / (t-1)) * (t - 2)^(n(k-2)+1)."""
+    q = poly_graeffe(poly_divide_exact(cp_a.coeffs, [-k, 1]))
+    c, e = k * k - 2 * k + 2, n * (k - 2) + 1
+    bits = _kron_bits((c + 1) * _homogeneous([abs(x) for x in q], (k - 1) ** 2, 2) * 3**e)
+    t = 1 << bits
+    value = (t - c) * _homogeneous(q, (t + k - 2) ** 2, t - 1) * (t - 2) ** e
+    return CharPoly(tuple(_kron_read(value, n * k, bits)))
 
 
 # ---------------------------------------------------------------------------

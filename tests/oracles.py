@@ -15,6 +15,12 @@ paths so that agreement between oracle and implementation is meaningful:
   pair by pair, the reference for ``srg_params``.
 * ``nested_list_adjacency_matrix``: the adjacency matrix filled entry by
   entry in nested lists, the reference for ``adjacency_matrix``.
+* ``schoolbook_compose``, ``schoolbook_graeffe`` and
+  ``schoolbook_closed_forms``: homogeneous composition, Graeffe
+  root-squaring and the closed-form S+(U), Ihara-style and S+(U^2) char
+  polys, expanded term by term with quadratic list convolutions, the
+  reference for the Kronecker-substitution route in ``polynomials`` and
+  ``supports``.
 
 ``max_matching_distance`` compares numeric root multisets for the
 cross-checks against the closed-form spectra; it is the only user of scipy.
@@ -40,6 +46,62 @@ def _pmul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def _ppow(p, e):
+    out = [1]
+    for _ in range(e):
+        out = _pmul(out, p)
+    return out
+
+
+def schoolbook_compose(p, x, y):
+    """y^d p(x/y) = sum_j p_j x^j y^(d-j) for p of degree d, summed term by term."""
+    d = len(p) - 1
+    out = [0]
+    for j, c in enumerate(p):
+        out = _padd(out, [c * v for v in _pmul(_ppow(x, j), _ppow(y, d - j))])
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def schoolbook_graeffe(p):
+    """q with q(x^2) = (-1)^d p(x) p(-x): the even coefficients of one convolution."""
+    d = len(p) - 1
+    even = _pmul(p, [-c if i % 2 else c for i, c in enumerate(p)])
+    assert not any(even[1::2])
+    return [(-1) ** d * c for c in even[0::2]]
+
+
+def _divide_by_root(p, r):
+    """p / (x - r) by synthetic division; the remainder p(r) must be 0."""
+    q = [0] * (len(p) - 1)
+    acc = 0
+    for i in range(len(p) - 1, 0, -1):
+        acc = p[i] + r * acc
+        q[i - 1] = acc
+    assert p[0] + r * acc == 0
+    return q
+
+
+def schoolbook_closed_forms(n, k, a):
+    """(S+(U), Ihara-style, S+(U^2)) char polys of an n-vertex connected k-regular graph.
+
+    ``a`` holds the adjacency char poly's coefficients, ascending.  At k = 2
+    the S+(U^2) polynomial is the Graeffe square of the S+(U) one.
+    """
+    psi = _divide_by_root(list(a), k)
+    e = n * (k - 2) // 2
+    quad = [k - 1, 0, 1]
+    su = _pmul(_pmul([-(k - 1), 1], schoolbook_compose(psi, quad, [0, 1])),
+               _pmul(_ppow([-1, 1], e + 1), _ppow([1, 1], e)))
+    ihara = _pmul(schoolbook_compose(list(a), quad, [0, 1]), _ppow([-1, 0, 1], e))
+    if k == 2:
+        return su, ihara, schoolbook_graeffe(su)
+    body = schoolbook_compose(schoolbook_graeffe(psi), _ppow([k - 2, 1], 2), [-1, 1])
+    su2 = _pmul(_pmul([-(k * k - 2 * k + 2), 1], body), _ppow([-2, 1], n * (k - 2) + 1))
+    return su, ihara, su2
 
 
 def cofactor_charpoly(m):

@@ -94,7 +94,7 @@ def test_criterion_4_squared_support_identity():
             if q.mat_equal(s2, b2 + q.int_eye(a.size)):
                 failures.append(f"{gid}: +I unexpectedly holds at k=2")
             x = q.mat_mul(q.outs_matrix(a).T, q.ins_matrix(a))
-            if q.mat_equal(s2, q.positive_support(q.mat_pow(x, 2))):
+            if q.mat_equal(s2, q.positive_support(q.mat_mul(x, x))):
                 failures.append(f"{gid}: support of (outs^T ins)^2 unexpectedly equals S+(U^2)")
     _finish(4, "S+(U^2) = S+(U)^2 + I for k>2; documented k=2 behavior", t0, failures)
 

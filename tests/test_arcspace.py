@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from qwalkspec import (
     mat_equal,
     mat_mul,
     outs_matrix,
+    parse_generator_spec,
     petersen_graph,
     reversal_matrix,
     scaled_reflection_q,
@@ -21,6 +23,7 @@ from qwalkspec import (
     support_u,
     support_u_power,
 )
+from qwalkspec.arcspace import _walk_powers
 
 
 def test_canonical_arc_order_c3():
@@ -171,3 +174,38 @@ def test_arc_matrices_are_int64(corpus):
             assert build(a).dtype == np.int64, (gid, build.__name__)
         for m in (2, 3):
             assert support_u_power(a, m).dtype == np.int64, (gid, m)
+
+
+def _walk_cases():
+    specs = ("cycle:3", "cycle:4", "cycle:7", "complete:5", "petersen", "paley:13", "shrikhande",
+             "rook:4")
+    cases = [(spec, parse_generator_spec(spec)) for spec in specs]
+    for n, k, seed in ((10, 3, 1), (12, 4, 2), (9, 4, 3), (14, 5, 4), (12, 2, 5)):
+        h = nx.random_regular_graph(k, n, seed=seed)
+        cases.append((f"rr({n},{k},{seed})", Graph(n, [tuple(e) for e in h.edges()])))
+    return cases
+
+
+def test_walk_powers_equal_the_mat_mul_chain():
+    for gid, g in _walk_cases():
+        a = build_arc_space(g)
+        w = scaled_transition_matrix(a)
+        chain = [w, mat_mul(w, w)]
+        chain.append(mat_mul(chain[1], w))
+        powers = _walk_powers(a, 3)
+        assert [p.dtype for p in powers] == [np.int64] * 3, gid
+        assert all(mat_equal(p, c) for p, c in zip(powers, chain)), gid
+        assert int(np.abs(powers[2]).max()) <= (3 * a.k) ** 3, gid
+        assert all(mat_equal(p, c) for p, c in zip(_walk_powers(a, 2), chain)), gid
+
+
+def test_walk_powers_refuse_a_bound_at_the_int64_limit(monkeypatch):
+    from qwalkspec import intmat
+
+    a = build_arc_space(petersen_graph())  # k = 3: entries of W^m stay below 9^m
+    monkeypatch.setattr(intmat, "_INT64_SAFE", 9**3)
+    assert len(_walk_powers(a, 2)) == 2
+    with pytest.raises(OverflowError, match="W\\^3 at k=3"):
+        _walk_powers(a, 3)
+    with pytest.raises(OverflowError):
+        support_u_power(a, 3)

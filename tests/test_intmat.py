@@ -16,7 +16,6 @@ from qwalkspec import (
     int_zeros,
     mat_equal,
     mat_mul,
-    mat_pow,
     modular_charpoly,
     positive_support,
     scaled_transition_matrix,
@@ -84,7 +83,6 @@ def test_mat_mul_raises_overflow_when_its_bound_reaches_2_62():
             TypeError,
             id="object",
         ),
-        pytest.param(lambda: mat_pow(np.array([[0.5]]), 1), TypeError, id="mat_pow"),
         pytest.param(lambda: int_matrix([[2**62]]), OverflowError, id="int_matrix-2^62"),
     ],
 )
@@ -140,16 +138,6 @@ def test_mat_mul_equals_the_int_product_or_raises_exactly_when_its_bound_reaches
     else:
         c = mat_mul(a, b)
         assert c.dtype == np.int64 and c.tolist() == int_product(a, b)
-
-
-def test_mat_pow():
-    from qwalkspec import complete_graph
-
-    w = scaled_transition_matrix(build_arc_space(complete_graph(4)))
-    assert mat_equal(mat_pow(w, 3), mat_mul(w, mat_mul(w, w)))
-    assert mat_equal(mat_pow(w, 1), w)
-    with pytest.raises(ValueError):
-        mat_pow(w, 0)
 
 
 def test_backends_agree_at_dimension_96():
@@ -216,12 +204,20 @@ def test_positive_support_of_scaled_walk_c3():
     assert mat_equal(2 * positive_support(w), w)
 
 
+def _power(m, e):
+    """m^e by a chain of e - 1 mat_mul calls."""
+    out = m
+    for _ in range(e - 1):
+        out = mat_mul(out, m)
+    return out
+
+
 def test_sign_pattern_invariant_under_scaling():
     w = scaled_transition_matrix(build_arc_space(cycle_graph(4)))
     for c in (2, 3):
         for m in (2, 3):
             assert mat_equal(
-                positive_support(mat_pow(w, m)), positive_support(mat_pow(c * w, m))
+                positive_support(_power(w, m)), positive_support(_power(c * w, m))
             )
 
 

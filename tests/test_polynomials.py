@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -15,14 +16,17 @@ from qwalkspec import (
 )
 from qwalkspec import char_poly, int_matrix, mat_mul
 from qwalkspec.polynomials import (
-    poly_add,
-    poly_compose_homogeneous,
+    _homogeneous,
+    _kron_bits,
+    _kron_eval,
+    _kron_read,
     poly_derivative,
     poly_graeffe,
     poly_primitive,
-    poly_scale,
     poly_trim,
 )
+
+from oracles import _pmul, schoolbook_compose, schoolbook_graeffe
 
 
 def test_poly_mul_examples():
@@ -57,13 +61,60 @@ def test_graeffe_squares_the_roots():
         assert poly_graeffe(char_poly(m).coeffs) == list(char_poly(mat_mul(m, m)).coeffs)
 
 
+def _norm(p):
+    return sum(map(abs, p))
+
+
+def _random_poly(rng, degree, size):
+    """Signed coefficients up to 2^size in magnitude, about a third of them 0, leading one not 0."""
+    p = [rng.choice((0, rng.randint(-(1 << size), 1 << size))) for _ in range(degree)]
+    return p + [rng.choice((-1, 1)) * rng.randint(1, 1 << size)]
+
+
 def test_compose_homogeneous_matches_term_sum():
-    p, x, y = [3, -1, 0, 2], [1, 0, 1], [-2, 1]
-    d = len(p) - 1
-    expected = []
-    for j, c in enumerate(p):
-        expected = poly_add(expected, poly_scale(poly_mul(poly_pow(x, j), poly_pow(y, d - j)), c))
-    assert poly_compose_homogeneous(p, x, y) == expected
+    # y^d p(x/y) at t = 2^B, B from the 1-norm bound, read back as the term-by-term sum
+    rng = random.Random(4)
+    cases = [([3, -1, 0, 2], [1, 0, 1], [-2, 1]), ([5], [1, 1], [0, 1]), ([0, 0, 1], [3], [7, 1])]
+    for _ in range(30):
+        cases.append(tuple(_random_poly(rng, rng.randint(0, d), 20) for d in (12, 3, 3)))
+    for p, x, y in cases:
+        bits = _kron_bits(_homogeneous([abs(c) for c in p], _norm(x), _norm(y)))
+        t = 1 << bits
+        value = _homogeneous(p, sum(c * t**i for i, c in enumerate(x)),
+                             sum(c * t**i for i, c in enumerate(y)))
+        degree = (len(p) - 1) * (max(len(x), len(y)) - 1)
+        assert poly_trim(_kron_read(value, degree, bits)) == poly_trim(schoolbook_compose(p, x, y))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kronecker_product_round_trips(seed):
+    # one big-int product at 2^B, B from ||f||_1 ||g||_1, is the schoolbook convolution
+    rng = random.Random(seed)
+    for degrees, size in [((0, 0), 3), ((0, 9), 40), ((7, 7), 2), ((15, 4), 70), ((30, 30), 12)]:
+        f, g = (_random_poly(rng, d, size) for d in degrees)
+        bits = _kron_bits(_norm(f) * _norm(g))
+        product = _kron_eval(f, bits) * _kron_eval(g, bits)
+        assert _kron_read(product, len(f) + len(g) - 2, bits) == _pmul(f, g)
+        assert poly_mul(f, g) == _pmul(f, g)
+        monic = f[:-1] + [1]
+        assert poly_graeffe(monic) == schoolbook_graeffe(monic)
+    # coefficients filling their byte: the results need more digits than the inputs' largest
+    f, g = ([rng.choice((-127, 127)) for _ in range(31)] for _ in range(2))
+    bits = _kron_bits(_norm(f) * _norm(g))
+    assert _kron_read(_kron_eval(f, bits) * _kron_eval(g, bits), 60, bits) == _pmul(f, g)
+    assert poly_mul(f, g) == _pmul(f, g)
+    assert poly_graeffe(f + [1]) == schoolbook_graeffe(f + [1])
+
+
+def test_kronecker_digits_reach_the_signed_limit():
+    for bits in (8, 16, 64, 136):
+        top = (1 << (bits - 1)) - 1
+        for p in ([top], [-top], [0], [0, 0, 0], [top, -top, 0, 1, -1, top], [-top, 0, 0, top]):
+            assert _kron_read(_kron_eval(p, bits), len(p) - 1, bits) == p
+        # one past the limit carries into the next digit: the width must come from a bound
+        assert _kron_read(_kron_eval([top + 1, 0], bits), 1, bits) != [top + 1, 0]
+        with pytest.raises(OverflowError):
+            _kron_read(_kron_eval([top + 1], bits), 0, bits)
 
 
 def test_poly_divide_exact():

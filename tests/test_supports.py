@@ -1,3 +1,7 @@
+import math
+import random
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -15,15 +19,18 @@ from qwalkspec import (
     closed_form_charpoly_su2,
     closed_form_spectrum_su,
     closed_form_spectrum_su2,
+    circulant_graph,
     complete_graph,
     cycle_graph,
     hypercube_graph,
     ihara_style_charpoly,
     int_eye,
+    is_connected,
+    is_regular,
     mat_equal,
     mat_mul,
-    mat_pow,
     outs_matrix,
+    parse_generator_spec,
     petersen_graph,
     poly_divide_exact,
     poly_roots,
@@ -35,7 +42,7 @@ from qwalkspec import (
 )
 from qwalkspec.arcspace import ins_matrix
 
-from oracles import max_matching_distance
+from oracles import max_matching_distance, schoolbook_closed_forms
 
 
 def test_support_u_c3_is_two_directed_triangles():
@@ -52,7 +59,7 @@ def test_support_u_c3_is_two_directed_triangles():
     ]
     assert s1.tolist() == expected
     # a permutation of order 3: s1^3 = I
-    assert mat_equal(mat_pow(s1, 3), int_eye(6))
+    assert mat_equal(mat_mul(s1, mat_mul(s1, s1)), int_eye(6))
 
 
 def test_support_u_row_sums(corpus):
@@ -112,7 +119,7 @@ def test_squared_support_at_k2_is_square_of_support():
         assert mat_equal(s2, b2)  # B is a permutation at k=2, so B^2 is 0/1
         assert not mat_equal(s2, b2 + int_eye(a.size))
         x = mat_mul(outs_matrix(a).T, ins_matrix(a))
-        assert not mat_equal(s2, positive_support(mat_pow(x, 2)))
+        assert not mat_equal(s2, positive_support(mat_mul(x, x)))
 
 
 def test_squared_support_row_sums_k_gt_2(corpus):
@@ -310,6 +317,44 @@ def test_closed_form_charpoly_su2_matches_brute_force(small_corpus):
             continue
         lhs = char_poly(support_u_power(a, 2))
         assert lhs == closed_form_charpoly_su2(g), gid
+
+
+CLOSED_FORM_SPECS = (
+    "cycle:3", "cycle:7", "cycle:12", "complete:4", "complete:7", "complete_bipartite:3,3",
+    "complete_bipartite:5,5", "petersen", "hypercube:3", "hypercube:5", "paley:13", "paley:29",
+    "rook:3", "rook:5", "shrikhande", "circulant:40,1,3,7",
+)
+
+
+def _closed_form_cases():
+    """Generator specs, batch-style 24-vertex circulants (k = 4, 6) and random regular graphs."""
+    cases = [(spec, parse_generator_spec(spec)) for spec in CLOSED_FORM_SPECS]
+    rng = random.Random(7)
+    for size in (2, 2, 2, 3, 3):
+        conn = tuple(rng.sample(range(1, 12), size))
+        if math.gcd(24, *conn) == 1:
+            cases.append((f"circulant:24,{conn}", circulant_graph(24, conn)))
+    for n, k, seed in ((9, 2, 1), (11, 2, 2), (12, 3, 3), (14, 5, 4), (16, 6, 5), (20, 7, 6)):
+        h = nx.random_regular_graph(k, n, seed=seed)
+        cases.append((f"rr({n},{k},{seed})", Graph(n, [tuple(e) for e in h.edges()])))
+    return [(gid, g) for gid, g in cases if is_connected(g)]
+
+
+def test_closed_forms_match_the_schoolbook_route():
+    import qwalkspec.invariants as inv
+
+    ks = set()
+    for gid, g in _closed_form_cases():
+        k = is_regular(g)
+        ks.add(k)
+        cp_a = adjacency_charpoly(g)
+        su, ihara, su2 = (tuple(p) for p in schoolbook_closed_forms(g.n, k, cp_a.coeffs))
+        assert closed_form_charpoly_su(g, cp_a).coeffs == su, gid
+        assert ihara_style_charpoly(g, cp_a).coeffs == ihara, gid
+        assert [p.coeffs for p in inv._closed_polys(g, k, cp_a)] == [su, su2], gid
+        if k > 2:
+            assert closed_form_charpoly_su2(g, cp_a).coeffs == su2, gid
+    assert {2, 3, 4, 6, 14}.issubset(ks)
 
 
 def test_numeric_roots_match_closed_form(small_corpus):
