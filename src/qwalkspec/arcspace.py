@@ -10,6 +10,11 @@ to keep every downstream support computation sign-exact, this module only
 ever materializes the integer scalings W = k*U and kQ.  Sign patterns of
 powers are unchanged by the positive scaling, so supports of U^m and W^m
 coincide.
+
+W, S+(U), kQ and every product by them come from the arc structure
+(``_ArcStep``): index gathers and a sum over the k arcs into each vertex,
+O(nk) per column.  Their dense definitions 2*outs^T*ins - k*P,
+outs^T*ins - P and 2*ins^T*ins - k*I are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from . import intmat
 from .errors import ValencyError
 from .graphs import Graph, is_regular
-from .intmat import int_eye, int_zeros, mat_mul
+from .intmat import int_eye
 
 
 @dataclass(frozen=True)
@@ -53,57 +58,74 @@ def build_arc_space(g: Graph) -> ArcSpace:
     return ArcSpace(g, k, arcs, tuple(i ^ 1 for i in range(len(arcs))))  # 2j <-> 2j + 1
 
 
-def _incidence(a: ArcSpace, end: int) -> np.ndarray:
-    """n x nk 0/1 matrix marking the tail (end 0) or head (end 1) of each arc."""
-    m = int_zeros(a.n, a.size)
-    m[np.array(a.arcs)[:, end], np.arange(a.size)] = 1
-    return m
+class _ArcStep:
+    """Products M -> X*M by the arc-space matrices X, from the index arrays of one arc space.
+
+    With ins*M the n rows summing M over the k arcs into each vertex:
+    W*M = 2(ins*M)[tail] - k*M[rev], S+(U)*M = (ins*M)[tail] - M[rev],
+    kQ*M = 2(ins*M)[head] - k*M and P*M = M[rev].  Entries grow by at most
+    3k per product; ``_walk_powers`` checks its chain against 2^62.
+    """
+
+    def __init__(self, a: ArcSpace):
+        self.k, self.rev = a.k, np.array(a.reverse)
+        self.tail, self.head = np.array(a.arcs).T
+        self.into = np.argsort(self.head, kind="stable").reshape(a.n, a.k)  # row v: the arcs into v
+
+    def ins(self, m: np.ndarray) -> np.ndarray:
+        return m[self.into].sum(axis=1)
+
+    def w(self, m: np.ndarray) -> np.ndarray:
+        return 2 * self.ins(m)[self.tail] - self.k * m[self.rev]
+
+    def s1(self, m: np.ndarray) -> np.ndarray:
+        return self.ins(m)[self.tail] - m[self.rev]
+
+    def kq(self, m: np.ndarray) -> np.ndarray:
+        return 2 * self.ins(m)[self.head] - self.k * m
+
+    def p(self, m: np.ndarray) -> np.ndarray:
+        return m[self.rev]
 
 
 def ins_matrix(a: ArcSpace) -> np.ndarray:
     """n x nk 0/1 matrix: entry (i, j) = 1 iff vertex i is the head of arc j."""
-    return _incidence(a, 1)
+    return int_eye(a.n)[:, [h for _, h in a.arcs]]
 
 
 def outs_matrix(a: ArcSpace) -> np.ndarray:
     """n x nk 0/1 matrix: entry (i, j) = 1 iff vertex i is the tail of arc j."""
-    return _incidence(a, 0)
+    return int_eye(a.n)[:, [t for t, _ in a.arcs]]
 
 
 def reversal_matrix(a: ArcSpace) -> np.ndarray:
-    """The arc-reversal permutation P: symmetric, P^2 = I, zero diagonal."""
-    m = int_zeros(a.size, a.size)
-    m[list(a.reverse), np.arange(a.size)] = 1
-    return m
+    """The arc-reversal permutation P = P*I: symmetric, P^2 = I, zero diagonal."""
+    return int_eye(a.size)[np.array(a.reverse)]
 
 
 def scaled_transition_matrix(a: ArcSpace) -> np.ndarray:
-    """W = k*U = 2*outs^T*ins - k*P.
+    """W = k*U = W*I, by the arc step ``_walk_powers`` repeats.
 
     Entry (j, i) is 2 when arc i can continue into arc j without
     backtracking, 2 - k when j is the reversal of i, and 0 otherwise.
     """
-    return 2 * mat_mul(outs_matrix(a).T, ins_matrix(a)) - a.k * reversal_matrix(a)
+    return _walk_powers(a, 1)[0]
 
 
 def scaled_reflection_q(a: ArcSpace) -> np.ndarray:
-    """kQ = 2*ins^T*ins - k*I; satisfies (kQ)^2 = k^2 I."""
-    ins = ins_matrix(a)
-    return 2 * mat_mul(ins.T, ins) - a.k * int_eye(a.size)
+    """kQ = kQ*I = 2*ins[head] - k*I; satisfies (kQ)^2 = k^2 I."""
+    return _ArcStep(a).kq(int_eye(a.size))
 
 
 def _walk_powers(a: ArcSpace, m: int) -> list:
-    """[W, W^2, ..., W^m], each W times the last, from the arc structure in O((nk)^2) per power.
+    """[W, W^2, ..., W^m], each W times the last, by the arc step in O((nk)^2) per power.
 
-    (W M)[j] = 2 sum_{head(i) = tail(j)} M[i] - k M[rev(j)].  Each row of W has 1-norm
-    2(k-1) + |k-2| <= 3k, so no entry met reaches (3k)^m, checked against 2^62 first.
+    Each row of W has 1-norm 2(k-1) + |k-2| <= 3k, so no entry met reaches
+    (3k)^m, checked against 2^62 first.
     """
     if (3 * a.k) ** m >= intmat._INT64_SAFE:
         raise OverflowError(f"W^{m} at k={a.k} may reach 2^62 in magnitude")
-    tail, head = np.array(a.arcs).T
-    into, rev = np.argsort(head, kind="stable"), np.array(a.reverse)
-    powers = [int_eye(a.size)]
-    for _ in range(m):  # sums[v]: the rows of the k arcs into v
-        sums = powers[-1][into].reshape(a.n, a.k, a.size).sum(axis=1)
-        powers.append(2 * sums[tail] - a.k * powers[-1][rev])
+    step, powers = _ArcStep(a), [int_eye(a.size)]
+    for _ in range(m):
+        powers.append(step.w(powers[-1]))
     return powers[1:]

@@ -15,8 +15,11 @@ vanishes: the scaled walk matrix W equals k*B exactly (the backtracking
 entries 2 - k are zero), so supports of walk powers are simply supports of
 powers of B.
 
-S+(U^m) is the support of W^m, each power computed from the arc structure
-in O((nk)^2) (``arcspace._walk_powers``).
+S+(U) is the support of W, and S+(U^m) the support of W^m, each power
+computed from the arc structure in O((nk)^2) (``arcspace._walk_powers``).
+The identity suite and ``su2_via_identity`` multiply by P, W, kQ and S+(U)
+with the same arc step (``arcspace._ArcStep``), never by a dense product;
+the dense incidence definitions are test oracles (``tests/oracles.py``).
 
 ``closed_form_charpoly_su``/``_su2`` expand these eigenvalue lists into exact
 integer polynomials without ever computing an individual eigenvalue: the
@@ -34,16 +37,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .arcspace import (
-    ArcSpace,
-    _walk_powers,
-    build_arc_space,
-    ins_matrix,
-    outs_matrix,
-    reversal_matrix,
-    scaled_reflection_q,
-    scaled_transition_matrix,
-)
+from .arcspace import ArcSpace, _ArcStep, _walk_powers, build_arc_space, ins_matrix, outs_matrix
+from .arcspace import reversal_matrix, scaled_reflection_q, scaled_transition_matrix
 from .errors import HypothesisError, ValencyError
 from .graphs import Graph, adjacency_matrix, is_connected, is_regular
 from .intmat import char_poly, int_eye, mat_equal, mat_mul, positive_support
@@ -55,10 +50,10 @@ EIGENVALUE_CLUSTER_TOL = 1e-6
 
 
 def support_u(a: ArcSpace) -> np.ndarray:
-    """S+(U) = outs^T ins - P: the non-backtracking arc matrix (k >= 2)."""
+    """S+(U), the support of W: the non-backtracking arc matrix (k >= 2)."""
     if a.k < 2:
         raise ValencyError(f"support of the walk needs valency >= 2, got k={a.k}")
-    return mat_mul(outs_matrix(a).T, ins_matrix(a)) - reversal_matrix(a)
+    return positive_support(scaled_transition_matrix(a))
 
 
 def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
@@ -74,8 +69,7 @@ def su2_via_identity(a: ArcSpace) -> np.ndarray:
     """S+(U)^2 + I, which equals S+(U^2) exactly when k > 2."""
     if a.k <= 2:
         raise HypothesisError(f"S+(U^2) = S+(U)^2 + I requires k > 2, got k={a.k}")
-    b = support_u(a)
-    return mat_mul(b, b) + int_eye(a.size)
+    return _ArcStep(a).s1(support_u(a)) + int_eye(a.size)
 
 
 @dataclass(frozen=True)
@@ -332,37 +326,27 @@ def identity_suite(g: Graph) -> List[tuple]:
 
     Covers the incidence/reversal/orthogonality identities of the walk
     construction plus, for k >= 2, the two support intertwining relations
-    S+(U) ins^T = (k-1) outs^T and S+(U) outs^T = outs^T A - ins^T.
+    S+(U) ins^T = (k-1) outs^T and S+(U) outs^T = outs^T A - ins^T.  Every
+    left factor of size nk x nk acts by the arc step, in O((nk)^2).
     """
     a = build_arc_space(g)
-    k, nk = a.k, a.size
-    ins = ins_matrix(a)
-    outs = outs_matrix(a)
-    p = reversal_matrix(a)
-    w = scaled_transition_matrix(a)
-    kq = scaled_reflection_q(a)
-    adj = adjacency_matrix(g)
-    eye_n = int_eye(g.n)
-    eye_nk = int_eye(nk)
+    k, step = a.k, _ArcStep(a)
+    ins, outs, adj = ins_matrix(a), outs_matrix(a), adjacency_matrix(g)
+    eye_n, eye_nk = int_eye(g.n), int_eye(a.size)
+    p, w, kq = reversal_matrix(a), scaled_transition_matrix(a), scaled_reflection_q(a)
     checks = [
         ("ins*outs^T = A", mat_equal(mat_mul(ins, outs.T), adj)),
         ("outs*outs^T = kI", mat_equal(mat_mul(outs, outs.T), k * eye_n)),
         ("ins*ins^T = kI", mat_equal(mat_mul(ins, ins.T), k * eye_n)),
-        ("P^2 = I", mat_equal(mat_mul(p, p), eye_nk)),
-        ("P*ins^T = outs^T", mat_equal(mat_mul(p, ins.T), outs.T)),
-        ("P*outs^T = ins^T", mat_equal(mat_mul(p, outs.T), ins.T)),
-        ("W*W^T = k^2 I", mat_equal(mat_mul(w, w.T), k * k * eye_nk)),
-        ("(kQ)^2 = k^2 I", mat_equal(mat_mul(kq, kq), k * k * eye_nk)),
+        ("P^2 = I", mat_equal(step.p(p), eye_nk)),
+        ("P*ins^T = outs^T", mat_equal(step.p(ins.T), outs.T)),
+        ("P*outs^T = ins^T", mat_equal(step.p(outs.T), ins.T)),
+        ("W*W^T = k^2 I", mat_equal(step.w(w.T), k * k * eye_nk)),
+        ("(kQ)^2 = k^2 I", mat_equal(step.kq(kq), k * k * eye_nk)),
     ]
     if k >= 2:
-        s1 = support_u(a)
-        checks.append(
-            ("S+(U)*ins^T = (k-1)outs^T", mat_equal(mat_mul(s1, ins.T), (k - 1) * outs.T))
-        )
-        checks.append(
-            (
-                "S+(U)*outs^T = outs^T A - ins^T",
-                mat_equal(mat_mul(s1, outs.T), mat_mul(outs.T, adj) - ins.T),
-            )
-        )
+        checks += [
+            ("S+(U)*ins^T = (k-1)outs^T", mat_equal(step.s1(ins.T), (k - 1) * outs.T)),
+            ("S+(U)*outs^T = outs^T A - ins^T", mat_equal(step.s1(outs.T), adj[step.tail] - ins.T)),
+        ]
     return checks

@@ -11,6 +11,9 @@ paths so that agreement between oracle and implementation is meaningful:
   compare directly.
 * ``int_product``: the matrix product over Python ints, the reference for
   ``mat_mul``.
+* ``dense_arc_matrices``: ins, outs, P and the dense incidence products
+  W = 2 outs^T ins - kP, S+(U) = outs^T ins - P and kQ = 2 ins^T ins - kI,
+  the reference for the arc-step matrices of ``arcspace`` and ``supports``.
 * ``pairwise_srg_params``: SRG parameters by intersecting neighbour sets
   pair by pair, the reference for ``srg_params``.
 * ``nested_list_adjacency_matrix``: the adjacency matrix filled entry by
@@ -157,6 +160,23 @@ def int_product(a, b):
     rows, inner, cols = a.shape[0], b.shape[0], b.shape[1]
     a, b = a.tolist(), b.tolist()
     return [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+
+
+def dense_arc_matrices(a):
+    """{"ins", "outs", "P", "W", "S1", "kQ"} of an arc space, by their dense definitions.
+
+    The incidence matrices and P are set entry by entry from ``a.arcs`` (P
+    looks up each reversed arc rather than trusting ``a.reverse``); the rest
+    are plain numpy products of them.
+    """
+    nk, index = len(a.arcs), {arc: j for j, arc in enumerate(a.arcs)}
+    ins, outs = np.zeros((a.n, nk), dtype=np.int64), np.zeros((a.n, nk), dtype=np.int64)
+    p = np.zeros((nk, nk), dtype=np.int64)
+    for j, (t, h) in enumerate(a.arcs):
+        outs[t, j] = ins[h, j] = p[index[h, t], j] = 1
+    x = outs.T @ ins
+    return {"ins": ins, "outs": outs, "P": p, "W": 2 * x - a.k * p, "S1": x - p,
+            "kQ": 2 * ins.T @ ins - a.k * np.eye(nk, dtype=np.int64)}
 
 
 def nested_list_adjacency_matrix(g):

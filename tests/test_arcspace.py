@@ -1,3 +1,5 @@
+import dataclasses
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -20,10 +22,13 @@ from qwalkspec import (
     reversal_matrix,
     scaled_reflection_q,
     scaled_transition_matrix,
+    su2_via_identity,
     support_u,
     support_u_power,
 )
-from qwalkspec.arcspace import _walk_powers
+from qwalkspec.arcspace import _ArcStep, _walk_powers
+
+from oracles import dense_arc_matrices
 
 
 def test_canonical_arc_order_c3():
@@ -186,10 +191,48 @@ def _walk_cases():
     return cases
 
 
-def test_walk_powers_equal_the_mat_mul_chain():
-    for gid, g in _walk_cases():
+def _edge_cases():
+    """k = 1 (K2, 3K2), disconnected (2K4), k = 2 (cycles) and nk = 406 (paley:29)."""
+    k4 = complete_graph(4).edges
+    return [("K2", Graph(2, [(0, 1)])), ("3K2", Graph(6, [(0, 1), (2, 3), (4, 5)])),
+            ("2K4", Graph(8, list(k4) + [(u + 4, v + 4) for u, v in k4])),
+            ("C3", cycle_graph(3)), ("C8", cycle_graph(8)),
+            ("paley:29", parse_generator_spec("paley:29"))]
+
+
+def test_arc_matrices_equal_their_dense_oracles():
+    for gid, g in _walk_cases() + _edge_cases():
         a = build_arc_space(g)
-        w = scaled_transition_matrix(a)
+        dense = dense_arc_matrices(a)
+        built = {"ins": ins_matrix(a), "outs": outs_matrix(a), "P": reversal_matrix(a),
+                 "W": scaled_transition_matrix(a), "kQ": scaled_reflection_q(a)}
+        if a.k >= 2:
+            built["S1"] = support_u(a)
+        for name, m in built.items():
+            assert m.dtype == np.int64 and mat_equal(m, dense[name]), (gid, name)
+        if a.k > 2:
+            s1 = dense["S1"]
+            assert mat_equal(su2_via_identity(a), mat_mul(s1, s1) + int_eye(a.size)), gid
+        assert [name for name, ok in identity_suite(g) if not ok] == [], gid
+
+
+def test_arc_step_products_equal_the_dense_products():
+    rng = np.random.default_rng(11)
+    for gid, g in _walk_cases() + _edge_cases():
+        a = build_arc_space(g)
+        dense, step = dense_arc_matrices(a), _ArcStep(a)
+        m = rng.integers(-9, 10, size=(a.size, 5))
+        products = {"W": step.w, "S1": step.s1, "kQ": step.kq, "P": step.p}
+        for name, product in products.items():
+            assert mat_equal(product(m), mat_mul(dense[name], m)), (gid, name)
+        assert mat_equal(step.ins(m), mat_mul(dense["ins"], m)), gid
+
+
+def test_walk_powers_equal_the_mat_mul_chain():
+    # the chain starts from the dense oracle W, not from the arc step under test
+    for gid, g in _walk_cases() + _edge_cases():
+        a = build_arc_space(g)
+        w = dense_arc_matrices(a)["W"]
         chain = [w, mat_mul(w, w)]
         chain.append(mat_mul(chain[1], w))
         powers = _walk_powers(a, 3)
@@ -197,6 +240,23 @@ def test_walk_powers_equal_the_mat_mul_chain():
         assert all(mat_equal(p, c) for p, c in zip(powers, chain)), gid
         assert int(np.abs(powers[2]).max()) <= (3 * a.k) ** 3, gid
         assert all(mat_equal(p, c) for p, c in zip(_walk_powers(a, 2), chain)), gid
+
+
+def test_identity_suite_fails_when_two_reversals_are_swapped(monkeypatch):
+    # the gathered products see a wrong arc structure, so a PASS means something
+    from qwalkspec import supports
+
+    g = petersen_graph()
+    a = build_arc_space(g)
+    rev = list(a.reverse)
+    assert a.arcs[1][0] != a.arcs[2][0]  # a swap between arcs of one tail would keep W orthogonal
+    rev[1], rev[2] = rev[2], rev[1]
+    bad = dataclasses.replace(a, reverse=tuple(rev))
+    step = _ArcStep(bad)
+    w = step.w(int_eye(a.size))
+    assert not mat_equal(step.w(w.T), a.k * a.k * int_eye(a.size))
+    monkeypatch.setattr(supports, "build_arc_space", lambda g: bad)
+    assert "W*W^T = k^2 I" in [name for name, ok in identity_suite(g) if not ok]
 
 
 def test_walk_powers_refuse_a_bound_at_the_int64_limit(monkeypatch):

@@ -244,6 +244,17 @@ def test_main_shares_one_parser_between_calls(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_verify_makes_no_arc_space_mat_mul(capsys, mat_mul_shapes):
+    # W, S+(U), kQ and P act by the arc step, so no mat_mul takes an nk x nk operand
+    code, out, _ = run_cli(capsys, "verify", "--checks", "all", "--generate", "shrikhande",
+                           "--generate", "paley:13", "--generate", "cycle:12")
+    assert code == 0 and out.count(" PASS") == 13
+    assert mat_mul_shapes  # the n x nk incidence products still go through mat_mul
+    arc_dims = {96, 78, 24}
+    square = [s for s in mat_mul_shapes if {s[:2], s[2:]} & {(d, d) for d in arc_dims}]
+    assert square == []
+
+
 def test_verify_identities_text_format(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--generate", "cycle:5", "--checks", "identities,ihara"

@@ -35,14 +35,13 @@ from qwalkspec import (
     poly_divide_exact,
     poly_roots,
     positive_support,
-    scaled_transition_matrix,
     su2_via_identity,
     support_u,
     support_u_power,
 )
 from qwalkspec.arcspace import ins_matrix
 
-from oracles import max_matching_distance, schoolbook_closed_forms
+from oracles import dense_arc_matrices, max_matching_distance, schoolbook_closed_forms
 
 
 def test_support_u_c3_is_two_directed_triangles():
@@ -72,11 +71,12 @@ def test_support_u_row_sums(corpus):
 
 
 def test_support_u_matches_sign_of_walk_matrix(corpus):
+    # support_u is the support of the arc-step W, so the reference is the dense oracle W
     for gid, g in corpus:
         a = build_arc_space(g)
-        assert mat_equal(
-            support_u(a), positive_support(scaled_transition_matrix(a))
-        ), gid
+        dense = dense_arc_matrices(a)
+        assert mat_equal(support_u(a), positive_support(dense["W"])), gid
+        assert mat_equal(support_u(a), dense["S1"]), gid
 
 
 def test_support_u_requires_k2():
