@@ -27,8 +27,6 @@ from contextlib import contextmanager
 from functools import cache, cached_property
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .arcspace import ArcSpace, build_arc_space
 from .errors import Graph6Error, HypothesisError, ParameterError
 from .generators import parse_generator_spec
@@ -53,10 +51,10 @@ from .supports import (
     closed_form_spectrum_su2,
     identity_suite,
     ihara_style_charpoly,
-    su2_via_identity,
     support_u,
     support_u_power,
 )
+from .supports import _square_plus_identity, _walk_supports
 
 CHECK_NAMES = ("identities", "thm32", "thm41", "thm43", "ihara")
 
@@ -304,21 +302,23 @@ class _VerifyInputs:
         return build_arc_space(self.g)
 
     @cached_property
-    def brute_force(self) -> dict:
-        """Char polys of S+(U) and S+(U^2), as far as the checks use them, from one kernel pass.
+    def supports(self) -> list:
+        """[S+(U), S+(U^2)] from one W chain, built once; W alone when no check uses S+(U^2).
 
-        thm43 uses S+(U^2) unless its k > 2 hypothesis fails on k.
+        thm41 and thm43 use S+(U^2) unless their k > 2 hypothesis fails on k.
         """
-        matrices = {}
-        if "thm32" in self.checks or "ihara" in self.checks:
-            matrices["s1"] = support_u(self.arcs)
-        if "thm43" in self.checks and (self.k is None or self.k > 2):
-            matrices["s2"] = self.s2
-        return dict(zip(matrices, char_polys(matrices.values())))
+        s2 = ("thm41" in self.checks or "thm43" in self.checks) and (self.k is None or self.k > 2)
+        return _walk_supports(self.arcs, 2 if s2 else 1)
 
     @cached_property
-    def s2(self) -> np.ndarray:
-        return support_u_power(self.arcs, 2)
+    def brute_force(self) -> dict:
+        """Char polys of S+(U) and S+(U^2), as far as the checks use them, in one ``char_polys`` call."""
+        matrices = {}
+        if "thm32" in self.checks or "ihara" in self.checks:
+            matrices["s1"] = self.supports[0]
+        if "thm43" in self.checks and (self.k is None or self.k > 2):
+            matrices["s2"] = self.supports[1]
+        return dict(zip(matrices, char_polys(matrices.values())))
 
 
 def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
@@ -341,7 +341,8 @@ def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
         if k is not None and k <= 2:  # thm41 and thm43 both need k > 2
             return "SKIP", f"hypothesis k>2 (got k={k})"
         if check == "thm41":
-            ok = mat_equal(inputs.s2, su2_via_identity(inputs.arcs))
+            s1, s2 = inputs.supports
+            ok = mat_equal(s2, _square_plus_identity(inputs.arcs, s1))
             return ("PASS", "") if ok else ("FAIL", "S+(U^2) != S+(U)^2 + I")
         rhs = closed_form_charpoly_su2(g, inputs.cp_a)  # thm43
         ok = inputs.brute_force["s2"] == rhs

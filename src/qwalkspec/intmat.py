@@ -11,12 +11,33 @@ so nothing wraps silently.  Python ints remain only as scalars, where big
 integers really arise: the coefficient bound, Bareiss and the CRT step.
 
 ``char_poly`` has one exact engine, ``modular_charpoly``, the one-matrix
-case of ``char_polys``: Hessenberg reduction and the Hessenberg determinant
-recurrence modulo word-sized primes, recombined by one CRT step per matrix.
-The primes are taken, largest first, until their product exceeds 2^(B+1),
-with B a rigorous Hadamard-style coefficient bound plus guard bits, so the
-result is exact, not probabilistic.  The tests hold it equal to an
-independent reference, the division-free Berkowitz algorithm in
+case of ``char_polys``, with two routes.  Each matrix first tries the
+minimal-polynomial route (``_minpoly_route``), built for matrices with few
+distinct eigenvalues, such as the walk supports of strongly regular graphs:
+
+* mu, the minimal polynomial of a Krylov sequence u^T M^i v (fixed
+  pseudo-random u, v), by Berlekamp-Massey modulo a few primes and CRT.  The
+  Krylov degree d must stay at most n/2, and r^(d+1) below 2^53, with r the
+  larger of M's largest absolute row and column sums;
+* the certificate mu(M) = 0, checked exactly: the powers M^i are exact in
+  float64, since r^i bounds their entries and every partial sum forming them,
+  and mu(M) is reduced modulo primes whose product exceeds twice its bound
+  sum |mu_i| r^i.  Every eigenvalue is then a root of g = rad(mu);
+* the multiplicities, read off the exact traces tr(M^i) of those powers:
+  N = g * sum_i tr(M^i) t^(-i-1), cut to its polynomial part, equals
+  g chi'/chi, so the root a of multiplicity m_a has N(a) = m_a g'(a).  At
+  primes q > n where g stays squarefree, h_m = gcd(g, N - m g') mod q groups
+  the roots of multiplicity m; the groups are lifted by CRT and accepted only
+  if they multiply to g over Z and sum m deg h_m = n.  Then chi = prod h_m^m.
+
+A matrix whose degree or bound rules the route out, or whose certificate
+fails, takes the Hessenberg route unchanged: Hessenberg reduction and the
+Hessenberg determinant recurrence modulo word-sized primes, recombined by one
+CRT step per matrix.  The primes are taken, largest first, until their
+product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
+plus guard bits.  Either route is exact, not probabilistic: a pseudo-random
+choice can only send a matrix to the Hessenberg route.  The tests hold both
+equal to an independent reference, the division-free Berkowitz algorithm in
 ``tests/oracles.py``.
 
 One kernel serves many primes, and several same-size matrices, at once.  It
@@ -53,7 +74,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .polynomials import CharPoly
+from .polynomials import CharPoly, poly_add, poly_derivative, poly_divide_exact, poly_gcd, poly_mul
+from .polynomials import poly_pow, poly_trim
 
 _INT64_SAFE = 1 << 62
 
@@ -354,13 +376,22 @@ def char_polys(matrices: Iterable[np.ndarray]) -> list:
 def _char_polys(ms: list) -> list:
     """The engine of ``char_polys`` and ``modular_charpoly``, on checked int64 matrices.
 
-    Each matrix gets its own prime plan, as if alone.  Every (matrix, prime)
-    slot of one dimension goes into the same residue stacks (``_kernel``), so
-    matrices of one size share the kernel's fixed per-step cost; one CRT step
-    per matrix then recombines its own slots.
+    Each matrix first tries the minimal-polynomial route (``_minpoly_route``).
+    Each one that falls back gets its own prime plan, as if alone.  Every
+    (matrix, prime) slot of one dimension goes into the same residue stacks
+    (``_kernel``), so matrices of one size share the kernel's fixed per-step
+    cost; one CRT step per matrix then recombines its own slots.
     """
     out: list = [CharPoly((1,))] * len(ms)
     for n, members in _by_dim(ms).items():
+        reasons = {}
+        for i in members:
+            cp, reasons[i] = _minpoly_route(ms[i])
+            if cp is not None:
+                out[i] = cp
+        members = [i for i in members if reasons[i]]
+        if not members:
+            continue
         start = perf_counter()
         bits = {i: _coefficient_bound_bits(ms[i]) + 12 for i in members}  # guard bits
         plans = {i: _plan_primes(n, bits[i]) for i in members}
@@ -375,12 +406,188 @@ def _char_polys(ms: list) -> list:
             pass_ms = (perf_counter() - start) * 1e3
             for i in members:
                 log.debug(
-                    "charpoly n=%d primes=%d bound_bits=%.0f actual_bits=%d"
-                    " pass_matrices=%d pass_ms=%.1f",
-                    n, len(plans[i]), bits[i], max(abs(c).bit_length() for c in out[i].coeffs),
-                    len(members), pass_ms,
+                    "charpoly route=hessenberg reason=%s n=%d primes=%d bound_bits=%.0f"
+                    " actual_bits=%d pass_matrices=%d pass_ms=%.1f",
+                    reasons[i], n, len(plans[i]), bits[i],
+                    max(abs(c).bit_length() for c in out[i].coeffs), len(members), pass_ms,
                 )
     return out
+
+
+# ---------------------------------------------------------------------------
+# The minimal-polynomial route (see the module docstring)
+# ---------------------------------------------------------------------------
+
+_KRYLOV_SEED = 2005  # seeds the Krylov vectors u, v of ``_krylov_relation``
+
+
+def _minpoly_route(m: np.ndarray) -> tuple:
+    """(det(tI - M), None) by the minimal-polynomial route, or (None, "degree" | "bound" | "certificate").
+
+    r, the larger of M's largest absolute row and column sums, bounds every
+    |eigenvalue| and every entry of M^i, r^i.  The Krylov degree d may reach
+    neither 2d > n ("degree") nor r^(d+1) >= 2^53 ("bound").
+    """
+    start = perf_counter()
+    n = m.shape[0]
+    a = np.abs(m)  # an entry of 2^27 makes r^2 >= 2^53; smaller ones keep these int64 sums exact
+    r = max(int(a.sum(axis=0).max()), int(a.sum(axis=1).max())) if a.max() < 1 << 27 else 1 << 27
+    cap = 0  # the largest degree the loop may reach
+    while cap < n // 2 and r ** (cap + 2) < _FLOAT_EXACT:
+        cap += 1
+    first = _primes(1, _prime_ceiling(n))[0]
+    rel = _krylov_relation(_residue_stack([(m, first)])[0], first, cap) if cap else None
+    if rel is None:
+        return None, "degree" if cap == n // 2 else "bound"
+    d = len(rel) - 1
+    bound_bits = d * math.log2(r + 1)  # |mu_i| <= C(d, i) r^(d - i) <= (1 + r)^d
+    primes = _plan_primes(n, bound_bits)
+    rels = [rel] + [_krylov_relation(_residue_stack([(m, p)])[0], p, d) for p in primes[1:]]
+    if any(x is None or len(x) != d + 1 for x in rels):
+        return None, "certificate"
+    mu = list(_crt(np.array(rels, dtype=np.int64).astype(object), primes).coeffs)
+    traces = _certify_minpoly(m, mu, r)
+    if traces is None:
+        return None, "certificate"
+    g = mu  # rad(mu), which is mu itself when mu is squarefree mod a prime
+    if _gcd_mod(mu, poly_derivative(mu), first) != [1]:
+        g = poly_divide_exact(mu, poly_gcd(mu, poly_derivative(mu)))
+    groups = _multiplicity_groups(g, traces, n, primes)
+    if groups is None:
+        return None, "certificate"
+    chi = [1]
+    for mult, h in groups.items():
+        chi = poly_mul(chi, poly_pow(h, mult))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("charpoly route=minpoly n=%d krylov_degree=%d squarefree_degree=%d mu_primes=%d"
+                  " bound_bits=%.0f ms=%.1f", n, d, len(g) - 1, len(primes), bound_bits,
+                  (perf_counter() - start) * 1e3)
+    return CharPoly(tuple(chi)), None
+
+
+def _krylov_relation(mq: np.ndarray, q: int, cap: int):
+    """Minimal polynomial mod q (monic, ascending) of s_i = u^T M^i v if of degree <= cap, else None.
+
+    ``mq`` holds M's symmetric residues.  Berlekamp-Massey finds the
+    polynomial from s_0, ..., s_2cap whenever its degree is at most cap.
+    Every float64 sum has at most n products of residues, exact below
+    ``_prime_ceiling(n)``.
+    """
+    n = mq.shape[0]
+    vecs = np.empty((cap + 1, 2, n))  # vecs[i] = (M^i v, (M^T)^i u): s_(i+j) = vecs[i, 1] . vecs[j, 0]
+    # u and v: the top 20 bits of splitmix64 of 0, ..., 2n - 1 (importing numpy.random costs 6 MB)
+    x = np.arange(2 * n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(_KRYLOV_SEED)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    vecs[0] = _reduce(((x ^ (x >> np.uint64(31))) >> np.uint64(44)).astype(np.float64).reshape(2, n), q)
+    for i in range(cap):
+        np.matmul(mq, vecs[i, 0], out=vecs[i + 1, 0])
+        np.matmul(vecs[i, 1], mq, out=vecs[i + 1, 1])
+        _reduce(vecs[i + 1], q)
+    seq = np.empty(2 * cap + 1)
+    seq[0::2] = np.einsum("ij,ij->i", vecs[:, 1], vecs[:, 0])
+    seq[1::2] = np.einsum("ij,ij->i", vecs[:-1, 1], vecs[1:, 0])
+    rev = np.mod(_reduce(seq, q), q).astype(np.int64)[::-1]  # rev[2 cap - i] = s_i, in [0, q)
+    # Berlekamp-Massey, on int64 entries in [0, q): each dot sums at most cap + 1 products below q^2
+    c, b = np.zeros((2, 2 * cap + 2), dtype=np.int64)
+    c[0] = b[0] = 1
+    length, gap, last = 0, 1, 1
+    for i in range(2 * cap + 1):
+        d = int(c[: length + 1] @ rev[2 * cap - i : 2 * cap - i + length + 1]) % q
+        if not d:
+            gap += 1
+            continue
+        prev = c.copy() if 2 * length <= i else None
+        c[gap:] -= d * pow(last, -1, q) % q * b[: b.size - gap]
+        c %= q
+        if prev is None:
+            gap += 1
+        else:
+            length, b, last, gap = i + 1 - length, prev, d, 1
+    return c[length::-1].tolist() if length <= cap else None
+
+
+def _certify_minpoly(m: np.ndarray, mu: list, r: int):
+    """[tr(M^0), ..., tr(M^d)] if mu(M) = 0 exactly, else None.
+
+    M^i and every partial sum forming it are at most r^i <= r^d < 2^53, so
+    exact in float64; mu(M), at most sum |mu_i| r^i, is zero if it is zero
+    modulo primes whose product exceeds twice that.
+    """
+    n = m.shape[0]
+    primes = _plan_primes(n, sum(abs(c) * r**i for i, c in enumerate(mu)).bit_length())
+    q3 = np.array(primes, dtype=np.float64)[:, None, None]
+    coef = _reduce(np.array([[c % q for c in mu] for q in primes], dtype=np.float64), q3[:, :, 0])
+    mf, power = m.astype(np.float64), np.eye(n)
+    acc, traces = np.zeros((len(primes), n, n)), []
+    for i in range(len(mu)):
+        if i:
+            power = mf if i == 1 else mf @ power
+        traces.append(sum(np.diagonal(power).astype(np.int64).tolist()))
+        acc += coef[:, i, None, None] * _reduce(np.broadcast_to(power, acc.shape).copy(), q3)
+        _reduce(acc, q3)
+    return None if acc.any() else traces
+
+
+def _multiplicity_groups(g: list, traces: list, n: int, primes: list):
+    """{m: h_m} with det(tI - M) = prod h_m^m, if g is squarefree mod each prime and the lifted
+    groups multiply to g with sum m deg h_m = n; else None."""
+    s, dg = len(g) - 1, poly_derivative(g)
+    big_n = [sum(g[j] * traces[j - l - 1] for j in range(l + 1, s + 1)) for l in range(s)]
+    rows: dict = {}
+    for q in primes:
+        if q <= n or _gcd_mod(g, dg, q) != [1]:
+            return None
+        if not rows:  # the multiplicities: the roots in [1, n] of w's minimal polynomial mod q
+            inv_dg = _gcd_mod(g, dg, q, cofactor=True)[1]
+            w = _mult_matrix(big_n, g, q) @ np.array(inv_dg + [0] * (s - len(inv_dg))) % q
+            rel = _krylov_relation(_reduce(_mult_matrix(list(w), g, q).astype(np.float64), q), q, s)
+            xs, val = np.arange(1.0, n + 1), np.zeros(n)
+            for c in rel[::-1]:
+                val = _reduce(val * xs + c, q)
+            rows = {int(x): [] for x in xs[val == 0]}
+        for x, found in rows.items():
+            found.append(_gcd_mod(g, [a - x * b for a, b in zip(big_n, dg)], q))
+    if any(len({len(h) for h in found}) != 1 for found in rows.values()):
+        return None
+    groups = {x: list(_crt(np.array(found, dtype=object), primes).coeffs) for x, found in rows.items()}
+    product = [1]
+    for h in groups.values():
+        product = poly_mul(product, h)
+    if product != g or sum(x * (len(h) - 1) for x, h in groups.items()) != n:
+        return None
+    return groups
+
+
+def _mult_matrix(f: list, g: list, q: int) -> np.ndarray:
+    """Matrix mod q of multiplication by f (deg f < deg g) on Z[t]/(g), g monic, basis 1, ..., t^(s-1)."""
+    s = len(g) - 1
+    low = np.array([c % q for c in g[:-1]], dtype=np.int64)
+    col = np.array([c % q for c in f] + [0] * (s - len(f)), dtype=np.int64)
+    out = np.empty((s, s), dtype=np.int64)
+    for i in range(s):
+        out[:, i] = col
+        col = (np.concatenate(([0], col[:-1])) - col[-1] * low) % q  # t * col, with t^s = t^s - g
+    return out
+
+
+def _gcd_mod(a: list, b: list, q: int, cofactor: bool = False):
+    """Monic gcd of integer polynomials a, b (ascending, not both 0) mod the prime q, by Euclid; with
+    ``cofactor``, (gcd, u) with u b = gcd mod a, by the extended algorithm."""
+    a, b, ua, ub = poly_trim([c % q for c in a]), poly_trim([c % q for c in b]), [], [1]
+    while b:
+        inv, quot = pow(b[-1], -1, q), [0] * max(len(a) - len(b) + 1, 0)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % q, len(a) - len(b)
+            quot[shift] = c
+            a = poly_trim([(x - c * b[i - shift]) % q if i >= shift else x for i, x in enumerate(a)])
+        if cofactor:
+            prod = np.convolve(quot, ub).tolist() if quot and ub else []
+            ua, ub = ub, poly_trim([x % q for x in poly_add(ua, [-y for y in prod])])
+        a, b = b, a
+    inv = pow(a[-1], -1, q)
+    monic = [x * inv % q for x in a]
+    return (monic, [x * inv % q for x in ua]) if cofactor else monic
 
 
 def char_poly_residues(matrices: Iterable[np.ndarray]) -> list:

@@ -65,11 +65,23 @@ def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
     return positive_support(_walk_powers(a, m)[-1])
 
 
+def _walk_supports(a: ArcSpace, m: int) -> list:
+    """[S+(U), ..., S+(U^m)], the supports of one chain W, ..., W^m (k >= 2)."""
+    if a.k < 2:
+        raise ValencyError(f"support of the walk needs valency >= 2, got k={a.k}")
+    return [positive_support(w) for w in _walk_powers(a, m)]
+
+
 def su2_via_identity(a: ArcSpace) -> np.ndarray:
     """S+(U)^2 + I, which equals S+(U^2) exactly when k > 2."""
     if a.k <= 2:
         raise HypothesisError(f"S+(U^2) = S+(U)^2 + I requires k > 2, got k={a.k}")
-    return _ArcStep(a).s1(support_u(a)) + int_eye(a.size)
+    return _square_plus_identity(a, support_u(a))
+
+
+def _square_plus_identity(a: ArcSpace, s1: np.ndarray) -> np.ndarray:
+    """S1^2 + I for S1 = S+(U) of a, by the arc step."""
+    return _ArcStep(a).s1(s1) + int_eye(a.size)
 
 
 @dataclass(frozen=True)

@@ -181,11 +181,12 @@ def test_verify_skips_need_no_brute_force_char_poly(tmp_path, capsys, monkeypatc
 )
 def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s2_builds,
                                                          capsys, monkeypatch):
+    """The pass is shared when S+(U) and S+(U^2) fall back to the kernel, forced here for all."""
     from qwalkspec import cli, intmat
 
     nk = 30 if spec == "petersen" else 12
-    passes, calls, builds, regular = [], [], [], []
-    kernel, polys, power = intmat._hessenberg_stack, cli.char_polys, cli.support_u_power
+    passes, calls, chains, regular = [], [], [], []
+    kernel, polys, supports = intmat._hessenberg_stack, cli.char_polys, cli._walk_supports
     is_regular = cli.is_regular
 
     def kernel_spy(h, primes):
@@ -197,23 +198,48 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
         calls.append(len(ms))
         return polys(ms)
 
-    def power_spy(a, m):
-        builds.append(m)
-        return power(a, m)
+    def supports_spy(a, m):
+        chains.append(m)
+        return supports(a, m)
 
     def regular_spy(g):
         regular.append(g)
         return is_regular(g)
 
     monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
+    monkeypatch.setattr(intmat, "_minpoly_route", lambda m: (None, "degree"))
     monkeypatch.setattr(cli, "char_polys", polys_spy)
-    monkeypatch.setattr(cli, "support_u_power", power_spy)
+    monkeypatch.setattr(cli, "_walk_supports", supports_spy)
     monkeypatch.setattr(cli, "is_regular", regular_spy)
     code, out, _ = run_cli(capsys, "verify", "--generate", spec, "--checks", checks)
     assert code == 0 and "FAIL" not in out
-    assert calls == shared and builds == s2_builds
+    assert calls == shared and [m for m in chains if m == 2] == s2_builds
+    assert len(chains) == (1 if shared or s2_builds else 0)  # one W chain for every check
     assert passes.count(nk) == len(shared)
     assert len(regular) == 1  # one graph, its k decided once for every check
+
+
+def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeypatch):
+    """identity_suite builds W and W*W^T itself; every other check shares one W, W^2 chain, and
+    the A, S+(U) and S+(U^2) char polys all take the minimal-polynomial route."""
+    from qwalkspec import arcspace, intmat
+
+    w_calls, passes = [], []
+    w, kernel = arcspace._ArcStep.w, intmat._hessenberg_stack
+
+    def w_spy(self, m):
+        w_calls.append(m.shape)
+        return w(self, m)
+
+    def kernel_spy(h, primes):
+        passes.append(h.shape[1])
+        return kernel(h, primes)
+
+    monkeypatch.setattr(arcspace._ArcStep, "w", w_spy)
+    monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
+    code, out, _ = run_cli(capsys, "verify", "--generate", "shrikhande", "--checks", "all")
+    assert code == 0 and out.count(" PASS") == 5
+    assert len(w_calls) == 4 and passes == []
 
 
 def test_main_shares_one_parser_between_calls(capsys, monkeypatch):

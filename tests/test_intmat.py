@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,12 @@ from oracles import berkowitz_charpoly, cofactor_charpoly, int_product, naive_de
 
 def rand_int_matrix(rng, n, lo=-9, hi=9):
     return int_matrix(rng.integers(lo, hi + 1, size=(n, n)).tolist())
+
+
+def _permutation_sum(rng, n):
+    """The sum of three random n x n permutation matrices: row and column sums 3, and (for these
+    seeds) a minimal polynomial of degree above n / 2, so the char poly takes the kernel."""
+    return sum(int_eye(n)[rng.permutation(n)] for _ in range(3))
 
 
 def test_int_matrix_constructors():
@@ -149,6 +156,12 @@ def test_backends_agree_at_dimension_96():
     assert berkowitz_charpoly(s2).coeffs == modular_charpoly(s2).coeffs
 
 
+def _debug_fields(records) -> list:
+    """The key=value fields of each ``charpoly`` debug line."""
+    assert all(r.getMessage().startswith("charpoly ") for r in records)
+    return [dict(part.split("=") for part in r.getMessage().split()[1:]) for r in records]
+
+
 def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
     from qwalkspec import char_polys, petersen_graph, support_u, support_u_power
 
@@ -159,25 +172,43 @@ def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
     assert caplog.records == []
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
         cp = modular_charpoly(s3)
-    assert cp == quiet
-    [record] = caplog.records
-    fields = dict(part.split("=") for part in record.getMessage().split()[1:])
-    assert record.getMessage().startswith("charpoly ")
-    assert sorted(fields) == ["actual_bits", "bound_bits", "n", "pass_matrices", "pass_ms", "primes"]
-    assert int(fields["n"]) == 30 and int(fields["primes"]) >= 1
-    actual = max(abs(c).bit_length() for c in cp.coeffs)
-    assert int(fields["actual_bits"]) == actual < float(fields["bound_bits"])
-    assert int(fields["pass_matrices"]) == 1 and float(fields["pass_ms"]) >= 0
+    assert cp == quiet == berkowitz_charpoly(s3)
+    [fields] = _debug_fields(caplog.records)
+    assert sorted(fields) == [
+        "bound_bits", "krylov_degree", "ms", "mu_primes", "n", "route", "squarefree_degree"
+    ]
+    assert fields["route"] == "minpoly" and int(fields["n"]) == 30
+    assert 1 <= int(fields["squarefree_degree"]) <= int(fields["krylov_degree"]) <= 15
+    assert int(fields["mu_primes"]) >= 1 and float(fields["bound_bits"]) > 0
+    assert float(fields["ms"]) >= 0
 
-    # One line per matrix; the two 30 x 30 matrices share a pass, the 10 x 10 one does not.
+    # Matrices that fall back get the kernel's line, one per matrix, with the reason; the two
+    # 30 x 30 ones share a pass, the 10 x 10 one does not.
+    rng = np.random.default_rng(3)
+    r30, r10, r30b = (_permutation_sum(rng, n) for n in (30, 10, 30))
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
-        polys = char_polys([s1, adjacency_matrix(petersen_graph()), s3])
-    lines = [dict(part.split("=") for part in r.getMessage().split()[1:]) for r in caplog.records]
-    assert [(f["n"], f["pass_matrices"]) for f in lines] == [("30", "2"), ("30", "2"), ("10", "1")]
+        polys = char_polys([r30, r10, r30b])
+    lines = _debug_fields(caplog.records)
+    assert all(sorted(f) == ["actual_bits", "bound_bits", "n", "pass_matrices", "pass_ms", "primes",
+                             "reason", "route"] for f in lines)
+    assert [(f["n"], f["pass_matrices"], f["route"], f["reason"]) for f in lines] == [
+        ("30", "2", "hessenberg", "degree"), ("30", "2", "hessenberg", "degree"),
+        ("10", "1", "hessenberg", "degree"),
+    ]
     assert lines[0]["pass_ms"] == lines[1]["pass_ms"]
     assert [int(f["actual_bits"]) for f in lines] == [
         max(abs(c).bit_length() for c in p.coeffs) for p in (polys[0], polys[2], polys[1])
+    ]
+    assert all(int(f["actual_bits"]) < float(f["bound_bits"]) and int(f["primes"]) >= 1 for f in lines)
+
+    # Routed and kernel matrices in one call: each gets its own line, in order within a dimension.
+    expected = [char_poly(s1), polys[1], cp]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
+        assert char_polys([s1, r10, s3]) == expected
+    assert [(f["n"], f["route"]) for f in _debug_fields(caplog.records)] == [
+        ("30", "minpoly"), ("30", "minpoly"), ("10", "hessenberg"),
     ]
 
 
@@ -435,6 +466,7 @@ def test_primes_are_reduced_in_groups_that_fit_the_stack_budget(per_group, monke
 
     monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
     monkeypatch.setattr(intmat, "_STACK_BYTES", per_group * 8 * (n + 1) ** 2)
+    monkeypatch.setattr(intmat, "_minpoly_route", lambda m: (None, "degree"))  # s3 takes the kernel
     assert modular_charpoly(s3) == whole
     assert len(groups) > 1 and all(len(g) <= per_group for g in groups)
     primes = [q for g in groups for q in g]
@@ -553,6 +585,7 @@ def test_char_polys_routes_each_residue_to_its_matrix_across_stacks(per_stack, m
 
     monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
     monkeypatch.setattr(intmat, "_STACK_BYTES", per_stack * 8 * (30 + 1) ** 2)
+    monkeypatch.setattr(intmat, "_minpoly_route", lambda m: (None, "degree"))  # all take the kernel
     assert char_polys(ms) == alone
     # the seven 30 x 30 slots of three matrices (2, 3 and 2 primes) fill
     # several stacks, whose edges cut a matrix's slots at 3 and 4 per stack;
@@ -595,3 +628,187 @@ def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
     assert not _is_prime(341550071728321)
     assert not _is_prime(3825123056546413051)
     assert _is_prime(2**61 - 1)
+
+
+# ---------------------------------------------------------------------------
+# The minimal-polynomial route and its fallbacks
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def kernel_dims(monkeypatch):
+    """The dimension of every stack the Hessenberg kernel reduces."""
+    from qwalkspec import intmat
+
+    dims, kernel = [], intmat._hessenberg_stack
+
+    def spy(h, primes):
+        dims.append(h.shape[1])
+        return kernel(h, primes)
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
+    return dims
+
+
+def _logged_char_poly(caplog, m):
+    """(char_poly(m), the fields of its one debug line)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
+        cp = char_poly(m)
+    [fields] = _debug_fields(caplog.records)
+    return cp, fields
+
+
+def _srg_matrix(spec, which):
+    from qwalkspec import generators, support_u, support_u_power
+
+    g = generators.parse_generator_spec(spec)
+    if which == "a":
+        return adjacency_matrix(g)
+    a = build_arc_space(g)
+    return support_u(a) if which == "s1" else support_u_power(a, int(which[1]))
+
+
+@pytest.mark.parametrize(
+    "spec, which",
+    [("petersen", "s1"), ("petersen", "s2"), ("petersen", "s3"), ("shrikhande", "a"),
+     ("complete:7", "s2"), ("paley:13", "s1"), ("rook:4", "s1")],
+)
+def test_srg_supports_take_the_minpoly_route_and_equal_berkowitz(spec, which, caplog, kernel_dims):
+    m = _srg_matrix(spec, which)
+    cp, fields = _logged_char_poly(caplog, m)
+    assert fields["route"] == "minpoly" and kernel_dims == []
+    assert int(fields["squarefree_degree"]) == int(fields["krylov_degree"]) <= m.shape[0] // 2
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+def _elementary(n, i, j, c):
+    e = int_eye(n)
+    e[i, j] = c
+    return e
+
+
+def test_a_non_diagonalizable_matrix_takes_the_route(caplog, kernel_dims):
+    """Jordan blocks J_2(2)^2 J_1(2) J_2(-1) J_1(-1)^3 J_1(3)^3, conjugated by a unimodular matrix."""
+    blocks = [(2, 2), (2, 2), (1, 2), (2, -1), (1, -1), (1, -1), (1, -1), (1, 3), (1, 3), (1, 3)]
+    n = sum(size for size, _ in blocks)
+    jordan, at = int_zeros(n, n), 0
+    for size, lam in blocks:
+        for i in range(at, at + size):
+            jordan[i, i] = lam
+            if i + 1 < at + size:
+                jordan[i, i + 1] = 1
+        at += size
+    rng = np.random.default_rng(3)
+    p, p_inv = int_eye(n), int_eye(n)
+    for _ in range(12):
+        i, j = rng.choice(n, 2, replace=False)
+        c = int(rng.choice([-1, 1]))
+        p, p_inv = mat_mul(p, _elementary(n, i, j, c)), mat_mul(_elementary(n, i, j, -c), p_inv)
+    assert mat_equal(mat_mul(p, p_inv), int_eye(n))
+    m = mat_mul(mat_mul(p, jordan), p_inv)
+    cp, fields = _logged_char_poly(caplog, m)
+    assert fields["route"] == "minpoly" and kernel_dims == []
+    # mu = (t-2)^2 (t+1)^2 (t-3): degree 5, squarefree part of degree 3
+    assert (fields["krylov_degree"], fields["squarefree_degree"]) == ("5", "3")
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs == berkowitz_charpoly(jordan).coeffs
+
+
+def test_repeated_blocks_take_the_route_with_multiplied_multiplicities(caplog, kernel_dims):
+    from qwalkspec import petersen_graph
+
+    a = adjacency_matrix(petersen_graph())
+    m = np.kron(int_eye(3), a)
+    cp, fields = _logged_char_poly(caplog, m)
+    assert fields["route"] == "minpoly" and kernel_dims == []
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+    # (t-3)(t-1)^5(t+2)^4 cubed
+    assert cp.evaluate(10) == berkowitz_charpoly(a).evaluate(10) ** 3
+
+
+def _divide_by_root(p, root, q):
+    """p / (t - root) mod q by synthetic division, p ascending; the remainder is dropped."""
+    out, acc = [], 0
+    for c in reversed(p):
+        acc = (acc * root + c) % q
+        out.append(acc)
+    return out[-2::-1]
+
+
+def test_a_planted_mu_with_a_missing_factor_fails_the_certificate(caplog, kernel_dims, monkeypatch):
+    from qwalkspec import closed_form_charpoly_su, intmat, shrikhande_graph, support_u
+
+    g = shrikhande_graph()
+    m = support_u(build_arc_space(g))
+    relation, certify, verdicts = intmat._krylov_relation, intmat._certify_minpoly, []
+
+    def planted(mq, q, cap):  # mu / (t - (k - 1)) for M itself, unchanged for the multiplicity step
+        if mq.shape[0] != m.shape[0]:
+            return relation(mq, q, cap)
+        rel = relation(mq, q, cap + 1)
+        return None if rel is None else _divide_by_root(rel, 5, q)
+
+    def certify_spy(*args):
+        verdicts.append(certify(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(intmat, "_krylov_relation", planted)
+    monkeypatch.setattr(intmat, "_certify_minpoly", certify_spy)
+    cp, fields = _logged_char_poly(caplog, m)
+    assert verdicts == [None]  # mu(M) != 0 rejects the planted mu
+    assert (fields["route"], fields["reason"]) == ("hessenberg", "certificate") and kernel_dims == [96]
+    assert cp == closed_form_charpoly_su(g)
+
+
+def test_groups_whose_product_is_not_g_are_rejected(caplog, kernel_dims, monkeypatch):
+    """A lift that is right modulo every prime but wrong over Z keeps every degree, so only the
+    exact check prod h_m = g catches it; the result then comes, exact, from the kernel."""
+    from qwalkspec import closed_form_charpoly_su, intmat, petersen_graph, support_u
+
+    g = petersen_graph()
+    m = support_u(build_arc_space(g))
+    crt, groups = intmat._crt, intmat._multiplicity_groups
+
+    def off_by_the_modulus(residues, primes):
+        lifted = crt(residues, primes).coeffs
+        return type(crt(residues, primes))((lifted[0] + math.prod(primes),) + lifted[1:])
+
+    def groups_with_a_wrong_lift(*args):
+        monkeypatch.setattr(intmat, "_crt", off_by_the_modulus)
+        try:
+            return groups(*args)
+        finally:
+            monkeypatch.setattr(intmat, "_crt", crt)
+
+    monkeypatch.setattr(intmat, "_multiplicity_groups", groups_with_a_wrong_lift)
+    cp, fields = _logged_char_poly(caplog, m)
+    assert (fields["route"], fields["reason"]) == ("hessenberg", "certificate") and kernel_dims == [30]
+    assert cp == closed_form_charpoly_su(g)
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        pytest.param(lambda: _permutation_sum(np.random.default_rng(5), 24), "degree", id="sparse"),
+        pytest.param(lambda: rand_int_matrix(np.random.default_rng(6), 30), "bound", id="random"),
+        pytest.param(lambda: _srg_matrix("shrikhande", "s3"), "bound", id="shrikhande-s3"),
+        pytest.param(lambda: int_matrix([[1 << 27, 0, 0], [0, 1, 0], [0, 0, 1]]), "bound",
+                     id="r^2>=2^53"),
+    ],
+)
+def test_matrices_outside_the_route_fall_back_to_the_kernel(make, reason, caplog, kernel_dims):
+    m = make()
+    cp, fields = _logged_char_poly(caplog, m)
+    assert (fields["route"], fields["reason"]) == ("hessenberg", reason)
+    assert kernel_dims and set(kernel_dims) == {m.shape[0]}
+    if m.shape[0] <= 30:
+        assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+def test_entries_whose_row_sums_would_wrap_int64_fall_back(caplog, kernel_dims):
+    """|entries| below 2^62 whose row sums pass 2^63: r must not wrap, so the route is refused."""
+    big = 2**62 - 1
+    m = int_matrix([[big, big, big], [big, -big, 0], [0, big, -big]])
+    cp, fields = _logged_char_poly(caplog, m)
+    assert (fields["route"], fields["reason"]) == ("hessenberg", "bound") and kernel_dims == [3]
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
