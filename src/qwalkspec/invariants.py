@@ -13,45 +13,47 @@ cheapest exact route:
 * S+(U^2): ``closed_form_charpoly_su2`` for k > 2; at k = 2, where
   S+(U^2) = S+(U)^2, the Graeffe root-squaring of the S+(U) polynomial.
 
-No nk x nk matrix product runs (see ``supports``), and none of these
-rounds.  The brute-force polynomials stay one call away, as
+None of these routes runs an nk x nk matrix product (see ``supports``)
+or rounds.  The brute-force polynomials stay one call away, as
 ``char_poly(support_u(a))`` and ``char_poly(support_u_power(a, 2))`` or
 ``qwalkspec spectrum --form charpoly``, and the tests hold the two routes
 equal.
 
 ``batch_compare`` and the CLI's ``compare`` reach the same verdicts as
-``compare`` on the two profiles without the full CRT of S+(U^3) in most
+``compare`` on the two profiles without any char poly of S+(U^3) in most
 pairs.  ``fingerprints`` gives each graph a ``Fingerprint``: the exact A,
-S+(U) and S+(U^2) polynomials, S+(U^3) packed into bits, and its char poly
-modulo the first prime of its dimension nk, one kernel slot instead of a
-dozen.  The graphs of one call share one kernel pass per size for their
-adjacency char polys and one for their S+(U^3) residues.  ``certify`` then
+S+(U) and S+(U^2) polynomials, S = S+(U^3) packed into bits, and the exact
+traces tr(S^i) for i = 1..4, all four from one 0/1 product S.S by
+popcounts.  The graphs of one call share one kernel pass per size for their
+adjacency char polys, and no kernel pass runs on S.  ``certify`` then
 compares A, S+(U) and S+(U^2) coefficient by coefficient, and proves the
-S+(U^3) verdict in one of four ways:
+S+(U^3) verdict in one of five ways, tried in this order:
 
 * "distinguished", because nk differs, so the degrees do;
-* "distinguished", because the residues differ mod p;
-* "cospectral", because the residues, A, S+(U) and S+(U^2) agree and
-  ``find_isomorphism`` returned a map it checked on the adjacency matrices;
+* "distinguished", because a trace differs: traces are spectral invariants;
+* "cospectral", because A, S+(U) and S+(U^2) agree and ``find_isomorphism``
+  returned a map it checked on the adjacency matrices;
+* "distinguished", because the char polys differ modulo the first prime of
+  dimension nk, a residue computed only for the pairs still open here;
 * either, from the exact char polys of both graphs, each computed at most
   once, when none of the above applies.
 
-Equal residues alone decide nothing.  ``QWALK_LOG=debug`` logs each pair's
-S+(U^3) proof as one ``certificate`` line.
+Equal traces and equal residues alone decide nothing.  ``QWALK_LOG=debug``
+logs each pair's S+(U^3) proof as one ``certificate`` line.
 
 A cospectral verdict on all four invariants does not certify isomorphism,
 and reports say "cospectral", not "isomorphic", whichever proof decided
 S+(U^3).
 
 ``batch_compare`` fingerprints a corpus in worker processes (its
-``threads`` argument, the CLI's ``--threads``), not threads: the modular
-char poly of S+(U^3) runs in numpy calls too short to release the
-interpreter lock for long, so threads would not overlap.  Each worker task
-holds graphs of one nk, at most one task per worker for each nk, so a task
-pays the kernel's fixed cost per step once, not once per graph.  The
-pairwise step, witness searches included, runs in the calling process; the
-exact S+(U^3) char polys that some pairs need run in the workers again,
-from the packed supports.
+``threads`` argument, the CLI's ``--threads``), not threads: a fingerprint
+is built in numpy calls too short to release the interpreter lock for long,
+so threads would not overlap.  Each worker task holds graphs of one nk, at
+most one task per worker for each nk.  The pairwise step, witness searches
+included, runs in the calling process.  The S+(U^3) residues of the graphs
+of the pairs still open then run in the workers, one stacked kernel pass
+per nk, and after them the exact S+(U^3) char polys that some pairs need,
+all from the packed supports.
 """
 
 from __future__ import annotations
@@ -101,12 +103,14 @@ class InvariantProfile:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """A graph's exact A, S+(U) and S+(U^2) char polys, and its S+(U^3) char poly mod one prime.
+    """A graph's exact A, S+(U) and S+(U^2) char polys, and the exact power traces of S = S+(U^3).
 
-    ``s3_residue`` is ``char_poly_residues`` of S+(U^3): (p, coefficients mod
-    p), with p fixed by the dimension nk.  ``s3_support`` is S+(U^3) itself,
-    packed by ``np.packbits`` into nk^2 / 8 bytes, so ``charpoly_s3``, the
-    exact polynomial, computed on first use only, does not build W^3 again.
+    ``s3_traces`` is (tr S, tr S^2, tr S^3, tr S^4), from one 0/1 product
+    S.S (``_power_traces``).  ``s3_support`` is S itself, each row packed by
+    ``np.packbits`` into whole 64-bit words, so the two polynomials of S,
+    each computed on first use only, do not build W^3 again:
+    ``s3_residue`` is ``char_poly_residues`` of S, (p, coefficients mod p)
+    with p fixed by the dimension nk, and ``charpoly_s3`` is exact.
     """
 
     graph_id: str
@@ -115,7 +119,7 @@ class Fingerprint:
     charpoly_a: CharPoly
     charpoly_s1: CharPoly
     charpoly_s2: CharPoly
-    s3_residue: Tuple[int, Tuple[int, ...]]
+    s3_traces: Tuple[int, int, int, int]
     s3_support: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -126,9 +130,16 @@ class Fingerprint:
         return getattr(self, f"charpoly_{which}")
 
     @cached_property
+    def s3_residue(self) -> Tuple[int, Tuple[int, ...]]:
+        return char_poly_residues([self._s3_matrix()])[0]
+
+    @cached_property
     def charpoly_s3(self) -> CharPoly:
-        nk = self.n * self.k
-        return char_poly(np.unpackbits(self.s3_support, count=nk * nk).reshape(nk, nk))
+        return char_poly(self._s3_matrix())
+
+    def _s3_matrix(self) -> np.ndarray:
+        """S+(U^3), unpacked from ``s3_support``."""
+        return np.unpackbits(self.s3_support, axis=1, count=self.n * self.k)
 
 
 @dataclass(frozen=True)
@@ -180,6 +191,31 @@ def _s3(g: Graph) -> np.ndarray:
     return support_u_power(build_arc_space(g), 3)
 
 
+def _pack_rows(m: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 matrix as bits, each padded with zeros to whole 64-bit words, as uint8."""
+    packed = np.zeros((m.shape[0], -(-m.shape[1] // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-m.shape[1] // 8)] = np.packbits(m, axis=1)
+    return packed
+
+
+def _power_traces(s: np.ndarray, rows: np.ndarray) -> Tuple[int, int, int, int]:
+    """(tr S, tr S^2, tr S^3, tr S^4) of a square 0/1 matrix S, exactly; ``rows`` is ``_pack_rows(S)``.
+
+    Each entry of S.S is a sum of popcounts of a packed row of S and a packed
+    column, a 64-bit word at a time: no float, no BLAS.  Those entries are at
+    most nk, so every sum below is at most nk^4, which nk < 2^15 keeps below
+    2^60: no int64 wraps.
+    """
+    nk = s.shape[0]
+    assert nk < 2**15, "int64 trace sums could wrap"
+    r, c = rows.view(np.uint64), _pack_rows(s.T).view(np.uint64)
+    s2 = np.zeros((nk, nk), dtype=np.int64)
+    for w in range(r.shape[1]):
+        s2 += np.bitwise_count(r[:, w, None] & c[None, :, w])
+    st = s.T
+    return int(np.trace(s)), int((s * st).sum()), int((s2 * st).sum()), int((s2 * s2.T).sum())
+
+
 def profile(g: Graph, graph_id: str) -> InvariantProfile:
     """All four exact char polys of a connected regular graph with k >= 2."""
     k = _checked_k(g, graph_id)
@@ -188,11 +224,11 @@ def profile(g: Graph, graph_id: str) -> InvariantProfile:
 
 
 def fingerprints(items: Iterable[Tuple[str, Graph]]) -> List[Fingerprint]:
-    """What ``certify`` needs of each (id, graph), in order: no full CRT of S+(U^3).
+    """What ``certify`` needs of each (id, graph), in order: no char poly of S+(U^3), not even mod p.
 
     Every graph must be connected and regular with k >= 2; the first that is
     not raises HypothesisError before any char poly runs.  The adjacency char
-    polys share one kernel pass per size, and so do the S+(U^3) residues.
+    polys share one kernel pass per size.
     """
     return _fingerprints([(gid, g, _checked_k(g, gid)) for gid, g in items])
 
@@ -200,12 +236,13 @@ def fingerprints(items: Iterable[Tuple[str, Graph]]) -> List[Fingerprint]:
 def _fingerprints(checked: list) -> List[Fingerprint]:
     """``fingerprints`` of (id, graph, k) triples whose hypotheses hold."""
     cps_a = char_polys(adjacency_matrix(g) for _, g, _ in checked)
-    supports = [_s3(g) for _, g, _ in checked]
-    return [
-        Fingerprint(gid, g, k, cp_a, *_closed_polys(g, k, cp_a), residue, np.packbits(s3))
-        for (gid, g, k), cp_a, s3, residue
-        in zip(checked, cps_a, supports, char_poly_residues(supports))
-    ]
+    prints = []
+    for (gid, g, k), cp_a in zip(checked, cps_a):
+        s3 = _s3(g)
+        rows = _pack_rows(s3)
+        prints.append(Fingerprint(gid, g, k, cp_a, *_closed_polys(g, k, cp_a),
+                                  _power_traces(s3, rows), rows))
+    return prints
 
 
 def compare(p: InvariantProfile, q: InvariantProfile) -> CompareReport:
@@ -219,17 +256,21 @@ def certify(p: Fingerprint, q: Fingerprint) -> CompareReport:
     """The verdicts of ``compare`` on the two profiles, each proved by the cheapest evidence.
 
     A, S+(U) and S+(U^2) compare exact coefficients.  The S+(U^3) verdict
-    rests on one of four proofs, tried in this order:
+    rests on one of five proofs, tried in this order:
 
     * different dimensions nk: the char polys differ in degree;
-    * different residues mod the first prime of dimension nk: they differ;
+    * a different trace tr(S^i), i <= 4: the spectra differ;
     * equal A, S+(U) and S+(U^2) polys and an isomorphism that
-      ``find_isomorphism`` checked: they are equal;
+      ``find_isomorphism`` checked: the char polys are equal;
+    * different residues mod the first prime of dimension nk: they differ;
     * the exact char polys of both, computed at most once per fingerprint.
 
-    Equal residues alone never decide the verdict.
+    The witness comes before the residues, so a pair of twins needs no
+    kernel pass on S+(U^3).  Equal traces or equal residues alone never
+    decide the verdict.
     """
-    return _certified(p, q, *_settle(p, q))
+    same, s3 = _settle(p, q)
+    return _certified(p, q, same, s3 or _residue_proof(p, q))
 
 
 def _settle(p: Fingerprint, q: Fingerprint) -> tuple:
@@ -241,15 +282,23 @@ def _settle(p: Fingerprint, q: Fingerprint) -> tuple:
 
 
 def _settle_s3(p: Fingerprint, q: Fingerprint, lower_cospectral: bool) -> Optional[tuple]:
-    """The S+(U^3) verdict and a function naming its proof, or None if only the exact polys tell."""
+    """The S+(U^3) verdict and a function naming its proof by degree, trace or witness, else None."""
     if p.n * p.k != q.n * q.k:
         return False, lambda: f"degree nk={p.n * p.k}/{q.n * q.k}"
-    if p.s3_residue != q.s3_residue:
-        return False, lambda: f"mismatch mod p={p.s3_residue[0]}"
+    if p.s3_traces != q.s3_traces:
+        i = next(i for i, (s, t) in enumerate(zip(p.s3_traces, q.s3_traces), 1) if s != t)
+        return False, lambda: f"trace mismatch i={i}"
     if lower_cospectral:
         stats: dict = {}
         if find_isomorphism(p.graph, q.graph, stats=stats) is not None:
             return True, lambda: f"isomorphism witness nodes={stats['nodes']}"
+    return None
+
+
+def _residue_proof(p: Fingerprint, q: Fingerprint) -> Optional[tuple]:
+    """"distinguished" and its proof if the S+(U^3) residues of a same-nk pair differ, else None."""
+    if p.s3_residue != q.s3_residue:
+        return False, lambda: f"mismatch mod p={p.s3_residue[0]}"
     return None
 
 
@@ -287,6 +336,11 @@ def _build(task: List[Tuple[str, Graph]]) -> list:
     return [skipped[i] if i in skipped else next(prints) for i in range(len(task))]
 
 
+def _s3_residues(prints: List[Fingerprint]) -> list:
+    """The ``s3_residue`` of each fingerprint, in one stacked kernel pass per nk."""
+    return char_poly_residues([f._s3_matrix() for f in prints])
+
+
 def _exact_s3(f: Fingerprint) -> CharPoly:
     return f.charpoly_s3
 
@@ -311,11 +365,12 @@ def batch_compare(
     fingerprinting a small graph.  The work goes out in tasks of graphs of
     one nk, largest nk first: a group of same-nk graphs is split into at most
     one task per worker, and a task holds no more graphs than one kernel
-    stack of dimension nk, so a task's S+(U^3) residues take one kernel pass
-    and a worker's memory stays bounded.  Each pair is then settled as
-    ``certify`` does, in this process; the graphs of the pairs that only the
-    exact S+(U^3) char polys settle get those polys from the same workers,
-    each graph once.
+    stack of dimension nk, so a worker's memory stays bounded.  Each pair is
+    then settled as ``certify`` does.  Degree, traces and witnesses run in
+    this process.  The graphs of the pairs they leave open get their S+(U^3)
+    residues from the same workers, one task and one stacked kernel pass per
+    nk; the graphs of the pairs whose residues agree too get their exact
+    S+(U^3) char polys there after that, each graph once.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -349,9 +404,15 @@ def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mappe
             if p.graph_id > q.graph_id:
                 p, q = q, p
             pairs.append((p, q, *_settle(p, q)))
-    # The graphs of the pairs that only the exact S+(U^3) polys settle, each once, largest first.
-    exact = {id(f): f for p, q, _, s3 in pairs if s3 is None for f in (p, q)}.values()
-    exact = sorted(exact, key=lambda f: -f.n * f.k)
+    # The graphs of the pairs that degree, traces and witnesses leave open, one task per nk.
+    groups: dict = {}
+    for f in _open(pairs):
+        groups.setdefault(f.n * f.k, []).append(f)
+    for group, residues in zip(groups.values(), mapper(_s3_residues, groups.values())):
+        for f, residue in zip(group, residues):
+            vars(f)["s3_residue"] = residue  # where the cached_property keeps its value
+    pairs = [(p, q, same, s3 or _residue_proof(p, q)) for p, q, same, s3 in pairs]
+    exact = _open(pairs)
     for f, cp in zip(exact, mapper(_exact_s3, exact)):
         vars(f)["charpoly_s3"] = cp  # where the cached_property keeps its value
     reports = [_certified(*pair) for pair in pairs]
@@ -359,12 +420,19 @@ def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mappe
     return BatchResult(reports, skipped)
 
 
+def _open(pairs: list) -> List[Fingerprint]:
+    """The graphs of the pairs with no S+(U^3) proof yet, each once, largest nk first."""
+    graphs = {id(f): f for p, q, _, s3 in pairs if s3 is None for f in (p, q)}.values()
+    return sorted(graphs, key=lambda f: -f.n * f.k)
+
+
 def _tasks(corpus: Sequence[Tuple[str, Graph]], workers: int) -> List[List[int]]:
     """Corpus indices in tasks of one arc count nk each, largest nk first.
 
     Each group of same-nk graphs splits into tasks of at most
-    ceil(group / workers) graphs, and of at most one kernel stack of
-    dimension nk (``intmat._stack_slots``).  A graph that is not regular
+    ceil(group / workers) graphs, and of at most as many as one kernel stack
+    of dimension nk holds (``intmat._stack_slots``), which bounds a worker's
+    memory and the results it sends back.  A graph that is not regular
     joins the group of its arc count and is skipped inside its task.
     """
     groups: dict = {}

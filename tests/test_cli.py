@@ -493,7 +493,8 @@ def test_qwalk_log_env():
     result = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "profiling" in result.stderr
-    assert "charpoly n=8 primes=" in result.stderr
+    assert " n=4 primes=" in result.stderr  # the adjacency polys' pass; no pass runs on S+(U^3)
+    assert "certificate circulant:4,1 vs cycle:4: s3 cospectral by isomorphism witness" in result.stderr
     env.pop("QWALK_LOG")
     quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert (quiet.returncode, quiet.stdout, quiet.stderr) == (0, result.stdout, "")
@@ -508,7 +509,7 @@ def test_each_main_call_applies_its_own_qwalk_log(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == quiet[:2]  # the verdicts print the same bytes
     assert "DEBUG:qwalkspec.invariants:certificate shrikhande vs rook:4:" \
-        " s3 distinguished by mismatch mod p=" in err
+        " s3 distinguished by trace mismatch i=3" in err
     monkeypatch.delenv("QWALK_LOG")
     assert run_cli(capsys, *argv) == quiet
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 from pathlib import Path
@@ -32,6 +33,9 @@ from qwalkspec import (
     support_u_power,
     write_graph6_file,
 )
+from qwalkspec.invariants import certify, fingerprints
+
+from oracles import dense_arc_matrices, int_product
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
 
@@ -360,9 +364,17 @@ def test_workers_compute_the_exact_char_polys_that_pairs_need(monkeypatch):
     assert [r.distinguishing_invariant for r in expected.pairs] == ["s3"] * 3 + [None] * 3
 
 
+def _equal_traces(monkeypatch):
+    """Gives every fingerprint the same S+(U^3) traces, so that no trace proof can apply."""
+    import qwalkspec.invariants as inv
+
+    monkeypatch.setattr(inv, "_power_traces", lambda s, rows: (0, 0, 0, 0))
+
+
 def test_equal_residues_alone_never_decide_s3(monkeypatch, caplog):
     import qwalkspec.invariants as inv
 
+    _equal_traces(monkeypatch)
     monkeypatch.setattr(inv, "char_poly_residues", lambda ms: [(7, (1,)) for _ in ms])
     seen = _spy_exact_s3(monkeypatch, 96)
     corpus = [("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4))]
@@ -395,11 +407,176 @@ def test_each_pair_logs_the_certificate_of_its_s3_verdict(caplog):
         "distinguished by degree nk",  # petersen vs rook44
         "distinguished by degree nk",  # petersen vs shrikhande
         "distinguished by degree nk",  # petersen vs shrikhande~
-        "distinguished by mismatch mod p",  # rook44 vs shrikhande
-        "distinguished by mismatch mod p",  # rook44 vs shrikhande~
+        "distinguished by trace mismatch i",  # rook44 vs shrikhande
+        "distinguished by trace mismatch i",  # rook44 vs shrikhande~
         "cospectral by isomorphism witness nodes",  # shrikhande vs shrikhande~
     ]
     assert certificates[0] == "certificate petersen vs rook44: s3 distinguished by degree nk=30/96"
+    assert certificates[3] == "certificate rook44 vs shrikhande: s3 distinguished by trace mismatch i=3"
+
+
+def test_equal_traces_alone_never_decide_s3(monkeypatch, caplog):
+    # with the traces forced equal, a residue mismatch or the exact polys decide
+    import qwalkspec.invariants as inv
+
+    _equal_traces(monkeypatch)
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
+    rng = np.random.default_rng(9)
+    corpus = [("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4)),
+              ("shrikhande~", relabel(shrikhande_graph(), list(rng.permutation(16))))]
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
+        result = batch_compare(corpus, threads=1)
+    profiles = {gid: profile(g, gid) for gid, g in corpus}
+    assert [r.pair for r in result.pairs] == [("rook44", "shrikhande"), ("rook44", "shrikhande~"),
+                                             ("shrikhande", "shrikhande~")]
+    for report in result.pairs:
+        assert report == compare(*(profiles[gid] for gid in report.pair)), report.pair
+    certificates = sorted(r.getMessage() for r in caplog.records
+                          if r.getMessage().startswith("certificate"))
+    assert [line.split(": s3 ", 1)[1].split("=")[0] for line in certificates] == [
+        "distinguished by mismatch mod p",  # rook44 vs shrikhande
+        "distinguished by mismatch mod p",  # rook44 vs shrikhande~
+        "cospectral by exact char poly bits",  # shrikhande vs shrikhande~
+    ]
+
+
+def _oracle_power_traces(s):
+    """(tr S, ..., tr S^4) of an integer matrix, from products of Python ints."""
+    s = np.array(s.tolist(), dtype=object)
+    powers = [s]
+    for _ in range(3):
+        powers.append(powers[-1] @ s)
+    return tuple(sum(m[i, i] for i in range(len(m))) for m in powers)
+
+
+def test_s3_traces_are_the_exact_traces_of_the_oracle_w_cubed():
+    # nk = 30, 14 and 18 are not multiples of 8 or 64: the packed rows end in padding
+    for gid, g in (("petersen", petersen_graph()), ("C7", cycle_graph(7)),
+                   ("K33", parse_generator_spec("complete_bipartite:3,3"))):
+        w = dense_arc_matrices(build_arc_space(g))["W"]
+        w3 = np.array(int_product(np.array(int_product(w, w), dtype=object), w), dtype=object)
+        s3 = (w3 > 0).astype(np.int64)
+        [f] = fingerprints([(gid, g)])
+        assert f.s3_traces == _oracle_power_traces(s3), gid
+        assert all(type(t) is int for t in f.s3_traces)
+        assert np.array_equal(f._s3_matrix(), s3), gid
+
+
+def test_power_traces_of_random_zero_one_matrices():
+    import qwalkspec.invariants as inv
+
+    rng = np.random.default_rng(5)
+    for n, density in ((1, 0.5), (7, 0.5), (63, 0.3), (64, 0.9), (65, 0.5), (130, 0.2)):
+        s = (rng.random((n, n)) < density).astype(np.int64)
+        assert inv._power_traces(s, inv._pack_rows(s)) == _oracle_power_traces(s), n
+    full = np.ones((200, 200), dtype=np.int64)  # tr J^i = 200^i, the largest traces of any 0/1 matrix
+    assert inv._power_traces(full, inv._pack_rows(full)) == (200, 200**2, 200**3, 200**4)
+
+
+def _kernel_dims(monkeypatch):
+    """Records the dimension of every Hessenberg kernel pass."""
+    from qwalkspec import intmat
+
+    dims, kernel = [], intmat._hessenberg_stack
+
+    def spy(h, primes):
+        dims.append(h.shape[1])
+        return kernel(h, primes)
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
+    return dims
+
+
+def test_compare_and_the_batch_benchmark_corpus_run_no_kernel_pass_on_s3(
+        monkeypatch, capsys, tmp_path):
+    from qwalkspec.cli import main
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    import workloads
+
+    dims = _kernel_dims(monkeypatch)
+    assert main(["compare", "shrikhande", "rook:4"]) == 0
+    assert "distinguished" in capsys.readouterr().out
+    assert 96 not in dims
+    corpus = [(f"g{i}", g) for i, (_, g) in enumerate(workloads.BatchCli(7, {}, str(tmp_path)).members)]
+    arc_dims = {2 * g.edge_count for _, g in corpus}
+    assert arc_dims == {96, 144}
+    dims.clear()
+    result = batch_compare(corpus, threads=1)
+    assert len(result.pairs) == 25
+    assert dims and not arc_dims & set(dims)  # the adjacency polys' passes only
+
+
+def _latin_square_graph(table):
+    """Cells of a Latin square, adjacent when they share a row, a column or a symbol."""
+    m = len(table)
+    cells = [(r, c, table[r][c]) for r in range(m) for c in range(m)]
+    return Graph(m * m, [(i, j) for i in range(m * m) for j in range(i + 1, m * m)
+                         if any(x == y for x, y in zip(cells[i], cells[j]))])
+
+
+def _complement(g):
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if (u, v) not in g.edges])
+
+
+def test_latin_square_srg_16_9_4_6_pair(monkeypatch, caplog):
+    from qwalkspec import find_isomorphism, srg_params
+
+    z4 = _latin_square_graph([[(i + j) % 4 for j in range(4)] for i in range(4)])
+    z22 = _latin_square_graph([[i ^ j for j in range(4)] for i in range(4)])
+    for g in (z4, z22):
+        assert (srg_params(g).n, srg_params(g).k, srg_params(g).lam, srg_params(g).mu) == (16, 9, 4, 6)
+    # their complements are the Shrikhande graph and the 4 x 4 rook's graph, by checked maps
+    for g, h in ((z4, shrikhande_graph()), (z22, rook_graph(4))):
+        pi = find_isomorphism(_complement(g), h)
+        assert pi is not None and relabel(_complement(g), pi.tolist()) == h
+    corpus = [("latin:Z2^2", z22), ("latin:Z4", z4)]
+    expected = compare(*(profile(g, gid) for gid, g in corpus))
+    assert [expected.verdicts[w] for w in ("a", "s1", "s2")] == ["cospectral"] * 3
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
+        report = certify(*fingerprints(corpus))
+        _equal_traces(monkeypatch)
+        forced = [certify(*fingerprints(corpus))] + batch_compare(corpus, threads=1).pairs
+    assert report == expected and forced == [expected] * 2
+    assert expected.distinguishing_invariant == "s3"
+    residue = "certificate latin:Z2^2 vs latin:Z4: s3 distinguished by mismatch mod p=%d" % (
+        fingerprints(corpus[:1])[0].s3_residue[0])
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")] == [
+        "certificate latin:Z2^2 vs latin:Z4: s3 distinguished by trace mismatch i=2", residue, residue]
+
+
+def _gq33_point_graphs():
+    """The point graphs of GQ(3,3): W(3) and Q(4,3), both SRG(40,12,2,4)."""
+    def points(dim):
+        return [v for v in itertools.product(range(3), repeat=dim) if any(v)
+                and next(x for x in v if x) == 1]
+
+    def graph(pts, form):
+        return Graph(len(pts), [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                                if form(pts[i], pts[j]) % 3 == 0])
+
+    w3 = graph(points(4), lambda x, y: x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2])
+    quadric = [v for v in points(5) if (v[0] ** 2 + v[1] * v[2] + v[3] * v[4]) % 3 == 0]
+    q43 = graph(quadric, lambda x, y: 2 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]
+                + x[3] * y[4] + x[4] * y[3])
+    return w3, q43
+
+
+def test_gq33_point_graphs_are_distinguished_by_the_fourth_trace(caplog):
+    from qwalkspec import srg_params
+
+    w3, q43 = _gq33_point_graphs()
+    for g in (w3, q43):
+        assert (srg_params(g).n, srg_params(g).k, srg_params(g).lam, srg_params(g).mu) == (40, 12, 2, 4)
+    p, q = fingerprints([("W(3)", w3), ("Q(4,3)", q43)])
+    assert p.s3_traces[:3] == q.s3_traces[:3] and p.s3_traces[3] != q.s3_traces[3]
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
+        report = certify(p, q)
+    assert report.verdicts == {"a": "cospectral", "s1": "cospectral", "s2": "cospectral",
+                               "s3": "distinguished"}
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")] == [
+        "certificate W(3) vs Q(4,3): s3 distinguished by trace mismatch i=4"]
 
 
 def test_fingerprints_make_no_arc_space_mat_mul(mat_mul_shapes):
@@ -483,19 +660,31 @@ def test_batch_tasks_give_the_verdicts_of_compare_at_every_thread_count():
 
 
 def test_a_batch_task_takes_one_residue_pass_per_nk_class(monkeypatch):
+    import qwalkspec.invariants as inv
     from qwalkspec import intmat
 
+    _equal_traces(monkeypatch)
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
     corpus = _task_corpus()
-    passes = []
-    kernel = intmat._hessenberg_stack
+    passes, inside = [], []
+    kernel, residues = intmat._hessenberg_stack, inv.char_poly_residues
 
-    def spy(h, primes):
-        passes.append((h.shape[1], len(primes)))
+    def kernel_spy(h, primes):
+        if inside:
+            passes.append((h.shape[1], len(primes)))
         return kernel(h, primes)
 
-    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
-    batch_compare(corpus, threads=1)
-    # nk 96, 14, 12 and 10 hold 3, 1, 4 and 2 fingerprinted graphs; no
-    # adjacency matrix (n = 4 to 16) has one of those dimensions
-    assert [(n, slots) for n, slots in passes if n in (96, 14, 12, 10)] == [
-        (96, 3), (14, 1), (12, 4), (10, 2)]
+    def residue_spy(ms):
+        inside.append(True)
+        try:
+            return residues(ms)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
+    monkeypatch.setattr(inv, "char_poly_residues", residue_spy)
+    result = batch_compare(corpus, threads=1)
+    # nk 96, 12 and 10 hold 3, 4 and 2 graphs of open pairs, largest nk
+    # first; c7, alone at nk = 14, is in no pair and gets no residue
+    assert passes == [(96, 3), (12, 4), (10, 2)]
+    assert [r.distinguishing_invariant for r in result.pairs] == [None, None, None, "s3", "s3", None]
