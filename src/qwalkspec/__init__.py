@@ -58,7 +58,6 @@ from .intmat import (
     char_polys,
     int_eye,
     int_matrix,
-    int_zeros,
     mat_equal,
     mat_mul,
     modular_charpoly,

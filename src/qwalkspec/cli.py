@@ -51,8 +51,6 @@ from .supports import (
     closed_form_spectrum_su2,
     identity_suite,
     ihara_style_charpoly,
-    support_u,
-    support_u_power,
 )
 from .supports import _square_plus_identity, _walk_supports
 
@@ -202,11 +200,7 @@ def _display_values(vals) -> List[str]:
 def _charpoly_of(g: Graph, which: str) -> CharPoly:
     if which == "a":
         return char_poly(adjacency_matrix(g))
-    a = build_arc_space(g)
-    if which == "s1":
-        return char_poly(support_u(a))
-    power = {"s2": 2, "s3": 3}[which]
-    return char_poly(support_u_power(a, power))
+    return char_poly(_walk_supports(build_arc_space(g), {"s1": 1, "s2": 2, "s3": 3}[which])[-1])
 
 
 def _spectrum_text(payload: dict) -> str:

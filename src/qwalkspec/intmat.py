@@ -91,10 +91,6 @@ def int_matrix(rows: Iterable[Iterable[int]]) -> np.ndarray:
     return _int64(np.array(data, dtype=np.int64).reshape(len(data), cols))
 
 
-def int_zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
-
-
 def int_eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 

@@ -25,21 +25,29 @@ pairs.  ``fingerprints`` gives each graph a ``Fingerprint``: the exact A,
 S+(U) and S+(U^2) polynomials, S = S+(U^3) packed into bits, and the exact
 traces tr(S^i) for i = 1..4, all four from one 0/1 product S.S by
 popcounts.  The graphs of one call share one kernel pass per size for their
-adjacency char polys, and no kernel pass runs on S.  ``certify`` then
-compares A, S+(U) and S+(U^2) coefficient by coefficient, and proves the
-S+(U^3) verdict in one of five ways, tried in this order:
+adjacency char polys, and no kernel pass runs on S.
+
+``certify`` (one pair) and ``batch_compare`` (all pairs of a corpus) settle
+their pairs through one resolver.  It compares A, S+(U) and S+(U^2)
+coefficient by coefficient, and proves the S+(U^3) verdict in one of five
+ways, tried in this order:
 
 * "distinguished", because nk differs, so the degrees do;
 * "distinguished", because a trace differs: traces are spectral invariants;
 * "cospectral", because A, S+(U) and S+(U^2) agree and ``find_isomorphism``
   returned a map it checked on the adjacency matrices;
 * "distinguished", because the char polys differ modulo the first prime of
-  dimension nk, a residue computed only for the pairs still open here;
-* either, from the exact char polys of both graphs, each computed at most
-  once, when none of the above applies.
+  dimension nk;
+* either, from the exact char polys of both graphs.
 
-Equal traces and equal residues alone decide nothing.  ``QWALK_LOG=debug``
-logs each pair's S+(U^3) proof as one ``certificate`` line.
+The first three run in the calling process, pair by pair.  The residues run
+after them, only for the graphs of the pairs still open, in one task and
+one stacked kernel pass per nk, largest nk first; the exact char polys run
+last, only for the graphs of the pairs whose residues agree too, one task
+per graph.  Each is computed at most once per graph, however many pairs the
+graph is in, and a fingerprint never changes.  Equal traces and equal
+residues alone decide nothing.  ``QWALK_LOG=debug`` logs each pair's S+(U^3)
+proof as one ``certificate`` line.
 
 A cospectral verdict on all four invariants does not certify isomorphism,
 and reports say "cospectral", not "isomorphic", whichever proof decided
@@ -49,11 +57,8 @@ S+(U^3).
 ``threads`` argument, the CLI's ``--threads``), not threads: a fingerprint
 is built in numpy calls too short to release the interpreter lock for long,
 so threads would not overlap.  Each worker task holds graphs of one nk, at
-most one task per worker for each nk.  The pairwise step, witness searches
-included, runs in the calling process.  The S+(U^3) residues of the graphs
-of the pairs still open then run in the workers, one stacked kernel pass
-per nk, and after them the exact S+(U^3) char polys that some pairs need,
-all from the packed supports.
+most one task per worker for each nk.  The resolver's residue and exact
+tasks run in the same workers; ``certify`` runs them in the calling process.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,7 +76,7 @@ import numpy as np
 from .arcspace import build_arc_space
 from .errors import HypothesisError
 from .graphs import Graph, adjacency_matrix, find_isomorphism
-from .intmat import _stack_slots, char_poly, char_poly_residues, char_polys
+from .intmat import char_poly, char_poly_residues, char_polys
 from .polynomials import CharPoly, poly_graeffe
 from .supports import (
     _charpoly_su,
@@ -107,10 +111,8 @@ class Fingerprint:
 
     ``s3_traces`` is (tr S, tr S^2, tr S^3, tr S^4), from one 0/1 product
     S.S (``_power_traces``).  ``s3_support`` is S itself, each row packed by
-    ``np.packbits`` into whole 64-bit words, so the two polynomials of S,
-    each computed on first use only, do not build W^3 again:
-    ``s3_residue`` is ``char_poly_residues`` of S, (p, coefficients mod p)
-    with p fixed by the dimension nk, and ``charpoly_s3`` is exact.
+    ``np.packbits`` into whole 64-bit words, so the S+(U^3) polys that some
+    pairs need (see the module docstring) do not build W^3 again.
     """
 
     graph_id: str
@@ -128,14 +130,6 @@ class Fingerprint:
 
     def charpoly(self, which: str) -> CharPoly:
         return getattr(self, f"charpoly_{which}")
-
-    @cached_property
-    def s3_residue(self) -> Tuple[int, Tuple[int, ...]]:
-        return char_poly_residues([self._s3_matrix()])[0]
-
-    @cached_property
-    def charpoly_s3(self) -> CharPoly:
-        return char_poly(self._s3_matrix())
 
     def _s3_matrix(self) -> np.ndarray:
         """S+(U^3), unpacked from ``s3_support``."""
@@ -255,63 +249,61 @@ def compare(p: InvariantProfile, q: InvariantProfile) -> CompareReport:
 def certify(p: Fingerprint, q: Fingerprint) -> CompareReport:
     """The verdicts of ``compare`` on the two profiles, each proved by the cheapest evidence.
 
-    A, S+(U) and S+(U^2) compare exact coefficients.  The S+(U^3) verdict
-    rests on one of five proofs, tried in this order:
-
-    * different dimensions nk: the char polys differ in degree;
-    * a different trace tr(S^i), i <= 4: the spectra differ;
-    * equal A, S+(U) and S+(U^2) polys and an isomorphism that
-      ``find_isomorphism`` checked: the char polys are equal;
-    * different residues mod the first prime of dimension nk: they differ;
-    * the exact char polys of both, computed at most once per fingerprint.
-
-    The witness comes before the residues, so a pair of twins needs no
-    kernel pass on S+(U^3).  Equal traces or equal residues alone never
-    decide the verdict.
+    The S+(U^3) verdict rests on the first proof of the module docstring's
+    chain that applies.
     """
-    same, s3 = _settle(p, q)
-    return _certified(p, q, same, s3 or _residue_proof(p, q))
+    return _certify([(p, q)], map)[0]
 
 
-def _settle(p: Fingerprint, q: Fingerprint) -> tuple:
-    """The A, S+(U) and S+(U^2) verdicts, and ``_settle_s3`` of the pair."""
-    same = {
-        which: p.charpoly(which).coeffs == q.charpoly(which).coeffs for which in ("a", "s1", "s2")
-    }
-    return same, _settle_s3(p, q, all(same.values()))
+def _certify(pairs: List[Tuple[Fingerprint, Fingerprint]], mapper) -> List[CompareReport]:
+    """The ``certify`` report of each pair, in order, by the resolver of the module docstring.
+
+    ``mapper`` (``map`` or a pool's) runs its residue and exact tasks.
+    """
+    same = [{which: p.charpoly(which).coeffs == q.charpoly(which).coeffs for which in ("a", "s1", "s2")}
+            for p, q in pairs]
+    proofs = [_settle_s3(p, q, all(s.values())) for (p, q), s in zip(pairs, same)]
+    groups: dict = {}
+    for f in _open(pairs, proofs):
+        groups.setdefault(f.n * f.k, []).append(f)
+    residue = {}
+    for group, found in zip(groups.values(), mapper(_s3_residues, groups.values())):
+        residue.update(zip(map(id, group), found))
+    for i, (p, q) in enumerate(pairs):
+        if proofs[i] is None and residue[id(p)] != residue[id(q)]:
+            proofs[i] = False, f"mismatch mod p={residue[id(p)][0]}"
+    exact = _open(pairs, proofs)
+    polys = dict(zip(map(id, exact), mapper(_exact_s3, exact)))
+    reports = []
+    for (p, q), s, proof in zip(pairs, same, proofs):
+        if proof is None:
+            cp, cq = polys[id(p)], polys[id(q)]
+            proof = cp == cq, "exact char poly bits=%d" % max(
+                abs(c).bit_length() for c in cp.coeffs + cq.coeffs)
+        s["s3"], why = proof
+        log.debug("certificate %s vs %s: s3 %s by %s", p.graph_id, q.graph_id, _verdict(s["s3"]), why)
+        reports.append(_report(p.graph_id, q.graph_id, s))
+    return reports
 
 
 def _settle_s3(p: Fingerprint, q: Fingerprint, lower_cospectral: bool) -> Optional[tuple]:
-    """The S+(U^3) verdict and a function naming its proof by degree, trace or witness, else None."""
+    """The S+(U^3) verdict and its proof by degree, trace or witness, else None."""
     if p.n * p.k != q.n * q.k:
-        return False, lambda: f"degree nk={p.n * p.k}/{q.n * q.k}"
+        return False, f"degree nk={p.n * p.k}/{q.n * q.k}"
     if p.s3_traces != q.s3_traces:
         i = next(i for i, (s, t) in enumerate(zip(p.s3_traces, q.s3_traces), 1) if s != t)
-        return False, lambda: f"trace mismatch i={i}"
+        return False, f"trace mismatch i={i}"
     if lower_cospectral:
         stats: dict = {}
         if find_isomorphism(p.graph, q.graph, stats=stats) is not None:
-            return True, lambda: f"isomorphism witness nodes={stats['nodes']}"
+            return True, f"isomorphism witness nodes={stats['nodes']}"
     return None
 
 
-def _residue_proof(p: Fingerprint, q: Fingerprint) -> Optional[tuple]:
-    """"distinguished" and its proof if the S+(U^3) residues of a same-nk pair differ, else None."""
-    if p.s3_residue != q.s3_residue:
-        return False, lambda: f"mismatch mod p={p.s3_residue[0]}"
-    return None
-
-
-def _certified(p: Fingerprint, q: Fingerprint, same: dict, s3: Optional[tuple]) -> CompareReport:
-    """The report of a settled pair, from the exact S+(U^3) polys if ``s3`` is None."""
-    if s3 is None:
-        s3 = p.charpoly_s3 == q.charpoly_s3, lambda: "exact char poly bits=%d" % max(
-            abs(c).bit_length() for c in p.charpoly_s3.coeffs + q.charpoly_s3.coeffs)
-    same["s3"], proof = s3
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("certificate %s vs %s: s3 %s by %s",
-                  p.graph_id, q.graph_id, _verdict(same["s3"]), proof())
-    return _report(p.graph_id, q.graph_id, same)
+def _open(pairs: list, proofs: list) -> List[Fingerprint]:
+    """The graphs of the pairs with no S+(U^3) proof yet, each once, largest nk first."""
+    graphs = {id(f): f for pair, proof in zip(pairs, proofs) if proof is None for f in pair}.values()
+    return sorted(graphs, key=lambda f: -f.n * f.k)
 
 
 def _verdict(same: bool) -> str:
@@ -337,12 +329,12 @@ def _build(task: List[Tuple[str, Graph]]) -> list:
 
 
 def _s3_residues(prints: List[Fingerprint]) -> list:
-    """The ``s3_residue`` of each fingerprint, in one stacked kernel pass per nk."""
+    """``char_poly_residues`` of the S+(U^3) of each fingerprint, in one stacked kernel pass per nk."""
     return char_poly_residues([f._s3_matrix() for f in prints])
 
 
 def _exact_s3(f: Fingerprint) -> CharPoly:
-    return f.charpoly_s3
+    return char_poly(f._s3_matrix())
 
 
 def batch_compare(
@@ -363,14 +355,10 @@ def batch_compare(
     caller.  The workers are forked, so they start with numpy and qwalkspec
     imported; spawned ones would import them again, which takes longer than
     fingerprinting a small graph.  The work goes out in tasks of graphs of
-    one nk, largest nk first: a group of same-nk graphs is split into at most
-    one task per worker, and a task holds no more graphs than one kernel
-    stack of dimension nk, so a worker's memory stays bounded.  Each pair is
-    then settled as ``certify`` does.  Degree, traces and witnesses run in
-    this process.  The graphs of the pairs they leave open get their S+(U^3)
-    residues from the same workers, one task and one stacked kernel pass per
-    nk; the graphs of the pairs whose residues agree too get their exact
-    S+(U^3) char polys there after that, each graph once.
+    one nk, largest nk first, a group of same-nk graphs split into at most
+    one task per worker.  The pairs are then certified as ``certify``
+    certifies one (see the module docstring), with the S+(U^3) residues and
+    exact polys that some pairs need computed in the same workers.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -399,41 +387,21 @@ def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mappe
     for i in range(len(prints)):
         for j in range(i + 1, len(prints)):
             p, q = prints[i], prints[j]
-            if not include_cross_class and (p.n, p.k) != (q.n, q.k):
-                continue
-            if p.graph_id > q.graph_id:
-                p, q = q, p
-            pairs.append((p, q, *_settle(p, q)))
-    # The graphs of the pairs that degree, traces and witnesses leave open, one task per nk.
-    groups: dict = {}
-    for f in _open(pairs):
-        groups.setdefault(f.n * f.k, []).append(f)
-    for group, residues in zip(groups.values(), mapper(_s3_residues, groups.values())):
-        for f, residue in zip(group, residues):
-            vars(f)["s3_residue"] = residue  # where the cached_property keeps its value
-    pairs = [(p, q, same, s3 or _residue_proof(p, q)) for p, q, same, s3 in pairs]
-    exact = _open(pairs)
-    for f, cp in zip(exact, mapper(_exact_s3, exact)):
-        vars(f)["charpoly_s3"] = cp  # where the cached_property keeps its value
-    reports = [_certified(*pair) for pair in pairs]
+            if include_cross_class or (p.n, p.k) == (q.n, q.k):
+                pairs.append((p, q) if p.graph_id <= q.graph_id else (q, p))
+    reports = _certify(pairs, mapper)
     reports.sort(key=lambda r: r.pair)
     return BatchResult(reports, skipped)
-
-
-def _open(pairs: list) -> List[Fingerprint]:
-    """The graphs of the pairs with no S+(U^3) proof yet, each once, largest nk first."""
-    graphs = {id(f): f for p, q, _, s3 in pairs if s3 is None for f in (p, q)}.values()
-    return sorted(graphs, key=lambda f: -f.n * f.k)
 
 
 def _tasks(corpus: Sequence[Tuple[str, Graph]], workers: int) -> List[List[int]]:
     """Corpus indices in tasks of one arc count nk each, largest nk first.
 
     Each group of same-nk graphs splits into tasks of at most
-    ceil(group / workers) graphs, and of at most as many as one kernel stack
-    of dimension nk holds (``intmat._stack_slots``), which bounds a worker's
-    memory and the results it sends back.  A graph that is not regular
-    joins the group of its arc count and is skipped inside its task.
+    ceil(group / workers) graphs.  A fingerprint task runs no kernel pass of
+    dimension nk, and the calling process holds every fingerprint anyway, so
+    no other bound applies.  A graph that is not regular joins the group of
+    its arc count and is skipped inside its task.
     """
     groups: dict = {}
     for i, (_, g) in enumerate(corpus):
@@ -441,7 +409,7 @@ def _tasks(corpus: Sequence[Tuple[str, Graph]], workers: int) -> List[List[int]]
     tasks = []
     for nk in sorted(groups, reverse=True):
         group = groups[nk]
-        size = min(-(-len(group) // workers), _stack_slots(nk))
+        size = -(-len(group) // workers)
         tasks += [group[s : s + size] for s in range(0, len(group), size)]
     return tasks
 

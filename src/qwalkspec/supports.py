@@ -51,25 +51,26 @@ EIGENVALUE_CLUSTER_TOL = 1e-6
 
 def support_u(a: ArcSpace) -> np.ndarray:
     """S+(U), the support of W: the non-backtracking arc matrix (k >= 2)."""
-    if a.k < 2:
-        raise ValencyError(f"support of the walk needs valency >= 2, got k={a.k}")
-    return positive_support(scaled_transition_matrix(a))
+    return _walk_supports(a, 1)[0]
 
 
 def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
     """S+(U^m) for m in {2, 3}, computed sign-exactly as the support of W^m."""
-    if a.k < 2:
-        raise ValencyError(f"support of the walk needs valency >= 2, got k={a.k}")
     if m not in (2, 3):
         raise ValueError(f"only powers 2 and 3 are supported, got {m}")
-    return positive_support(_walk_powers(a, m)[-1])
+    return positive_support(_walks(a, m)[-1])
 
 
 def _walk_supports(a: ArcSpace, m: int) -> list:
     """[S+(U), ..., S+(U^m)], the supports of one chain W, ..., W^m (k >= 2)."""
+    return [positive_support(w) for w in _walks(a, m)]
+
+
+def _walks(a: ArcSpace, m: int) -> list:
+    """[W, ..., W^m], once the valency k >= 2 that every walk support needs is checked."""
     if a.k < 2:
         raise ValencyError(f"support of the walk needs valency >= 2, got k={a.k}")
-    return [positive_support(w) for w in _walk_powers(a, m)]
+    return _walk_powers(a, m)
 
 
 def su2_via_identity(a: ArcSpace) -> np.ndarray:
@@ -94,9 +95,7 @@ class SupportSet:
 
 
 def build_support_set(a: ArcSpace) -> SupportSet:
-    if a.k < 2:
-        raise ValencyError(f"support set needs valency >= 2, got k={a.k}")
-    return SupportSet(*map(positive_support, _walk_powers(a, 3)))  # S+(U) is the support of W
+    return SupportSet(*_walk_supports(a, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from qwalkspec import (
     cycle_graph,
     int_eye,
     int_matrix,
-    int_zeros,
     mat_equal,
     mat_mul,
     modular_charpoly,
@@ -40,8 +39,6 @@ def test_int_matrix_constructors():
     assert m.dtype == np.int64
     assert mat_equal(int_eye(2), int_matrix([[1, 0], [0, 1]]))
     assert int_eye(2).dtype == np.int64
-    assert int_zeros(2, 3).shape == (2, 3)
-    assert int_zeros(2, 3).dtype == np.int64
     with pytest.raises(ValueError):
         int_matrix([[1, 2], [3]])
 
@@ -102,11 +99,11 @@ def test_mat_mul_identity_and_dims():
     m = int_matrix([[1, 2], [3, 4]])
     assert mat_equal(mat_mul(int_eye(2), m), m)
     with pytest.raises(ValueError):
-        mat_mul(m, int_zeros(3, 2))
+        mat_mul(m, np.zeros((3, 2), dtype=np.int64))
 
 
 def test_mat_mul_rejects_entries_from_2_62():
-    one, zero = int_matrix([[1]]), int_zeros(1, 1)
+    one, zero = int_matrix([[1]]), np.zeros((1, 1), dtype=np.int64)
     assert mat_mul(int_matrix([[2**62 - 1]]), one)[0, 0] == 2**62 - 1
     # the entry check, not the product bound (which is 0 here), rejects these
     for big in (np.array([[x]]) for x in (2**62, -(2**62), -(2**63))):
@@ -213,7 +210,7 @@ def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
 
 
 def test_positive_support_examples():
-    z = int_zeros(2, 2)
+    z = np.zeros((2, 2), dtype=np.int64)
     assert mat_equal(positive_support(z), z)
     m = int_matrix([[-1, 0], [2, -5]])
     assert positive_support(m).tolist() == [[0, 0], [1, 0]]
@@ -296,7 +293,7 @@ def test_modular_handles_structured_matrices():
     assert modular_charpoly(p).coeffs == (-1, 0, 0, 1)  # t^3 - 1
     nil = int_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert modular_charpoly(nil).coeffs == (0, 0, 0, 1)  # t^3
-    z = int_zeros(4, 4)
+    z = np.zeros((4, 4), dtype=np.int64)
     assert modular_charpoly(z).coeffs == (0, 0, 0, 0, 1)
 
 
@@ -324,7 +321,7 @@ def test_charpoly_similarity_invariance():
     for n in (3, 5, 8):
         m = rand_int_matrix(rng, n)
         perm = rng.permutation(n)
-        p = int_zeros(n, n)
+        p = np.zeros((n, n), dtype=np.int64)
         for i, j in enumerate(perm):
             p[j, i] = 1
         conj = mat_mul(p.T, mat_mul(m, p))
@@ -481,7 +478,7 @@ def _mixed_matrices():
     a = build_arc_space(petersen_graph())
     five, seven = rand_int_matrix(rng, 5), rand_int_matrix(rng, 7, -2**40, 2**40)
     return [
-        five, int_zeros(0, 0), support_u(a), int_matrix([[-3]]), seven,
+        five, np.zeros((0, 0), dtype=np.int64), support_u(a), int_matrix([[-3]]), seven,
         support_u_power(a, 2), five, rand_int_matrix(rng, 5), int_matrix([[7]]), support_u(a),
     ]
 
@@ -692,7 +689,7 @@ def test_a_non_diagonalizable_matrix_takes_the_route(caplog, kernel_dims):
     """Jordan blocks J_2(2)^2 J_1(2) J_2(-1) J_1(-1)^3 J_1(3)^3, conjugated by a unimodular matrix."""
     blocks = [(2, 2), (2, 2), (1, 2), (2, -1), (1, -1), (1, -1), (1, -1), (1, 3), (1, 3), (1, 3)]
     n = sum(size for size, _ in blocks)
-    jordan, at = int_zeros(n, n), 0
+    jordan, at = np.zeros((n, n), dtype=np.int64), 0
     for size, lam in blocks:
         for i in range(at, at + size):
             jordan[i, i] = lam

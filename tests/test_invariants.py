@@ -33,6 +33,7 @@ from qwalkspec import (
     support_u_power,
     write_graph6_file,
 )
+from qwalkspec.intmat import char_poly_residues
 from qwalkspec.invariants import certify, fingerprints
 
 from oracles import dense_arc_matrices, int_product
@@ -440,6 +441,54 @@ def test_equal_traces_alone_never_decide_s3(monkeypatch, caplog):
     ]
 
 
+def test_certify_stacks_the_residues_of_its_pair_in_one_kernel_pass(monkeypatch, caplog):
+    import qwalkspec.invariants as inv
+    from qwalkspec import intmat
+
+    _equal_traces(monkeypatch)
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
+    p, q = fingerprints([("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4))])
+    passes, kernel = [], intmat._hessenberg_stack
+
+    def spy(h, primes):
+        passes.append((h.shape[1], len(primes)))
+        return kernel(h, primes)
+
+    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
+        report = certify(p, q)
+    assert passes == [(96, 2)]  # both graphs in one stacked residue pass, not one pass each
+    assert report.distinguishing_invariant == "s3"
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")] == [
+        "certificate shrikhande vs rook44: s3 distinguished by mismatch mod p=%d"
+        % char_poly_residues([p._s3_matrix()])[0][0]]
+
+
+def test_certifying_leaves_every_fingerprint_as_it_was_built(monkeypatch):
+    # twins without a witness need both the residues and the exact polys of S+(U^3)
+    import qwalkspec.invariants as inv
+
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
+    rng = np.random.default_rng(8)
+    corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
+    built, real = [], inv._fingerprints
+
+    def spy(checked):
+        prints = real(checked)
+        built.extend((f, dict(vars(f))) for f in prints)
+        return prints
+
+    monkeypatch.setattr(inv, "_fingerprints", spy)
+    p, q = fingerprints(corpus[:2])
+    assert certify(p, q).distinguishing_invariant is None
+    result = batch_compare(corpus, threads=1)
+    assert [r.distinguishing_invariant for r in result.pairs] == [None] * 3
+    assert len(built) == 5
+    for f, before in built:
+        assert vars(f).keys() == before.keys(), f.graph_id
+        assert all(vars(f)[key] is value for key, value in before.items()), f.graph_id
+
+
 def _oracle_power_traces(s):
     """(tr S, ..., tr S^4) of an integer matrix, from products of Python ints."""
     s = np.array(s.tolist(), dtype=object)
@@ -541,7 +590,7 @@ def test_latin_square_srg_16_9_4_6_pair(monkeypatch, caplog):
     assert report == expected and forced == [expected] * 2
     assert expected.distinguishing_invariant == "s3"
     residue = "certificate latin:Z2^2 vs latin:Z4: s3 distinguished by mismatch mod p=%d" % (
-        fingerprints(corpus[:1])[0].s3_residue[0])
+        char_poly_residues([fingerprints(corpus[:1])[0]._s3_matrix()])[0][0])
     assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")] == [
         "certificate latin:Z2^2 vs latin:Z4: s3 distinguished by trace mismatch i=2", residue, residue]
 
