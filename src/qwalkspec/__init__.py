@@ -79,7 +79,6 @@ from .polynomials import (
     poly_divide_exact,
     poly_gcd,
     poly_mul,
-    poly_pow,
     poly_roots,
     squarefree_decomposition,
 )

@@ -22,13 +22,13 @@ distinct eigenvalues, such as the walk supports of strongly regular graphs:
 * the certificate mu(M) = 0, checked exactly: the powers M^i are exact in
   float64, since r^i bounds their entries and every partial sum forming them,
   and mu(M) is reduced modulo primes whose product exceeds twice its bound
-  sum |mu_i| r^i.  Every eigenvalue is then a root of g = rad(mu);
-* the multiplicities, read off the exact traces tr(M^i) of those powers:
-  N = g * sum_i tr(M^i) t^(-i-1), cut to its polynomial part, equals
-  g chi'/chi, so the root a of multiplicity m_a has N(a) = m_a g'(a).  At
-  primes q > n where g stays squarefree, h_m = gcd(g, N - m g') mod q groups
-  the roots of multiplicity m; the groups are lifted by CRT and accepted only
-  if they multiply to g over Z and sum m deg h_m = n.  Then chi = prod h_m^m.
+  sum |mu_i| r^i.  The exact traces p_i = tr(M^i) of those powers come free;
+* chi from mu and p_0, ..., p_(d-1) by one integer recurrence
+  (``_charpoly_from_traces``): mu(M) = 0 makes sum_i p_i t^i a rational
+  function with denominator t^d mu(1/t), and t E'/E = p_0 - sum_i p_i t^i
+  for E(t) = det(I - tM) then gives E's coefficients one by one, in O(n d)
+  integer steps.  No prime, gcd or CRT is needed, and Jordan blocks (mu not
+  squarefree) need nothing special.
 
 A matrix whose degree or bound rules the route out, or whose certificate
 fails, takes the Hessenberg route unchanged: Hessenberg reduction and the
@@ -74,8 +74,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .polynomials import CharPoly, poly_add, poly_derivative, poly_divide_exact, poly_gcd, poly_mul
-from .polynomials import poly_pow, poly_trim
+from .polynomials import CharPoly
 
 _INT64_SAFE = 1 << 62
 
@@ -445,20 +444,11 @@ def _minpoly_route(m: np.ndarray) -> tuple:
     traces = _certify_minpoly(m, mu, r)
     if traces is None:
         return None, "certificate"
-    g = mu  # rad(mu), which is mu itself when mu is squarefree mod a prime
-    if _gcd_mod(mu, poly_derivative(mu), first) != [1]:
-        g = poly_divide_exact(mu, poly_gcd(mu, poly_derivative(mu)))
-    groups = _multiplicity_groups(g, traces, n, primes)
-    if groups is None:
-        return None, "certificate"
-    chi = [1]
-    for mult, h in groups.items():
-        chi = poly_mul(chi, poly_pow(h, mult))
+    chi = _charpoly_from_traces(mu, traces, n)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("charpoly route=minpoly n=%d krylov_degree=%d squarefree_degree=%d mu_primes=%d"
-                  " bound_bits=%.0f ms=%.1f", n, d, len(g) - 1, len(primes), bound_bits,
-                  (perf_counter() - start) * 1e3)
-    return CharPoly(tuple(chi)), None
+        log.debug("charpoly route=minpoly n=%d krylov_degree=%d mu_primes=%d bound_bits=%.0f ms=%.1f",
+                  n, d, len(primes), bound_bits, (perf_counter() - start) * 1e3)
+    return chi, None
 
 
 def _krylov_relation(mq: np.ndarray, q: int, cap: int):
@@ -525,65 +515,32 @@ def _certify_minpoly(m: np.ndarray, mu: list, r: int):
     return None if acc.any() else traces
 
 
-def _multiplicity_groups(g: list, traces: list, n: int, primes: list):
-    """{m: h_m} with det(tI - M) = prod h_m^m, if g is squarefree mod each prime and the lifted
-    groups multiply to g with sum m deg h_m = n; else None."""
-    s, dg = len(g) - 1, poly_derivative(g)
-    big_n = [sum(g[j] * traces[j - l - 1] for j in range(l + 1, s + 1)) for l in range(s)]
-    rows: dict = {}
-    for q in primes:
-        if q <= n or _gcd_mod(g, dg, q) != [1]:
-            return None
-        if not rows:  # the multiplicities: the roots in [1, n] of w's minimal polynomial mod q
-            inv_dg = _gcd_mod(g, dg, q, cofactor=True)[1]
-            w = _mult_matrix(big_n, g, q) @ np.array(inv_dg + [0] * (s - len(inv_dg))) % q
-            rel = _krylov_relation(_reduce(_mult_matrix(list(w), g, q).astype(np.float64), q), q, s)
-            xs, val = np.arange(1.0, n + 1), np.zeros(n)
-            for c in rel[::-1]:
-                val = _reduce(val * xs + c, q)
-            rows = {int(x): [] for x in xs[val == 0]}
-        for x, found in rows.items():
-            found.append(_gcd_mod(g, [a - x * b for a, b in zip(big_n, dg)], q))
-    if any(len({len(h) for h in found}) != 1 for found in rows.values()):
-        return None
-    groups = {x: list(_crt(np.array(found, dtype=object), primes).coeffs) for x, found in rows.items()}
-    product = [1]
-    for h in groups.values():
-        product = poly_mul(product, h)
-    if product != g or sum(x * (len(h) - 1) for x, h in groups.items()) != n:
-        return None
-    return groups
+def _charpoly_from_traces(mu: list, traces: list, n: int) -> CharPoly:
+    """det(tI - M) of an n x n M from mu, monic of degree d with mu(M) = 0, and traces[i] = tr(M^i).
 
-
-def _mult_matrix(f: list, g: list, q: int) -> np.ndarray:
-    """Matrix mod q of multiplication by f (deg f < deg g) on Z[t]/(g), g monic, basis 1, ..., t^(s-1)."""
-    s = len(g) - 1
-    low = np.array([c % q for c in g[:-1]], dtype=np.int64)
-    col = np.array([c % q for c in f] + [0] * (s - len(f)), dtype=np.int64)
-    out = np.empty((s, s), dtype=np.int64)
-    for i in range(s):
-        out[:, i] = col
-        col = (np.concatenate(([0], col[:-1])) - col[-1] * low) % q  # t * col, with t^s = t^s - g
-    return out
-
-
-def _gcd_mod(a: list, b: list, q: int, cofactor: bool = False):
-    """Monic gcd of integer polynomials a, b (ascending, not both 0) mod the prime q, by Euclid; with
-    ``cofactor``, (gcd, u) with u b = gcd mod a, by the extended algorithm."""
-    a, b, ua, ub = poly_trim([c % q for c in a]), poly_trim([c % q for c in b]), [], [1]
-    while b:
-        inv, quot = pow(b[-1], -1, q), [0] * max(len(a) - len(b) + 1, 0)
-        while len(a) >= len(b):
-            c, shift = a[-1] * inv % q, len(a) - len(b)
-            quot[shift] = c
-            a = poly_trim([(x - c * b[i - shift]) % q if i >= shift else x for i, x in enumerate(a)])
-        if cofactor:
-            prod = np.convolve(quot, ub).tolist() if quot and ub else []
-            ua, ub = ub, poly_trim([x % q for x in poly_add(ua, [-y for y in prod])])
-        a, b = b, a
-    inv = pow(a[-1], -1, q)
-    monic = [x * inv % q for x in a]
-    return (monic, [x * inv % q for x in ua]) if cofactor else monic
+    Only p_i = traces[i], i < d, are read.  mu(M) = 0 gives tr(M^i mu(M)) = 0
+    for every i, so sum_i p_i t^i = A / rho, with rho(t) = t^d mu(1/t)
+    (rho_0 = 1) and A = (p_0 + ... + p_(d-1) t^(d-1)) rho cut below t^d.
+    E(t) = det(I - tM) then has t E'/E = -sum_(i>=1) p_i t^i = C / rho, with
+    C = p_0 rho - A and C_0 = 0, so e_0 = 1 and
+    k e_k = sum_(j=1..min(d,k)) (C_j - (k - j) rho_j) e_(k-j).  The division
+    by k is exact for the true traces; a remainder raises ``ArithmeticError``.
+    det(tI - M) is e reversed.
+    """
+    d = len(mu) - 1
+    rho = mu[::-1]
+    c = [traces[0] * x for x in rho]
+    for k in range(d):
+        c[k] -= sum(map(mul, traces[: k + 1], rho[k::-1]))
+    a = [c[j] + j * rho[j] for j in range(1, d + 1)]  # C_j - (k - j) rho_j = a_j - k rho_j
+    e, rho = [1], rho[1:]
+    for k in range(1, n + 1):
+        back = e[: -d - 1 : -1]  # e_(k-1), ..., e_(k-min(d,k))
+        q, rest = divmod(sum(map(mul, a, back)) - k * sum(map(mul, rho, back)), k)
+        if rest:
+            raise ArithmeticError(f"traces inconsistent with the minimal polynomial at t^{k}")
+        e.append(q)
+    return CharPoly(tuple(e[::-1]))
 
 
 def char_poly_residues(matrices: Iterable[np.ndarray]) -> list:

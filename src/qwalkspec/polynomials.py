@@ -99,17 +99,6 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> list:
     return _kron_read(_kron_eval(p, bits) * _kron_eval(q, bits), len(p) + len(q) - 2, bits)
 
 
-def poly_pow(p: Sequence[int], e: int) -> list:
-    """p^e as one big-int power of p's value at 2^B (Kronecker substitution)."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    p = poly_trim(p)
-    if not p:
-        return [] if e else [1]
-    bits = _kron_bits(sum(map(abs, p)) ** e)
-    return _kron_read(_kron_eval(p, bits) ** e, (len(p) - 1) * e, bits)
-
-
 def poly_graeffe(p: Sequence[int]) -> list:
     """Graeffe root-squaring: the monic q whose roots are the squares of p's.
 

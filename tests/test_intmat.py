@@ -1,5 +1,4 @@
 import logging
-import math
 
 import numpy as np
 import pytest
@@ -171,11 +170,9 @@ def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
         cp = modular_charpoly(s3)
     assert cp == quiet == berkowitz_charpoly(s3)
     [fields] = _debug_fields(caplog.records)
-    assert sorted(fields) == [
-        "bound_bits", "krylov_degree", "ms", "mu_primes", "n", "route", "squarefree_degree"
-    ]
+    assert sorted(fields) == ["bound_bits", "krylov_degree", "ms", "mu_primes", "n", "route"]
     assert fields["route"] == "minpoly" and int(fields["n"]) == 30
-    assert 1 <= int(fields["squarefree_degree"]) <= int(fields["krylov_degree"]) <= 15
+    assert 1 <= int(fields["krylov_degree"]) <= 15
     assert int(fields["mu_primes"]) >= 1 and float(fields["bound_bits"]) > 0
     assert float(fields["ms"]) >= 0
 
@@ -675,7 +672,7 @@ def test_srg_supports_take_the_minpoly_route_and_equal_berkowitz(spec, which, ca
     m = _srg_matrix(spec, which)
     cp, fields = _logged_char_poly(caplog, m)
     assert fields["route"] == "minpoly" and kernel_dims == []
-    assert int(fields["squarefree_degree"]) == int(fields["krylov_degree"]) <= m.shape[0] // 2
+    assert int(fields["krylov_degree"]) <= m.shape[0] // 2
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
 
 
@@ -685,9 +682,8 @@ def _elementary(n, i, j, c):
     return e
 
 
-def test_a_non_diagonalizable_matrix_takes_the_route(caplog, kernel_dims):
-    """Jordan blocks J_2(2)^2 J_1(2) J_2(-1) J_1(-1)^3 J_1(3)^3, conjugated by a unimodular matrix."""
-    blocks = [(2, 2), (2, 2), (1, 2), (2, -1), (1, -1), (1, -1), (1, -1), (1, 3), (1, 3), (1, 3)]
+def _jordan(blocks):
+    """The direct sum of the Jordan blocks J_size(lam), (size, lam) in ``blocks``."""
     n = sum(size for size, _ in blocks)
     jordan, at = np.zeros((n, n), dtype=np.int64), 0
     for size, lam in blocks:
@@ -696,18 +692,28 @@ def test_a_non_diagonalizable_matrix_takes_the_route(caplog, kernel_dims):
             if i + 1 < at + size:
                 jordan[i, i + 1] = 1
         at += size
-    rng = np.random.default_rng(3)
+    return jordan
+
+
+def _unimodular_conjugate(m, rng, steps):
+    """P M P^-1, with P a product of ``steps`` random elementary matrices I +- E_ij."""
+    n = m.shape[0]
     p, p_inv = int_eye(n), int_eye(n)
-    for _ in range(12):
+    for _ in range(steps):
         i, j = rng.choice(n, 2, replace=False)
         c = int(rng.choice([-1, 1]))
         p, p_inv = mat_mul(p, _elementary(n, i, j, c)), mat_mul(_elementary(n, i, j, -c), p_inv)
     assert mat_equal(mat_mul(p, p_inv), int_eye(n))
-    m = mat_mul(mat_mul(p, jordan), p_inv)
+    return mat_mul(mat_mul(p, m), p_inv)
+
+
+def test_a_non_diagonalizable_matrix_takes_the_route(caplog, kernel_dims):
+    """Jordan blocks J_2(2)^2 J_1(2) J_2(-1) J_1(-1)^3 J_1(3)^3, conjugated by a unimodular matrix."""
+    jordan = _jordan([(2, 2), (2, 2), (1, 2), (2, -1), (1, -1), (1, -1), (1, -1), (1, 3), (1, 3), (1, 3)])
+    m = _unimodular_conjugate(jordan, np.random.default_rng(3), 12)
     cp, fields = _logged_char_poly(caplog, m)
     assert fields["route"] == "minpoly" and kernel_dims == []
-    # mu = (t-2)^2 (t+1)^2 (t-3): degree 5, squarefree part of degree 3
-    assert (fields["krylov_degree"], fields["squarefree_degree"]) == ("5", "3")
+    assert fields["krylov_degree"] == "5"  # mu = (t-2)^2 (t+1)^2 (t-3)
     assert cp.coeffs == berkowitz_charpoly(m).coeffs == berkowitz_charpoly(jordan).coeffs
 
 
@@ -757,30 +763,64 @@ def test_a_planted_mu_with_a_missing_factor_fails_the_certificate(caplog, kernel
     assert cp == closed_form_charpoly_su(g)
 
 
-def test_groups_whose_product_is_not_g_are_rejected(caplog, kernel_dims, monkeypatch):
-    """A lift that is right modulo every prime but wrong over Z keeps every degree, so only the
-    exact check prod h_m = g catches it; the result then comes, exact, from the kernel."""
-    from qwalkspec import closed_form_charpoly_su, intmat, petersen_graph, support_u
+_NILPOTENT = {"zero": [(1, 0)] * 6, "J4(0)": [(4, 0)], "J3(0)^2 J1(0)": [(3, 0), (3, 0), (1, 0)]}
 
-    g = petersen_graph()
-    m = support_u(build_arc_space(g))
-    crt, groups = intmat._crt, intmat._multiplicity_groups
 
-    def off_by_the_modulus(residues, primes):
-        lifted = crt(residues, primes).coeffs
-        return type(crt(residues, primes))((lifted[0] + math.prod(primes),) + lifted[1:])
+@pytest.mark.parametrize("blocks", _NILPOTENT.values(), ids=_NILPOTENT)
+def test_the_trace_recurrence_gives_t_to_the_n_for_nilpotent_matrices(blocks):
+    from qwalkspec import intmat
 
-    def groups_with_a_wrong_lift(*args):
-        monkeypatch.setattr(intmat, "_crt", off_by_the_modulus)
-        try:
-            return groups(*args)
-        finally:
-            monkeypatch.setattr(intmat, "_crt", crt)
+    m = _jordan(blocks)
+    n, d = m.shape[0], max(size for size, _ in blocks)
+    chi = intmat._charpoly_from_traces([0] * d + [1], [n] + [0] * d, n)  # mu = t^d, tr(M^i) = 0 for i > 0
+    assert chi.coeffs == (0,) * n + (1,) == berkowitz_charpoly(m).coeffs
 
-    monkeypatch.setattr(intmat, "_multiplicity_groups", groups_with_a_wrong_lift)
+
+@pytest.mark.parametrize("name", ["zero", "J3(0)^2 J1(0)"])  # J4(0) has 2d > n: no route
+def test_nilpotent_matrices_take_the_route(name, caplog, kernel_dims):
+    m = _unimodular_conjugate(_jordan(_NILPOTENT[name]), np.random.default_rng(4), 8)
     cp, fields = _logged_char_poly(caplog, m)
-    assert (fields["route"], fields["reason"]) == ("hessenberg", "certificate") and kernel_dims == [30]
-    assert cp == closed_form_charpoly_su(g)
+    assert fields["route"] == "minpoly" and kernel_dims == []
+    assert cp.coeffs == (0,) * m.shape[0] + (1,)
+
+
+def test_traces_inconsistent_with_mu_raise_rather_than_round():
+    from qwalkspec import intmat
+
+    # mu = t^2 forces tr(M) = 0; with tr(M) = 1 the recurrence asks for 2 e_2 = 1
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        intmat._charpoly_from_traces([0, 0, 1], [2, 1], 2)
+
+
+def test_the_route_raises_on_inconsistent_traces_instead_of_falling_back(monkeypatch, kernel_dims):
+    from qwalkspec import intmat
+
+    m = _unimodular_conjugate(_jordan([(2, 0), (2, 0)]), np.random.default_rng(5), 6)
+    certify = intmat._certify_minpoly
+    monkeypatch.setattr(intmat, "_certify_minpoly",
+                        lambda *args: [x + (i == 1) for i, x in enumerate(certify(*args))])
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        char_poly(m)
+    assert kernel_dims == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    st.integers(0, 8),
+    st.integers(0, 2**32),
+)
+def test_unimodular_conjugates_of_jordan_matrices_equal_berkowitz_on_the_route(kinds, steps, seed):
+    """Blocks J_size(lam) repeated ``count`` times, (size, lam, count) in ``kinds``: repeats keep the
+    minimal polynomial's degree low, so most take the route, Jordan blocks of size > 1 included."""
+    from qwalkspec import intmat
+
+    jordan = _jordan([(size, lam) for size, lam, count in kinds for _ in range(count)])
+    assume(jordan.shape[0] >= 2)
+    m = _unimodular_conjugate(jordan, np.random.default_rng(seed), steps)
+    cp, _ = intmat._minpoly_route(m)
+    if cp is not None:
+        assert cp.coeffs == berkowitz_charpoly(m).coeffs == berkowitz_charpoly(jordan).coeffs
 
 
 @pytest.mark.parametrize(
