@@ -16,13 +16,17 @@ minimal-polynomial route (``_minpoly_route``), built for matrices with few
 distinct eigenvalues, such as the walk supports of strongly regular graphs:
 
 * mu, the minimal polynomial of a Krylov sequence u^T M^i v (fixed
-  pseudo-random u, v), by Berlekamp-Massey modulo a few primes and CRT.  The
-  Krylov degree d must stay at most n/2, and r^(d+1) below 2^53, with r the
-  larger of M's largest absolute row and column sums;
+  pseudo-random u, v), by Berlekamp-Massey modulo one prime, run online: it
+  stops once its length L has held for ``_KRYLOV_MARGIN`` terms past 2L, so
+  degree d costs about 2d terms.  d must stay at most n/2, and r^(d+1) below
+  2^53, with r the larger of M's largest absolute row and column sums.  mu
+  is lifted from that prime alone, and by CRT over as many primes as its
+  coefficient bound asks for only if the one-prime lift fails the certificate;
 * the certificate mu(M) = 0, checked exactly: the powers M^i are exact in
-  float64, since r^i bounds their entries and every partial sum forming them,
-  and mu(M) is reduced modulo primes whose product exceeds twice its bound
-  sum |mu_i| r^i.  The exact traces p_i = tr(M^i) of those powers come free;
+  float64, since r^i bounds their entries and every partial sum forming them.
+  mu(M) is formed in float64 too while its bound B = sum |mu_i| r^i is below
+  2^53, and is reduced modulo primes whose product exceeds 2B above it.  The
+  exact traces p_i = tr(M^i) of those powers come free;
 * chi from mu and p_0, ..., p_(d-1) by one integer recurrence
   (``_charpoly_from_traces``): mu(M) = 0 makes sum_i p_i t^i a rational
   function with denominator t^d mu(1/t), and t E'/E = p_0 - sum_i p_i t^i
@@ -36,9 +40,9 @@ Hessenberg determinant recurrence modulo word-sized primes, recombined by one
 CRT step per matrix.  The primes are taken, largest first, until their
 product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
 plus guard bits.  Either route is exact, not probabilistic: a pseudo-random
-choice can only send a matrix to the Hessenberg route.  The tests hold both
-equal to an independent reference, the division-free Berkowitz algorithm in
-``tests/oracles.py``.
+choice, an early stop or a wrong one-prime lift can only send a matrix to the
+Hessenberg route.  The tests hold both equal to an independent reference, the
+division-free Berkowitz algorithm in ``tests/oracles.py``.
 
 One kernel serves many primes, and several same-size matrices, at once.  It
 holds S residues, each of one matrix modulo one of that matrix's primes, as
@@ -414,6 +418,7 @@ def _char_polys(ms: list) -> list:
 # ---------------------------------------------------------------------------
 
 _KRYLOV_SEED = 2005  # seeds the Krylov vectors u, v of ``_krylov_relation``
+_KRYLOV_MARGIN = 2  # terms past 2L for which Berlekamp-Massey must keep its length L before it stops
 
 
 def _minpoly_route(m: np.ndarray) -> tuple:
@@ -430,89 +435,112 @@ def _minpoly_route(m: np.ndarray) -> tuple:
     cap = 0  # the largest degree the loop may reach
     while cap < n // 2 and r ** (cap + 2) < _FLOAT_EXACT:
         cap += 1
-    first = _primes(1, _prime_ceiling(n))[0]
-    rel = _krylov_relation(_residue_stack([(m, first)])[0], first, cap) if cap else None
+    primes = _primes(1, _prime_ceiling(n))
+    rel, terms = _krylov_relation(_residue_stack([(m, primes[0])])[0], primes[0], cap) if cap else (None, 0)
     if rel is None:
         return None, "degree" if cap == n // 2 else "bound"
-    d = len(rel) - 1
+    d, rels = len(rel) - 1, [rel]
     bound_bits = d * math.log2(r + 1)  # |mu_i| <= C(d, i) r^(d - i) <= (1 + r)^d
-    primes = _plan_primes(n, bound_bits)
-    rels = [rel] + [_krylov_relation(_residue_stack([(m, p)])[0], p, d) for p in primes[1:]]
-    if any(x is None or len(x) != d + 1 for x in rels):
-        return None, "certificate"
-    mu = list(_crt(np.array(rels, dtype=np.int64).astype(object), primes).coeffs)
-    traces = _certify_minpoly(m, mu, r)
+    mu = list(_crt(np.array(rels, dtype=object), primes).coeffs)
+    traces, cert_primes = _certify_minpoly(m, mu, r)
+    if traces is None:  # the one-prime lift is wrong once some |mu_i| reaches half the prime
+        primes = _plan_primes(n, bound_bits)
+        for p in primes[1:]:
+            rel, more = _krylov_relation(_residue_stack([(m, p)])[0], p, d)
+            terms += more
+            if rel is None or len(rel) != d + 1:
+                return None, "certificate"
+            rels.append(rel)
+        if len(primes) > 1:
+            mu = list(_crt(np.array(rels, dtype=object), primes).coeffs)
+            traces, cert_primes = _certify_minpoly(m, mu, r)
     if traces is None:
         return None, "certificate"
     chi = _charpoly_from_traces(mu, traces, n)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("charpoly route=minpoly n=%d krylov_degree=%d mu_primes=%d bound_bits=%.0f ms=%.1f",
-                  n, d, len(primes), bound_bits, (perf_counter() - start) * 1e3)
+        log.debug("charpoly route=minpoly n=%d krylov_degree=%d krylov_terms=%d mu_primes=%d"
+                  " cert_primes=%d bound_bits=%.0f ms=%.1f", n, d, terms, len(primes), cert_primes,
+                  bound_bits, (perf_counter() - start) * 1e3)
     return chi, None
 
 
-def _krylov_relation(mq: np.ndarray, q: int, cap: int):
-    """Minimal polynomial mod q (monic, ascending) of s_i = u^T M^i v if of degree <= cap, else None.
+def _krylov_relation(mq: np.ndarray, q: int, cap: int) -> tuple:
+    """(mu, terms): mu the minimal polynomial mod q (monic, ascending) of s_i = u^T M^i v, or None.
 
-    ``mq`` holds M's symmetric residues.  Berlekamp-Massey finds the
-    polynomial from s_0, ..., s_2cap whenever its degree is at most cap.
-    Every float64 sum has at most n products of residues, exact below
-    ``_prime_ceiling(n)``.
+    ``mq`` holds M's symmetric residues.  Berlekamp-Massey reads s_0, s_1, ...
+    online, from Krylov vectors formed in doubling blocks, and stops once its
+    length L has held for ``_KRYLOV_MARGIN`` terms past 2L (Kaltofen-Lee,
+    J. Symb. Comp. 36, 2003), or once L passes ``cap`` (mu None); ``terms``
+    counts the terms read.  An early stop can only give a wrong mu, which the
+    certificate rejects.  Every float64 sum has at most n products of
+    residues, exact below ``_prime_ceiling(n)``.
     """
     n = mq.shape[0]
-    vecs = np.empty((cap + 1, 2, n))  # vecs[i] = (M^i v, (M^T)^i u): s_(i+j) = vecs[i, 1] . vecs[j, 0]
+    most = cap + _KRYLOV_MARGIN // 2  # vectors that give s_0, ..., s_(2 cap + margin - 1)
+    vecs = np.empty((most + 1, 2, n))  # vecs[i] = (M^i v, (M^T)^i u): s_(i+j) = vecs[i, 1] . vecs[j, 0]
     # u and v: the top 20 bits of splitmix64 of 0, ..., 2n - 1 (importing numpy.random costs 6 MB)
     x = np.arange(2 * n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(_KRYLOV_SEED)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     vecs[0] = _reduce(((x ^ (x >> np.uint64(31))) >> np.uint64(44)).astype(np.float64).reshape(2, n), q)
-    for i in range(cap):
-        np.matmul(mq, vecs[i, 0], out=vecs[i + 1, 0])
-        np.matmul(vecs[i, 1], mq, out=vecs[i + 1, 1])
-        _reduce(vecs[i + 1], q)
-    seq = np.empty(2 * cap + 1)
-    seq[0::2] = np.einsum("ij,ij->i", vecs[:, 1], vecs[:, 0])
-    seq[1::2] = np.einsum("ij,ij->i", vecs[:-1, 1], vecs[1:, 0])
-    rev = np.mod(_reduce(seq, q), q).astype(np.int64)[::-1]  # rev[2 cap - i] = s_i, in [0, q)
-    # Berlekamp-Massey, on int64 entries in [0, q): each dot sums at most cap + 1 products below q^2
-    c, b = np.zeros((2, 2 * cap + 2), dtype=np.int64)
-    c[0] = b[0] = 1
-    length, gap, last = 0, 1, 1
-    for i in range(2 * cap + 1):
-        d = int(c[: length + 1] @ rev[2 * cap - i : 2 * cap - i + length + 1]) % q
-        if not d:
-            gap += 1
-            continue
-        prev = c.copy() if 2 * length <= i else None
-        c[gap:] -= d * pow(last, -1, q) % q * b[: b.size - gap]
-        c %= q
-        if prev is None:
-            gap += 1
-        else:
-            length, b, last, gap = i + 1 - length, prev, d, 1
-    return c[length::-1].tolist() if length <= cap else None
+    seq, top = [], 0  # s_0, s_1, ... in [0, q) as Python ints, from vecs[: top + 1]
+    # Berlekamp-Massey on Python ints: the connection polynomial c has degree at most length < len(c)
+    c, b, length, gap, inv, i = [1], [1], 0, 1, 1, 0
+    while length <= cap and i < 2 * length + _KRYLOV_MARGIN:
+        if i == len(seq):  # form the next block of vectors, and the terms they give
+            new = min(max(2 * top, 4), most)
+            for t in range(top, new):
+                np.matmul(mq, vecs[t, 0], out=vecs[t + 1, 0])
+                np.matmul(vecs[t, 1], mq, out=vecs[t + 1, 1])
+                _reduce(vecs[t + 1], q)
+            k = np.arange(len(seq), 2 * new + 1)
+            s = np.einsum("ij,ij->i", vecs[k // 2, 1], vecs[(k + 1) // 2, 0])
+            seq += np.mod(_reduce(s, q), q).astype(np.int64).tolist()
+            top = new
+        d = sum(map(mul, c, seq[i::-1])) % q
+        if d:  # c <- c - d / d_b t^gap b, with d_b = 1 / inv the discrepancy when b was c
+            scale, by, shift = d * inv % q, b, gap
+            if 2 * length <= i:  # the length grows: the old c becomes b
+                b, length, inv, gap = c[:], i + 1 - length, pow(d, -1, q), 0
+            c += [0] * (shift + len(by) - len(c))
+            for j, y in enumerate(by, shift):
+                c[j] = (c[j] - scale * y) % q
+        gap += 1
+        i += 1
+    return (c[length::-1] if length <= cap else None), i
 
 
-def _certify_minpoly(m: np.ndarray, mu: list, r: int):
-    """[tr(M^0), ..., tr(M^d)] if mu(M) = 0 exactly, else None.
+def _certify_minpoly(m: np.ndarray, mu: list, r: int) -> tuple:
+    """(traces, primes): traces [tr(M^0), ..., tr(M^d)] if mu(M) = 0 exactly, else None.
 
     M^i and every partial sum forming it are at most r^i <= r^d < 2^53, so
-    exact in float64; mu(M), at most sum |mu_i| r^i, is zero if it is zero
-    modulo primes whose product exceeds twice that.
+    exact in float64.  So are mu(M) and its partial sums while their bound
+    B = sum |mu_i| r^i is below 2^53 (``primes`` 0).  Above it, mu(M) is zero
+    if it is zero modulo primes whose product exceeds 2B.  A power at most
+    (p - 1) / 2 is its own residue, a larger one is reduced once, and the
+    accumulator, d + 1 < ``_sum_terms(n)`` products of residues, at the end.
     """
     n = m.shape[0]
-    primes = _plan_primes(n, sum(abs(c) * r**i for i, c in enumerate(mu)).bit_length())
-    q3 = np.array(primes, dtype=np.float64)[:, None, None]
-    coef = _reduce(np.array([[c % q for c in mu] for q in primes], dtype=np.float64), q3[:, :, 0])
-    mf, power = m.astype(np.float64), np.eye(n)
-    acc, traces = np.zeros((len(primes), n, n)), []
-    for i in range(len(mu)):
+    bound = sum(abs(c) * r**i for i, c in enumerate(mu))
+    primes = _plan_primes(n, bound.bit_length()) if bound >= _FLOAT_EXACT else []
+    if primes:
+        q3 = np.array(primes, dtype=np.float64)[:, None, None]
+        coef = _reduce(np.array([[c % q for c in mu] for q in primes], dtype=np.float64), q3[:, :, 0]).T
+        coef, acc = coef[:, :, None, None], np.zeros((len(primes), n, n))
+    else:
+        coef, acc = [float(c) for c in mu], np.zeros((n, n))
+    mf, power, traces = m.astype(np.float64), np.eye(n), []
+    for i, c in enumerate(coef):
         if i:
             power = mf if i == 1 else mf @ power
         traces.append(sum(np.diagonal(power).astype(np.int64).tolist()))
-        acc += coef[:, i, None, None] * _reduce(np.broadcast_to(power, acc.shape).copy(), q3)
+        if primes and 2 * r**i >= primes[-1]:  # reduced once, into a stack of its residues
+            acc += c * _reduce(np.broadcast_to(power, acc.shape).copy(), q3)
+        else:
+            acc += c * power
+    if primes:
         _reduce(acc, q3)
-    return None if acc.any() else traces
+    return None if acc.any() else traces, len(primes)
 
 
 def _charpoly_from_traces(mu: list, traces: list, n: int) -> CharPoly:

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ def _debug_fields(records) -> list:
 
 
 def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
-    from qwalkspec import char_polys, petersen_graph, support_u, support_u_power
+    from qwalkspec import char_polys, intmat, petersen_graph, support_u, support_u_power
 
     a = build_arc_space(petersen_graph())
     s1, s3 = support_u(a), support_u_power(a, 3)
@@ -170,10 +171,14 @@ def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
         cp = modular_charpoly(s3)
     assert cp == quiet == berkowitz_charpoly(s3)
     [fields] = _debug_fields(caplog.records)
-    assert sorted(fields) == ["bound_bits", "krylov_degree", "ms", "mu_primes", "n", "route"]
+    assert sorted(fields) == ["bound_bits", "cert_primes", "krylov_degree", "krylov_terms", "ms",
+                              "mu_primes", "n", "route"]
     assert fields["route"] == "minpoly" and int(fields["n"]) == 30
     assert 1 <= int(fields["krylov_degree"]) <= 15
-    assert int(fields["mu_primes"]) >= 1 and float(fields["bound_bits"]) > 0
+    # Berlekamp-Massey stops once its length d has held for the margin past 2d
+    assert int(fields["krylov_terms"]) == 2 * int(fields["krylov_degree"]) + intmat._KRYLOV_MARGIN
+    assert int(fields["mu_primes"]) == 1 and fields["cert_primes"] == "0"  # one-prime lift, float64 check
+    assert float(fields["bound_bits"]) > 0
     assert float(fields["ms"]) >= 0
 
     # Matrices that fall back get the kernel's line, one per matrix, with the reason; the two
@@ -739,17 +744,14 @@ def _divide_by_root(p, root, q):
 
 
 def test_a_planted_mu_with_a_missing_factor_fails_the_certificate(caplog, kernel_dims, monkeypatch):
-    from qwalkspec import closed_form_charpoly_su, intmat, shrikhande_graph, support_u
+    from qwalkspec import intmat, shrikhande_graph, support_u
 
-    g = shrikhande_graph()
-    m = support_u(build_arc_space(g))
+    m = support_u(build_arc_space(shrikhande_graph()))
     relation, certify, verdicts = intmat._krylov_relation, intmat._certify_minpoly, []
 
-    def planted(mq, q, cap):  # mu / (t - (k - 1)) for M itself, unchanged for the multiplicity step
-        if mq.shape[0] != m.shape[0]:
-            return relation(mq, q, cap)
-        rel = relation(mq, q, cap + 1)
-        return None if rel is None else _divide_by_root(rel, 5, q)
+    def planted(mq, q, cap):  # mu / (t - (k - 1)): a proper factor of the true mu
+        rel, terms = relation(mq, q, cap)
+        return _divide_by_root(rel, 5, q), terms
 
     def certify_spy(*args):
         verdicts.append(certify(*args))
@@ -758,9 +760,61 @@ def test_a_planted_mu_with_a_missing_factor_fails_the_certificate(caplog, kernel
     monkeypatch.setattr(intmat, "_krylov_relation", planted)
     monkeypatch.setattr(intmat, "_certify_minpoly", certify_spy)
     cp, fields = _logged_char_poly(caplog, m)
-    assert verdicts == [None]  # mu(M) != 0 rejects the planted mu
+    # mu(M) != 0 rejects the planted mu in float64: its bound is below 2^53, and one prime already
+    # covers mu's coefficient bound, so no CRT lift is tried
+    assert verdicts == [(None, 0)]
     assert (fields["route"], fields["reason"]) == ("hessenberg", "certificate") and kernel_dims == [96]
-    assert cp == closed_form_charpoly_su(g)
+    assert cp == berkowitz_charpoly(m)
+
+
+@pytest.mark.parametrize("which", ["shrikhande-s1", "jordan"])
+def test_a_premature_berlekamp_massey_stop_falls_back_on_the_certificate(which, caplog, kernel_dims,
+                                                                         monkeypatch):
+    """With no margin, Berlekamp-Massey stops at once with mu = 1: the certificate rejects it."""
+    from qwalkspec import intmat
+
+    if which == "jordan":
+        m = _unimodular_conjugate(_jordan([(2, 2), (1, 2), (2, -1), (1, 3), (1, 3)]),
+                                  np.random.default_rng(3), 10)
+    else:
+        m = _srg_matrix("shrikhande", "s1")
+    monkeypatch.setattr(intmat, "_KRYLOV_MARGIN", 0)
+    cp, fields = _logged_char_poly(caplog, m)
+    assert (fields["route"], fields["reason"]) == ("hessenberg", "certificate")
+    assert kernel_dims == [m.shape[0]]
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+def test_a_wrong_one_prime_lift_is_lifted_again_by_crt(caplog, kernel_dims):
+    """mu = (t-97)(t-98)(t-99)(t-100) has constant term 94,109,400, more than half the first
+    prime of n = 8, so the one-prime lift fails its certificate and two primes lift it."""
+    from qwalkspec import intmat
+
+    m = _unimodular_conjugate(_jordan([(1, x) for x in (97, 98, 99, 100) * 2]), np.random.default_rng(0), 6)
+    assert 2 * 94_109_400 > intmat._primes(1, intmat._prime_ceiling(8))[0]
+    cp, fields = _logged_char_poly(caplog, m)
+    assert fields["route"] == "minpoly" and kernel_dims == []
+    assert (fields["krylov_degree"], fields["mu_primes"], fields["cert_primes"]) == ("4", "2", "0")
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+def test_a_bound_above_2_53_takes_the_modular_certificate(caplog, kernel_dims):
+    """J_10(25) twice: r = 26 and r^11 < 2^53, but mu = (t - 25)^10 has sum |mu_i| r^i = 51^10,
+    so mu(M) is checked modulo primes.  Terms such as mu_7 M^7 pass 2^53, so the powers above the
+    primes must be reduced before they are summed."""
+    from qwalkspec import intmat
+
+    m = _jordan([(10, 25), (10, 25)])
+    cp, fields = _logged_char_poly(caplog, m)
+    assert fields["route"] == "minpoly" and kernel_dims == []
+    assert fields["krylov_degree"] == "10" and fields["cert_primes"] == "3"
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+    mu = [math.comb(10, i) * (-25) ** (10 - i) for i in range(11)]
+    assert intmat._certify_minpoly(m, mu, 26) == ([20 * 25**i for i in range(11)], 3)
+    # 2 * 51^10 is about 2^58: three primes of about 2^24 exceed it.  mu + p_1 p_2 differs from mu
+    # modulo the third prime alone.
+    p = intmat._primes(3, intmat._prime_ceiling(20))
+    assert intmat._certify_minpoly(m, [mu[0] + p[0] * p[1]] + mu[1:], 26) == (None, 3)
 
 
 _NILPOTENT = {"zero": [(1, 0)] * 6, "J4(0)": [(4, 0)], "J3(0)^2 J1(0)": [(3, 0), (3, 0), (1, 0)]}
@@ -797,8 +851,12 @@ def test_the_route_raises_on_inconsistent_traces_instead_of_falling_back(monkeyp
 
     m = _unimodular_conjugate(_jordan([(2, 0), (2, 0)]), np.random.default_rng(5), 6)
     certify = intmat._certify_minpoly
-    monkeypatch.setattr(intmat, "_certify_minpoly",
-                        lambda *args: [x + (i == 1) for i, x in enumerate(certify(*args))])
+
+    def skewed(*args):
+        traces, primes = certify(*args)
+        return [x + (i == 1) for i, x in enumerate(traces)], primes
+
+    monkeypatch.setattr(intmat, "_certify_minpoly", skewed)
     with pytest.raises(ArithmeticError, match="inconsistent"):
         char_poly(m)
     assert kernel_dims == []
