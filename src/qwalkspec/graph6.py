@@ -30,7 +30,10 @@ def _byte_values(s: str, start: int) -> List[int]:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 string (optionally prefixed by '>>graph6<<')."""
+    """Decode one graph6 string, optionally prefixed by one '>>graph6<<' header.
+
+    The header is stripped once: a second one fails on its '>' byte.
+    """
     s = line.rstrip("\r\n")
     if s.startswith(HEADER):
         s = s[len(HEADER):]
@@ -119,15 +122,15 @@ def write_graph6(g: Graph) -> str:
 def parse_graph6_file(lines, source: str = "<input>") -> List[Tuple[str, Graph]]:
     """Parse an iterable of lines; returns [(id, Graph)] with ids 'source:lineno'.
 
-    An optional '>>graph6<<' header is allowed on line 1, either alone or
-    prefixing the first graph.  Blank lines are skipped.
+    A '>>graph6<<' header may start any line, alone or prefixing a graph, so
+    files joined from several nauty outputs still load.  Blank lines and
+    header-only lines are skipped; ``parse_graph6`` strips the header of
+    every other line, once, so a doubled header fails with its line.
     """
     out = []
     for lineno, raw in enumerate(lines, start=1):
         s = raw.rstrip("\r\n")
-        if lineno == 1 and s.startswith(HEADER):
-            s = s[len(HEADER):]
-        if not s:
+        if s in ("", HEADER):
             continue
         try:
             out.append((f"{source}:{lineno}", parse_graph6(s)))

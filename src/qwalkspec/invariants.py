@@ -6,8 +6,9 @@ coefficient equality, never by comparing floating-point root multisets: the
 entire value of the invariant is exactness.  Each polynomial comes from the
 cheapest exact route:
 
-* A and S+(U^3): ``char_poly`` of the matrix (the modular Hessenberg/CRT
-  engine with a Hadamard-bounded prime count);
+* A and S+(U^3): ``char_poly`` of the matrix, which tries the
+  minimal-polynomial route first and falls back to the modular
+  Hessenberg/CRT engine with a Hadamard-bounded prime count;
 * S+(U): ``closed_form_charpoly_su``, an integer polynomial composition of
   the adjacency char poly;
 * S+(U^2): ``closed_form_charpoly_su2`` for k > 2; at k = 2, where
@@ -41,13 +42,15 @@ ways, tried in this order:
 * either, from the exact char polys of both graphs.
 
 The first three run in the calling process, pair by pair.  The residues run
-after them, only for the graphs of the pairs still open, in one task and
-one stacked kernel pass per nk, largest nk first; the exact char polys run
-last, only for the graphs of the pairs whose residues agree too, one task
-per graph.  Each is computed at most once per graph, however many pairs the
-graph is in, and a fingerprint never changes.  Equal traces and equal
-residues alone decide nothing.  ``QWALK_LOG=debug`` logs each pair's S+(U^3)
-proof as one ``certificate`` line.
+after them, only for the graphs of the pairs still open, largest nk first,
+dealt into one task per worker (``_deal``); ``char_poly_residues`` stacks
+a task's matrices of one size into one kernel pass.  The exact char polys
+run last, only for the graphs of the pairs whose residues agree too, one
+task per graph: they are long and uneven, so the pool balances them.  Each
+is computed at most once per graph, however many pairs the graph is in, and
+a fingerprint never changes.  Equal traces and equal residues alone decide
+nothing.  ``QWALK_LOG=debug`` logs each pair's S+(U^3) proof as one
+``certificate`` line.
 
 A cospectral verdict on all four invariants does not certify isomorphism,
 and reports say "cospectral", not "isomorphic", whichever proof decided
@@ -56,9 +59,9 @@ S+(U^3).
 ``batch_compare`` fingerprints a corpus in worker processes (its
 ``threads`` argument, the CLI's ``--threads``), not threads: a fingerprint
 is built in numpy calls too short to release the interpreter lock for long,
-so threads would not overlap.  Each worker task holds graphs of one nk, at
-most one task per worker for each nk.  The resolver's residue and exact
-tasks run in the same workers; ``certify`` runs them in the calling process.
+so threads would not overlap.  The graphs, largest edge count first, are
+dealt into one task per worker.  The resolver's residue and exact tasks run
+in the same workers; ``certify`` runs them in the calling process.
 """
 
 from __future__ import annotations
@@ -252,23 +255,22 @@ def certify(p: Fingerprint, q: Fingerprint) -> CompareReport:
     The S+(U^3) verdict rests on the first proof of the module docstring's
     chain that applies.
     """
-    return _certify([(p, q)], map)[0]
+    return _certify([(p, q)], map, 1)[0]
 
 
-def _certify(pairs: List[Tuple[Fingerprint, Fingerprint]], mapper) -> List[CompareReport]:
+def _certify(pairs: List[Tuple[Fingerprint, Fingerprint]], mapper,
+             workers: int) -> List[CompareReport]:
     """The ``certify`` report of each pair, in order, by the resolver of the module docstring.
 
-    ``mapper`` (``map`` or a pool's) runs its residue and exact tasks.
+    ``mapper`` (``map`` or a pool's) runs its residue and exact tasks, the
+    residues in at most ``workers`` tasks.
     """
     same = [{which: p.charpoly(which).coeffs == q.charpoly(which).coeffs for which in ("a", "s1", "s2")}
             for p, q in pairs]
     proofs = [_settle_s3(p, q, all(s.values())) for (p, q), s in zip(pairs, same)]
-    groups: dict = {}
-    for f in _open(pairs, proofs):
-        groups.setdefault(f.n * f.k, []).append(f)
-    residue = {}
-    for group, found in zip(groups.values(), mapper(_s3_residues, groups.values())):
-        residue.update(zip(map(id, group), found))
+    tasks = _deal(_open(pairs, proofs), workers)
+    residue = {id(f): r for task, found in zip(tasks, mapper(_s3_residues, tasks))
+               for f, r in zip(task, found)}
     for i, (p, q) in enumerate(pairs):
         if proofs[i] is None and residue[id(p)] != residue[id(q)]:
             proofs[i] = False, f"mismatch mod p={residue[id(p)][0]}"
@@ -329,7 +331,7 @@ def _build(task: List[Tuple[str, Graph]]) -> list:
 
 
 def _s3_residues(prints: List[Fingerprint]) -> list:
-    """``char_poly_residues`` of the S+(U^3) of each fingerprint, in one stacked kernel pass per nk."""
+    """``char_poly_residues`` of the S+(U^3) of each fingerprint, in one stacked kernel pass per size."""
     return char_poly_residues([f._s3_matrix() for f in prints])
 
 
@@ -354,11 +356,11 @@ def batch_compare(
     all work runs in this process.  An exception a worker raises reaches the
     caller.  The workers are forked, so they start with numpy and qwalkspec
     imported; spawned ones would import them again, which takes longer than
-    fingerprinting a small graph.  The work goes out in tasks of graphs of
-    one nk, largest nk first, a group of same-nk graphs split into at most
-    one task per worker.  The pairs are then certified as ``certify``
-    certifies one (see the module docstring), with the S+(U^3) residues and
-    exact polys that some pairs need computed in the same workers.
+    fingerprinting a small graph.  The graphs, largest edge count first, are
+    dealt into one task per worker (``_deal``).  The pairs are then certified
+    as ``certify`` certifies one (see the module docstring), with the S+(U^3)
+    residues and exact polys that some pairs need computed in the same
+    workers.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -376,7 +378,7 @@ def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mappe
            workers: int) -> BatchResult:
     """``batch_compare``, with ``mapper`` (``map`` or a pool's) running the tasks of ``workers``."""
     results: list = [None] * len(corpus)
-    tasks = _tasks(corpus, workers)
+    tasks = _deal(sorted(range(len(corpus)), key=lambda i: -corpus[i][1].edge_count), workers)
     for task, built in zip(tasks, mapper(_build, [[corpus[i] for i in task] for task in tasks])):
         for i, r in zip(task, built):
             results[i] = r
@@ -389,29 +391,20 @@ def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mappe
             p, q = prints[i], prints[j]
             if include_cross_class or (p.n, p.k) == (q.n, q.k):
                 pairs.append((p, q) if p.graph_id <= q.graph_id else (q, p))
-    reports = _certify(pairs, mapper)
+    reports = _certify(pairs, mapper, workers)
     reports.sort(key=lambda r: r.pair)
     return BatchResult(reports, skipped)
 
 
-def _tasks(corpus: Sequence[Tuple[str, Graph]], workers: int) -> List[List[int]]:
-    """Corpus indices in tasks of one arc count nk each, largest nk first.
+def _deal(items: list, workers: int) -> List[list]:
+    """``items``, sorted largest first, dealt round-robin into at most ``workers`` tasks.
 
-    Each group of same-nk graphs splits into tasks of at most
-    ceil(group / workers) graphs.  A fingerprint task runs no kernel pass of
-    dimension nk, and the calling process holds every fingerprint anyway, so
-    no other bound applies.  A graph that is not regular joins the group of
-    its arc count and is skipped inside its task.
+    Task t takes items t, t + workers, t + 2 workers, ..., so every task gets
+    a share of the largest items and the tasks differ by at most one item.
+    A graph that breaks a hypothesis is dealt like any other and skipped
+    inside its task.
     """
-    groups: dict = {}
-    for i, (_, g) in enumerate(corpus):
-        groups.setdefault(2 * g.edge_count, []).append(i)
-    tasks = []
-    for nk in sorted(groups, reverse=True):
-        group = groups[nk]
-        size = -(-len(group) // workers)
-        tasks += [group[s : s + size] for s in range(0, len(group), size)]
-    return tasks
+    return [items[t::workers] for t in range(min(workers, len(items)))]
 
 
 def batch_to_json(result: BatchResult) -> str:

@@ -113,6 +113,20 @@ def test_file_with_header_line():
     assert out2 == [("mem:1", complete_graph(4))]
 
 
+def test_file_with_a_header_on_a_later_line():
+    # two nauty outputs joined: the second header starts line 3
+    out = parse_graph6_file([">>graph6<<C~", "Bw", ">>graph6<<", ">>graph6<<C~"], source="mem")
+    assert out == [("mem:1", complete_graph(4)), ("mem:2", cycle_graph(3)),
+                   ("mem:4", complete_graph(4))]
+
+
+def test_file_with_a_doubled_header_fails_on_its_line():
+    with pytest.raises(Graph6Error, match="^mem:1: byte 62 "):
+        parse_graph6_file([">>graph6<<>>graph6<<C~"], source="mem")
+    with pytest.raises(Graph6Error, match="^mem:3: byte 62 "):
+        parse_graph6_file(["C~", "Bw", ">>graph6<<>>graph6<<", "C~"], source="mem")
+
+
 def test_file_error_reports_line():
     with pytest.raises(Graph6Error, match="mem:2"):
         parse_graph6_file(["C~", chr(30) * 3], source="mem")

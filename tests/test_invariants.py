@@ -693,10 +693,24 @@ def test_batch_tasks_give_the_verdicts_of_compare_at_every_thread_count():
     import qwalkspec.invariants as inv
 
     corpus = _task_corpus()
-    # largest nk first; the nk = 12 class splits into at most one task per
-    # worker, and the skipped graphs share their tasks with regular ones
-    assert inv._tasks(corpus, 1) == [[7, 9, 11], [8], [0, 1, 2, 3, 4, 5], [6, 10]]
-    assert inv._tasks(corpus, 3) == [[7], [9], [11], [8], [0, 1], [2, 3], [4, 5], [6], [10]]
+    # largest edge count first, dealt round-robin into one task per worker;
+    # the skipped graphs share their tasks with regular ones
+    by_size = ["shrikhande", "rook44", "shrikhande~", "c7", "c6", "irregular", "triangles",
+               "k4", "c6~", "k4~", "c5", "c5~"]
+    built = []
+
+    def recording_map(fn, tasks):
+        tasks = list(tasks)
+        if fn is inv._build:
+            built.append([[gid for gid, _ in task] for task in tasks])
+        return map(fn, tasks)
+
+    layouts = {1: [by_size], 3: [["shrikhande", "c7", "triangles", "k4~"], ["rook44", "c6", "k4", "c5"],
+                                 ["shrikhande~", "irregular", "c6~", "c5~"]]}
+    for workers, tasks in layouts.items():
+        built.clear()
+        inv._batch(corpus, True, recording_map, workers)
+        assert built == [tasks], workers
     results = [batch_compare(corpus, include_cross_class=True, threads=t) for t in (1, 2, 3)]
     assert results[1] == results[0] and results[2] == results[0]
     assert results[0].skipped == [("irregular", "graph is not regular"),
@@ -736,3 +750,26 @@ def test_a_batch_task_takes_one_residue_pass_per_nk_class(monkeypatch):
     # first; c7, alone at nk = 14, is in no pair and gets no residue
     assert passes == [(96, 3), (12, 4), (10, 2)]
     assert [r.distinguishing_invariant for r in result.pairs] == [None, None, None, "s3", "s3", None]
+
+
+def test_a_one_nk_corpus_deals_its_residues_into_one_task_per_worker(monkeypatch):
+    import qwalkspec.invariants as inv
+
+    _equal_traces(monkeypatch)
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
+    rng = np.random.default_rng(12)
+    corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
+    corpus.append(("rook44", rook_graph(4)))  # all four at nk = 96, every pair open
+    calls, residues = [], inv._s3_residues
+
+    def spy(prints):
+        calls.append([f.graph_id for f in prints])
+        return residues(prints)
+
+    monkeypatch.setattr(inv, "_s3_residues", spy)
+    result = inv._batch(corpus, False, map, 2)
+    assert calls == [["shr0", "shr2"], ["shr1", "rook44"]]
+    calls.clear()
+    assert batch_compare(corpus, threads=1) == result
+    assert calls == [["shr0", "shr1", "shr2", "rook44"]]
+    assert [r.distinguishing_invariant for r in result.pairs] == ["s3", "s3", "s3", None, None, None]
