@@ -490,8 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-cross-class", action="store_true",
                     help="also report pairs with different (n, k)")
     sp.add_argument("--threads", type=_positive_int, metavar="N",
-                    help="worker processes that compute the profiles"
-                         " (default: the CPUs this process may run on, at most one per graph)")
+                    help="workers: this process plus N-1 forked children, each phase dealt"
+                         " into at most N tasks (default: the CPUs this process may run on,"
+                         " at most one per graph)")
     sp.set_defaults(func=cmd_batch)
     return parser
 

@@ -32,15 +32,15 @@ def _byte_values(s: str, start: int) -> List[int]:
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 string, optionally prefixed by one '>>graph6<<' header.
 
-    The header is stripped once: a second one fails on its '>' byte.
+    The header is skipped once: a second one fails on its '>' byte.  Error
+    offsets count from the start of the line, header included.
     """
     s = line.rstrip("\r\n")
-    if s.startswith(HEADER):
-        s = s[len(HEADER):]
-    if not s:
-        raise Graph6Error("empty graph6 string (offset 0)")
+    base = len(HEADER) if s.startswith(HEADER) else 0
+    if len(s) == base:
+        raise Graph6Error(f"empty graph6 string (offset {base})")
 
-    vals = _byte_values(s, 0)
+    vals = _byte_values(s, base)
     if vals[0] < 63:
         n, pos = vals[0], 1
     elif len(vals) >= 2 and vals[1] < 63:
@@ -49,7 +49,7 @@ def parse_graph6(line: str) -> Graph:
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
         pos = 4
         if n <= 62:
-            raise Graph6Error("non-canonical long vertex count at offset 0")
+            raise Graph6Error(f"non-canonical long vertex count at offset {base}")
     else:
         if len(vals) < 8:
             raise Graph6Error(f"truncated 6-byte vertex count at offset {len(s)}")
@@ -58,9 +58,9 @@ def parse_graph6(line: str) -> Graph:
             n = (n << 6) | v
         pos = 8
         if n <= 258047:
-            raise Graph6Error("non-canonical long vertex count at offset 0")
+            raise Graph6Error(f"non-canonical long vertex count at offset {base}")
     if n == 0:
-        raise Graph6Error("vertex count 0 not representable (offset 0)")
+        raise Graph6Error(f"vertex count 0 not representable (offset {base})")
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -70,7 +70,7 @@ def parse_graph6(line: str) -> Graph:
             f"payload too short: need {nbytes} bytes, got {have} (offset {len(s)})"
         )
     if have > nbytes:
-        raise Graph6Error(f"trailing garbage at offset {pos + nbytes}")
+        raise Graph6Error(f"trailing garbage at offset {base + pos + nbytes}")
 
     edges = []
     bit = 0
@@ -80,7 +80,7 @@ def parse_graph6(line: str) -> Graph:
         for shift in range(5, -1, -1):
             if bit >= nbits:
                 if (v >> shift) & 1:
-                    raise Graph6Error(f"nonzero padding bit at offset {off}")
+                    raise Graph6Error(f"nonzero padding bit at offset {base + off}")
                 continue
             if (v >> shift) & 1:
                 edges.append((i, j))

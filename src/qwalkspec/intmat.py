@@ -21,7 +21,10 @@ distinct eigenvalues, such as the walk supports of strongly regular graphs:
   degree d costs about 2d terms.  d must stay at most n/2, and r^(d+1) below
   2^53, with r the larger of M's largest absolute row and column sums.  mu
   is lifted from that prime alone, and by CRT over as many primes as its
-  coefficient bound asks for only if the one-prime lift fails the certificate;
+  coefficient bound asks for only if the one-prime lift fails the certificate.
+  When that bound asks for more than one prime, the one-prime lift may be
+  wrong, so mu(M) v = 0 for one pseudo-random 0/1 vector v is checked first,
+  exactly and in O(d n^2), to reject a wrong lift before mu(M) is formed;
 * the certificate mu(M) = 0, checked exactly: the powers M^i are exact in
   float64, since r^i bounds their entries and every partial sum forming them.
   mu(M) is formed in float64 too while its bound B = sum |mu_i| r^i is below
@@ -442,7 +445,8 @@ def _minpoly_route(m: np.ndarray) -> tuple:
     d, rels = len(rel) - 1, [rel]
     bound_bits = d * math.log2(r + 1)  # |mu_i| <= C(d, i) r^(d - i) <= (1 + r)^d
     mu = list(_crt(np.array(rels, dtype=object), primes).coeffs)
-    traces, cert_primes = _certify_minpoly(m, mu, r)
+    # the one-prime lift may be wrong only if the bound asks for more primes (``_plan_primes``)
+    traces, cert_primes = _certify_minpoly(m, mu, r, bound_bits + 1 >= math.log2(primes[0]))
     if traces is None:  # the one-prime lift is wrong once some |mu_i| reaches half the prime
         primes = _plan_primes(n, bound_bits)
         for p in primes[1:]:
@@ -478,11 +482,8 @@ def _krylov_relation(mq: np.ndarray, q: int, cap: int) -> tuple:
     n = mq.shape[0]
     most = cap + _KRYLOV_MARGIN // 2  # vectors that give s_0, ..., s_(2 cap + margin - 1)
     vecs = np.empty((most + 1, 2, n))  # vecs[i] = (M^i v, (M^T)^i u): s_(i+j) = vecs[i, 1] . vecs[j, 0]
-    # u and v: the top 20 bits of splitmix64 of 0, ..., 2n - 1 (importing numpy.random costs 6 MB)
-    x = np.arange(2 * n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(_KRYLOV_SEED)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    vecs[0] = _reduce(((x ^ (x >> np.uint64(31))) >> np.uint64(44)).astype(np.float64).reshape(2, n), q)
+    # u and v: the top 20 bits of splitmix64 of 0, ..., 2n - 1
+    vecs[0] = _reduce((_splitmix(2 * n, _KRYLOV_SEED) >> np.uint64(44)).astype(np.float64).reshape(2, n), q)
     seq, top = [], 0  # s_0, s_1, ... in [0, q) as Python ints, from vecs[: top + 1]
     # Berlekamp-Massey on Python ints: the connection polynomial c has degree at most length < len(c)
     c, b, length, gap, inv, i = [1], [1], 0, 1, 1, 0
@@ -510,7 +511,15 @@ def _krylov_relation(mq: np.ndarray, q: int, cap: int) -> tuple:
     return (c[length::-1] if length <= cap else None), i
 
 
-def _certify_minpoly(m: np.ndarray, mu: list, r: int) -> tuple:
+def _splitmix(count: int, seed: int) -> np.ndarray:
+    """splitmix64 of seed + 0, ..., count - 1 as uint64 (importing numpy.random costs 6 MB)."""
+    x = np.arange(count, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _certify_minpoly(m: np.ndarray, mu: list, r: int, screen: bool = False) -> tuple:
     """(traces, primes): traces [tr(M^0), ..., tr(M^d)] if mu(M) = 0 exactly, else None.
 
     M^i and every partial sum forming it are at most r^i <= r^d < 2^53, so
@@ -519,17 +528,23 @@ def _certify_minpoly(m: np.ndarray, mu: list, r: int) -> tuple:
     if it is zero modulo primes whose product exceeds 2B.  A power at most
     (p - 1) / 2 is its own residue, a larger one is reduced once, and the
     accumulator, d + 1 < ``_sum_terms(n)`` products of residues, at the end.
+    With ``screen``, ``_kills_vector`` runs first: it rejects a wrong mu, such
+    as a wrong one-prime lift, by d matrix-vector products instead of d
+    matrix products.
     """
     n = m.shape[0]
     bound = sum(abs(c) * r**i for i, c in enumerate(mu))
     primes = _plan_primes(n, bound.bit_length()) if bound >= _FLOAT_EXACT else []
+    mf = m.astype(np.float64)
+    if screen and not _kills_vector(mf, mu, primes):
+        return None, len(primes)
     if primes:
         q3 = np.array(primes, dtype=np.float64)[:, None, None]
         coef = _reduce(np.array([[c % q for c in mu] for q in primes], dtype=np.float64), q3[:, :, 0]).T
         coef, acc = coef[:, :, None, None], np.zeros((len(primes), n, n))
     else:
         coef, acc = [float(c) for c in mu], np.zeros((n, n))
-    mf, power, traces = m.astype(np.float64), np.eye(n), []
+    power, traces = np.eye(n), []
     for i, c in enumerate(coef):
         if i:
             power = mf if i == 1 else mf @ power
@@ -541,6 +556,27 @@ def _certify_minpoly(m: np.ndarray, mu: list, r: int) -> tuple:
     if primes:
         _reduce(acc, q3)
     return None if acc.any() else traces, len(primes)
+
+
+def _kills_vector(mf: np.ndarray, mu: list, primes: list) -> bool:
+    """Whether mu(M) v = 0, exactly, for one pseudo-random 0/1 vector v: a necessary condition for mu(M) = 0.
+
+    The Krylov vectors M^i v are exact in float64, as the powers of
+    ``_certify_minpoly`` are, and mu(M) v is bounded by the same B.  So it is
+    one float64 product without ``primes``, and with them one product of the
+    vectors' residues per prime, d + 1 < ``_sum_terms(n)`` terms a sum.
+    """
+    n, d = mf.shape[0], len(mu) - 1
+    k = np.empty((d + 1, n))
+    k[0] = _splitmix(n, _KRYLOV_SEED + 1) >> np.uint64(63)
+    for i in range(d):
+        np.matmul(mf, k[i], out=k[i + 1])
+    if not primes:
+        return not (np.array(mu, dtype=np.float64) @ k).any()
+    q = np.array(primes, dtype=np.float64)
+    coef = _reduce(np.array([[c % p for c in mu] for p in primes], dtype=np.float64), q[:, None])
+    residues = _reduce(np.broadcast_to(k, (len(primes), d + 1, n)).copy(), q[:, None, None])
+    return not _reduce(np.einsum("pi,pin->pn", coef, residues), q[:, None]).any()
 
 
 def _charpoly_from_traces(mu: list, traces: list, n: int) -> CharPoly:

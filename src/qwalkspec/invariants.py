@@ -45,23 +45,26 @@ The first three run in the calling process, pair by pair.  The residues run
 after them, only for the graphs of the pairs still open, largest nk first,
 dealt into one task per worker (``_deal``); ``char_poly_residues`` stacks
 a task's matrices of one size into one kernel pass.  The exact char polys
-run last, only for the graphs of the pairs whose residues agree too, one
-task per graph: they are long and uneven, so the pool balances them.  Each
-is computed at most once per graph, however many pairs the graph is in, and
-a fingerprint never changes.  Equal traces and equal residues alone decide
-nothing.  ``QWALK_LOG=debug`` logs each pair's S+(U^3) proof as one
-``certificate`` line.
+run last, only for the graphs of the pairs whose residues agree too, dealt
+the same way, one matrix at a time.  Dealt tasks are not rebalanced while
+they run, and exact polys are long and uneven, but no benchmark corpus or
+SRG family built so far reaches this phase: traces, witnesses or residues
+settle every pair there.  Each poly is computed at most once per graph,
+however many pairs the graph is in, and a fingerprint never changes.  Equal
+traces and equal residues alone decide nothing.  ``QWALK_LOG=debug`` logs
+each pair's S+(U^3) proof as one ``certificate`` line.
 
 A cospectral verdict on all four invariants does not certify isomorphism,
 and reports say "cospectral", not "isomorphic", whichever proof decided
 S+(U^3).
 
-``batch_compare`` fingerprints a corpus in worker processes (its
-``threads`` argument, the CLI's ``--threads``), not threads: a fingerprint
-is built in numpy calls too short to release the interpreter lock for long,
-so threads would not overlap.  The graphs, largest edge count first, are
-dealt into one task per worker.  The resolver's residue and exact tasks run
-in the same workers; ``certify`` runs them in the calling process.
+``batch_compare`` runs on ``threads`` workers (the CLI's ``--threads``): the
+calling process plus ``threads - 1`` forked children, not threads, since a
+fingerprint is built in numpy calls too short to release the interpreter
+lock for long.  Each phase (the fingerprints, the residues, the exact polys)
+is dealt by ``_deal`` into at most ``threads`` tasks; ``_fork_map`` runs the
+first in the calling process and each other in a child forked for that
+phase alone.  ``certify`` runs them all in the calling process.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ import io
 import json
 import logging
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -262,20 +267,19 @@ def _certify(pairs: List[Tuple[Fingerprint, Fingerprint]], mapper,
              workers: int) -> List[CompareReport]:
     """The ``certify`` report of each pair, in order, by the resolver of the module docstring.
 
-    ``mapper`` (``map`` or a pool's) runs its residue and exact tasks, the
-    residues in at most ``workers`` tasks.
+    ``mapper`` (``map`` or ``_fork_map``) runs its residue and exact tasks,
+    each phase in at most ``workers`` tasks.
     """
     same = [{which: p.charpoly(which).coeffs == q.charpoly(which).coeffs for which in ("a", "s1", "s2")}
             for p, q in pairs]
     proofs = [_settle_s3(p, q, all(s.values())) for (p, q), s in zip(pairs, same)]
-    tasks = _deal(_open(pairs, proofs), workers)
-    residue = {id(f): r for task, found in zip(tasks, mapper(_s3_residues, tasks))
-               for f, r in zip(task, found)}
+    opened = _open(pairs, proofs)
+    residue = dict(zip(map(id, opened), _dealt(mapper, _s3_residues, opened, workers)))
     for i, (p, q) in enumerate(pairs):
         if proofs[i] is None and residue[id(p)] != residue[id(q)]:
             proofs[i] = False, f"mismatch mod p={residue[id(p)][0]}"
     exact = _open(pairs, proofs)
-    polys = dict(zip(map(id, exact), mapper(_exact_s3, exact)))
+    polys = dict(zip(map(id, exact), _dealt(mapper, _exact_s3, exact, workers)))
     reports = []
     for (p, q), s, proof in zip(pairs, same, proofs):
         if proof is None:
@@ -335,8 +339,9 @@ def _s3_residues(prints: List[Fingerprint]) -> list:
     return char_poly_residues([f._s3_matrix() for f in prints])
 
 
-def _exact_s3(f: Fingerprint) -> CharPoly:
-    return char_poly(f._s3_matrix())
+def _exact_s3(prints: List[Fingerprint]) -> List[CharPoly]:
+    """The exact char poly of the S+(U^3) of each fingerprint, one matrix at a time."""
+    return [char_poly(f._s3_matrix()) for f in prints]
 
 
 def batch_compare(
@@ -351,37 +356,34 @@ def batch_compare(
     unless include_cross_class is set.  Output order is deterministic:
     lexicographic by id pair.
 
-    ``threads`` worker processes fingerprint the graphs (default: the CPUs
-    this process may run on), never more than there are graphs; with one,
-    all work runs in this process.  An exception a worker raises reaches the
-    caller.  The workers are forked, so they start with numpy and qwalkspec
-    imported; spawned ones would import them again, which takes longer than
-    fingerprinting a small graph.  The graphs, largest edge count first, are
-    dealt into one task per worker (``_deal``).  The pairs are then certified
-    as ``certify`` certifies one (see the module docstring), with the S+(U^3)
-    residues and exact polys that some pairs need computed in the same
-    workers.
+    ``threads`` workers fingerprint the graphs (default: the CPUs this
+    process may run on), never more than there are graphs: the calling
+    process plus ``threads - 1`` forked children.  With one, all work runs in
+    this process and nothing is forked.  The children are forked, so they
+    start with numpy, qwalkspec and the corpus in memory; spawned ones would
+    import them again, which takes longer than fingerprinting a small graph.
+    The graphs, largest edge count first, are dealt into one task per worker
+    (``_deal``).  The pairs are then certified as ``certify`` certifies one
+    (see the module docstring), with the S+(U^3) residues and exact polys
+    that some pairs need dealt the same way.  Each phase forks its own
+    children (``_fork_map``) and reaps them before the next starts.  An
+    exception a worker raises reaches the caller with its type and message.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(corpus), threads or 1)
     if workers <= 1:
         return _batch(corpus, include_cross_class, map, 1)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return _batch(corpus, include_cross_class, pool.map, workers)
+    return _batch(corpus, include_cross_class, _fork_map, workers)
 
 
 def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mapper,
            workers: int) -> BatchResult:
-    """``batch_compare``, with ``mapper`` (``map`` or a pool's) running the tasks of ``workers``."""
+    """``batch_compare``, with ``mapper`` (``map`` or ``_fork_map``) running the tasks of ``workers``."""
     results: list = [None] * len(corpus)
-    tasks = _deal(sorted(range(len(corpus)), key=lambda i: -corpus[i][1].edge_count), workers)
-    for task, built in zip(tasks, mapper(_build, [[corpus[i] for i in task] for task in tasks])):
-        for i, r in zip(task, built):
-            results[i] = r
+    order = sorted(range(len(corpus)), key=lambda i: -corpus[i][1].edge_count)
+    for i, r in zip(order, _dealt(mapper, _build, [corpus[i] for i in order], workers)):
+        results[i] = r
     prints = [r for r in results if isinstance(r, Fingerprint)]
     skipped: List[Tuple[str, str]] = [r for r in results if not isinstance(r, Fingerprint)]
 
@@ -405,6 +407,88 @@ def _deal(items: list, workers: int) -> List[list]:
     inside its task.
     """
     return [items[t::workers] for t in range(min(workers, len(items)))]
+
+
+def _dealt(mapper, fn, items: list, workers: int) -> list:
+    """``fn``'s result for each of ``items``, in order, from ``mapper`` over ``_deal(items, workers)``.
+
+    ``fn`` takes a task, a list of items, and returns one result per item.
+    """
+    tasks = _deal(items, workers)
+    done = list(mapper(fn, tasks))
+    return [done[j % len(tasks)][j // len(tasks)] for j in range(len(items))]
+
+
+def _fork_map(fn, tasks: list) -> list:
+    """``list(map(fn, tasks))``, with ``tasks[1:]`` each run in a forked child process.
+
+    Each child sends ``pickle((ok, value))`` back over its own pipe and always
+    ends with ``os._exit``, so it never returns into the caller's code.  The
+    calling process runs ``tasks[0]`` meanwhile, then reads and reaps the
+    children in task order.  The first error in task order is raised with its
+    own type and message; a child that ends without a result raises a
+    RuntimeError naming its task and exit status.  On every path every child
+    is reaped: once an error is found, those not yet read are killed first.
+    It starts no thread, so Python's warning on a fork from a multi-threaded
+    process has no cause here.
+    """
+    pids: list = []  # in task order; None once reaped
+    pipes: list = []  # the read end of each child's pipe
+    try:
+        for task in tasks[1:]:
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, task, write, pipes)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        results = [fn(task) for task in tasks[:1]]
+        for t, (pid, read) in enumerate(zip(pids, pipes)):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pids[t] = None
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"exit status {code}" if code >= 0 else f"signal {signal.Signals(-code).name}"
+                raise RuntimeError(f"batch task {t + 1} ended with {how} and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for read in pipes:
+            os.close(read)
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(fn, task, write: int, pipes: list) -> None:
+    """The body of a ``_fork_map`` child: send ``pickle((ok, fn(task) or its error))`` and exit.
+
+    ``pipes`` are the read ends the child inherited, its own among them.  A
+    result that cannot be pickled or sent ends the child with status 1 and
+    no result.
+    """
+    code = 1
+    try:
+        for fd in pipes:
+            os.close(fd)
+        try:
+            out = True, fn(task)
+        except Exception as e:  # sent back, and raised in the caller
+            out = False, e
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(out))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def batch_to_json(result: BatchResult) -> str:

@@ -127,6 +127,15 @@ def test_file_with_a_doubled_header_fails_on_its_line():
         parse_graph6_file(["C~", "Bw", ">>graph6<<>>graph6<<", "C~"], source="mem")
 
 
+def test_error_offsets_count_from_the_start_of_the_line():
+    with pytest.raises(Graph6Error, match="^mem:1: trailing garbage at offset 12$"):
+        parse_graph6_file([">>graph6<<C~~"], source="mem")
+    # out of range, nonzero padding, non-canonical count, n = 0, nothing after the header
+    for bad, offset in (("C" + chr(30), 1), ("Bx", 1), ("~??C~", 0), ("?", 0), ("", 0)):
+        for header in ("", ">>graph6<<"):
+            with pytest.raises(Graph6Error, match=f"offset {len(header) + offset}\\b"):
+                parse_graph6(header + bad)
+
 def test_file_error_reports_line():
     with pytest.raises(Graph6Error, match="mem:2"):
         parse_graph6_file(["C~", chr(30) * 3], source="mem")

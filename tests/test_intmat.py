@@ -798,6 +798,67 @@ def test_a_wrong_one_prime_lift_is_lifted_again_by_crt(caplog, kernel_dims):
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
 
 
+def _spy_screen(monkeypatch):
+    """The verdict of each one-vector screen, ``_kills_vector``, in order."""
+    from qwalkspec import intmat
+
+    verdicts, real = [], intmat._kills_vector
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(intmat, "_kills_vector", spy)
+    return verdicts
+
+
+def test_a_wrong_one_prime_lift_is_rejected_by_one_vector_before_mu_of_m(caplog, kernel_dims, monkeypatch):
+    """paley:29's S+(U^2) (n = 406, d = 6): mu's coefficient bound needs two primes, the one-prime
+    lift is wrong, and mu(M) v != 0 rejects it by d matrix-vector products; only the CRT lift,
+    not screened, reaches mu(M) = 0."""
+    from qwalkspec import generators
+    from qwalkspec.supports import closed_form_charpoly_su2
+
+    screens = _spy_screen(monkeypatch)
+    cp, fields = _logged_char_poly(caplog, _srg_matrix("paley:29", "s2"))
+    assert fields["route"] == "minpoly" and kernel_dims == []
+    assert (fields["krylov_degree"], fields["mu_primes"]) == ("6", "2")
+    assert screens == [False]
+    assert cp == closed_form_charpoly_su2(generators.parse_generator_spec("paley:29"))
+
+
+def test_correct_one_prime_lifts_keep_one_prime(caplog, monkeypatch):
+    """Every routed A, S+(U) and S+(U^2) of these graphs keeps its one-prime lift.  One vector
+    screens the lift only when mu's coefficient bound needs more than one prime."""
+    screens = _spy_screen(monkeypatch)
+    screened = 0
+    for spec in ("cycle:12", "cycle:30", "complete:7", "complete_bipartite:3,3", "petersen",
+                 "hypercube:4", "paley:13", "shrikhande", "rook:4"):
+        for which in ("a", "s1", "s2"):
+            screens.clear()
+            cp, fields = _logged_char_poly(caplog, _srg_matrix(spec, which))
+            if fields["route"] == "minpoly":
+                assert fields["mu_primes"] == "1" and screens in ([], [True]), (spec, which)
+                screened += len(screens)
+    assert screened == 2  # cycle:30's S+(U) and paley:13's S+(U^2)
+
+
+def test_the_vector_screen_is_exact_in_float64_and_modulo_primes():
+    from qwalkspec import intmat
+
+    # float64: mu = (t - 2)^2 (t + 1), conjugated, so B = sum |mu_i| r^i stays small
+    m = _unimodular_conjugate(_jordan([(2, 2), (1, -1), (1, 2), (1, -1)]), np.random.default_rng(2), 4)
+    mu = [4, 0, -3, 1]
+    assert intmat._kills_vector(m.astype(np.float64), mu, [])
+    assert not intmat._kills_vector(m.astype(np.float64), [5, 0, -3, 1], [])
+    # modulo three primes: mu + p_1 p_2 differs from mu modulo the third prime alone
+    m = _jordan([(10, 25), (10, 25)]).astype(np.float64)
+    mu = [math.comb(10, i) * (-25) ** (10 - i) for i in range(11)]
+    p = intmat._primes(3, intmat._prime_ceiling(20))
+    assert intmat._kills_vector(m, mu, p)
+    assert not intmat._kills_vector(m, [mu[0] + p[0] * p[1]] + mu[1:], p)
+
+
 def test_a_bound_above_2_53_takes_the_modular_certificate(caplog, kernel_dims):
     """J_10(25) twice: r = 26 and r^11 < 2^53, but mu = (t - 25)^10 has sum |mu_i| r^i = 51^10,
     so mu(M) is checked modulo primes.  Terms such as mu_7 M^7 pass 2^53, so the powers above the

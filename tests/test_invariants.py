@@ -1,6 +1,8 @@
 import itertools
 import json
 import logging
+import os
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -227,18 +229,123 @@ def test_batch_compare_worker_exception_reaches_caller(monkeypatch):
 
 
 def test_batch_compare_no_pool_for_one_worker_or_one_graph(monkeypatch):
-    import concurrent.futures
+    def no_fork():
+        raise AssertionError("a process was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was created")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     two = [("C5", cycle_graph(5)), ("C5'", relabel(cycle_graph(5), [1, 0, 2, 3, 4]))]
     assert len(batch_compare(two, threads=1).pairs) == 1
     assert batch_compare(two[:1], threads=4).pairs == []
     assert batch_compare(two[:1]).pairs == []
-    with pytest.raises(AssertionError, match="process pool"):
+    with pytest.raises(AssertionError, match="process was forked"):
         batch_compare(two, threads=2)
+
+
+def _in_children(monkeypatch, name, child_fn):
+    """Runs ``child_fn(task)`` instead of ``invariants.<name>`` in forked children only."""
+    import qwalkspec.invariants as inv
+
+    parent, real = os.getpid(), getattr(inv, name)
+    monkeypatch.setattr(inv, name, lambda task: real(task) if os.getpid() == parent else child_fn(task))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Largest edge count first, dealt into two tasks: [c7, k4] in the calling process, [bad] in a child.
+_CHILD_CORPUS = [("c7", cycle_graph(7)), ("bad", cycle_graph(6)), ("k4", complete_graph(4))]
+
+
+def test_an_error_raised_only_in_a_child_reaches_the_caller_with_its_type_and_message(monkeypatch):
+    import qwalkspec.invariants as inv
+
+    real = inv._build
+
+    def failing(task):
+        if any(gid == "bad" for gid, _ in task):
+            raise KeyError("bad is in a child's task")
+        return real(task)
+
+    _in_children(monkeypatch, "_build", failing)
+    assert len(batch_compare(_CHILD_CORPUS, threads=1).pairs) == 0  # no error in this process
+    with pytest.raises(KeyError, match="^\"bad is in a child's task\"$"):
+        batch_compare(_CHILD_CORPUS, threads=2)
+    _no_child_left()
+
+
+def test_a_child_that_dies_without_a_result_names_its_task_and_exit_status(monkeypatch):
+    _in_children(monkeypatch, "_build", lambda task: os._exit(3))
+    with pytest.raises(RuntimeError, match="^batch task 1 ended with exit status 3 and no result$"):
+        batch_compare(_CHILD_CORPUS, threads=2)
+    _no_child_left()
+
+
+def test_children_still_running_after_an_error_are_killed_and_reaped(monkeypatch):
+    import qwalkspec.invariants as inv
+
+    def slow_or_dying(task):
+        if any(gid == "k4" for gid, _ in task):
+            time.sleep(60)
+        os._exit(3)
+
+    # three tasks: [c7] here, [bad] dies, [k4] would sleep
+    _in_children(monkeypatch, "_build", slow_or_dying)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^batch task 1 ended with exit status 3"):
+        batch_compare(_CHILD_CORPUS, threads=3)
+    _no_child_left()
+
+    # an error in the calling process's own task, while both children sleep
+    parent, real = os.getpid(), inv._build
+
+    def failing_here(task):
+        if os.getpid() == parent:
+            raise ValueError("the calling process's task")
+        time.sleep(60)
+        return real(task)
+
+    monkeypatch.setattr(inv, "_build", failing_here)
+    with pytest.raises(ValueError, match="calling process's task"):
+        batch_compare(_CHILD_CORPUS, threads=3)
+    _no_child_left()
+    assert time.perf_counter() - start < 30
+
+
+def test_no_phase_forks_more_than_workers_minus_one_children(monkeypatch):
+    import qwalkspec.invariants as inv
+
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
+    rng = np.random.default_rng(8)
+    corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
+    corpus.append(("rook44", rook_graph(4)))  # the three twins need residues and exact polys
+    forks, real_fork, real_map = [], os.fork, inv._fork_map
+    phases = []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    def counting_map(fn, tasks):
+        before = len(forks)
+        try:
+            return real_map(fn, tasks)
+        finally:
+            phases.append((fn.__name__, len(forks) - before))
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(inv, "_fork_map", counting_map)
+    expected = batch_compare(corpus, threads=1)
+    assert forks == [] and phases == []
+    for threads in (2, 3, 8):
+        workers = min(threads, len(corpus))
+        phases.clear()
+        assert batch_compare(corpus, threads=threads) == expected
+        assert [name for name, _ in phases] == ["_build", "_s3_residues", "_exact_s3"]
+        assert phases[0][1] == workers - 1  # one child per task after the first
+        assert all(count <= workers - 1 for _, count in phases), phases
+    _no_child_left()
 
 
 def test_batch_json_and_csv_schemas():
@@ -350,7 +457,7 @@ def test_twins_without_a_witness_are_decided_by_the_exact_char_poly(monkeypatch,
     assert all(": s3 cospectral by exact char poly bits=" in line for line in certificates)
 
 
-def test_workers_compute_the_exact_char_polys_that_pairs_need(monkeypatch):
+def test_workers_compute_the_exact_char_polys_that_pairs_need(monkeypatch, tmp_path):
     import qwalkspec.invariants as inv
 
     monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
@@ -358,9 +465,25 @@ def test_workers_compute_the_exact_char_polys_that_pairs_need(monkeypatch):
     corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
     corpus.append(("rook44", rook_graph(4)))
     expected = batch_compare(corpus, threads=1)
-    seen = _spy_exact_s3(monkeypatch, 96)  # the parent's calls only: workers are other processes
+    ids = {f._s3_matrix().tobytes(): f.graph_id for f in fingerprints(corpus)}
+    assert len(ids) == 4
+    calls, real = tmp_path / "exact.log", inv.char_poly
+
+    def spy(m):  # one line per exact S+(U^3) char poly, from whichever process computes it
+        if m.shape[0] == 96:
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()} {ids[m.tobytes()]}\n")
+        return real(m)
+
+    monkeypatch.setattr(inv, "char_poly", spy)
     assert batch_compare(corpus, threads=2) == expected
-    assert seen == []
+    by_process: dict = {}
+    for line in calls.read_text().splitlines():
+        pid, gid = line.split()
+        by_process.setdefault(int(pid), []).append(gid)
+    # the three twins are open, dealt [shr0, shr2] to task 0 and [shr1] to task 1
+    assert by_process.pop(os.getpid()) == ["shr0", "shr2"]
+    assert list(by_process.values()) == [["shr1"]]
     assert [r.distinguishing_invariant for r in expected.pairs] == ["s3"] * 3 + [None] * 3
 
 
