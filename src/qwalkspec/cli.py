@@ -69,15 +69,19 @@ def _log_handler() -> logging.StreamHandler:
 def _logging_to_stderr():
     """Send qwalkspec's records at QWALK_LOG's level (default warning) to stderr while main runs.
 
-    Only the ``qwalkspec`` logger changes, and only until the call returns,
-    so each call applies its own level and the host's loggers stay as they are.
+    QWALK_LOG names a level of ``logging`` in any case; any other value, even
+    a name of ``logging`` that is no int level (``basic_format``), means
+    warning.  Only the ``qwalkspec`` logger changes, and only until the call
+    returns, so each call applies its own level and the host's loggers stay as
+    they are.
     """
     logger = logging.getLogger("qwalkspec")
     handler = _log_handler()
     handler.stream = sys.stderr  # this call's, which a caller may have redirected
     level = logger.level
     logger.addHandler(handler)
-    logger.setLevel(getattr(logging, os.environ.get("QWALK_LOG", "warning").upper(), logging.WARNING))
+    wanted = getattr(logging, os.environ.get("QWALK_LOG", "warning").upper(), None)
+    logger.setLevel(wanted if isinstance(wanted, int) else logging.WARNING)
     try:
         yield
     finally:

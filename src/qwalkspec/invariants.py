@@ -21,17 +21,20 @@ or rounds.  The brute-force polynomials stay one call away, as
 equal.
 
 ``batch_compare`` and the CLI's ``compare`` reach the same verdicts as
-``compare`` on the two profiles without any char poly of S+(U^3) in most
-pairs.  ``fingerprints`` gives each graph a ``Fingerprint``: the exact A,
-S+(U) and S+(U^2) polynomials, S = S+(U^3) packed into bits, and the exact
-traces tr(S^i) for i = 1..4, all four from one 0/1 product S.S by
-popcounts.  The graphs of one call share one kernel pass per size for their
-adjacency char polys, and no kernel pass runs on S.
+``compare`` on the two profiles without expanding the S+(U) or S+(U^2)
+polynomial, and without any char poly of S+(U^3) in most pairs.
+``fingerprints`` gives each graph a ``Fingerprint``: the exact A char poly,
+the Graeffe square of psi = chi_A / (x - k) (degree n - 1), S = S+(U^3)
+packed into bits, and the exact traces tr(S^i) for i = 1..4, all four from
+one 0/1 product S.S by popcounts.  The graphs of one call share one kernel
+pass per size for their adjacency char polys, and no kernel pass runs on S.
 
 ``certify`` (one pair) and ``batch_compare`` (all pairs of a corpus) settle
-their pairs through one resolver.  It compares A, S+(U) and S+(U^2)
-coefficient by coefficient, and proves the S+(U^3) verdict in one of five
-ways, tried in this order:
+their pairs through one resolver.  By the paper's closed forms (see
+``Fingerprint``), A and S+(U) are cospectral exactly when the A char polys
+are equal, and S+(U^2) exactly when (n, k) and the Graeffe squares are.
+The resolver proves the S+(U^3) verdict in one of five ways, tried in this
+order:
 
 * "distinguished", because nk differs, so the degrees do;
 * "distinguished", because a trace differs: traces are spectral invariants;
@@ -85,7 +88,7 @@ from .arcspace import build_arc_space
 from .errors import HypothesisError
 from .graphs import Graph, adjacency_matrix, find_isomorphism
 from .intmat import char_poly, char_poly_residues, char_polys
-from .polynomials import CharPoly, poly_graeffe
+from .polynomials import CharPoly, poly_divide_exact, poly_graeffe
 from .supports import (
     _charpoly_su,
     _charpoly_su2,
@@ -115,7 +118,30 @@ class InvariantProfile:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """A graph's exact A, S+(U) and S+(U^2) char polys, and the exact power traces of S = S+(U^3).
+    """A graph's exact A char poly, the squares of its other eigenvalues, and S = S+(U^3) with its traces.
+
+    ``psi_squares`` is Graeffe(psi) with psi = chi_A / (x - k): the monic
+    polynomial of degree n - 1 whose roots are the lambda^2 over the roots
+    lambda of psi.  With chi_A it decides A, S+(U) and S+(U^2) exactly, with
+    no degree-nk poly of the closed forms (``supports._charpoly_su`` and
+    ``_charpoly_su2``):
+
+    * chi_A fixes n (its degree) and k (its largest root), so equal chi_A
+      give equal closed forms.
+    * chi_{S+(U)} has degree nk and largest real root k - 1.  Every other
+      root has modulus at most k - 1, since the roots of
+      t^2 - lambda t + (k - 1) with |lambda| <= k stay inside that bound.  So
+      this poly fixes (n, k).  The map psi -> t^(n-1) psi((t^2 + k - 1)/t)
+      is linear, and injective because a nonzero polynomial composed with a
+      nonconstant rational function is nonzero.  Hence S+(U) is cospectral
+      exactly when A is.
+    * chi_{S+(U^2)} has spectral radius (k - 1)^2 + 1 for k > 2, and 1 at
+      k = 2, strictly increasing in k, so this poly fixes (n, k) too.  For
+      k > 2, q -> (t - 1)^(n-1) q((t + k - 2)^2/(t - 1)) is injective in
+      q = Graeffe(psi) for the same reason; at k = 2 every connected graph is
+      C_n.  Hence S+(U^2) is cospectral exactly when (n, k) and
+      ``psi_squares`` are equal.  That is weaker than A: it sees only the
+      lambda^2, not their signs.
 
     ``s3_traces`` is (tr S, tr S^2, tr S^3, tr S^4), from one 0/1 product
     S.S (``_power_traces``).  ``s3_support`` is S itself, each row packed by
@@ -127,17 +153,13 @@ class Fingerprint:
     graph: Graph
     k: int
     charpoly_a: CharPoly
-    charpoly_s1: CharPoly
-    charpoly_s2: CharPoly
+    psi_squares: Tuple[int, ...]
     s3_traces: Tuple[int, int, int, int]
     s3_support: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def charpoly(self, which: str) -> CharPoly:
-        return getattr(self, f"charpoly_{which}")
 
     def _s3_matrix(self) -> np.ndarray:
         """S+(U^3), unpacked from ``s3_support``."""
@@ -242,8 +264,8 @@ def _fingerprints(checked: list) -> List[Fingerprint]:
     for (gid, g, k), cp_a in zip(checked, cps_a):
         s3 = _s3(g)
         rows = _pack_rows(s3)
-        prints.append(Fingerprint(gid, g, k, cp_a, *_closed_polys(g, k, cp_a),
-                                  _power_traces(s3, rows), rows))
+        psi_squares = tuple(poly_graeffe(poly_divide_exact(cp_a.coeffs, [-k, 1])))
+        prints.append(Fingerprint(gid, g, k, cp_a, psi_squares, _power_traces(s3, rows), rows))
     return prints
 
 
@@ -270,8 +292,10 @@ def _certify(pairs: List[Tuple[Fingerprint, Fingerprint]], mapper,
     ``mapper`` (``map`` or ``_fork_map``) runs its residue and exact tasks,
     each phase in at most ``workers`` tasks.
     """
-    same = [{which: p.charpoly(which).coeffs == q.charpoly(which).coeffs for which in ("a", "s1", "s2")}
-            for p, q in pairs]
+    same = []
+    for p, q in pairs:  # the A, S+(U) and S+(U^2) verdicts, by the rules of ``Fingerprint``
+        a = p.charpoly_a.coeffs == q.charpoly_a.coeffs
+        same.append({"a": a, "s1": a, "s2": (p.n, p.k, p.psi_squares) == (q.n, q.k, q.psi_squares)})
     proofs = [_settle_s3(p, q, all(s.values())) for (p, q), s in zip(pairs, same)]
     opened = _open(pairs, proofs)
     residue = dict(zip(map(id, opened), _dealt(mapper, _s3_residues, opened, workers)))

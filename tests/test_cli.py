@@ -514,6 +514,18 @@ def test_each_main_call_applies_its_own_qwalk_log(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == quiet
 
 
+@pytest.mark.parametrize("value", ["basic_format", "no_such_level", ""])
+def test_a_qwalk_log_that_names_no_level_means_warning(value, capsys, monkeypatch):
+    # logging.BASIC_FORMAT is a name of logging's, but a str, not a level
+    argv = ("compare", "cycle:5", "cycle:5")
+    monkeypatch.delenv("QWALK_LOG", raising=False)
+    quiet = run_cli(capsys, *argv)
+    monkeypatch.setenv("QWALK_LOG", value)
+    assert run_cli(capsys, *argv) == quiet and quiet[0] == 0 and quiet[2] == ""
+    monkeypatch.setenv("QWALK_LOG", "Debug")  # a level name, in any case
+    assert "DEBUG:qwalkspec.invariants:certificate cycle:5#1 vs cycle:5#2:" in run_cli(capsys, *argv)[2]
+
+
 def test_main_leaves_the_loggers_as_it_found_them(capsys, monkeypatch):
     root, ours = logging.getLogger(), logging.getLogger("qwalkspec")
     before = (root.level, list(root.handlers), ours.level, list(ours.handlers))

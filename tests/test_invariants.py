@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import logging
@@ -22,6 +23,7 @@ from qwalkspec import (
     complete_graph,
     cycle_graph,
     is_connected,
+    is_regular,
     parse_generator_spec,
     petersen_graph,
     poly_mul,
@@ -34,8 +36,10 @@ from qwalkspec import (
     support_u_power,
     write_graph6_file,
 )
+from qwalkspec.graph6 import parse_graph6
 from qwalkspec.intmat import char_poly_residues
-from qwalkspec.invariants import certify, fingerprints
+from qwalkspec.invariants import Fingerprint, certify, fingerprints
+from qwalkspec.polynomials import CharPoly, poly_divide_exact, poly_graeffe
 
 from oracles import _ppow, dense_arc_matrices, int_product
 
@@ -381,6 +385,8 @@ def _verdict_corpus():
         if is_connected(g):
             corpus.append((f"rr{n}.{k}.{seed}", g))
             corpus.append((f"rr{n}.{k}.{seed}~", relabel(g, list(rng.permutation(n)))))
+    # cospectral only in S+(U^2): their A eigenvalues other than 3 differ, but not their squares
+    corpus += [(line, parse_graph6(line)) for line in ("IUHDOHDEO", "ISOXKPoOo")]
     return corpus
 
 
@@ -399,10 +405,63 @@ def test_batch_verdicts_equal_compare_of_exact_profiles():
         expected = compare(*(profiles[gid] for gid in report.pair))
         assert report == expected, report.pair
         kinds.add(tuple(report.verdicts.values()))
-    # twins, shrikhande/rook44, and graphs that A already distinguishes all occur
+    # twins, shrikhande/rook44, graphs that A already distinguishes, and the S+(U^2)-only pair
     assert ("cospectral",) * 4 in kinds
     assert ("cospectral",) * 3 + ("distinguished",) in kinds
     assert ("distinguished",) * 4 in kinds
+    assert ("distinguished", "distinguished", "cospectral", "distinguished") in kinds
+
+
+def _stub_fingerprint(gid, n, k, cp_a, traces):
+    """A fingerprint of the char poly ``cp_a``, on an edgeless stand-in graph with n vertices."""
+    psi = poly_divide_exact(cp_a.coeffs, [-k, 1])
+    return Fingerprint(gid, Graph(n, []), k, cp_a, tuple(poly_graeffe(psi)), traces,
+                       np.zeros((n * k, 8), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("k, roots, signs", [
+    (3, [1, 1, 2, -2, 0], [-1, 1, 1, 1, 1]),
+    (3, [0, 1, 2, 2, -1], [1, -1, -1, 1, 1]),
+    (4, [1, 2, 3, 0, -1, -2], [-1, -1, -1, 1, 1, 1]),
+    (5, [2, 2, 4, -1, -1, 0, 3], [-1, 1, -1, 1, -1, 1, -1]),
+])
+def test_psi_roots_that_differ_in_sign_split_s_plus_u_but_not_s_plus_u_squared(k, roots, signs):
+    from qwalkspec.supports import _charpoly_su, _charpoly_su2
+
+    psis = [functools.reduce(poly_mul, ([-r, 1] for r in rs), [1])
+            for rs in (roots, [s * r for s, r in zip(signs, roots)])]
+    # an irrational pair too: x^2 - x - 1 against x^2 + x - 1, the roots negated
+    psis += [poly_mul(psi, [-1, c, 1]) for psi, c in zip(psis, (-1, 1))]
+
+    def chi(valency, psi):
+        return CharPoly(tuple(poly_mul([-valency, 1], psi)))
+
+    for psi, phi in (psis[:2], psis[2:]):
+        n = len(psi)
+        assert _charpoly_su(n, k, chi(k, psi)) != _charpoly_su(n, k, chi(k, phi))
+        assert _charpoly_su2(n, k, chi(k, psi)) == _charpoly_su2(n, k, chi(k, phi))
+    # the rule of ``Fingerprint`` agrees with the expanded closed forms on every pair; the
+    # first psi comes once more at valency k + 2, with equal n and psi_squares but not k
+    cases = [(k, psi) for psi in psis] + [(k + 2, psis[0])]
+    prints = [_stub_fingerprint(f"g{i}", len(psi), valency, chi(valency, psi), (i, 0, 0, 0))
+              for i, (valency, psi) in enumerate(cases)]
+    for p, q in itertools.combinations(prints, 2):
+        report = certify(p, q)
+        for which, closed_form in (("s1", _charpoly_su), ("s2", _charpoly_su2)):
+            same = closed_form(p.n, p.k, p.charpoly_a) == closed_form(q.n, q.k, q.charpoly_a)
+            assert report.verdicts[which] == ("cospectral" if same else "distinguished"), (which, p, q)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("complete:4", "cycle:6"), ("petersen", "complete:6"), ("hypercube:4", "cycle:32"),
+])
+def test_equal_nk_with_different_n_and_k_distinguishes_s_plus_u_and_its_square(first, second):
+    corpus = [(spec, parse_generator_spec(spec)) for spec in (first, second)]
+    (_, g), (_, h) = corpus
+    assert g.n * is_regular(g) == h.n * is_regular(h) and g.n != h.n
+    expected = compare(*(profile(g, gid) for gid, g in corpus))
+    assert certify(*fingerprints(corpus)) == expected
+    assert [expected.verdicts[w] for w in ("a", "s1", "s2")] == ["distinguished"] * 3
 
 
 def test_cli_compare_verdicts_equal_compare_of_exact_profiles(tmp_path, capsys):
@@ -412,7 +471,8 @@ def test_cli_compare_verdicts_equal_compare_of_exact_profiles(tmp_path, capsys):
     by_id = dict(corpus)
     pairs = [("shrikhande", "rook:4"), ("shrikhande", "shrikhande~"), ("petersen", "cycle:5"),
              ("circulant:12,1,4", "circulant:12,4,5"), ("circulant:12,1,4", "circulant:12,1,5"),
-             ("rr12.4.3", "rr12.4.3~"), ("rr12.4.3", "rr12.4.4"), ("rr10.3.1", "rr10.3.2")]
+             ("rr12.4.3", "rr12.4.3~"), ("rr12.4.3", "rr12.4.4"), ("rr10.3.1", "rr10.3.2"),
+             ("IUHDOHDEO", "ISOXKPoOo")]
     for first, second in pairs:
         paths = []
         for gid in (first, second):
