@@ -2,8 +2,10 @@
 
 Builds the directed-arc indexing of C3 and K4, prints the incidence and
 reversal matrices, and checks the defining identities exactly over the
-integers.  Everything here is sign-exact: the walk matrix is scaled by the
-valency k so no floating point ever appears.
+integers.  Each graph gets one arc space: it holds the arcs' index arrays,
+multiplies by every arc matrix, and keeps its scaled walk matrix W once.
+Everything here is sign-exact: the walk matrix is scaled by the valency k so
+no floating point ever appears.
 """
 
 import qwalkspec as q
@@ -14,6 +16,7 @@ a = q.build_arc_space(g)
 print(f"C3: n={g.n}, k={a.k}, arcs={a.size}")
 print("canonical arc order:", a.arcs)
 print("reversal permutation:", a.reverse)
+print("arcs into each vertex (one row per vertex):", a.into.tolist())
 
 print("\nins (rows = vertices, cols = arcs; marks heads):")
 print(q.ins_matrix(a))
@@ -34,8 +37,10 @@ print("\nW entry values for K4 (k=3):", sorted({int(x) for x in w4.flat}))
 # %% Exact identities --------------------------------------------------------
 # ins*outs^T recovers the adjacency matrix; the incidence Gram matrices are
 # k*I; P is an involution; W is orthogonal after rescaling: W W^T = k^2 I.
-for name, ok in q.identity_suite(q.complete_graph(4)):
+# The suite reads K4's arc space, whose W is the one printed above.
+for name, ok in q.identity_suite(k4):
     print(f"{'ok ' if ok else 'FAIL'} {name}")
+print("W is formed once per arc space:", q.scaled_transition_matrix(k4) is w4)
 
 # %% The walk support is the non-backtracking matrix ------------------------
 s1 = q.support_u(a)

@@ -11,15 +11,19 @@ ever materializes the integer scalings W = k*U and kQ.  Sign patterns of
 powers are unchanged by the positive scaling, so supports of U^m and W^m
 coincide.
 
-W, S+(U), kQ and every product by them come from the arc structure
-(``_ArcStep``): index gathers and a sum over the k arcs into each vertex,
-O(nk) per column.  Their dense definitions 2*outs^T*ins - k*P,
-outs^T*ins - P and 2*ins^T*ins - k*I are test oracles (``tests/oracles.py``).
+``build_arc_space`` builds the index arrays of the arcs once, and the
+``ArcSpace`` applies every arc-space matrix from them: W, S+(U), kQ, P and
+``ins`` act by index gathers and a sum over the k arcs into each vertex,
+O(nk) per column.  W = W*I is formed once per arc space, read-only, and
+starts every walk power (``_walk_powers``).  The dense definitions
+2*outs^T*ins - k*P, outs^T*ins - P and 2*ins^T*ins - k*I are test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +33,24 @@ from .graphs import Graph, is_regular
 from .intmat import int_eye
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcSpace:
-    """Canonical arc indexing of a k-regular graph."""
+    """Canonical arc indexing of a k-regular graph, and the products M -> X*M by its arc matrices X.
+
+    Arc j runs from ``tail[j]`` to ``head[j]``, ``rev[j]`` is its reversal,
+    and row v of ``into`` (n x k) lists the arcs into vertex v.  With ins*M
+    the n rows summing M over the k arcs into each vertex:
+    W*M = 2(ins*M)[tail] - k*M[rev], S+(U)*M = (ins*M)[tail] - M[rev],
+    kQ*M = 2(ins*M)[head] - k*M and P*M = M[rev].  Entries grow by at most
+    3k per product; ``_walk_powers`` checks its chain against 2^62.
+    """
 
     graph: Graph
     k: int
-    arcs: tuple  # nk ordered (tail, head) pairs
-    reverse: tuple  # reverse[i] = index of the reversed arc
+    tail: np.ndarray
+    head: np.ndarray
+    rev: np.ndarray
+    into: np.ndarray
 
     @property
     def n(self) -> int:
@@ -44,33 +58,24 @@ class ArcSpace:
 
     @property
     def size(self) -> int:
-        return len(self.arcs)
+        return len(self.tail)
 
+    @property
+    def arcs(self) -> tuple:
+        """The nk (tail, head) pairs, in arc order."""
+        return tuple(zip(self.tail.tolist(), self.head.tolist()))
 
-def build_arc_space(g: Graph) -> ArcSpace:
-    """Index the nk arcs of a regular graph (valency >= 1)."""
-    k = is_regular(g)
-    if k is None:
-        raise ValencyError("graph is not regular")
-    if k < 1:
-        raise ValencyError(f"valency {k} < 1: no arcs to index")
-    arcs = tuple(arc for u, v in g.sorted_edges() for arc in ((u, v), (v, u)))
-    return ArcSpace(g, k, arcs, tuple(i ^ 1 for i in range(len(arcs))))  # 2j <-> 2j + 1
+    @property
+    def reverse(self) -> tuple:
+        """reverse[j] = the index of the reversal of arc j."""
+        return tuple(self.rev.tolist())
 
-
-class _ArcStep:
-    """Products M -> X*M by the arc-space matrices X, from the index arrays of one arc space.
-
-    With ins*M the n rows summing M over the k arcs into each vertex:
-    W*M = 2(ins*M)[tail] - k*M[rev], S+(U)*M = (ins*M)[tail] - M[rev],
-    kQ*M = 2(ins*M)[head] - k*M and P*M = M[rev].  Entries grow by at most
-    3k per product; ``_walk_powers`` checks its chain against 2^62.
-    """
-
-    def __init__(self, a: ArcSpace):
-        self.k, self.rev = a.k, np.array(a.reverse)
-        self.tail, self.head = np.array(a.arcs).T
-        self.into = np.argsort(self.head, kind="stable").reshape(a.n, a.k)  # row v: the arcs into v
+    @cached_property
+    def walk(self) -> np.ndarray:
+        """W = k*U = W*I, formed on first use and read-only, so every caller shares it."""
+        w = self.w(int_eye(self.size))
+        w.flags.writeable = False
+        return w
 
     def ins(self, m: np.ndarray) -> np.ndarray:
         return m[self.into].sum(axis=1)
@@ -88,33 +93,46 @@ class _ArcStep:
         return m[self.rev]
 
 
+def build_arc_space(g: Graph) -> ArcSpace:
+    """Index the nk arcs of a regular graph (valency >= 1)."""
+    k = is_regular(g)
+    if k is None:
+        raise ValencyError("graph is not regular")
+    if k < 1:
+        raise ValencyError(f"valency {k} < 1: no arcs to index")
+    edges = np.array(g.sorted_edges(), dtype=np.int64)  # row j: arcs 2j = (u, v) and 2j + 1 = (v, u)
+    head = edges[:, ::-1].ravel()
+    into = np.argsort(head, kind="stable").reshape(g.n, k)
+    return ArcSpace(g, k, edges.ravel(), head, np.arange(len(head)) ^ 1, into)
+
+
 def ins_matrix(a: ArcSpace) -> np.ndarray:
     """n x nk 0/1 matrix: entry (i, j) = 1 iff vertex i is the head of arc j."""
-    return int_eye(a.n)[:, [h for _, h in a.arcs]]
+    return int_eye(a.n)[:, a.head]
 
 
 def outs_matrix(a: ArcSpace) -> np.ndarray:
     """n x nk 0/1 matrix: entry (i, j) = 1 iff vertex i is the tail of arc j."""
-    return int_eye(a.n)[:, [t for t, _ in a.arcs]]
+    return int_eye(a.n)[:, a.tail]
 
 
 def reversal_matrix(a: ArcSpace) -> np.ndarray:
     """The arc-reversal permutation P = P*I: symmetric, P^2 = I, zero diagonal."""
-    return int_eye(a.size)[np.array(a.reverse)]
+    return a.p(int_eye(a.size))
 
 
 def scaled_transition_matrix(a: ArcSpace) -> np.ndarray:
-    """W = k*U = W*I, by the arc step ``_walk_powers`` repeats.
+    """W = k*U, the arc space's read-only ``walk``.
 
     Entry (j, i) is 2 when arc i can continue into arc j without
     backtracking, 2 - k when j is the reversal of i, and 0 otherwise.
     """
-    return _walk_powers(a, 1)[0]
+    return a.walk
 
 
 def scaled_reflection_q(a: ArcSpace) -> np.ndarray:
     """kQ = kQ*I = 2*ins[head] - k*I; satisfies (kQ)^2 = k^2 I."""
-    return _ArcStep(a).kq(int_eye(a.size))
+    return a.kq(int_eye(a.size))
 
 
 def _walk_powers(a: ArcSpace, m: int) -> list:
@@ -125,7 +143,7 @@ def _walk_powers(a: ArcSpace, m: int) -> list:
     """
     if (3 * a.k) ** m >= intmat._INT64_SAFE:
         raise OverflowError(f"W^{m} at k={a.k} may reach 2^62 in magnitude")
-    step, powers = _ArcStep(a), [int_eye(a.size)]
-    for _ in range(m):
-        powers.append(step.w(powers[-1]))
-    return powers[1:]
+    powers = [a.walk]
+    for _ in range(m - 1):
+        powers.append(a.w(powers[-1]))
+    return powers

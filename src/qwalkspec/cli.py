@@ -32,7 +32,7 @@ from .errors import Graph6Error, HypothesisError, ParameterError
 from .generators import parse_generator_spec
 from .graph6 import read_graph6_file
 from .graphs import Graph, adjacency_matrix, is_regular
-from .intmat import char_poly, char_polys, mat_equal
+from .intmat import char_poly, char_polys, int_eye, mat_equal
 from .invariants import (
     BatchResult,
     batch_compare,
@@ -52,7 +52,7 @@ from .supports import (
     identity_suite,
     ihara_style_charpoly,
 )
-from .supports import _square_plus_identity, _walk_supports
+from .supports import _walk_supports
 
 CHECK_NAMES = ("identities", "thm32", "thm41", "thm43", "ihara")
 
@@ -150,15 +150,17 @@ def _fmt_complex(z: complex) -> str:
 # ---------------------------------------------------------------------------
 
 
+_CLOSED_SPECTRA = {"s1": closed_form_spectrum_su, "s2": closed_form_spectrum_su2}
+
+
 def _spectrum_payload(gid: str, g: Graph, which: str, form: str) -> dict:
     if form == "closed":
-        if which not in ("s1", "s2"):
+        if which not in _CLOSED_SPECTRA:
             raise HypothesisError(
                 f"no closed form for {which!r}; closed form exists for s1 (k >= 2)"
                 " and s2 (k > 2) only"
             )
-        closed = closed_form_spectrum_su if which == "s1" else closed_form_spectrum_su2
-        return {"id": gid, "which": which, "form": form, "spectrum": closed(g).to_json()}
+        return {"id": gid, "which": which, "form": form, "spectrum": _CLOSED_SPECTRA[which](g).to_json()}
 
     if form == "charpoly":
         cp = _charpoly_of(g, which)
@@ -173,10 +175,9 @@ def _spectrum_payload(gid: str, g: Graph, which: str, form: str) -> dict:
     # numeric
     if which == "a":
         vals = symmetric_eigenvalues(adjacency_matrix(g))
-    elif which in ("s1", "s2"):
+    elif which in _CLOSED_SPECTRA:
         try:
-            closed = closed_form_spectrum_su if which == "s1" else closed_form_spectrum_su2
-            vals = closed(g).numeric_values()
+            vals = _CLOSED_SPECTRA[which](g).numeric_values()
         except HypothesisError:
             vals = poly_roots(_charpoly_of(g, which).coeffs)
     else:
@@ -284,6 +285,8 @@ class _VerifyInputs:
     """What several verify checks of one graph share, each computed once on first use.
 
     ``k`` is the graph's valency, or None if it is not regular, decided once here.
+    ``arcs`` is the graph's one arc space: the identity suite and the W, W^2
+    chain share it and its W.
     """
 
     def __init__(self, g: Graph, checks: List[str]):
@@ -326,7 +329,7 @@ def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
         if check == "identities":
             if k is None or k < 1:
                 return "SKIP", "hypothesis: regular graph with k >= 1"
-            failed = [name for name, ok in identity_suite(g) if not ok]
+            failed = [name for name, ok in identity_suite(inputs.arcs) if not ok]
             return ("FAIL", ", ".join(failed)) if failed else ("PASS", "")
         if check == "thm32":
             rhs = closed_form_charpoly_su(g, inputs.cp_a)
@@ -340,7 +343,7 @@ def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
             return "SKIP", f"hypothesis k>2 (got k={k})"
         if check == "thm41":
             s1, s2 = inputs.supports
-            ok = mat_equal(s2, _square_plus_identity(inputs.arcs, s1))
+            ok = mat_equal(s2, inputs.arcs.s1(s1) + int_eye(len(s1)))  # S+(U)^2 + I
             return ("PASS", "") if ok else ("FAIL", "S+(U^2) != S+(U)^2 + I")
         rhs = closed_form_charpoly_su2(g, inputs.cp_a)  # thm43
         ok = inputs.brute_force["s2"] == rhs

@@ -123,7 +123,9 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
     it is regular and ``A^2`` takes a single value lambda on the edges and a
     single value mu on the non-adjacent pairs of distinct vertices.  Complete
     and edgeless graphs are degenerate (one of the pair classes is empty) and
-    yield None.
+    yield None.  Otherwise the parameters found are feasible: counting the
+    2-walks from a vertex to its non-neighbours gives k(k - lambda - 1) =
+    (n - k - 1) mu, so ``SrgParams`` accepts them.
     """
     k = is_regular(g)
     if k is None:
@@ -134,10 +136,7 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
     mu = np.unique(a2[(a == 0) & ~np.eye(g.n, dtype=bool)])
     if len(lam) != 1 or len(mu) != 1:
         return None
-    try:
-        return SrgParams(g.n, k, int(lam[0]), int(mu[0]))
-    except ValueError:
-        return None
+    return SrgParams(g.n, k, int(lam[0]), int(mu[0]))
 
 
 ISOMORPHISM_BUDGET = 512  # search nodes find_isomorphism visits before it gives up

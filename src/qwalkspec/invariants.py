@@ -11,8 +11,9 @@ cheapest exact route:
   Hessenberg/CRT engine with a Hadamard-bounded prime count;
 * S+(U): ``closed_form_charpoly_su``, an integer polynomial composition of
   the adjacency char poly;
-* S+(U^2): ``closed_form_charpoly_su2`` for k > 2; at k = 2, where
-  S+(U^2) = S+(U)^2, the Graeffe root-squaring of the S+(U) polynomial.
+* S+(U^2): the same closed form at every k >= 2 (``supports._charpoly_su2``),
+  which is ``closed_form_charpoly_su2`` for k > 2 and, at k = 2, where
+  S+(U^2) = S+(U)^2, squares the S+(U) eigenvalues.
 
 None of these routes runs an nk x nk matrix product (see ``supports``)
 or rounds.  The brute-force polynomials stay one call away, as
@@ -135,13 +136,12 @@ class Fingerprint:
       is linear, and injective because a nonzero polynomial composed with a
       nonconstant rational function is nonzero.  Hence S+(U) is cospectral
       exactly when A is.
-    * chi_{S+(U^2)} has spectral radius (k - 1)^2 + 1 for k > 2, and 1 at
-      k = 2, strictly increasing in k, so this poly fixes (n, k) too.  For
-      k > 2, q -> (t - 1)^(n-1) q((t + k - 2)^2/(t - 1)) is injective in
-      q = Graeffe(psi) for the same reason; at k = 2 every connected graph is
-      C_n.  Hence S+(U^2) is cospectral exactly when (n, k) and
-      ``psi_squares`` are equal.  That is weaker than A: it sees only the
-      lambda^2, not their signs.
+    * chi_{S+(U^2)} has spectral radius (k - 1)^2 + c, with c = 1 for k > 2
+      and c = 0 at k = 2, strictly increasing in k, so this poly fixes (n, k)
+      too.  For every k >= 2, q -> (t - c)^(n-1) q((t + k - 1 - c)^2/(t - c))
+      is injective in q = Graeffe(psi) for the same reason.  Hence S+(U^2)
+      is cospectral exactly when (n, k) and ``psi_squares`` are equal.  That
+      is weaker than A: it sees only the lambda^2, not their signs.
 
     ``s3_traces`` is (tr S, tr S^2, tr S^3, tr S^4), from one 0/1 product
     S.S (``_power_traces``).  ``s3_support`` is S itself, each row packed by
@@ -202,15 +202,6 @@ def _checked_k(g: Graph, graph_id: str) -> int:
     return k
 
 
-def _closed_polys(g: Graph, k: int, cp_a: CharPoly) -> tuple:
-    """The exact char polys of S+(U) and S+(U^2), from the closed forms on the adjacency one."""
-    cp_s1 = _charpoly_su(g.n, k, cp_a)
-    if k > 2:
-        return cp_s1, _charpoly_su2(g.n, k, cp_a)
-    # k = 2: W = 2 S+(U), so S+(U^2) = S+(U)^2 and its roots are the squares.
-    return cp_s1, CharPoly(tuple(poly_graeffe(cp_s1.coeffs)))
-
-
 def _s3(g: Graph) -> np.ndarray:
     return support_u_power(build_arc_space(g), 3)
 
@@ -244,7 +235,8 @@ def profile(g: Graph, graph_id: str) -> InvariantProfile:
     """All four exact char polys of a connected regular graph with k >= 2."""
     k = _checked_k(g, graph_id)
     cp_a = adjacency_charpoly(g)
-    return InvariantProfile(graph_id, g.n, k, cp_a, *_closed_polys(g, k, cp_a), char_poly(_s3(g)))
+    cp_s1, cp_s2 = _charpoly_su(g.n, k, cp_a), _charpoly_su2(g.n, k, cp_a)
+    return InvariantProfile(graph_id, g.n, k, cp_a, cp_s1, cp_s2, char_poly(_s3(g)))
 
 
 def fingerprints(items: Iterable[Tuple[str, Graph]]) -> List[Fingerprint]:

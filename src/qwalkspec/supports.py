@@ -15,11 +15,13 @@ vanishes: the scaled walk matrix W equals k*B exactly (the backtracking
 entries 2 - k are zero), so supports of walk powers are simply supports of
 powers of B.
 
-S+(U) is the support of W, and S+(U^m) the support of W^m, each power
+Every function here that builds an arc-space matrix takes the graph's
+``ArcSpace``, so one arc space serves a graph's every check.  S+(U) is the
+support of the arc space's W, and S+(U^m) the support of W^m, each power
 computed from the arc structure in O((nk)^2) (``arcspace._walk_powers``).
 The identity suite and ``su2_via_identity`` multiply by P, W, kQ and S+(U)
-with the same arc step (``arcspace._ArcStep``), never by a dense product;
-the dense incidence definitions are test oracles (``tests/oracles.py``).
+through the same ``ArcSpace``, never by a dense product; the dense incidence
+definitions are test oracles (``tests/oracles.py``).
 
 ``closed_form_charpoly_su``/``_su2`` expand these eigenvalue lists into exact
 integer polynomials without ever computing an individual eigenvalue: the
@@ -37,8 +39,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .arcspace import ArcSpace, _ArcStep, _walk_powers, build_arc_space, ins_matrix, outs_matrix
-from .arcspace import reversal_matrix, scaled_reflection_q, scaled_transition_matrix
+from .arcspace import ArcSpace, _walk_powers, ins_matrix, outs_matrix, reversal_matrix, scaled_reflection_q
 from .errors import HypothesisError, ValencyError
 from .graphs import Graph, adjacency_matrix, is_connected, is_regular
 from .intmat import char_poly, int_eye, mat_equal, mat_mul, positive_support
@@ -77,12 +78,7 @@ def su2_via_identity(a: ArcSpace) -> np.ndarray:
     """S+(U)^2 + I, which equals S+(U^2) exactly when k > 2."""
     if a.k <= 2:
         raise HypothesisError(f"S+(U^2) = S+(U)^2 + I requires k > 2, got k={a.k}")
-    return _square_plus_identity(a, support_u(a))
-
-
-def _square_plus_identity(a: ArcSpace, s1: np.ndarray) -> np.ndarray:
-    """S1^2 + I for S1 = S+(U) of a, by the arc step."""
-    return _ArcStep(a).s1(s1) + int_eye(a.size)
+    return a.s1(support_u(a)) + int_eye(a.size)
 
 
 @dataclass(frozen=True)
@@ -317,13 +313,24 @@ def closed_form_charpoly_su2(g: Graph, cp_a: Optional[CharPoly] = None) -> CharP
 
 
 def _charpoly_su2(n: int, k: int, cp_a: CharPoly) -> CharPoly:
-    """``closed_form_charpoly_su2`` unchecked: (t - (k^2 - 2k + 2)) * (t-1)^(n-1)
-    q((t+k-2)^2 / (t-1)) * (t - 2)^(n(k-2)+1)."""
+    """``closed_form_charpoly_su2`` unchecked, for every k >= 2.
+
+    S+(U^2) has the eigenvalues theta^2 + c of S+(U), with c = 1 for k > 2
+    and c = 0 at k = 2, where W = 2 S+(U) makes S+(U^2) = S+(U)^2.  The pair
+    of each lambda != k maps to the roots of (t + k - 1 - c)^2 - (t - c) lambda^2,
+    and k - 1 and the +-1 to (k - 1)^2 + c and 1 + c, so with q = Graeffe(psi)
+
+        (t - (k-1)^2 - c) (t - c)^(n-1) q((t + k - 1 - c)^2 / (t - c)) (t - 1 - c)^(n(k-2)+1).
+
+    No coefficient exceeds the product of the three factors' 1-norms:
+    (k-1)^2 + c + 1, sum_j |q_j| (k - c)^(2j) (1 + c)^(n-1-j) and (2 + c)^(n(k-2)+1).
+    """
     q = poly_graeffe(poly_divide_exact(cp_a.coeffs, [-k, 1]))
-    c, e = k * k - 2 * k + 2, n * (k - 2) + 1
-    bits = _kron_bits((c + 1) * _homogeneous([abs(x) for x in q], (k - 1) ** 2, 2) * 3**e)
+    c = 1 if k > 2 else 0
+    top, e = (k - 1) ** 2 + c, n * (k - 2) + 1
+    bits = _kron_bits((top + 1) * _homogeneous([abs(x) for x in q], (k - c) ** 2, 1 + c) * (2 + c) ** e)
     t = 1 << bits
-    value = (t - c) * _homogeneous(q, (t + k - 2) ** 2, t - 1) * (t - 2) ** e
+    value = (t - top) * _homogeneous(q, (t + k - 1 - c) ** 2, t - c) * (t - 1 - c) ** e
     return CharPoly(tuple(_kron_read(value, n * k, bits)))
 
 
@@ -332,32 +339,31 @@ def _charpoly_su2(n: int, k: int, cp_a: CharPoly) -> CharPoly:
 # ---------------------------------------------------------------------------
 
 
-def identity_suite(g: Graph) -> List[tuple]:
-    """[(identity name, holds exactly)] for the arc-matrix identities.
+def identity_suite(a: ArcSpace) -> List[tuple]:
+    """[(identity name, holds exactly)] for the arc-matrix identities of an arc space.
 
     Covers the incidence/reversal/orthogonality identities of the walk
     construction plus, for k >= 2, the two support intertwining relations
     S+(U) ins^T = (k-1) outs^T and S+(U) outs^T = outs^T A - ins^T.  Every
-    left factor of size nk x nk acts by the arc step, in O((nk)^2).
+    left factor of size nk x nk acts by the arc step, in O((nk)^2), and W is
+    the arc space's own.
     """
-    a = build_arc_space(g)
-    k, step = a.k, _ArcStep(a)
-    ins, outs, adj = ins_matrix(a), outs_matrix(a), adjacency_matrix(g)
-    eye_n, eye_nk = int_eye(g.n), int_eye(a.size)
-    p, w, kq = reversal_matrix(a), scaled_transition_matrix(a), scaled_reflection_q(a)
+    k, eye_n, eye_nk = a.k, int_eye(a.n), int_eye(a.size)
+    ins, outs, adj = ins_matrix(a), outs_matrix(a), adjacency_matrix(a.graph)
+    p, w, kq = reversal_matrix(a), a.walk, scaled_reflection_q(a)
     checks = [
         ("ins*outs^T = A", mat_equal(mat_mul(ins, outs.T), adj)),
         ("outs*outs^T = kI", mat_equal(mat_mul(outs, outs.T), k * eye_n)),
         ("ins*ins^T = kI", mat_equal(mat_mul(ins, ins.T), k * eye_n)),
-        ("P^2 = I", mat_equal(step.p(p), eye_nk)),
-        ("P*ins^T = outs^T", mat_equal(step.p(ins.T), outs.T)),
-        ("P*outs^T = ins^T", mat_equal(step.p(outs.T), ins.T)),
-        ("W*W^T = k^2 I", mat_equal(step.w(w.T), k * k * eye_nk)),
-        ("(kQ)^2 = k^2 I", mat_equal(step.kq(kq), k * k * eye_nk)),
+        ("P^2 = I", mat_equal(a.p(p), eye_nk)),
+        ("P*ins^T = outs^T", mat_equal(a.p(ins.T), outs.T)),
+        ("P*outs^T = ins^T", mat_equal(a.p(outs.T), ins.T)),
+        ("W*W^T = k^2 I", mat_equal(a.w(w.T), k * k * eye_nk)),
+        ("(kQ)^2 = k^2 I", mat_equal(a.kq(kq), k * k * eye_nk)),
     ]
     if k >= 2:
         checks += [
-            ("S+(U)*ins^T = (k-1)outs^T", mat_equal(step.s1(ins.T), (k - 1) * outs.T)),
-            ("S+(U)*outs^T = outs^T A - ins^T", mat_equal(step.s1(outs.T), adj[step.tail] - ins.T)),
+            ("S+(U)*ins^T = (k-1)outs^T", mat_equal(a.s1(ins.T), (k - 1) * outs.T)),
+            ("S+(U)*outs^T = outs^T A - ins^T", mat_equal(a.s1(outs.T), adj[a.tail] - ins.T)),
         ]
     return checks

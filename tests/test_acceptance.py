@@ -46,7 +46,7 @@ def test_criterion_1_exact_identity_suite():
     t0 = time.perf_counter()
     failures = []
     for gid, g in CORPUS:
-        for name, ok in q.identity_suite(g):
+        for name, ok in q.identity_suite(q.build_arc_space(g)):
             if not ok:
                 failures.append(f"{gid}: {name}")
     _finish(1, "exact arc-matrix identity suite on the 13-graph corpus", t0, failures,

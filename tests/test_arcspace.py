@@ -26,7 +26,7 @@ from qwalkspec import (
     support_u,
     support_u_power,
 )
-from qwalkspec.arcspace import _ArcStep, _walk_powers
+from qwalkspec.arcspace import _walk_powers
 
 from oracles import dense_arc_matrices
 
@@ -154,7 +154,7 @@ def test_support_from_reflection_identity(corpus):
 
 def test_identity_suite_all_pass(corpus):
     for gid, g in corpus:
-        for name, ok in identity_suite(g):
+        for name, ok in identity_suite(build_arc_space(g)):
             assert ok, f"{gid}: {name}"
 
 
@@ -213,19 +213,19 @@ def test_arc_matrices_equal_their_dense_oracles():
         if a.k > 2:
             s1 = dense["S1"]
             assert mat_equal(su2_via_identity(a), mat_mul(s1, s1) + int_eye(a.size)), gid
-        assert [name for name, ok in identity_suite(g) if not ok] == [], gid
+        assert [name for name, ok in identity_suite(a) if not ok] == [], gid
 
 
 def test_arc_step_products_equal_the_dense_products():
     rng = np.random.default_rng(11)
     for gid, g in _walk_cases() + _edge_cases():
         a = build_arc_space(g)
-        dense, step = dense_arc_matrices(a), _ArcStep(a)
+        dense = dense_arc_matrices(a)
         m = rng.integers(-9, 10, size=(a.size, 5))
-        products = {"W": step.w, "S1": step.s1, "kQ": step.kq, "P": step.p}
+        products = {"W": a.w, "S1": a.s1, "kQ": a.kq, "P": a.p}
         for name, product in products.items():
             assert mat_equal(product(m), mat_mul(dense[name], m)), (gid, name)
-        assert mat_equal(step.ins(m), mat_mul(dense["ins"], m)), gid
+        assert mat_equal(a.ins(m), mat_mul(dense["ins"], m)), gid
 
 
 def test_walk_powers_equal_the_mat_mul_chain():
@@ -242,21 +242,34 @@ def test_walk_powers_equal_the_mat_mul_chain():
         assert all(mat_equal(p, c) for p, c in zip(_walk_powers(a, 2), chain)), gid
 
 
-def test_identity_suite_fails_when_two_reversals_are_swapped(monkeypatch):
+def test_identity_suite_fails_when_two_reversals_are_swapped():
     # the gathered products see a wrong arc structure, so a PASS means something
-    from qwalkspec import supports
-
-    g = petersen_graph()
-    a = build_arc_space(g)
-    rev = list(a.reverse)
-    assert a.arcs[1][0] != a.arcs[2][0]  # a swap between arcs of one tail would keep W orthogonal
+    a = build_arc_space(petersen_graph())
+    rev = a.rev.copy()
+    assert a.tail[1] != a.tail[2]  # a swap between arcs of one tail would keep W orthogonal
     rev[1], rev[2] = rev[2], rev[1]
-    bad = dataclasses.replace(a, reverse=tuple(rev))
-    step = _ArcStep(bad)
-    w = step.w(int_eye(a.size))
-    assert not mat_equal(step.w(w.T), a.k * a.k * int_eye(a.size))
-    monkeypatch.setattr(supports, "build_arc_space", lambda g: bad)
-    assert "W*W^T = k^2 I" in [name for name, ok in identity_suite(g) if not ok]
+    bad = dataclasses.replace(a, rev=rev)
+    assert bad.reverse != a.reverse and bad.walk is not a.walk
+    assert not mat_equal(bad.w(bad.walk.T), a.k * a.k * int_eye(a.size))
+    assert "W*W^T = k^2 I" in [name for name, ok in identity_suite(bad) if not ok]
+
+
+def test_index_arrays_follow_the_canonical_arc_order():
+    for gid, g in _walk_cases() + _edge_cases():
+        a = build_arc_space(g)
+        arcs = [arc for u, v in g.sorted_edges() for arc in ((u, v), (v, u))]
+        assert a.arcs == tuple(arcs) and a.reverse == tuple(j ^ 1 for j in range(len(arcs))), gid
+        into = [[j for j, (_, h) in enumerate(arcs) if h == v] for v in range(g.n)]
+        assert a.into.tolist() == into, gid
+
+
+def test_one_arc_space_forms_w_once_and_read_only():
+    a = build_arc_space(petersen_graph())
+    w = scaled_transition_matrix(a)
+    assert w is a.walk and _walk_powers(a, 2)[0] is w
+    assert mat_equal(w, dense_arc_matrices(a)["W"])
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0] = 1
 
 
 def test_walk_powers_refuse_a_bound_at_the_int64_limit(monkeypatch):

@@ -3,13 +3,18 @@ import logging
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qwalkspec import (
     Graph,
     complete_graph,
     cycle_graph,
+    int_eye,
+    is_regular,
+    mat_equal,
     parse_generator_spec,
+    parse_graph6,
     petersen_graph,
     relabel,
     write_graph6_file,
@@ -84,6 +89,55 @@ def test_spectrum_numeric_s3(capsys):
     assert code == 0
     values = [line for line in out.splitlines() if not line.startswith("#")]
     assert len(values) == 12
+
+
+def _exact_support_charpoly(g, which):
+    from qwalkspec import build_arc_space, char_poly, support_u, support_u_power
+
+    a = build_arc_space(g)
+    return char_poly(support_u(a) if which == "s1" else support_u_power(a, 2)).coeffs
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize(
+    "source, which, roots_calls",
+    [("petersen", "s1", 0), ("petersen", "s2", 0), ("cycle:9", "s2", 1), ("EwCW", "s1", 1)],
+    ids=["petersen-s1-closed", "petersen-s2-closed", "cycle9-s2-k2", "two-triangles-s1"],
+)
+def test_spectrum_numeric_s1_s2_values_are_the_roots_of_the_exact_char_poly(
+        source, which, roots_calls, fmt, tmp_path, capsys, monkeypatch):
+    """The closed spectrum where it applies; else poly_roots of the exact char poly (k = 2 for s2,
+    a disconnected graph for s1).  Each value is checked as a root of the brute-force char poly,
+    with its multiplicity, not as 12-digit text."""
+    from qwalkspec import cli
+    from qwalkspec.polynomials import poly_roots
+    from oracles import max_matching_distance
+
+    if source == "EwCW":  # graph6 of two disjoint triangles
+        path = tmp_path / "two-triangles.g6"
+        path.write_text("EwCW\n")
+        args, g = ["--input", str(path)], parse_graph6("EwCW")
+    else:
+        args, g = ["--generate", source], parse_generator_spec(source)
+    calls = []
+    monkeypatch.setattr(cli, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+    code, out, _ = run_cli(capsys, "spectrum", *args, "--which", which, "--form", "numeric",
+                           "--format", fmt)
+    assert code == 0 and len(calls) == roots_calls
+    if fmt == "csv":
+        lines = out.splitlines()
+        assert lines[0] == "id,which,form,field,value,multiplicity"
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(row[1:4] == [which, "numeric", "value"] and row[5] == "1" for row in rows)
+        texts = [row[4] for row in rows]
+    else:
+        texts = out.splitlines()[1:]
+    values = [complex(t.replace("i", "j")) for t in texts]
+    assert len(values) == g.n * is_regular(g)
+    cp = _exact_support_charpoly(g, which)
+    for z in values:  # a root: |cp(z)| tiny against the sum of |c_i| |z|^i
+        assert abs(np.polyval(cp[::-1], z)) <= 1e-9 * np.polyval(np.abs(cp[::-1]), abs(z))
+    assert max_matching_distance(values, poly_roots(cp)) < 1e-9
 
 
 def test_spectrum_closed_form_unavailable_for_s3(capsys):
@@ -220,26 +274,34 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
 
 
 def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeypatch):
-    """identity_suite builds W and W*W^T itself; every other check shares one W, W^2 chain, and
-    the A, S+(U) and S+(U^2) char polys all take the minimal-polynomial route."""
+    """One arc space serves every check: its W = W*I feeds both identity_suite and the W, W^2
+    chain, so the W products are W*I, W*W^T and W*W; the A, S+(U) and S+(U^2) char polys all
+    take the minimal-polynomial route."""
     from qwalkspec import arcspace, intmat
 
-    w_calls, passes = [], []
-    w, kernel = arcspace._ArcStep.w, intmat._hessenberg_stack
+    built, w_calls, passes = [], [], []
+    arc_space, w, kernel = arcspace.ArcSpace, arcspace.ArcSpace.w, intmat._hessenberg_stack
+
+    def arc_space_spy(*fields):  # every arc space that build_arc_space makes, whoever calls it
+        built.append(fields[0])
+        return arc_space(*fields)
 
     def w_spy(self, m):
-        w_calls.append(m.shape)
+        w_calls.append(m)
         return w(self, m)
 
     def kernel_spy(h, primes):
         passes.append(h.shape[1])
         return kernel(h, primes)
 
-    monkeypatch.setattr(arcspace._ArcStep, "w", w_spy)
+    monkeypatch.setattr(arc_space, "w", w_spy)
+    monkeypatch.setattr(arcspace, "ArcSpace", arc_space_spy)
     monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
     code, out, _ = run_cli(capsys, "verify", "--generate", "shrikhande", "--checks", "all")
     assert code == 0 and out.count(" PASS") == 5
-    assert len(w_calls) == 4 and passes == []
+    assert len(built) == 1 and passes == []
+    [eye, w_t, w_1] = w_calls
+    assert mat_equal(eye, int_eye(96)) and w_t.base is w_1 and not w_1.flags.writeable
 
 
 def test_main_shares_one_parser_between_calls(capsys, monkeypatch):
@@ -429,6 +491,23 @@ def test_bad_generator_spec_exit_2(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--generate", "paley:8", "--which", "a")
     assert code == 2
     assert "paley" in err
+
+
+@pytest.mark.parametrize(
+    "spec, err",
+    [
+        ("complete:0", "complete needs n >= 1, got 0"),
+        ("complete_bipartite:0,2", "complete_bipartite needs parts >= 1, got (0,2)"),
+        ("hypercube:0", "hypercube needs d >= 1, got 0"),
+        ("circulant:2,1", "circulant needs n >= 3, got 2"),
+        ("circulant:6", "circulant needs n and at least one connection"),
+        ("rook:1", "rook needs m >= 2, got 1"),
+        ("rook:1,1,1", "rook needs m (or m,m)"),
+        ("petersen:3", "petersen takes 0 parameter(s), got 1"),
+    ],
+)
+def test_every_generator_parameter_error_exits_2(spec, err, capsys):
+    assert run_cli(capsys, "spectrum", "--generate", spec, "--which", "a") == (2, "", f"error: {err}\n")
 
 
 def test_missing_input_exit_2(capsys):

@@ -39,7 +39,7 @@ def test_paley17_is_srg():
 
 @pytest.mark.parametrize("gid,g", EXTRA, ids=[gid for gid, _ in EXTRA])
 def test_identities_hold(gid, g):
-    for name, ok in identity_suite(g):
+    for name, ok in identity_suite(build_arc_space(g)):
         assert ok, f"{gid}: {name}"
 
 

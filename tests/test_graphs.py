@@ -172,6 +172,24 @@ def test_generator_errors():
         generate("moebius", 5)
 
 
+def test_circulant_needs_a_connection():
+    with pytest.raises(ParameterError, match="empty connection set"):
+        circulant_graph(5, [])
+
+
+@pytest.mark.parametrize("g", [
+    Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),  # 2K3: mu = 0
+    Graph(6, [(0, 1), (2, 3), (4, 5)]),  # 3K2: k = 1, lambda = mu = 0
+    complete_bipartite_graph(3, 3),  # lambda = 0, mu = 3
+    cycle_graph(4),
+], ids=["2K3", "3K2", "K33", "C4"])
+def test_one_lambda_and_one_mu_are_always_feasible(g):
+    """k(k - lambda - 1) = (n - k - 1) mu counts the 2-walks from a vertex to its non-neighbours,
+    so ``srg_params`` needs no check of its own: disconnected and bipartite cases included."""
+    p = srg_params(g)
+    assert p is not None and (p.n, p.k, p.lam, p.mu) == pairwise_srg_params(g)
+
+
 def test_generate_dispatch_and_spec_parsing():
     assert generate("cycle", 5) == cycle_graph(5)
     assert generate("rook", 4, 4) == rook_graph(4)

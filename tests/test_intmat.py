@@ -827,6 +827,37 @@ def test_a_wrong_one_prime_lift_is_rejected_by_one_vector_before_mu_of_m(caplog,
     assert cp == closed_form_charpoly_su2(generators.parse_generator_spec("paley:29"))
 
 
+def test_a_krylov_relation_that_a_later_prime_does_not_give_refuses_the_route(caplog, kernel_dims,
+                                                                              monkeypatch):
+    """paley:29's S+(U^2): the vector screen rejects the one-prime lift of mu (d = 6), so the route
+    forms a Krylov relation modulo a second prime for the CRT lift.  If that prime gives no
+    relation, or one of another degree, the route ends with "certificate" and the kernel gives
+    the char poly."""
+    from qwalkspec import generators, intmat
+    from qwalkspec.supports import closed_form_charpoly_su2
+
+    m = _srg_matrix("paley:29", "s2")
+    relation, primes = intmat._krylov_relation, []
+
+    def at_the_second_prime(wrong):
+        def krylov(mq, q, cap):
+            primes.append(q)
+            rel, terms = relation(mq, q, cap)
+            return (rel if len(primes) == 1 else wrong(rel)), terms
+        return krylov
+
+    for wrong in (lambda rel: None, lambda rel: rel[1:]):  # no relation; one of degree d - 1
+        primes.clear()
+        monkeypatch.setattr(intmat, "_krylov_relation", at_the_second_prime(wrong))
+        assert intmat._minpoly_route(m) == (None, "certificate")
+        assert len(primes) == 2 and primes[0] != primes[1]
+    primes.clear()
+    cp, fields = _logged_char_poly(caplog, m)
+    assert (fields["route"], fields["reason"]) == ("hessenberg", "certificate")
+    assert kernel_dims and set(kernel_dims) == {406}
+    assert cp == closed_form_charpoly_su2(generators.parse_generator_spec("paley:29"))
+
+
 def test_correct_one_prime_lifts_keep_one_prime(caplog, monkeypatch):
     """Every routed A, S+(U) and S+(U^2) of these graphs keeps its one-prime lift.  One vector
     screens the lift only when mu's coefficient bound needs more than one prime."""

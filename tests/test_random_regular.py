@@ -53,7 +53,7 @@ def random_graphs():
 
 def test_identity_suite_random(random_graphs):
     for gid, g in random_graphs:
-        for name, ok in identity_suite(g):
+        for name, ok in identity_suite(build_arc_space(g)):
             assert ok, f"{gid}: {name}"
 
 
