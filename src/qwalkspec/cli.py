@@ -31,8 +31,8 @@ from .arcspace import ArcSpace, build_arc_space
 from .errors import Graph6Error, HypothesisError, ParameterError
 from .generators import parse_generator_spec
 from .graph6 import read_graph6_file
-from .graphs import Graph, adjacency_matrix, is_regular
-from .intmat import char_poly, char_polys, int_eye, mat_equal
+from .graphs import Graph, adjacency_matrix, is_connected, is_regular
+from .intmat import char_poly, char_polys, int_eye, mat_equal, positive_support
 from .invariants import (
     BatchResult,
     batch_compare,
@@ -45,14 +45,18 @@ from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_roots
 from .supports import (
     adjacency_charpoly,
-    closed_form_charpoly_su,
-    closed_form_charpoly_su2,
     closed_form_spectrum_su,
     closed_form_spectrum_su2,
     identity_suite,
-    ihara_style_charpoly,
 )
-from .supports import _walk_supports
+from .supports import (
+    _charpoly_su,
+    _charpoly_su2,
+    _ihara_charpoly,
+    _walk_hypotheses,
+    _walk_supports,
+    _walks,
+)
 
 CHECK_NAMES = ("identities", "thm32", "thm41", "thm43", "ihara")
 
@@ -205,7 +209,7 @@ def _display_values(vals) -> List[str]:
 def _charpoly_of(g: Graph, which: str) -> CharPoly:
     if which == "a":
         return char_poly(adjacency_matrix(g))
-    return char_poly(_walk_supports(build_arc_space(g), {"s1": 1, "s2": 2, "s3": 3}[which])[-1])
+    return char_poly(positive_support(_walks(build_arc_space(g), {"s1": 1, "s2": 2, "s3": 3}[which])[-1]))
 
 
 def _spectrum_text(payload: dict) -> str:
@@ -284,7 +288,9 @@ def cmd_spectrum(args) -> int:
 class _VerifyInputs:
     """What several verify checks of one graph share, each computed once on first use.
 
-    ``k`` is the graph's valency, or None if it is not regular, decided once here.
+    ``k`` is the graph's valency, or None if it is not regular, decided once here,
+    and ``connected`` once on first use: thm32, thm43 and ihara check their
+    hypotheses against them (``walk_k``) and call the unchecked closed forms.
     ``arcs`` is the graph's one arc space: the identity suite and the W, W^2
     chain share it and its W.
     """
@@ -293,6 +299,14 @@ class _VerifyInputs:
         self.g = g
         self.checks = checks
         self.k = is_regular(g)
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    def walk_k(self, min_k: int) -> int:
+        """k, or ``HypothesisError`` unless the graph is k-regular, k >= min_k and connected."""
+        return _walk_hypotheses(self.k, min_k, lambda: self.connected)
 
     @cached_property
     def cp_a(self) -> CharPoly:
@@ -332,11 +346,11 @@ def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
             failed = [name for name, ok in identity_suite(inputs.arcs) if not ok]
             return ("FAIL", ", ".join(failed)) if failed else ("PASS", "")
         if check == "thm32":
-            rhs = closed_form_charpoly_su(g, inputs.cp_a)
+            rhs = _charpoly_su(g.n, inputs.walk_k(2), inputs.cp_a)
             ok = inputs.brute_force["s1"] == rhs
             return ("PASS", "") if ok else ("FAIL", "charpoly mismatch")
         if check == "ihara":
-            rhs = ihara_style_charpoly(g, inputs.cp_a)
+            rhs = _ihara_charpoly(g.n, inputs.walk_k(2), inputs.cp_a)
             ok = inputs.brute_force["s1"] == rhs
             return ("PASS", "") if ok else ("FAIL", "factorization mismatch")
         if k is not None and k <= 2:  # thm41 and thm43 both need k > 2
@@ -345,7 +359,7 @@ def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
             s1, s2 = inputs.supports
             ok = mat_equal(s2, inputs.arcs.s1(s1) + int_eye(len(s1)))  # S+(U)^2 + I
             return ("PASS", "") if ok else ("FAIL", "S+(U^2) != S+(U)^2 + I")
-        rhs = closed_form_charpoly_su2(g, inputs.cp_a)  # thm43
+        rhs = _charpoly_su2(g.n, inputs.walk_k(3), inputs.cp_a)  # thm43
         ok = inputs.brute_force["s2"] == rhs
         return ("PASS", "") if ok else ("FAIL", "charpoly mismatch")
     except HypothesisError as e:

@@ -11,25 +11,38 @@ so nothing wraps silently.  Python ints remain only as scalars, where big
 integers really arise: the coefficient bound, Bareiss and the CRT step.
 
 ``char_poly`` has one exact engine, ``modular_charpoly``, the one-matrix
-case of ``char_polys``, with two routes.  Each matrix first tries the
-minimal-polynomial route (``_minpoly_route``), built for matrices with few
-distinct eigenvalues, such as the walk supports of strongly regular graphs:
+case of ``char_polys``, with three routes, tried in order.  Let r be the
+larger of M's largest absolute row and column sums (``_row_col_bound``): r^i
+bounds every entry of M^i and every partial sum forming it.
+
+The trace route (``_trace_route``) takes every n x n matrix with
+max(r, 2)^n < 2^53.  The float64 chain M, M^2, ..., M^n (``_powers``) is
+then exact, each diagonal is summed in int64 (tr(M^n) may pass 2^53, but
+n r^n < 2^59 does not), and Newton's identities turn the traces into chi in
+Python ints: ``_charpoly_from_traces`` with rho = 1.  Cayley-Hamilton makes
+the n + 1 traces enough, so no prime, mu or certificate is needed.  The
+floor 2 caps n at 52; a larger matrix with r <= 1 (a partial permutation)
+goes on to the next route.
+
+Every other matrix tries the minimal-polynomial route (``_minpoly_route``),
+built for matrices with few distinct eigenvalues, such as the walk supports
+of strongly regular graphs:
 
 * mu, the minimal polynomial of a Krylov sequence u^T M^i v (fixed
   pseudo-random u, v), by Berlekamp-Massey modulo one prime, run online: it
   stops once its length L has held for ``_KRYLOV_MARGIN`` terms past 2L, so
   degree d costs about 2d terms.  d must stay at most n/2, and r^(d+1) below
-  2^53, with r the larger of M's largest absolute row and column sums.  mu
-  is lifted from that prime alone, and by CRT over as many primes as its
-  coefficient bound asks for only if the one-prime lift fails the certificate.
+  2^53.  mu is lifted from that prime alone, and by CRT over as many primes
+  as its coefficient bound asks for only if the one-prime lift fails the
+  certificate.
   When that bound asks for more than one prime, the one-prime lift may be
   wrong, so mu(M) v = 0 for one pseudo-random 0/1 vector v is checked first,
   exactly and in O(d n^2), to reject a wrong lift before mu(M) is formed;
-* the certificate mu(M) = 0, checked exactly: the powers M^i are exact in
-  float64, since r^i bounds their entries and every partial sum forming them.
-  mu(M) is formed in float64 too while its bound B = sum |mu_i| r^i is below
-  2^53, and is reduced modulo primes whose product exceeds 2B above it.  The
-  exact traces p_i = tr(M^i) of those powers come free;
+* the certificate mu(M) = 0, checked exactly: the powers M^i, from the same
+  ``_powers`` chain, are exact in float64.  mu(M) is formed in float64 too
+  while its bound B = sum |mu_i| r^i is below 2^53, and is reduced modulo
+  primes whose product exceeds 2B above it.  The exact traces p_i = tr(M^i)
+  of those powers come free;
 * chi from mu and p_0, ..., p_(d-1) by one integer recurrence
   (``_charpoly_from_traces``): mu(M) = 0 makes sum_i p_i t^i a rational
   function with denominator t^d mu(1/t), and t E'/E = p_0 - sum_i p_i t^i
@@ -37,15 +50,15 @@ distinct eigenvalues, such as the walk supports of strongly regular graphs:
   integer steps.  No prime, gcd or CRT is needed, and Jordan blocks (mu not
   squarefree) need nothing special.
 
-A matrix whose degree or bound rules the route out, or whose certificate
+A matrix whose degree or bound rules this route out, or whose certificate
 fails, takes the Hessenberg route unchanged: Hessenberg reduction and the
 Hessenberg determinant recurrence modulo word-sized primes, recombined by one
 CRT step per matrix.  The primes are taken, largest first, until their
 product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
-plus guard bits.  Either route is exact, not probabilistic: a pseudo-random
+plus guard bits.  Every route is exact, not probabilistic: a pseudo-random
 choice, an early stop or a wrong one-prime lift can only send a matrix to the
-Hessenberg route.  The tests hold both equal to an independent reference, the
-division-free Berkowitz algorithm in ``tests/oracles.py``.
+Hessenberg route.  The tests hold all three equal to an independent
+reference, the division-free Berkowitz algorithm in ``tests/oracles.py``.
 
 One kernel serves many primes, and several same-size matrices, at once.  It
 holds S residues, each of one matrix modulo one of that matrix's primes, as
@@ -378,20 +391,21 @@ def char_polys(matrices: Iterable[np.ndarray]) -> list:
 def _char_polys(ms: list) -> list:
     """The engine of ``char_polys`` and ``modular_charpoly``, on checked int64 matrices.
 
-    Each matrix first tries the minimal-polynomial route (``_minpoly_route``).
-    Each one that falls back gets its own prime plan, as if alone.  Every
-    (matrix, prime) slot of one dimension goes into the same residue stacks
-    (``_kernel``), so matrices of one size share the kernel's fixed per-step
-    cost; one CRT step per matrix then recombines its own slots.
+    Each matrix first tries the trace route (``_trace_route``), then the
+    minimal-polynomial route (``_minpoly_route``).  Each one that falls back
+    gets its own prime plan, as if alone.  Every (matrix, prime) slot of one
+    dimension goes into the same residue stacks (``_kernel``), so matrices of
+    one size share the kernel's fixed per-step cost; one CRT step per matrix
+    then recombines its own slots.
     """
     out: list = [CharPoly((1,))] * len(ms)
     for n, members in _by_dim(ms).items():
-        reasons = {}
+        reasons = {}  # _minpoly_route's reason (None when it succeeds) for each matrix the trace route refuses
         for i in members:
-            cp, reasons[i] = _minpoly_route(ms[i])
-            if cp is not None:
-                out[i] = cp
-        members = [i for i in members if reasons[i]]
+            out[i] = _trace_route(ms[i])
+            if out[i] is None:
+                out[i], reasons[i] = _minpoly_route(ms[i])
+        members = [i for i, reason in reasons.items() if reason]
         if not members:
             continue
         start = perf_counter()
@@ -417,24 +431,68 @@ def _char_polys(ms: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The minimal-polynomial route (see the module docstring)
+# The trace and minimal-polynomial routes (see the module docstring)
 # ---------------------------------------------------------------------------
 
 _KRYLOV_SEED = 2005  # seeds the Krylov vectors u, v of ``_krylov_relation``
 _KRYLOV_MARGIN = 2  # terms past 2L for which Berlekamp-Massey must keep its length L before it stops
 
 
+def _row_col_bound(m: np.ndarray) -> int:
+    """r, the larger of M's largest absolute row and column sums, or 2^53 if an entry reaches 2^27.
+
+    r bounds every |eigenvalue| and every entry of M^i, r^i, and every partial
+    sum forming it.  An entry of 2^27 makes r^2 >= 2^53 anyway; smaller ones
+    keep these int64 sums exact.
+    """
+    a = np.abs(m)
+    return max(int(a.sum(axis=0).max()), int(a.sum(axis=1).max())) if a.max() < 1 << 27 else _FLOAT_EXACT
+
+
+def _trace_route(m: np.ndarray) -> CharPoly | None:
+    """det(tI - M) from the exact traces of M, ..., M^n by Newton's identities, or None.
+
+    The route needs max(r, 2)^n < 2^53 (r as in ``_row_col_bound``), so every
+    power up to M^n is exact in float64 (``_powers``); the floor 2 caps n at 52,
+    so the chain is at most 52 small products.  Newton's identities are
+    ``_charpoly_from_traces`` with rho = 1 (mu = t^(n+1)): Cayley-Hamilton
+    makes the n + 1 traces enough, so no prime, mu or certificate is needed.
+    """
+    n = m.shape[0]
+    if max(_row_col_bound(m), 2) ** n >= _FLOAT_EXACT:
+        return None
+    start = perf_counter()
+    diagonals = np.array([np.diagonal(power) for power in _powers(m.astype(np.float64), n)])
+    # summed in int64, not float64: tr(M^n) may pass 2^53, but n r^n < 2^59
+    traces = diagonals.astype(np.int64).sum(axis=1).tolist()
+    chi = _charpoly_from_traces([0] * (n + 1) + [1], traces, n)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("charpoly route=traces n=%d ms=%.1f", n, (perf_counter() - start) * 1e3)
+    return chi
+
+
+def _powers(mf: np.ndarray, d: int):
+    """M^0, M^1, ..., M^d of the float64 matrix mf, by a chain of products.
+
+    Exact whenever r^d < 2^53: r^i bounds every entry of M^i and every
+    partial sum forming it (``_row_col_bound``).
+    """
+    power = np.eye(mf.shape[0])
+    yield power
+    for i in range(1, d + 1):
+        power = mf if i == 1 else mf @ power
+        yield power
+
+
 def _minpoly_route(m: np.ndarray) -> tuple:
     """(det(tI - M), None) by the minimal-polynomial route, or (None, "degree" | "bound" | "certificate").
 
-    r, the larger of M's largest absolute row and column sums, bounds every
-    |eigenvalue| and every entry of M^i, r^i.  The Krylov degree d may reach
-    neither 2d > n ("degree") nor r^(d+1) >= 2^53 ("bound").
+    With r from ``_row_col_bound``, the Krylov degree d may reach neither
+    2d > n ("degree") nor r^(d+1) >= 2^53 ("bound").
     """
     start = perf_counter()
     n = m.shape[0]
-    a = np.abs(m)  # an entry of 2^27 makes r^2 >= 2^53; smaller ones keep these int64 sums exact
-    r = max(int(a.sum(axis=0).max()), int(a.sum(axis=1).max())) if a.max() < 1 << 27 else 1 << 27
+    r = _row_col_bound(m)
     cap = 0  # the largest degree the loop may reach
     while cap < n // 2 and r ** (cap + 2) < _FLOAT_EXACT:
         cap += 1
@@ -544,11 +602,9 @@ def _certify_minpoly(m: np.ndarray, mu: list, r: int, screen: bool = False) -> t
         coef, acc = coef[:, :, None, None], np.zeros((len(primes), n, n))
     else:
         coef, acc = [float(c) for c in mu], np.zeros((n, n))
-    power, traces = np.eye(n), []
-    for i, c in enumerate(coef):
-        if i:
-            power = mf if i == 1 else mf @ power
-        traces.append(sum(np.diagonal(power).astype(np.int64).tolist()))
+    traces = []
+    for i, (c, power) in enumerate(zip(coef, _powers(mf, len(mu) - 1))):
+        traces.append(sum(np.diagonal(power).astype(np.int64).tolist()))  # as Python ints: n may be large
         if primes and 2 * r**i >= primes[-1]:  # reduced once, into a stack of its residues
             acc += c * _reduce(np.broadcast_to(power, acc.shape).copy(), q3)
         else:
@@ -590,13 +646,22 @@ def _charpoly_from_traces(mu: list, traces: list, n: int) -> CharPoly:
     k e_k = sum_(j=1..min(d,k)) (C_j - (k - j) rho_j) e_(k-j).  The division
     by k is exact for the true traces; a remainder raises ``ArithmeticError``.
     det(tI - M) is e reversed.
+
+    rho's trailing zeros (mu divisible by t) are dropped, so every sum runs
+    over rho's true degree.  mu = t^d with d > n gives rho = 1 whatever M is:
+    C is then -sum_(i=1..d-1) p_i t^i, the series itself up to t^n, and the
+    recurrence is Newton's identities k e_k = -sum_(i<=k) p_i e_(k-i).
     """
     d = len(mu) - 1
     rho = mu[::-1]
-    c = [traces[0] * x for x in rho]
+    while not rho[-1]:
+        rho.pop()
+    c = [traces[0] * x for x in rho] + [0] * (d + 1 - len(rho))
     for k in range(d):
-        c[k] -= sum(map(mul, traces[: k + 1], rho[k::-1]))
-    a = [c[j] + j * rho[j] for j in range(1, d + 1)]  # C_j - (k - j) rho_j = a_j - k rho_j
+        c[k] -= sum(map(mul, traces[k::-1], rho))
+    a = c[1:]  # a_j - k rho_j = C_j - (k - j) rho_j
+    for j in range(1, len(rho)):
+        a[j - 1] += j * rho[j]
     e, rho = [1], rho[1:]
     for k in range(1, n + 1):
         back = e[: -d - 1 : -1]  # e_(k-1), ..., e_(k-min(d,k))

@@ -6,9 +6,11 @@ coefficient equality, never by comparing floating-point root multisets: the
 entire value of the invariant is exactness.  Each polynomial comes from the
 cheapest exact route:
 
-* A and S+(U^3): ``char_poly`` of the matrix, which tries the
-  minimal-polynomial route first and falls back to the modular
-  Hessenberg/CRT engine with a Hadamard-bounded prime count;
+* A and S+(U^3): ``char_poly`` of the matrix, which tries the trace route
+  (Newton's identities on exact float64 powers, while max(r, 2)^n < 2^53 for
+  the row and column sum bound r: every A with max(k, 2)^n < 2^53), then the
+  minimal-polynomial route, and falls back to the modular Hessenberg/CRT
+  engine with a Hadamard-bounded prime count;
 * S+(U): ``closed_form_charpoly_su``, an integer polynomial composition of
   the adjacency char poly;
 * S+(U^2): the same closed form at every k >= 2 (``supports._charpoly_su2``),
@@ -28,7 +30,8 @@ polynomial, and without any char poly of S+(U^3) in most pairs.
 the Graeffe square of psi = chi_A / (x - k) (degree n - 1), S = S+(U^3)
 packed into bits, and the exact traces tr(S^i) for i = 1..4, all four from
 one 0/1 product S.S by popcounts.  The graphs of one call share one kernel
-pass per size for their adjacency char polys, and no kernel pass runs on S.
+pass per size for those adjacency char polys that fall back to it (none of
+the benchmark corpora's), and no kernel pass runs on S.
 
 ``certify`` (one pair) and ``batch_compare`` (all pairs of a corpus) settle
 their pairs through one resolver.  By the paper's closed forms (see

@@ -35,7 +35,7 @@ int and read back as B-bit digits, with B from a bound on the result's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -195,19 +195,28 @@ def _adjacency_eigenvalue_clusters(g: Graph) -> List[tuple]:
 
 
 def _require_walk_hypotheses(g: Graph, min_k: int) -> int:
-    k = is_regular(g)
+    return _walk_hypotheses(is_regular(g), min_k, lambda: is_connected(g))
+
+
+def _walk_hypotheses(k: Optional[int], min_k: int, connected: Callable[[], bool]) -> int:
+    """k, if the graph is k-regular with k >= min_k and ``connected()``; else ``HypothesisError``
+    naming the first hypothesis that fails.  Connectivity is asked for only after the degrees pass."""
     if k is None:
         raise HypothesisError("graph is not regular")
     if k < min_k:
         raise HypothesisError(f"valency k >= {min_k} required, got k={k}")
-    if not is_connected(g):
+    if not connected():
         raise HypothesisError("graph is not connected")
     return k
 
 
 def closed_form_spectrum_su(g: Graph) -> ClosedFormSpectrum:
     """Closed-form spectrum of S+(U) for a connected regular graph, k >= 2."""
-    k = _require_walk_hypotheses(g, 2)
+    return _spectrum_su(g, _require_walk_hypotheses(g, 2))
+
+
+def _spectrum_su(g: Graph, k: int) -> ClosedFormSpectrum:
+    """``closed_form_spectrum_su`` of a graph whose hypotheses are checked, with valency k."""
     n = g.n
     entries: list = [RationalEigenvalue(k - 1, 1)]
     clusters = _adjacency_eigenvalue_clusters(g)
@@ -230,8 +239,7 @@ def closed_form_spectrum_su(g: Graph) -> ClosedFormSpectrum:
 
 def closed_form_spectrum_su2(g: Graph) -> ClosedFormSpectrum:
     """Closed-form spectrum of S+(U^2) for k > 2: the image theta -> theta^2 + 1."""
-    _require_walk_hypotheses(g, 3)
-    su = closed_form_spectrum_su(g)
+    su = _spectrum_su(g, _require_walk_hypotheses(g, 3))
     n, k = su.n, su.k
     entries: list = []
     two_mult = 0
@@ -287,12 +295,17 @@ def ihara_style_charpoly(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:
     adjacency char poly coefficients.
     """
     k = _require_walk_hypotheses(g, 2)
-    a = (adjacency_charpoly(g) if cp_a is None else cp_a).coeffs
-    e = g.n * (k - 2) // 2
+    return _ihara_charpoly(g.n, k, adjacency_charpoly(g) if cp_a is None else cp_a)
+
+
+def _ihara_charpoly(n: int, k: int, cp_a: CharPoly) -> CharPoly:
+    """``ihara_style_charpoly`` unchecked."""
+    a = cp_a.coeffs
+    e = n * (k - 2) // 2
     bits = _kron_bits(_homogeneous([abs(c) for c in a], k, 1) * 2**e)
     t = 1 << bits
     value = _homogeneous(a, t * t + k - 1, t) * (t * t - 1) ** e
-    return CharPoly(tuple(_kron_read(value, g.n * k, bits)))
+    return CharPoly(tuple(_kron_read(value, n * k, bits)))
 
 
 def closed_form_charpoly_su2(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:

@@ -261,6 +261,7 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
         return is_regular(g)
 
     monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
+    monkeypatch.setattr(intmat, "_trace_route", lambda m: None)
     monkeypatch.setattr(intmat, "_minpoly_route", lambda m: (None, "degree"))
     monkeypatch.setattr(cli, "char_polys", polys_spy)
     monkeypatch.setattr(cli, "_walk_supports", supports_spy)
@@ -271,6 +272,74 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
     assert len(chains) == (1 if shared or s2_builds else 0)  # one W chain for every check
     assert passes.count(nk) == len(shared)
     assert len(regular) == 1  # one graph, its k decided once for every check
+
+
+def test_verify_decides_each_graphs_hypotheses_once(tmp_path, capsys, monkeypatch):
+    """One is_connected per graph that reaches it, is_regular only in _VerifyInputs and
+    build_arc_space, and every SKIP detail the one the checked closed forms raise."""
+    from qwalkspec import HypothesisError, arcspace, cli, supports
+
+    graphs = [petersen_graph(), cycle_graph(5),
+              Graph(8, [(i, j) for b in (0, 4) for i in range(b, b + 4) for j in range(i + 1, b + 4)]),
+              Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), Graph(6, [(0, 1), (2, 3), (4, 5)])]
+    path = tmp_path / "graphs.g6"
+    write_graph6_file(str(path), graphs)
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(g):
+            calls.append((module.__name__.split(".")[-1], name, g.n))
+            return real(g)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (cli, arcspace, supports):
+        spy(module, "is_regular")
+    for module in (cli, supports):
+        spy(module, "is_connected")
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "json")
+    assert code == 0
+    assert [c for c in calls if c[1] == "is_connected"] == [("cli", "is_connected", n) for n in (10, 5, 8)]
+    assert {c[0] for c in calls if c[1] == "is_regular"} == {"cli", "arcspace"}
+    assert [c[2] for c in calls if c[0] == "cli" and c[1] == "is_regular"] == [g.n for g in graphs]
+
+    checked = {"thm32": supports.closed_form_charpoly_su, "ihara": supports.ihara_style_charpoly,
+               "thm43": supports.closed_form_charpoly_su2}
+    rows = iter(json.loads(out)["results"])
+    monkeypatch.undo()
+    for g in graphs:
+        k = is_regular(g)
+        for check in cli.CHECK_NAMES:
+            row = next(rows)
+            if check == "thm43" and k is not None and k <= 2:
+                assert (row["status"], row["detail"]) == ("SKIP", f"hypothesis k>2 (got k={k})")
+                continue
+            if check not in checked:
+                continue
+            try:
+                checked[check](g)
+                assert row["status"] == "PASS", (g.n, check)
+            except HypothesisError as e:
+                assert (row["status"], row["detail"]) == ("SKIP", f"hypothesis: {e}"), (g.n, check)
+
+
+def test_spectrum_charpoly_forms_only_the_support_it_returns(capsys, monkeypatch):
+    from qwalkspec import cli, intmat, supports
+
+    shapes, real = [], intmat.positive_support
+
+    def spy(m):
+        shapes.append(m.shape)
+        return real(m)
+
+    for module in (cli, intmat, supports):
+        monkeypatch.setattr(module, "positive_support", spy)
+    code, out, _ = run_cli(capsys, "spectrum", "--which", "s3", "--form", "charpoly", "--generate", "petersen")
+    assert code == 0 and shapes == [(30, 30)]
+    monkeypatch.undo()
+    assert run_cli(capsys, "spectrum", "--which", "s3", "--form", "charpoly", "--generate", "petersen")[1] == out
 
 
 def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeypatch):
@@ -564,19 +633,30 @@ def test_usage_error_exit_2():
 
 
 def test_qwalk_log_env():
+    """cycle:54's A has r = 2 and 2^54 >= 2^53, so the trace route refuses it, and 28 distinct
+    eigenvalues, more than 54 / 2, send it on to the kernel."""
     import os
 
-    argv = [sys.executable, "-m", "qwalkspec.cli", "batch", "--generate", "cycle:4",
-            "--generate", "circulant:4,1"]
+    argv = [sys.executable, "-m", "qwalkspec.cli", "batch", "--generate", "cycle:54",
+            "--generate", "circulant:54,1"]
     env = dict(os.environ, QWALK_LOG="debug")
     result = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "profiling" in result.stderr
-    assert " n=4 primes=" in result.stderr  # the adjacency polys' pass; no pass runs on S+(U^3)
-    assert "certificate circulant:4,1 vs cycle:4: s3 cospectral by isomorphism witness" in result.stderr
+    assert " n=54 primes=" in result.stderr  # the adjacency polys' pass; no pass runs on S+(U^3)
+    assert "certificate circulant:54,1 vs cycle:54: s3 cospectral by isomorphism witness" in result.stderr
     env.pop("QWALK_LOG")
     quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert (quiet.returncode, quiet.stdout, quiet.stderr) == (0, result.stdout, "")
+
+
+def test_qwalk_log_debug_names_the_trace_route_of_small_adjacency_polys(capsys, monkeypatch):
+    monkeypatch.setenv("QWALK_LOG", "debug")
+    code, out, err = run_cli(capsys, "batch", "--threads", "1", "--generate", "cycle:4",
+                             "--generate", "circulant:4,1")  # no forked worker, whose stderr capsys misses
+    assert code == 0 and "profiling" in err
+    assert err.count("charpoly route=traces n=4 ms=") == 2 and "route=hessenberg" not in err
+    assert "certificate circulant:4,1 vs cycle:4: s3 cospectral by isomorphism witness" in err
 
 
 def test_each_main_call_applies_its_own_qwalk_log(capsys, monkeypatch):

@@ -28,10 +28,17 @@ def rand_int_matrix(rng, n, lo=-9, hi=9):
     return int_matrix(rng.integers(lo, hi + 1, size=(n, n)).tolist())
 
 
-def _permutation_sum(rng, n):
-    """The sum of three random n x n permutation matrices: row and column sums 3, and (for these
-    seeds) a minimal polynomial of degree above n / 2, so the char poly takes the kernel."""
-    return sum(int_eye(n)[rng.permutation(n)] for _ in range(3))
+def _permutation_sum(rng, n, outside_gate=True):
+    """The sum of three random n x n permutation matrices, times the least c with (3c)^n >= 2^53.
+
+    Row and column sums 3c, so ``outside_gate`` keeps it off the trace route (which needs
+    max(r, 2)^n < 2^53), and (for these seeds) a minimal polynomial of degree above n / 2, so
+    the char poly takes the kernel.  Without ``outside_gate``, c = 1 and the trace route takes it.
+    """
+    c = 1
+    while outside_gate and (3 * c) ** n < 2**53:
+        c += 1
+    return c * sum(int_eye(n)[rng.permutation(n)] for _ in range(3))
 
 
 def test_int_matrix_constructors():
@@ -163,7 +170,7 @@ def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
     from qwalkspec import char_polys, intmat, petersen_graph, support_u, support_u_power
 
     a = build_arc_space(petersen_graph())
-    s1, s3 = support_u(a), support_u_power(a, 3)
+    s1, s2, s3 = support_u(a), support_u_power(a, 2), support_u_power(a, 3)
     with caplog.at_level(logging.INFO, logger="qwalkspec.intmat"):
         quiet = modular_charpoly(s3)
     assert caplog.records == []
@@ -201,14 +208,17 @@ def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
     ]
     assert all(int(f["actual_bits"]) < float(f["bound_bits"]) and int(f["primes"]) >= 1 for f in lines)
 
-    # Routed and kernel matrices in one call: each gets its own line, in order within a dimension.
-    expected = [char_poly(s1), polys[1], cp]
+    # Matrices of all three routes in one call: each gets its own line, in order within a dimension.
+    # S+(U) has r = 2 and 2^30 < 2^53, so the trace route takes it, and its line has n and ms only.
+    expected = [char_poly(s1), char_poly(s2), polys[1], cp]
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
-        assert char_polys([s1, r10, s3]) == expected
-    assert [(f["n"], f["route"]) for f in _debug_fields(caplog.records)] == [
-        ("30", "minpoly"), ("30", "minpoly"), ("10", "hessenberg"),
+        assert char_polys([s1, s2, r10, s3]) == expected
+    lines = _debug_fields(caplog.records)
+    assert [(f["n"], f["route"]) for f in lines] == [
+        ("30", "traces"), ("30", "minpoly"), ("30", "minpoly"), ("10", "hessenberg"),
     ]
+    assert sorted(lines[0]) == ["ms", "n", "route"] and float(lines[0]["ms"]) >= 0
 
 
 def test_positive_support_examples():
@@ -584,7 +594,8 @@ def test_char_polys_routes_each_residue_to_its_matrix_across_stacks(per_stack, m
 
     monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
     monkeypatch.setattr(intmat, "_STACK_BYTES", per_stack * 8 * (30 + 1) ** 2)
-    monkeypatch.setattr(intmat, "_minpoly_route", lambda m: (None, "degree"))  # all take the kernel
+    monkeypatch.setattr(intmat, "_trace_route", lambda m: None)  # all take the kernel
+    monkeypatch.setattr(intmat, "_minpoly_route", lambda m: (None, "degree"))
     assert char_polys(ms) == alone
     # the seven 30 x 30 slots of three matrices (2, 3 and 2 primes) fill
     # several stacks, whose edges cut a matrix's slots at 3 and 4 per stack;
@@ -658,6 +669,21 @@ def _logged_char_poly(caplog, m):
     return cp, fields
 
 
+def _logged_minpoly_route(caplog, m):
+    """(the char poly of m by the minimal-polynomial route, the fields of its debug line).
+
+    The route is called directly, so matrices that ``char_poly`` gives to the trace route
+    still test it."""
+    from qwalkspec import intmat
+
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
+        cp, reason = intmat._minpoly_route(m)
+    assert reason is None
+    [fields] = _debug_fields(caplog.records)
+    return cp, fields
+
+
 def _srg_matrix(spec, which):
     from qwalkspec import generators, support_u, support_u_power
 
@@ -668,17 +694,31 @@ def _srg_matrix(spec, which):
     return support_u(a) if which == "s1" else support_u_power(a, int(which[1]))
 
 
-@pytest.mark.parametrize(
-    "spec, which",
-    [("petersen", "s1"), ("petersen", "s2"), ("petersen", "s3"), ("shrikhande", "a"),
-     ("complete:7", "s2"), ("paley:13", "s1"), ("rook:4", "s1")],
-)
+_SRG_ROUTES = {("petersen", "s1"): "traces", ("petersen", "s2"): "minpoly", ("petersen", "s3"): "minpoly",
+               ("shrikhande", "a"): "traces", ("complete:7", "s2"): "minpoly", ("paley:13", "s1"): "minpoly",
+               ("rook:4", "s1"): "minpoly"}
+
+
+@pytest.mark.parametrize("spec, which", _SRG_ROUTES)
 def test_srg_supports_take_the_minpoly_route_and_equal_berkowitz(spec, which, caplog, kernel_dims):
     m = _srg_matrix(spec, which)
-    cp, fields = _logged_char_poly(caplog, m)
+    cp, fields = _logged_minpoly_route(caplog, m)
     assert fields["route"] == "minpoly" and kernel_dims == []
     assert int(fields["krylov_degree"]) <= m.shape[0] // 2
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+@pytest.mark.parametrize("spec, which", _SRG_ROUTES)
+def test_srg_supports_take_the_trace_route_inside_its_gate_and_the_minpoly_route_outside(
+        spec, which, caplog, kernel_dims):
+    """petersen's S+(U) (r = 2, n = 30) and shrikhande's A (r = 6, n = 16) have max(r, 2)^n < 2^53."""
+    from qwalkspec import intmat
+
+    m = _srg_matrix(spec, which)
+    inside = max(intmat._row_col_bound(m), 2) ** m.shape[0] < 2**53
+    cp, fields = _logged_char_poly(caplog, m)
+    assert fields["route"] == _SRG_ROUTES[spec, which] == ("traces" if inside else "minpoly")
+    assert kernel_dims == [] and (not inside or cp.coeffs == berkowitz_charpoly(m).coeffs)
 
 
 def _elementary(n, i, j, c):
@@ -716,7 +756,7 @@ def test_a_non_diagonalizable_matrix_takes_the_route(caplog, kernel_dims):
     """Jordan blocks J_2(2)^2 J_1(2) J_2(-1) J_1(-1)^3 J_1(3)^3, conjugated by a unimodular matrix."""
     jordan = _jordan([(2, 2), (2, 2), (1, 2), (2, -1), (1, -1), (1, -1), (1, -1), (1, 3), (1, 3), (1, 3)])
     m = _unimodular_conjugate(jordan, np.random.default_rng(3), 12)
-    cp, fields = _logged_char_poly(caplog, m)
+    cp, fields = _logged_minpoly_route(caplog, m)
     assert fields["route"] == "minpoly" and kernel_dims == []
     assert fields["krylov_degree"] == "5"  # mu = (t-2)^2 (t+1)^2 (t-3)
     assert cp.coeffs == berkowitz_charpoly(m).coeffs == berkowitz_charpoly(jordan).coeffs
@@ -727,7 +767,7 @@ def test_repeated_blocks_take_the_route_with_multiplied_multiplicities(caplog, k
 
     a = adjacency_matrix(petersen_graph())
     m = np.kron(int_eye(3), a)
-    cp, fields = _logged_char_poly(caplog, m)
+    cp, fields = _logged_minpoly_route(caplog, m)
     assert fields["route"] == "minpoly" and kernel_dims == []
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
     # (t-3)(t-1)^5(t+2)^4 cubed
@@ -770,12 +810,14 @@ def test_a_planted_mu_with_a_missing_factor_fails_the_certificate(caplog, kernel
 @pytest.mark.parametrize("which", ["shrikhande-s1", "jordan"])
 def test_a_premature_berlekamp_massey_stop_falls_back_on_the_certificate(which, caplog, kernel_dims,
                                                                          monkeypatch):
-    """With no margin, Berlekamp-Massey stops at once with mu = 1: the certificate rejects it."""
+    """With no margin, Berlekamp-Massey stops at once with mu = 1: the certificate rejects it.
+    The Jordan matrix is scaled by 20 to r = 260, so 260^7 >= 2^53 keeps it off the trace route."""
     from qwalkspec import intmat
 
     if which == "jordan":
-        m = _unimodular_conjugate(_jordan([(2, 2), (1, 2), (2, -1), (1, 3), (1, 3)]),
-                                  np.random.default_rng(3), 10)
+        m = 20 * _unimodular_conjugate(_jordan([(2, 2), (1, 2), (2, -1), (1, 3), (1, 3)]),
+                                       np.random.default_rng(3), 10)
+        assert intmat._row_col_bound(m) ** 7 >= 2**53
     else:
         m = _srg_matrix("shrikhande", "s1")
     monkeypatch.setattr(intmat, "_KRYLOV_MARGIN", 0)
@@ -925,7 +967,7 @@ def test_the_trace_recurrence_gives_t_to_the_n_for_nilpotent_matrices(blocks):
 @pytest.mark.parametrize("name", ["zero", "J3(0)^2 J1(0)"])  # J4(0) has 2d > n: no route
 def test_nilpotent_matrices_take_the_route(name, caplog, kernel_dims):
     m = _unimodular_conjugate(_jordan(_NILPOTENT[name]), np.random.default_rng(4), 8)
-    cp, fields = _logged_char_poly(caplog, m)
+    cp, fields = _logged_minpoly_route(caplog, m)
     assert fields["route"] == "minpoly" and kernel_dims == []
     assert cp.coeffs == (0,) * m.shape[0] + (1,)
 
@@ -950,7 +992,7 @@ def test_the_route_raises_on_inconsistent_traces_instead_of_falling_back(monkeyp
 
     monkeypatch.setattr(intmat, "_certify_minpoly", skewed)
     with pytest.raises(ArithmeticError, match="inconsistent"):
-        char_poly(m)
+        intmat._minpoly_route(m)
     assert kernel_dims == []
 
 
@@ -999,3 +1041,162 @@ def test_entries_whose_row_sums_would_wrap_int64_fall_back(caplog, kernel_dims):
     cp, fields = _logged_char_poly(caplog, m)
     assert (fields["route"], fields["reason"]) == ("hessenberg", "bound") and kernel_dims == [3]
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+# ---------------------------------------------------------------------------
+# The trace route: Newton's identities on tr(M), ..., tr(M^n) while max(r, 2)^n < 2^53
+# ---------------------------------------------------------------------------
+
+
+def _inside_gate(m):
+    from qwalkspec import intmat
+
+    return max(intmat._row_col_bound(m), 2) ** m.shape[0] < 2**53
+
+
+_MINPOLY_TWINS = {
+    "jordan": lambda: _unimodular_conjugate(
+        _jordan([(2, 2), (2, 2), (1, 2), (2, -1), (1, -1), (1, -1), (1, -1), (1, 3), (1, 3), (1, 3)]),
+        np.random.default_rng(3), 12),
+    "repeated-blocks": lambda: np.kron(int_eye(3), _srg_matrix("petersen", "a")),
+    "premature-jordan": lambda: _unimodular_conjugate(_jordan([(2, 2), (1, 2), (2, -1), (1, 3), (1, 3)]),
+                                                      np.random.default_rng(3), 10),
+    "nilpotent-zero": lambda: _unimodular_conjugate(_jordan(_NILPOTENT["zero"]), np.random.default_rng(4), 8),
+    "nilpotent-J3(0)^2 J1(0)": lambda: _unimodular_conjugate(_jordan(_NILPOTENT["J3(0)^2 J1(0)"]),
+                                                             np.random.default_rng(4), 8),
+    "inconsistent-traces": lambda: _unimodular_conjugate(_jordan([(2, 0), (2, 0)]), np.random.default_rng(5), 6),
+    "sparse": lambda: _permutation_sum(np.random.default_rng(5), 24, outside_gate=False),
+}
+
+
+@pytest.mark.parametrize("make", _MINPOLY_TWINS.values(), ids=_MINPOLY_TWINS)
+def test_the_matrices_of_the_route_tests_take_the_trace_route(make, caplog, kernel_dims):
+    """The matrices that the minimal-polynomial and kernel tests above used before the trace route
+    existed: char_poly now gives each to the trace route, with the same polynomial."""
+    m = make()
+    assert _inside_gate(m)
+    cp, fields = _logged_char_poly(caplog, m)
+    assert (fields["route"], fields["n"]) == ("traces", str(m.shape[0])) and kernel_dims == []
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+def test_seeded_random_signed_matrices_take_the_trace_route_inside_its_gate(caplog, kernel_dims):
+    inside = 0
+    for seed in range(40):
+        rng = np.random.default_rng(500 + seed)
+        n, hi = int(rng.integers(1, 17)), int(rng.integers(1, 4))
+        m = rand_int_matrix(rng, n, -hi, hi)
+        cp, fields = _logged_char_poly(caplog, m)
+        assert (fields["route"] == "traces") == _inside_gate(m), seed
+        assert cp.coeffs == berkowitz_charpoly(m).coeffs, seed
+        inside += fields["route"] == "traces"
+    assert 10 <= inside <= 35
+
+
+@pytest.mark.parametrize(
+    "m",
+    [pytest.param(np.zeros((n, n), dtype=np.int64), id=f"zero-{n}") for n in (1, 2, 9)]
+    + [pytest.param(int_matrix([[x]]), id=f"1x1-{x}") for x in (-7, 0, 1, 2**26 + 3, -(2**27 - 1))]
+    + [pytest.param(_jordan(blocks), id=name) for name, blocks in _NILPOTENT.items()]
+    + [pytest.param(_jordan(blocks), id=name) for name, blocks in {
+        "J5(3)": [(5, 3)], "J3(-2)^2 J1(1)": [(3, -2), (3, -2), (1, 1)], "J12(1)": [(12, 1)]}.items()],
+)
+def test_zero_nilpotent_jordan_and_1x1_matrices_take_the_trace_route(m, caplog, kernel_dims):
+    cp, fields = _logged_char_poly(caplog, m)
+    assert fields["route"] == "traces" and kernel_dims == []
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    st.integers(0, 8),
+    st.integers(0, 2**32),
+)
+def test_unimodular_conjugates_of_jordan_matrices_equal_berkowitz_on_the_trace_route(kinds, steps, seed):
+    from qwalkspec import intmat
+
+    jordan = _jordan([(size, lam) for size, lam, count in kinds for _ in range(count)])
+    m = _unimodular_conjugate(jordan, np.random.default_rng(seed), steps) if jordan.shape[0] >= 2 else jordan
+    cp = intmat._trace_route(m)
+    assert (cp is not None) == _inside_gate(m)
+    if cp is not None:
+        assert cp.coeffs == berkowitz_charpoly(m).coeffs == berkowitz_charpoly(jordan).coeffs
+
+
+def _with_row_col_bound(n, r, seed):
+    """A random signed n x n matrix whose largest absolute row or column sum is exactly r."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-3, 4, size=(n, n))
+    m[0, 0] = 0
+    rest = max(int(np.abs(m[0]).sum()), int(np.abs(m[:, 0]).sum()))
+    m[0, 0] = (r - rest) * (1 if seed % 2 else -1)
+    m = int_matrix(m.tolist())
+    from qwalkspec import intmat
+
+    assert intmat._row_col_bound(m) == r
+    return m
+
+
+@pytest.mark.parametrize(
+    "m, inside",
+    [
+        # 9^16 < 2^53 <= 10^16, so the gate admits r = 9 at n = 16 and refuses r = 10
+        pytest.param(np.diag([9] * 5 + [8] * 3 + [0] * 8), True, id="diag-9-at-16"),
+        pytest.param(np.diag([10] + [9] * 4 + [8] * 3 + [0] * 8), False, id="diag-10-at-16"),
+        # 98^8 < 2^53 <= 99^8
+        pytest.param(_with_row_col_bound(8, 98, 1), True, id="r98-at-8"),
+        pytest.param(_with_row_col_bound(8, 99, 2), False, id="r99-at-8"),
+        # 2^52 < 2^53 = 2^53: r = 2 admits n = 52, not 53
+        pytest.param(adjacency_matrix(cycle_graph(52)), True, id="cycle-52"),
+        pytest.param(adjacency_matrix(cycle_graph(53)), False, id="cycle-53"),
+        # the floor: r <= 1 counts as 2, so a 53 x 53 permutation matrix keeps the other routes
+        pytest.param(np.roll(int_eye(53), 1, axis=1), False, id="permutation-53"),
+    ],
+)
+def test_the_trace_gate_is_max_r_2_to_the_n_below_2_53(m, inside, caplog):
+    m = int_matrix(np.asarray(m).tolist())
+    assert _inside_gate(m) == inside
+    cp, fields = _logged_char_poly(caplog, m)
+    assert (fields["route"] == "traces") == inside
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+def test_diagonal_sums_are_exact_where_a_float_trace_would_round(caplog):
+    """diag(9^5, 8^3, 0^8): 9^16 < 2^53, but tr(M^16) = 5 9^16 + 3 8^16 > 2^53 is odd, so a float
+    sum of the diagonal rounds it; summed as integers it is exact."""
+    from qwalkspec import intmat
+
+    m = int_matrix(np.diag([9] * 5 + [8] * 3 + [0] * 8).tolist())
+    top = 5 * 9**16 + 3 * 8**16
+    assert top > 2**53 and float(top) != top
+    read = []
+    real = intmat._charpoly_from_traces
+
+    def spy(mu, traces, n):
+        read.append(traces)
+        return real(mu, traces, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intmat, "_charpoly_from_traces", spy)
+        assert intmat._trace_route(m) is not None
+    assert read == [[5 * 9**i + 3 * 8**i + 8 * (i == 0) for i in range(17)]] and read[0][16] == top
+    cp, fields = _logged_char_poly(caplog, m)
+    assert fields["route"] == "traces"
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+    assert cp.evaluate(3) == 3**8 * (3 - 9) ** 5 * (3 - 8) ** 3
+
+
+def test_the_trace_route_raises_on_inconsistent_traces(monkeypatch, kernel_dims):
+    """tr(M) off by one makes 2 e_2 = p_1^2 - p_2 odd: Newton's division leaves a remainder."""
+    from qwalkspec import intmat
+
+    real = intmat._charpoly_from_traces
+
+    def skewed(mu, traces, n):
+        return real(mu, [x + (i == 1) for i, x in enumerate(traces)], n)
+
+    monkeypatch.setattr(intmat, "_charpoly_from_traces", skewed)
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        char_poly(_MINPOLY_TWINS["inconsistent-traces"]())
+    assert kernel_dims == []

@@ -13,6 +13,7 @@ import pytest
 from qwalkspec import (
     Graph,
     HypothesisError,
+    adjacency_matrix,
     batch_compare,
     batch_to_csv,
     batch_to_json,
@@ -735,7 +736,26 @@ def test_compare_and_the_batch_benchmark_corpus_run_no_kernel_pass_on_s3(
     dims.clear()
     result = batch_compare(corpus, threads=1)
     assert len(result.pairs) == 25
-    assert dims and not arc_dims & set(dims)  # the adjacency polys' passes only
+    assert not arc_dims & set(dims)  # no pass: the adjacency polys take the trace or minpoly route
+    # the spy sees a pass where one runs: cycle:54's A is outside the trace route's gate
+    char_poly(adjacency_matrix(cycle_graph(54)))
+    assert dims == [54]
+
+
+def test_the_batch_benchmark_corpus_adjacency_polys_take_the_trace_route_inside_its_gate(
+        monkeypatch, tmp_path, caplog):
+    """The 16-vertex 6-regular and 24-vertex 4-regular graphs have max(k, 2)^n < 2^53; the
+    24-vertex 6-regular ones (6^24 >= 2^53) take the minimal-polynomial route."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    import workloads
+
+    corpus = [(f"g{i}", g) for i, (_, g) in enumerate(workloads.BatchCli(7, {}, str(tmp_path)).members)]
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
+        batch_compare(corpus, threads=1)
+    routes = sorted(r.getMessage().split()[1:3] for r in caplog.records if r.getMessage().startswith("charpoly "))
+    inside = sorted(["route=traces", f"n={g.n}"] for _, g in corpus if is_regular(g) ** g.n < 2**53)
+    outside = [["route=minpoly", f"n={g.n}"] for _, g in corpus if is_regular(g) ** g.n >= 2**53]
+    assert len(inside) == 10 and routes == sorted(inside + outside)
 
 
 def _latin_square_graph(table):
