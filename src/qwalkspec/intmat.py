@@ -7,22 +7,32 @@ and converted, an entry at or above 2^62 raises ``OverflowError``, and float,
 complex and object arrays raise ``TypeError`` rather than be truncated.
 ``mat_mul`` raises ``OverflowError`` when its a-priori bound on the product
 (the inner dimension times the largest entries of both factors) reaches 2^62,
-so nothing wraps silently.  Python ints remain only as scalars, where big
-integers really arise: the coefficient bound, Bareiss and the CRT step.
+so nothing wraps silently.  Below 2^53 that bound keeps every partial sum an
+integer float64 holds exactly, so the product runs in float64, through BLAS;
+from 2^53 to 2^62 it runs in int64.  Python ints remain only as scalars,
+where big integers really arise: the coefficient bound, Bareiss and the CRT
+step.
 
 ``char_poly`` has one exact engine, ``modular_charpoly``, the one-matrix
-case of ``char_polys``, with three routes, tried in order.  Let r be the
-larger of M's largest absolute row and column sums (``_row_col_bound``): r^i
-bounds every entry of M^i and every partial sum forming it.
+case of ``char_polys``, with four routes, tried in order.  Let r be the
+larger of M's largest absolute row and column sums (``_row_col_bound``),
+computed once per matrix: r^i bounds every entry of M^i and every partial
+sum forming it.
 
-The trace route (``_trace_route``) takes every n x n matrix with
-max(r, 2)^n < 2^53.  The float64 chain M, M^2, ..., M^n (``_powers``) is
-then exact, each diagonal is summed in int64 (tr(M^n) may pass 2^53, but
-n r^n < 2^59 does not), and Newton's identities turn the traces into chi in
-Python ints: ``_charpoly_from_traces`` with rho = 1.  Cayley-Hamilton makes
-the n + 1 traces enough, so no prime, mu or certificate is needed.  The
-floor 2 caps n at 52; a larger matrix with r <= 1 (a partial permutation)
-goes on to the next route.
+The permutation route (``_permutation_route``) takes every matrix with
+r <= 1: a signed partial permutation matrix, with at most one nonzero entry,
++-1, in each row and column, such as S+(U) of a cycle.  It follows
+i -> (the column of row i's nonzero) once: a cycle of length L whose entries
+multiply to s contributes t^L - s, and every index on a chain that ends in a
+zero row contributes t.  No float, prime, mu or certificate is needed.
+
+The trace route (``_trace_route``) takes every other n x n matrix with
+r^n < 2^53 (so r >= 2 and n <= 52).  The float64 chain M, M^2, ..., M^n
+(``_powers``) is then exact, each diagonal is summed in int64 (tr(M^n) may
+pass 2^53, but n r^n < 2^59 does not), and Newton's identities turn the
+traces into chi in Python ints: ``_charpoly_from_traces`` with rho = 1.
+Cayley-Hamilton makes the n + 1 traces enough, so no prime, mu or
+certificate is needed.
 
 Every other matrix tries the minimal-polynomial route (``_minpoly_route``),
 built for matrices with few distinct eigenvalues, such as the walk supports
@@ -57,7 +67,7 @@ CRT step per matrix.  The primes are taken, largest first, until their
 product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
 plus guard bits.  Every route is exact, not probabilistic: a pseudo-random
 choice, an early stop or a wrong one-prime lift can only send a matrix to the
-Hessenberg route.  The tests hold all three equal to an independent
+Hessenberg route.  The tests hold all four equal to an independent
 reference, the division-free Berkowitz algorithm in ``tests/oracles.py``.
 
 One kernel serves many primes, and several same-size matrices, at once.  It
@@ -94,9 +104,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .polynomials import CharPoly
+from .polynomials import CharPoly, poly_mul
 
 _INT64_SAFE = 1 << 62
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer of smaller magnitude exactly
 
 log = logging.getLogger(__name__)
 
@@ -132,7 +143,9 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
     if bound >= _INT64_SAFE:  # |entries| < 2^62 here, so np.abs cannot wrap
         raise OverflowError("matrix product may reach 2^62 in magnitude")
-    return a @ b
+    if bound < _FLOAT_EXACT:  # every partial sum is an integer below 2^53, exact in float64
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    return np.matmul(a, b)
 
 
 def positive_support(m: np.ndarray) -> np.ndarray:
@@ -180,7 +193,6 @@ def bareiss_determinant(m: np.ndarray) -> int:
 
 _PANEL = 32  # columns per panel of the blocked Hessenberg reduction
 _STACK_BYTES = 1 << 23  # float64 bytes of one stack of residues: caps the primes reduced at once
-_FLOAT_EXACT = 1 << 53  # float64 holds every integer of smaller magnitude exactly
 _primes_lock = threading.Lock()
 _primes_cache: dict = {}  # ceiling -> primes at or below it, descending
 
@@ -391,20 +403,24 @@ def char_polys(matrices: Iterable[np.ndarray]) -> list:
 def _char_polys(ms: list) -> list:
     """The engine of ``char_polys`` and ``modular_charpoly``, on checked int64 matrices.
 
-    Each matrix first tries the trace route (``_trace_route``), then the
-    minimal-polynomial route (``_minpoly_route``).  Each one that falls back
-    gets its own prime plan, as if alone.  Every (matrix, prime) slot of one
-    dimension goes into the same residue stacks (``_kernel``), so matrices of
-    one size share the kernel's fixed per-step cost; one CRT step per matrix
-    then recombines its own slots.
+    Each matrix tries the permutation route (``_permutation_route``), the
+    trace route (``_trace_route``), then the minimal-polynomial route
+    (``_minpoly_route``), each given its ``_row_col_bound``, computed once.
+    Each one that falls back gets its own prime plan, as if alone.  Every
+    (matrix, prime) slot of one dimension goes into the same residue stacks
+    (``_kernel``), so matrices of one size share the kernel's fixed per-step
+    cost; one CRT step per matrix then recombines its own slots.
     """
     out: list = [CharPoly((1,))] * len(ms)
     for n, members in _by_dim(ms).items():
-        reasons = {}  # _minpoly_route's reason (None when it succeeds) for each matrix the trace route refuses
+        reasons = {}  # _minpoly_route's reason (None when it succeeds) for each matrix it is given
         for i in members:
-            out[i] = _trace_route(ms[i])
+            r = _row_col_bound(ms[i])
+            out[i] = _permutation_route(ms[i], r)
             if out[i] is None:
-                out[i], reasons[i] = _minpoly_route(ms[i])
+                out[i] = _trace_route(ms[i], r)
+            if out[i] is None:
+                out[i], reasons[i] = _minpoly_route(ms[i], r)
         members = [i for i, reason in reasons.items() if reason]
         if not members:
             continue
@@ -431,7 +447,7 @@ def _char_polys(ms: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The trace and minimal-polynomial routes (see the module docstring)
+# The permutation, trace and minimal-polynomial routes (see the module docstring)
 # ---------------------------------------------------------------------------
 
 _KRYLOV_SEED = 2005  # seeds the Krylov vectors u, v of ``_krylov_relation``
@@ -449,17 +465,63 @@ def _row_col_bound(m: np.ndarray) -> int:
     return max(int(a.sum(axis=0).max()), int(a.sum(axis=1).max())) if a.max() < 1 << 27 else _FLOAT_EXACT
 
 
-def _trace_route(m: np.ndarray) -> CharPoly | None:
+def _permutation_route(m: np.ndarray, r: int) -> CharPoly | None:
+    """det(tI - M) of a signed partial permutation matrix from its cycles, or None unless r <= 1.
+
+    r <= 1 leaves at most one nonzero entry, +-1, in each row and column, so
+    i -> (the column of row i's nonzero) is injective: a walk along it from
+    an index not yet seen ends in a zero row, in an index seen on an earlier
+    walk (a chain, since no walk enters a cycle from outside), or back at
+    its start (a cycle).  A cycle of length L whose entries multiply to s
+    contributes t^L - s, and every index on a chain contributes t.  The c
+    equal factors of one (L, s) are expanded at once by the binomial theorem,
+    and the distinct ones, at most 2 sqrt(2n) since distinct lengths sum to
+    at most n, are multiplied by Kronecker products (``poly_mul``), so an
+    n-cycle and the n x n identity both stay near-linear in n.
+    """
+    if r > 1:
+        return None
+    start = perf_counter()
+    n = m.shape[0]
+    cols = np.abs(m).argmax(axis=1)
+    sign = m[np.arange(n), cols].tolist()  # 0 on a zero row
+    succ = [j if s else -1 for j, s in zip(cols.tolist(), sign)]
+    seen, chained, cycles = [False] * n, 0, {}  # cycles: (L, s) -> how many
+    for i in range(n):
+        if seen[i]:
+            continue
+        j, length, s = i, 0, 1
+        while j >= 0 and not seen[j]:
+            seen[j], length, s, j = True, length + 1, s * sign[j], succ[j]
+        if j == i:
+            cycles[length, s] = cycles.get((length, s), 0) + 1
+        else:
+            chained += length
+    product = [1]
+    for (length, s), c in cycles.items():  # times (t^L - s)^c
+        f = [0] * (length * c + 1)
+        for e in range(c + 1):
+            f[length * e] = math.comb(c, e) * (-s) ** (c - e)
+        product = poly_mul(product, f)
+    chi = CharPoly(tuple([0] * chained + product))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("charpoly route=permutation n=%d cycles=%d ms=%.1f", n, sum(cycles.values()),
+                  (perf_counter() - start) * 1e3)
+    return chi
+
+
+def _trace_route(m: np.ndarray, r: int) -> CharPoly | None:
     """det(tI - M) from the exact traces of M, ..., M^n by Newton's identities, or None.
 
-    The route needs max(r, 2)^n < 2^53 (r as in ``_row_col_bound``), so every
-    power up to M^n is exact in float64 (``_powers``); the floor 2 caps n at 52,
-    so the chain is at most 52 small products.  Newton's identities are
-    ``_charpoly_from_traces`` with rho = 1 (mu = t^(n+1)): Cayley-Hamilton
-    makes the n + 1 traces enough, so no prime, mu or certificate is needed.
+    The route needs r^n < 2^53 (r from ``_row_col_bound``), so every power up
+    to M^n is exact in float64 (``_powers``).  ``_char_polys`` gives it only
+    matrices with r >= 2, which caps n at 52, so the chain is at most 52
+    small products.  Newton's identities are ``_charpoly_from_traces`` with
+    rho = 1 (mu = t^(n+1)): Cayley-Hamilton makes the n + 1 traces enough, so
+    no prime, mu or certificate is needed.
     """
     n = m.shape[0]
-    if max(_row_col_bound(m), 2) ** n >= _FLOAT_EXACT:
+    if r**n >= _FLOAT_EXACT:
         return None
     start = perf_counter()
     diagonals = np.array([np.diagonal(power) for power in _powers(m.astype(np.float64), n)])
@@ -484,7 +546,7 @@ def _powers(mf: np.ndarray, d: int):
         yield power
 
 
-def _minpoly_route(m: np.ndarray) -> tuple:
+def _minpoly_route(m: np.ndarray, r: int) -> tuple:
     """(det(tI - M), None) by the minimal-polynomial route, or (None, "degree" | "bound" | "certificate").
 
     With r from ``_row_col_bound``, the Krylov degree d may reach neither
@@ -492,12 +554,11 @@ def _minpoly_route(m: np.ndarray) -> tuple:
     """
     start = perf_counter()
     n = m.shape[0]
-    r = _row_col_bound(m)
     cap = 0  # the largest degree the loop may reach
     while cap < n // 2 and r ** (cap + 2) < _FLOAT_EXACT:
         cap += 1
     primes = _primes(1, _prime_ceiling(n))
-    rel, terms = _krylov_relation(_residue_stack([(m, primes[0])])[0], primes[0], cap) if cap else (None, 0)
+    rel, terms = _krylov_relation(_residues(m, r, primes[0]), primes[0], cap) if cap else (None, 0)
     if rel is None:
         return None, "degree" if cap == n // 2 else "bound"
     d, rels = len(rel) - 1, [rel]
@@ -508,7 +569,7 @@ def _minpoly_route(m: np.ndarray) -> tuple:
     if traces is None:  # the one-prime lift is wrong once some |mu_i| reaches half the prime
         primes = _plan_primes(n, bound_bits)
         for p in primes[1:]:
-            rel, more = _krylov_relation(_residue_stack([(m, p)])[0], p, d)
+            rel, more = _krylov_relation(_residues(m, r, p), p, d)
             terms += more
             if rel is None or len(rel) != d + 1:
                 return None, "certificate"
@@ -524,6 +585,11 @@ def _minpoly_route(m: np.ndarray) -> tuple:
                   " cert_primes=%d bound_bits=%.0f ms=%.1f", n, d, terms, len(primes), cert_primes,
                   bound_bits, (perf_counter() - start) * 1e3)
     return chi, None
+
+
+def _residues(m: np.ndarray, r: int, p: int) -> np.ndarray:
+    """M's symmetric residues modulo p, as float64: M itself when 2r < p, since every |M_ij| <= r."""
+    return m.astype(np.float64) if 2 * r < p else _residue_stack([(m, p)])[0]
 
 
 def _krylov_relation(mq: np.ndarray, q: int, cap: int) -> tuple:

@@ -6,11 +6,13 @@ coefficient equality, never by comparing floating-point root multisets: the
 entire value of the invariant is exactness.  Each polynomial comes from the
 cheapest exact route:
 
-* A and S+(U^3): ``char_poly`` of the matrix, which tries the trace route
-  (Newton's identities on exact float64 powers, while max(r, 2)^n < 2^53 for
-  the row and column sum bound r: every A with max(k, 2)^n < 2^53), then the
-  minimal-polynomial route, and falls back to the modular Hessenberg/CRT
-  engine with a Hadamard-bounded prime count;
+* A and S+(U^3): ``char_poly`` of the matrix, which tries the permutation
+  route (a signed partial permutation from its cycles, when the row and
+  column sum bound r is at most 1, as for S+(U^3) of a cycle), the trace
+  route (Newton's identities on exact float64 powers, while r^n < 2^53:
+  every A with k >= 2 and k^n < 2^53), then the minimal-polynomial route,
+  and falls back to the modular Hessenberg/CRT engine with a
+  Hadamard-bounded prime count;
 * S+(U): ``closed_form_charpoly_su``, an integer polynomial composition of
   the adjacency char poly;
 * S+(U^2): the same closed form at every k >= 2 (``supports._charpoly_su2``),
@@ -84,6 +86,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -385,7 +388,9 @@ def batch_compare(
     (``_deal``).  The pairs are then certified as ``certify`` certifies one
     (see the module docstring), with the S+(U^3) residues and exact polys
     that some pairs need dealt the same way.  Each phase forks its own
-    children (``_fork_map``) and reaps them before the next starts.  An
+    children (``_fork_map``).  A child whose result has been read is reaped
+    only once the pairs are certified, so its teardown overlaps the work
+    that follows; every child is reaped before this returns or raises.  An
     exception a worker raises reaches the caller with its type and message.
     """
     if threads is None:
@@ -393,7 +398,12 @@ def batch_compare(
     workers = min(len(corpus), threads or 1)
     if workers <= 1:
         return _batch(corpus, include_cross_class, map, 1)
-    return _batch(corpus, include_cross_class, _fork_map, workers)
+    finished: list = []  # children whose results were read, reaped once the pairs are certified
+    try:
+        return _batch(corpus, include_cross_class, partial(_fork_map, finished=finished), workers)
+    finally:
+        for pid in finished:
+            os.waitpid(pid, 0)
 
 
 def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mapper,
@@ -438,20 +448,22 @@ def _dealt(mapper, fn, items: list, workers: int) -> list:
     return [done[j % len(tasks)][j // len(tasks)] for j in range(len(items))]
 
 
-def _fork_map(fn, tasks: list) -> list:
+def _fork_map(fn, tasks: list, finished: list) -> list:
     """``list(map(fn, tasks))``, with ``tasks[1:]`` each run in a forked child process.
 
     Each child sends ``pickle((ok, value))`` back over its own pipe and always
     ends with ``os._exit``, so it never returns into the caller's code.  The
-    calling process runs ``tasks[0]`` meanwhile, then reads and reaps the
-    children in task order.  The first error in task order is raised with its
-    own type and message; a child that ends without a result raises a
-    RuntimeError naming its task and exit status.  On every path every child
-    is reaped: once an error is found, those not yet read are killed first.
-    It starts no thread, so Python's warning on a fork from a multi-threaded
-    process has no cause here.
+    calling process runs ``tasks[0]`` meanwhile, then reads the children in
+    task order.  A child that sent a result is appended to ``finished`` for
+    the caller to reap, so the caller need not wait while the child tears
+    down its memory.  The first error in task order is raised with its own
+    type and message; a child that ends without a result is reaped, and
+    raises a RuntimeError naming its task and exit status.  Once an error is
+    found, the children not yet read are killed and reaped.  It starts no
+    thread, so Python's warning on a fork from a multi-threaded process has
+    no cause here.
     """
-    pids: list = []  # in task order; None once reaped
+    pids: list = []  # in task order; None once reaped or appended to ``finished``
     pipes: list = []  # the read end of each child's pipe
     try:
         for task in tasks[1:]:
@@ -468,12 +480,13 @@ def _fork_map(fn, tasks: list) -> list:
         for t, (pid, read) in enumerate(zip(pids, pipes)):
             with open(read, "rb", closefd=False) as pipe:
                 data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            pids[t] = None
             if not data:
-                code = os.waitstatus_to_exitcode(status)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pids[t] = None
                 how = f"exit status {code}" if code >= 0 else f"signal {signal.Signals(-code).name}"
                 raise RuntimeError(f"batch task {t + 1} ended with {how} and no result")
+            finished.append(pid)
+            pids[t] = None
             ok, value = pickle.loads(data)
             if not ok:
                 raise value

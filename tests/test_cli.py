@@ -261,8 +261,9 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
         return is_regular(g)
 
     monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
-    monkeypatch.setattr(intmat, "_trace_route", lambda m: None)
-    monkeypatch.setattr(intmat, "_minpoly_route", lambda m: (None, "degree"))
+    monkeypatch.setattr(intmat, "_permutation_route", lambda m, r: None)  # cycle:6's S+(U) has r = 1
+    monkeypatch.setattr(intmat, "_trace_route", lambda m, r: None)
+    monkeypatch.setattr(intmat, "_minpoly_route", lambda m, r: (None, "degree"))
     monkeypatch.setattr(cli, "char_polys", polys_spy)
     monkeypatch.setattr(cli, "_walk_supports", supports_spy)
     monkeypatch.setattr(cli, "is_regular", regular_spy)

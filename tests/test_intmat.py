@@ -32,7 +32,7 @@ def _permutation_sum(rng, n, outside_gate=True):
     """The sum of three random n x n permutation matrices, times the least c with (3c)^n >= 2^53.
 
     Row and column sums 3c, so ``outside_gate`` keeps it off the trace route (which needs
-    max(r, 2)^n < 2^53), and (for these seeds) a minimal polynomial of degree above n / 2, so
+    r^n < 2^53), and (for these seeds) a minimal polynomial of degree above n / 2, so
     the char poly takes the kernel.  Without ``outside_gate``, c = 1 and the trace route takes it.
     """
     c = 1
@@ -208,7 +208,7 @@ def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
     ]
     assert all(int(f["actual_bits"]) < float(f["bound_bits"]) and int(f["primes"]) >= 1 for f in lines)
 
-    # Matrices of all three routes in one call: each gets its own line, in order within a dimension.
+    # Matrices of three routes in one call: each gets its own line, in order within a dimension.
     # S+(U) has r = 2 and 2^30 < 2^53, so the trace route takes it, and its line has n and ms only.
     expected = [char_poly(s1), char_poly(s2), polys[1], cp]
     caplog.clear()
@@ -475,7 +475,7 @@ def test_primes_are_reduced_in_groups_that_fit_the_stack_budget(per_group, monke
 
     monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
     monkeypatch.setattr(intmat, "_STACK_BYTES", per_group * 8 * (n + 1) ** 2)
-    monkeypatch.setattr(intmat, "_minpoly_route", lambda m: (None, "degree"))  # s3 takes the kernel
+    monkeypatch.setattr(intmat, "_minpoly_route", lambda m, r: (None, "degree"))  # s3 takes the kernel
     assert modular_charpoly(s3) == whole
     assert len(groups) > 1 and all(len(g) <= per_group for g in groups)
     primes = [q for g in groups for q in g]
@@ -594,8 +594,9 @@ def test_char_polys_routes_each_residue_to_its_matrix_across_stacks(per_stack, m
 
     monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
     monkeypatch.setattr(intmat, "_STACK_BYTES", per_stack * 8 * (30 + 1) ** 2)
-    monkeypatch.setattr(intmat, "_trace_route", lambda m: None)  # all take the kernel
-    monkeypatch.setattr(intmat, "_minpoly_route", lambda m: (None, "degree"))
+    monkeypatch.setattr(intmat, "_permutation_route", lambda m, r: None)  # all take the kernel
+    monkeypatch.setattr(intmat, "_trace_route", lambda m, r: None)
+    monkeypatch.setattr(intmat, "_minpoly_route", lambda m, r: (None, "degree"))
     assert char_polys(ms) == alone
     # the seven 30 x 30 slots of three matrices (2, 3 and 2 primes) fill
     # several stacks, whose edges cut a matrix's slots at 3 and 4 per stack;
@@ -678,7 +679,7 @@ def _logged_minpoly_route(caplog, m):
 
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
-        cp, reason = intmat._minpoly_route(m)
+        cp, reason = intmat._minpoly_route(m, intmat._row_col_bound(m))
     assert reason is None
     [fields] = _debug_fields(caplog.records)
     return cp, fields
@@ -711,11 +712,11 @@ def test_srg_supports_take_the_minpoly_route_and_equal_berkowitz(spec, which, ca
 @pytest.mark.parametrize("spec, which", _SRG_ROUTES)
 def test_srg_supports_take_the_trace_route_inside_its_gate_and_the_minpoly_route_outside(
         spec, which, caplog, kernel_dims):
-    """petersen's S+(U) (r = 2, n = 30) and shrikhande's A (r = 6, n = 16) have max(r, 2)^n < 2^53."""
+    """petersen's S+(U) (r = 2, n = 30) and shrikhande's A (r = 6, n = 16) have r^n < 2^53."""
     from qwalkspec import intmat
 
     m = _srg_matrix(spec, which)
-    inside = max(intmat._row_col_bound(m), 2) ** m.shape[0] < 2**53
+    inside = intmat._row_col_bound(m) ** m.shape[0] < 2**53
     cp, fields = _logged_char_poly(caplog, m)
     assert fields["route"] == _SRG_ROUTES[spec, which] == ("traces" if inside else "minpoly")
     assert kernel_dims == [] and (not inside or cp.coeffs == berkowitz_charpoly(m).coeffs)
@@ -891,7 +892,7 @@ def test_a_krylov_relation_that_a_later_prime_does_not_give_refuses_the_route(ca
     for wrong in (lambda rel: None, lambda rel: rel[1:]):  # no relation; one of degree d - 1
         primes.clear()
         monkeypatch.setattr(intmat, "_krylov_relation", at_the_second_prime(wrong))
-        assert intmat._minpoly_route(m) == (None, "certificate")
+        assert intmat._minpoly_route(m, intmat._row_col_bound(m)) == (None, "certificate")
         assert len(primes) == 2 and primes[0] != primes[1]
     primes.clear()
     cp, fields = _logged_char_poly(caplog, m)
@@ -902,14 +903,21 @@ def test_a_krylov_relation_that_a_later_prime_does_not_give_refuses_the_route(ca
 
 def test_correct_one_prime_lifts_keep_one_prime(caplog, monkeypatch):
     """Every routed A, S+(U) and S+(U^2) of these graphs keeps its one-prime lift.  One vector
-    screens the lift only when mu's coefficient bound needs more than one prime."""
+    screens the lift only when mu's coefficient bound needs more than one prime.  cycle:30's S+(U)
+    and S+(U^2) (r = 1) take the permutation route, so the minimal-polynomial route is also called
+    on them directly."""
     screens = _spy_screen(monkeypatch)
     screened = 0
     for spec in ("cycle:12", "cycle:30", "complete:7", "complete_bipartite:3,3", "petersen",
                  "hypercube:4", "paley:13", "shrikhande", "rook:4"):
         for which in ("a", "s1", "s2"):
+            m = _srg_matrix(spec, which)
             screens.clear()
-            cp, fields = _logged_char_poly(caplog, _srg_matrix(spec, which))
+            cp, fields = _logged_char_poly(caplog, m)
+            if spec == "cycle:30" and which != "a":
+                assert fields["route"] == "permutation" and screens == []
+                routed, fields = _logged_minpoly_route(caplog, m)
+                assert routed == cp
             if fields["route"] == "minpoly":
                 assert fields["mu_primes"] == "1" and screens in ([], [True]), (spec, which)
                 screened += len(screens)
@@ -992,7 +1000,7 @@ def test_the_route_raises_on_inconsistent_traces_instead_of_falling_back(monkeyp
 
     monkeypatch.setattr(intmat, "_certify_minpoly", skewed)
     with pytest.raises(ArithmeticError, match="inconsistent"):
-        intmat._minpoly_route(m)
+        intmat._minpoly_route(m, intmat._row_col_bound(m))
     assert kernel_dims == []
 
 
@@ -1010,7 +1018,7 @@ def test_unimodular_conjugates_of_jordan_matrices_equal_berkowitz_on_the_route(k
     jordan = _jordan([(size, lam) for size, lam, count in kinds for _ in range(count)])
     assume(jordan.shape[0] >= 2)
     m = _unimodular_conjugate(jordan, np.random.default_rng(seed), steps)
-    cp, _ = intmat._minpoly_route(m)
+    cp, _ = intmat._minpoly_route(m, intmat._row_col_bound(m))
     if cp is not None:
         assert cp.coeffs == berkowitz_charpoly(m).coeffs == berkowitz_charpoly(jordan).coeffs
 
@@ -1044,14 +1052,27 @@ def test_entries_whose_row_sums_would_wrap_int64_fall_back(caplog, kernel_dims):
 
 
 # ---------------------------------------------------------------------------
-# The trace route: Newton's identities on tr(M), ..., tr(M^n) while max(r, 2)^n < 2^53
+# The trace route: Newton's identities on tr(M), ..., tr(M^n) while r^n < 2^53
 # ---------------------------------------------------------------------------
 
 
 def _inside_gate(m):
+    """Whether the trace route's own gate, r^n < 2^53, admits m (r <= 1 included)."""
     from qwalkspec import intmat
 
-    return max(intmat._row_col_bound(m), 2) ** m.shape[0] < 2**53
+    return intmat._row_col_bound(m) ** m.shape[0] < 2**53
+
+
+def _route(m):
+    """The route ``char_poly`` gives m first: "permutation" (r <= 1), "traces" or "other"."""
+    from qwalkspec import intmat
+
+    return "permutation" if intmat._row_col_bound(m) <= 1 else "traces" if _inside_gate(m) else "other"
+
+
+def _takes(route, fields):
+    """Whether the debug line ``fields`` shows ``route``; "other" is the minpoly or Hessenberg route."""
+    return fields["route"] in (("minpoly", "hessenberg") if route == "other" else (route,))
 
 
 _MINPOLY_TWINS = {
@@ -1069,28 +1090,40 @@ _MINPOLY_TWINS = {
 }
 
 
-@pytest.mark.parametrize("make", _MINPOLY_TWINS.values(), ids=_MINPOLY_TWINS)
-def test_the_matrices_of_the_route_tests_take_the_trace_route(make, caplog, kernel_dims):
+@pytest.mark.parametrize("name", _MINPOLY_TWINS)
+def test_the_matrices_of_the_route_tests_take_the_trace_route(name, caplog, kernel_dims):
     """The matrices that the minimal-polynomial and kernel tests above used before the trace route
-    existed: char_poly now gives each to the trace route, with the same polynomial."""
-    m = make()
-    assert _inside_gate(m)
+    existed: char_poly now gives each to the trace route, with the same polynomial, except the
+    zero matrix (r = 0), which the permutation route takes.  The trace route, called directly,
+    gives it the same polynomial."""
+    from qwalkspec import intmat
+
+    m = _MINPOLY_TWINS[name]()
+    assert _inside_gate(m) and _route(m) == ("permutation" if name == "nilpotent-zero" else "traces")
     cp, fields = _logged_char_poly(caplog, m)
-    assert (fields["route"], fields["n"]) == ("traces", str(m.shape[0])) and kernel_dims == []
+    assert (fields["route"], fields["n"]) == (_route(m), str(m.shape[0])) and kernel_dims == []
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
+    assert intmat._trace_route(m, intmat._row_col_bound(m)) == cp
 
 
 def test_seeded_random_signed_matrices_take_the_trace_route_inside_its_gate(caplog, kernel_dims):
-    inside = 0
+    """Draws with r <= 1 take the permutation route, and the trace route, called directly, gives
+    them the same polynomial."""
+    from qwalkspec import intmat
+
+    inside = permutations = 0
     for seed in range(40):
         rng = np.random.default_rng(500 + seed)
         n, hi = int(rng.integers(1, 17)), int(rng.integers(1, 4))
         m = rand_int_matrix(rng, n, -hi, hi)
         cp, fields = _logged_char_poly(caplog, m)
-        assert (fields["route"] == "traces") == _inside_gate(m), seed
+        assert _takes(_route(m), fields), seed
         assert cp.coeffs == berkowitz_charpoly(m).coeffs, seed
-        inside += fields["route"] == "traces"
-    assert 10 <= inside <= 35
+        if _route(m) == "permutation":
+            assert intmat._trace_route(m, intmat._row_col_bound(m)) == cp, seed
+            permutations += 1
+        inside += _inside_gate(m)
+    assert 10 <= inside <= 35 and permutations >= 1
 
 
 @pytest.mark.parametrize(
@@ -1102,9 +1135,21 @@ def test_seeded_random_signed_matrices_take_the_trace_route_inside_its_gate(capl
         "J5(3)": [(5, 3)], "J3(-2)^2 J1(1)": [(3, -2), (3, -2), (1, 1)], "J12(1)": [(12, 1)]}.items()],
 )
 def test_zero_nilpotent_jordan_and_1x1_matrices_take_the_trace_route(m, caplog, kernel_dims):
+    """Those with r <= 1 (zero, nilpotent shifts, [[0]] and [[1]]) take the permutation route.  The
+    trace route, called directly, gives them the same polynomial, and char_poly gives it their
+    twin 2M when M is nonzero (r = 2)."""
+    from qwalkspec import intmat
+
+    r = intmat._row_col_bound(m)
     cp, fields = _logged_char_poly(caplog, m)
-    assert fields["route"] == "traces" and kernel_dims == []
+    assert fields["route"] == ("permutation" if r <= 1 else "traces") and kernel_dims == []
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
+    if r <= 1:
+        assert intmat._trace_route(m, r) == cp
+    if r == 1:
+        twin, fields = _logged_char_poly(caplog, 2 * m)
+        assert fields["route"] == "traces" and kernel_dims == []
+        assert twin.coeffs == berkowitz_charpoly(2 * m).coeffs
 
 
 @settings(max_examples=60, deadline=None)
@@ -1118,7 +1163,7 @@ def test_unimodular_conjugates_of_jordan_matrices_equal_berkowitz_on_the_trace_r
 
     jordan = _jordan([(size, lam) for size, lam, count in kinds for _ in range(count)])
     m = _unimodular_conjugate(jordan, np.random.default_rng(seed), steps) if jordan.shape[0] >= 2 else jordan
-    cp = intmat._trace_route(m)
+    cp = intmat._trace_route(m, intmat._row_col_bound(m))
     assert (cp is not None) == _inside_gate(m)
     if cp is not None:
         assert cp.coeffs == berkowitz_charpoly(m).coeffs == berkowitz_charpoly(jordan).coeffs
@@ -1139,26 +1184,28 @@ def _with_row_col_bound(n, r, seed):
 
 
 @pytest.mark.parametrize(
-    "m, inside",
+    "m, route",
     [
         # 9^16 < 2^53 <= 10^16, so the gate admits r = 9 at n = 16 and refuses r = 10
-        pytest.param(np.diag([9] * 5 + [8] * 3 + [0] * 8), True, id="diag-9-at-16"),
-        pytest.param(np.diag([10] + [9] * 4 + [8] * 3 + [0] * 8), False, id="diag-10-at-16"),
+        pytest.param(np.diag([9] * 5 + [8] * 3 + [0] * 8), "traces", id="diag-9-at-16"),
+        pytest.param(np.diag([10] + [9] * 4 + [8] * 3 + [0] * 8), "other", id="diag-10-at-16"),
         # 98^8 < 2^53 <= 99^8
-        pytest.param(_with_row_col_bound(8, 98, 1), True, id="r98-at-8"),
-        pytest.param(_with_row_col_bound(8, 99, 2), False, id="r99-at-8"),
+        pytest.param(_with_row_col_bound(8, 98, 1), "traces", id="r98-at-8"),
+        pytest.param(_with_row_col_bound(8, 99, 2), "other", id="r99-at-8"),
         # 2^52 < 2^53 = 2^53: r = 2 admits n = 52, not 53
-        pytest.param(adjacency_matrix(cycle_graph(52)), True, id="cycle-52"),
-        pytest.param(adjacency_matrix(cycle_graph(53)), False, id="cycle-53"),
-        # the floor: r <= 1 counts as 2, so a 53 x 53 permutation matrix keeps the other routes
-        pytest.param(np.roll(int_eye(53), 1, axis=1), False, id="permutation-53"),
+        pytest.param(adjacency_matrix(cycle_graph(52)), "traces", id="cycle-52"),
+        pytest.param(adjacency_matrix(cycle_graph(53)), "other", id="cycle-53"),
+        pytest.param(2 * np.roll(int_eye(52), 1, axis=1), "traces", id="2-permutation-52"),
+        pytest.param(2 * np.roll(int_eye(53), 1, axis=1), "other", id="2-permutation-53"),
+        # r <= 1 never reaches the gate: the permutation route takes it at any n
+        pytest.param(np.roll(int_eye(53), 1, axis=1), "permutation", id="permutation-53"),
     ],
 )
-def test_the_trace_gate_is_max_r_2_to_the_n_below_2_53(m, inside, caplog):
+def test_the_trace_gate_is_r_to_the_n_below_2_53(m, route, caplog):
     m = int_matrix(np.asarray(m).tolist())
-    assert _inside_gate(m) == inside
+    assert _route(m) == route
     cp, fields = _logged_char_poly(caplog, m)
-    assert (fields["route"] == "traces") == inside
+    assert _takes(route, fields)
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
 
 
@@ -1179,7 +1226,7 @@ def test_diagonal_sums_are_exact_where_a_float_trace_would_round(caplog):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(intmat, "_charpoly_from_traces", spy)
-        assert intmat._trace_route(m) is not None
+        assert intmat._trace_route(m, intmat._row_col_bound(m)) is not None
     assert read == [[5 * 9**i + 3 * 8**i + 8 * (i == 0) for i in range(17)]] and read[0][16] == top
     cp, fields = _logged_char_poly(caplog, m)
     assert fields["route"] == "traces"
@@ -1200,3 +1247,141 @@ def test_the_trace_route_raises_on_inconsistent_traces(monkeypatch, kernel_dims)
     with pytest.raises(ArithmeticError, match="inconsistent"):
         char_poly(_MINPOLY_TWINS["inconsistent-traces"]())
     assert kernel_dims == []
+
+
+# ---------------------------------------------------------------------------
+# The permutation route: signed partial permutation matrices (r <= 1) from their cycles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _signed_partial_permutations(draw):
+    """A random n x n permutation matrix, n <= 40, with random signs and about a quarter of its
+    rows zeroed: a zeroed row ends a chain, so cycles and chains both arise."""
+    n = draw(st.integers(1, 40))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    kept = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        m[i, perm[i]] = signs[i] if kept[i] else 0
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_signed_partial_permutations())
+def test_signed_partial_permutations_take_the_permutation_route_and_equal_berkowitz(m):
+    from qwalkspec import intmat
+
+    r = intmat._row_col_bound(m)
+    assert r <= 1
+    cp = intmat._permutation_route(m, r)
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
+    assert char_poly(m) == cp
+
+
+def test_the_permutation_route_refuses_every_r_above_1():
+    from qwalkspec import intmat
+
+    for m in (2 * int_eye(3), int_matrix([[1, 1], [0, 0]]), int_matrix([[1, 0], [1, 0]])):
+        assert intmat._row_col_bound(m) == 2 and intmat._permutation_route(m, 2) is None
+
+
+_PERMUTATIONS = {
+    "zero-7": (np.zeros((7, 7), dtype=np.int64), 0),
+    "J6(0)": (_jordan([(6, 0)]), 0),  # one chain
+    "J3(0)^2 J1(0)": (_jordan(_NILPOTENT["J3(0)^2 J1(0)"]), 0),
+    "[[-1]]": (int_matrix([[-1]]), 1),
+    "reversal-9": (np.fliplr(int_eye(9)), 5),  # four 2-cycles and a fixed point
+    "reversal-10": (np.fliplr(int_eye(10)), 5),
+    "signed-reversal-10": (np.fliplr(int_eye(10)) * np.array([1, -1] * 5)[:, None], 5),
+    "signed-cycle-12": (np.roll(int_eye(12), 1, axis=1) * np.array([-1] * 3 + [1] * 9)[:, None], 1),
+}
+
+
+@pytest.mark.parametrize("name", _PERMUTATIONS)
+def test_named_signed_permutations_take_the_permutation_route(name, caplog, kernel_dims):
+    m, cycles = _PERMUTATIONS[name]
+    cp, fields = _logged_char_poly(caplog, m)
+    assert sorted(fields) == ["cycles", "ms", "n", "route"] and float(fields["ms"]) >= 0
+    assert (fields["route"], fields["n"], fields["cycles"]) == ("permutation", str(m.shape[0]), str(cycles))
+    assert kernel_dims == [] and cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+def test_the_200_identity_and_reversal_take_the_permutation_route(caplog, kernel_dims):
+    """(t - 1)^200 and (t^2 - 1)^100: one group of 200 equal factors and one of 100."""
+    cp, fields = _logged_char_poly(caplog, int_eye(200))
+    assert (fields["route"], fields["cycles"]) == ("permutation", "200")
+    assert list(cp.coeffs) == [math.comb(200, j) * (-1) ** (200 - j) for j in range(201)]
+    cp, fields = _logged_char_poly(caplog, np.fliplr(int_eye(200)))
+    assert (fields["route"], fields["cycles"]) == ("permutation", "100")
+    assert list(cp.coeffs) == [0 if j % 2 else math.comb(100, j // 2) * (-1) ** (100 - j // 2)
+                               for j in range(201)]
+    assert kernel_dims == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 30, 53, 200])
+def test_su_of_a_cycle_takes_the_permutation_route(n, caplog, kernel_dims):
+    """S+(U) of C_n is the arc-successor permutation: two directed n-cycles, chi = (t^n - 1)^2."""
+    from qwalkspec import support_u
+    from qwalkspec.supports import _charpoly_su
+
+    g = cycle_graph(n)
+    cp, fields = _logged_char_poly(caplog, support_u(build_arc_space(g)))
+    assert (fields["route"], fields["n"], fields["cycles"]) == ("permutation", str(2 * n), "2")
+    assert kernel_dims == []
+    assert cp.coeffs == tuple(1 if j in (0, 2 * n) else -2 if j == n else 0 for j in range(2 * n + 1))
+    assert cp == _charpoly_su(n, 2, char_poly(adjacency_matrix(g)))
+
+
+_VERIFY_CORPUS = ("cycle:12", "cycle:30", "complete:7", "complete_bipartite:3,3", "petersen",
+                  "hypercube:4", "paley:13", "shrikhande", "rook:4")
+
+
+def test_krylov_relations_of_m_itself_equal_those_of_its_residues(monkeypatch):
+    """Every S+(U) and S+(U^2) of verify's benchmark corpus has 2r below the first prime, so M is
+    its own symmetric residue: the minimal-polynomial route hands M itself to _krylov_relation,
+    which gives the relation and term count of M's residue stack, and forms no residue stack."""
+    from qwalkspec import intmat
+
+    for spec in _VERIFY_CORPUS:
+        for which in ("s1", "s2"):
+            m = _srg_matrix(spec, which)
+            n, r = m.shape[0], intmat._row_col_bound(m)
+            p = intmat._primes(1, intmat._prime_ceiling(n))[0]
+            direct = intmat._residues(m, r, p)
+            assert 2 * r < p and direct.dtype == np.float64 and (direct == m).all()
+            stacked = intmat._residue_stack([(m, p)])[0]
+            assert intmat._krylov_relation(direct, p, n // 2) == intmat._krylov_relation(stacked, p, n // 2)
+    # 2r >= p: M is reduced first
+    p = intmat._primes(1, intmat._prime_ceiling(2))[0]
+    m = int_matrix([[p + 3, 1], [-p, 2]])
+    assert intmat._residues(m, intmat._row_col_bound(m), p).tolist() == [[3, 1], [0, 2]]
+    stacks = []
+    monkeypatch.setattr(intmat, "_residue_stack", lambda slots: stacks.append(slots))
+    for spec in _VERIFY_CORPUS:
+        for which in ("s1", "s2"):
+            char_poly(_srg_matrix(spec, which))
+    assert stacks == []
+
+
+def test_mat_mul_runs_in_float64_below_2_53_and_in_int64_from_it(monkeypatch):
+    calls, real = [], np.matmul
+
+    def spy(a, b):
+        calls.append((a.dtype.name, b.dtype.name))
+        return real(a, b)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    x, y = 69431, 20394401
+    assert 6361 * x * y == 2**53 - 1  # inner dimension 6361: the bound is 2^53 - 1
+    a = int_matrix([[x] * 6361, [x, -x] * 3180 + [x - 1], [-x] * 6361])
+    b = int_matrix([[y, -y, 1]] * 6361)
+    c = mat_mul(a, b)
+    assert calls == [("float64", "float64")] and c.dtype == np.int64
+    assert c.tolist() == int_product(a, b) and c[0, 0] == 2**53 - 1
+    calls.clear()
+    a = int_matrix([[2**26, 2**26 - 1]])  # bound 2 * 2^26 * 2^26 = 2^53
+    b = int_matrix([[2**26], [-(2**26) + 1]])
+    c = mat_mul(a, b)
+    assert calls == [("int64", "int64")] and c.tolist() == int_product(a, b)

@@ -332,10 +332,10 @@ def test_no_phase_forks_more_than_workers_minus_one_children(monkeypatch):
         forks.append(None)
         return real_fork()
 
-    def counting_map(fn, tasks):
+    def counting_map(fn, tasks, **kwargs):
         before = len(forks)
         try:
-            return real_map(fn, tasks)
+            return real_map(fn, tasks, **kwargs)
         finally:
             phases.append((fn.__name__, len(forks) - before))
 
@@ -350,6 +350,60 @@ def test_no_phase_forks_more_than_workers_minus_one_children(monkeypatch):
         assert [name for name, _ in phases] == ["_build", "_s3_residues", "_exact_s3"]
         assert phases[0][1] == workers - 1  # one child per task after the first
         assert all(count <= workers - 1 for _, count in phases), phases
+    _no_child_left()
+
+
+def _fail_in_a_child(task):
+    raise ValueError("a child's task failed")
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("fail", [None, "_build", "_exact_s3"])
+def test_every_forked_child_is_reaped_before_batch_compare_returns_or_raises(threads, fail, monkeypatch):
+    """A child whose result was read is reaped once the pairs are certified, so its teardown
+    overlaps the work that follows; on an error in a child's task (in the first phase, or in the
+    last, with the earlier phases' children still unreaped) every child is reaped all the same."""
+    import qwalkspec.invariants as inv
+
+    monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
+    rng = np.random.default_rng(8)
+    corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
+    corpus.append(("rook44", rook_graph(4)))  # the three twins need residues and exact polys
+    expected = batch_compare(corpus, threads=1)
+    events, real_fork, real_waitpid, real_certify = [], os.fork, os.waitpid, inv._certify
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            events.append(("fork", pid))
+        return pid
+
+    def waitpid(pid, options):
+        out = real_waitpid(pid, options)
+        events.append(("reap", pid))
+        return out
+
+    def certify(*args):
+        out = real_certify(*args)
+        events.append(("certified", None))
+        return out
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    monkeypatch.setattr(inv, "_certify", certify)
+    if fail is None:
+        assert batch_compare(corpus, threads=threads) == expected
+        certified = events.index(("certified", None))
+        assert "reap" not in [e for e, _ in events[:certified]]
+        assert all(e == "reap" for e, _ in events[certified + 1 :]) and events[-1][0] == "reap"
+    else:
+        _in_children(monkeypatch, fail, _fail_in_a_child)
+        with pytest.raises(ValueError, match="a child's task failed"):
+            batch_compare(corpus, threads=threads)
+        assert ("certified", None) not in events
+    forked = [pid for e, pid in events if e == "fork"]
+    assert len(forked) >= threads - 1
+    assert sorted(pid for e, pid in events if e == "reap") == sorted(forked)
     _no_child_left()
 
 
@@ -744,7 +798,7 @@ def test_compare_and_the_batch_benchmark_corpus_run_no_kernel_pass_on_s3(
 
 def test_the_batch_benchmark_corpus_adjacency_polys_take_the_trace_route_inside_its_gate(
         monkeypatch, tmp_path, caplog):
-    """The 16-vertex 6-regular and 24-vertex 4-regular graphs have max(k, 2)^n < 2^53; the
+    """The 16-vertex 6-regular and 24-vertex 4-regular graphs have k^n < 2^53; the
     24-vertex 6-regular ones (6^24 >= 2^53) take the minimal-polynomial route."""
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
     import workloads
