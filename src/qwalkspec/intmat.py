@@ -41,10 +41,12 @@ of strongly regular graphs:
 * mu, the minimal polynomial of a Krylov sequence u^T M^i v (fixed
   pseudo-random u, v), by Berlekamp-Massey modulo one prime, run online: it
   stops once its length L has held for ``_KRYLOV_MARGIN`` terms past 2L, so
-  degree d costs about 2d terms.  d must stay at most n/2, and r^(d+1) below
-  2^53.  mu is lifted from that prime alone, and by CRT over as many primes
-  as its coefficient bound asks for only if the one-prime lift fails the
-  certificate.
+  degree d costs about 2d terms.  d must stay at most n/2, and r^d below
+  2^52: the route forms no power past M^d, so every entry it forms, and
+  every partial sum, is at most r^d, exact in float64 and within the
+  2^53 - p that ``_reduce`` asks of what it reduces.  mu is lifted from that
+  prime alone, and by CRT over as many primes as its coefficient bound asks
+  for only if the one-prime lift fails the certificate.
   When that bound asks for more than one prime, the one-prime lift may be
   wrong, so mu(M) v = 0 for one pseudo-random 0/1 vector v is checked first,
   exactly and in O(d n^2), to reject a wrong lift before mu(M) is formed;
@@ -79,18 +81,16 @@ of the panel writes all the updates back with one stacked matrix product and
 one modular reduction (see ``_hessenberg_stack``).  ``char_polys`` plans
 each matrix's primes as if it were alone and puts the residues of all its
 matrices of one size into the same stacks, so they share the kernel's fixed
-cost per step.  ``char_poly_residues`` does the same with one slot per
-matrix, modulo the first prime of its size, and stops before the CRT.  A
-stack holds as many residues as fit in ``_STACK_BYTES``, at least one; more
-run the kernel once per group of them, so its memory stays a small multiple
-of the larger of that budget and one n x n matrix, however many primes and
-matrices there are.  The arithmetic is exact by construction.  Residues are
-symmetric, at most (p + 1) / 2 in magnitude, and every sum has at most
-n + ``_PANEL`` products of them, so ``_prime_ceiling`` caps the primes to
-keep every sum an integer below 2^53, where float64 is exact; the order of
-summation, and whether BLAS fuses a multiply-add, then cannot change a
-result.  ``_reduce`` maps such a sum back to a residue
-exactly, so a zero test on a residue is exact.
+cost per step.  A stack holds as many residues as fit in ``_STACK_BYTES``,
+at least one; more run the kernel once per group of them, so its memory
+stays a small multiple of the larger of that budget and one n x n matrix,
+however many primes and matrices there are.  The arithmetic is exact by
+construction.  Residues are symmetric, at most (p + 1) / 2 in magnitude,
+and every sum has at most n + ``_PANEL`` products of them, so
+``_prime_ceiling`` caps the primes to keep every sum an integer below 2^53,
+where float64 is exact; the order of summation, and whether BLAS fuses a
+multiply-add, then cannot change a result.  ``_reduce`` maps such a sum
+back to a residue exactly, so a zero test on a residue is exact.
 """
 
 from __future__ import annotations
@@ -550,12 +550,16 @@ def _minpoly_route(m: np.ndarray, r: int) -> tuple:
     """(det(tI - M), None) by the minimal-polynomial route, or (None, "degree" | "bound" | "certificate").
 
     With r from ``_row_col_bound``, the Krylov degree d may reach neither
-    2d > n ("degree") nor r^(d+1) >= 2^53 ("bound").
+    2d > n ("degree") nor r^d >= 2^52 ("bound").  The route forms no power
+    past M^d: ``_certify_minpoly``'s chain stops at M^d and ``_kills_vector``'s
+    vectors at M^d v, so every entry and partial sum is at most r^d < 2^52.
+    That is exact in float64, and within the |x| <= 2^53 - p that ``_reduce``
+    needs, since every prime is far below 2^52.
     """
     start = perf_counter()
     n = m.shape[0]
     cap = 0  # the largest degree the loop may reach
-    while cap < n // 2 and r ** (cap + 2) < _FLOAT_EXACT:
+    while cap < n // 2 and r ** (cap + 1) < _FLOAT_EXACT // 2:
         cap += 1
     primes = _primes(1, _prime_ceiling(n))
     rel, terms = _krylov_relation(_residues(m, r, primes[0]), primes[0], cap) if cap else (None, 0)
@@ -646,15 +650,15 @@ def _splitmix(count: int, seed: int) -> np.ndarray:
 def _certify_minpoly(m: np.ndarray, mu: list, r: int, screen: bool = False) -> tuple:
     """(traces, primes): traces [tr(M^0), ..., tr(M^d)] if mu(M) = 0 exactly, else None.
 
-    M^i and every partial sum forming it are at most r^i <= r^d < 2^53, so
-    exact in float64.  So are mu(M) and its partial sums while their bound
-    B = sum |mu_i| r^i is below 2^53 (``primes`` 0).  Above it, mu(M) is zero
-    if it is zero modulo primes whose product exceeds 2B.  A power at most
-    (p - 1) / 2 is its own residue, a larger one is reduced once, and the
-    accumulator, d + 1 < ``_sum_terms(n)`` products of residues, at the end.
-    With ``screen``, ``_kills_vector`` runs first: it rejects a wrong mu, such
-    as a wrong one-prime lift, by d matrix-vector products instead of d
-    matrix products.
+    M^i and every partial sum forming it are at most r^i <= r^d < 2^52, so
+    exact in float64 and fit for ``_reduce``.  So are mu(M) and its partial
+    sums while their bound B = sum |mu_i| r^i is below 2^53 (``primes`` 0).
+    Above it, mu(M) is zero if it is zero modulo primes whose product
+    exceeds 2B.  A power at most (p - 1) / 2 is its own residue, a larger one
+    is reduced once, and the accumulator, d + 1 < ``_sum_terms(n)`` products
+    of residues, at the end.  With ``screen``, ``_kills_vector`` runs first:
+    it rejects a wrong mu, such as a wrong one-prime lift, by d
+    matrix-vector products instead of d matrix products.
     """
     n = m.shape[0]
     bound = sum(abs(c) * r**i for i, c in enumerate(mu))
@@ -736,29 +740,6 @@ def _charpoly_from_traces(mu: list, traces: list, n: int) -> CharPoly:
             raise ArithmeticError(f"traces inconsistent with the minimal polynomial at t^{k}")
         e.append(q)
     return CharPoly(tuple(e[::-1]))
-
-
-def char_poly_residues(matrices: Iterable[np.ndarray]) -> list:
-    """(p, coefficients of det(tI - M) mod p, ascending, each in [0, p)) of each matrix, in order.
-
-    p is the first prime ``char_poly`` takes for M's dimension, so matrices of
-    one dimension get the same p and their residues can be compared directly:
-    residues that differ prove the char polys differ, equal ones prove nothing.
-    Each matrix fills one kernel slot, and the slots of one dimension share
-    one pass, split into stacks of at most ``_STACK_BYTES``.
-    """
-    ms = [_int64_square(m)[0] for m in matrices]
-    out: list = [(_primes(1, _prime_ceiling(0))[0], (1,))] * len(ms)
-    for n, members in _by_dim(ms).items():
-        start = perf_counter()
-        p = _primes(1, _prime_ceiling(n))[0]
-        residues = np.mod(_kernel([(ms[i], p) for i in members]), p).astype(np.int64).tolist()
-        for i, row in zip(members, residues):
-            out[i] = p, tuple(row)
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("charpoly n=%d primes=1 p=%d pass_matrices=%d pass_ms=%.1f",
-                      n, p, len(members), (perf_counter() - start) * 1e3)
-    return out
 
 
 def _by_dim(ms: list) -> dict:

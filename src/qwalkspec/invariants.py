@@ -29,38 +29,39 @@ equal.
 ``compare`` on the two profiles without expanding the S+(U) or S+(U^2)
 polynomial, and without any char poly of S+(U^3) in most pairs.
 ``fingerprints`` gives each graph a ``Fingerprint``: the exact A char poly,
-the Graeffe square of psi = chi_A / (x - k) (degree n - 1), S = S+(U^3)
-packed into bits, and the exact traces tr(S^i) for i = 1..4, all four from
-one 0/1 product S.S by popcounts.  The graphs of one call share one kernel
-pass per size for those adjacency char polys that fall back to it (none of
-the benchmark corpora's), and no kernel pass runs on S.
+the Graeffe square of psi = chi_A / (x - k) (degree n - 1), and the exact
+traces tr(S^i) for i = 1..4 of S = S+(U^3), all four from one 0/1 product
+S.S by popcounts; S itself is not kept.  The graphs of one call share one
+kernel pass per size for those adjacency char polys that fall back to it,
+and no kernel pass runs on S.  Some benchmark corpora do reach that pass:
+16 of the ``batch_cli`` seeds 1-60 (5, 6, 15, ...) hold a pair of 6-regular
+24-vertex circulant twins whose chi_A has Krylov degree 13 > n/2, so it
+falls back for "degree".  With ``threads`` 2 or more, ``_deal`` puts the
+two twins, the corpus's only 72-edge graphs, in different tasks, which
+then share no pass.
 
 ``certify`` (one pair) and ``batch_compare`` (all pairs of a corpus) settle
 their pairs through one resolver.  By the paper's closed forms (see
 ``Fingerprint``), A and S+(U) are cospectral exactly when the A char polys
 are equal, and S+(U^2) exactly when (n, k) and the Graeffe squares are.
-The resolver proves the S+(U^3) verdict in one of five ways, tried in this
+The resolver proves the S+(U^3) verdict in one of four ways, tried in this
 order:
 
 * "distinguished", because nk differs, so the degrees do;
 * "distinguished", because a trace differs: traces are spectral invariants;
 * "cospectral", because A, S+(U) and S+(U^2) agree and ``find_isomorphism``
   returned a map it checked on the adjacency matrices;
-* "distinguished", because the char polys differ modulo the first prime of
-  dimension nk;
 * either, from the exact char polys of both graphs.
 
-The first three run in the calling process, pair by pair.  The residues run
-after them, only for the graphs of the pairs still open, largest nk first,
-dealt into one task per worker (``_deal``); ``char_poly_residues`` stacks
-a task's matrices of one size into one kernel pass.  The exact char polys
-run last, only for the graphs of the pairs whose residues agree too, dealt
-the same way, one matrix at a time.  Dealt tasks are not rebalanced while
-they run, and exact polys are long and uneven, but no benchmark corpus or
-SRG family built so far reaches this phase: traces, witnesses or residues
-settle every pair there.  Each poly is computed at most once per graph,
-however many pairs the graph is in, and a fingerprint never changes.  Equal
-traces and equal residues alone decide nothing.  ``QWALK_LOG=debug`` logs
+The first three run in the calling process, pair by pair.  The exact char
+polys run after them, only for the graphs of the pairs still open, largest
+nk first, dealt into one task per worker (``_deal``), one matrix at a time,
+each from S+(U^3) built again from the graph.  Dealt tasks are not
+rebalanced while they run, and exact polys are long and uneven, but no
+benchmark corpus or SRG family built so far reaches this phase: traces or
+witnesses settle every pair there.  Each poly is computed at most once per
+graph, however many pairs the graph is in, and a fingerprint never
+changes.  Equal traces alone decide nothing.  ``QWALK_LOG=debug`` logs
 each pair's S+(U^3) proof as one ``certificate`` line.
 
 A cospectral verdict on all four invariants does not certify isomorphism,
@@ -70,10 +71,9 @@ S+(U^3).
 ``batch_compare`` runs on ``threads`` workers (the CLI's ``--threads``): the
 calling process plus ``threads - 1`` forked children, not threads, since a
 fingerprint is built in numpy calls too short to release the interpreter
-lock for long.  Each phase (the fingerprints, the residues, the exact polys)
-is dealt by ``_deal`` into at most ``threads`` tasks; ``_fork_map`` runs the
-first in the calling process and each other in a child forked for that
-phase alone.  ``certify`` runs them all in the calling process.
+lock for long.  Each phase (the fingerprints, the exact polys) is dealt by
+``_deal`` into at most ``threads`` tasks; ``_fork_map`` runs the first in
+the calling process and each other in a child forked for that phase alone.  ``certify`` runs them all in the calling process.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ import logging
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -94,7 +94,7 @@ import numpy as np
 from .arcspace import build_arc_space
 from .errors import HypothesisError
 from .graphs import Graph, adjacency_matrix, find_isomorphism
-from .intmat import char_poly, char_poly_residues, char_polys
+from .intmat import char_poly, char_polys
 from .polynomials import CharPoly, poly_divide_exact, poly_graeffe
 from .supports import (
     _charpoly_su,
@@ -125,7 +125,7 @@ class InvariantProfile:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """A graph's exact A char poly, the squares of its other eigenvalues, and S = S+(U^3) with its traces.
+    """A graph's exact A char poly, the squares of its other eigenvalues, and the traces of S+(U^3).
 
     ``psi_squares`` is Graeffe(psi) with psi = chi_A / (x - k): the monic
     polynomial of degree n - 1 whose roots are the lambda^2 over the roots
@@ -149,10 +149,9 @@ class Fingerprint:
       is cospectral exactly when (n, k) and ``psi_squares`` are equal.  That
       is weaker than A: it sees only the lambda^2, not their signs.
 
-    ``s3_traces`` is (tr S, tr S^2, tr S^3, tr S^4), from one 0/1 product
-    S.S (``_power_traces``).  ``s3_support`` is S itself, each row packed by
-    ``np.packbits`` into whole 64-bit words, so the S+(U^3) polys that some
-    pairs need (see the module docstring) do not build W^3 again.
+    ``s3_traces`` is (tr S, tr S^2, tr S^3, tr S^4) of S = S+(U^3), from one
+    0/1 product S.S (``_power_traces``).  S itself is not kept: the few
+    pairs that need its char poly (see the module docstring) build it again.
     """
 
     graph_id: str
@@ -161,15 +160,10 @@ class Fingerprint:
     charpoly_a: CharPoly
     psi_squares: Tuple[int, ...]
     s3_traces: Tuple[int, int, int, int]
-    s3_support: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def _s3_matrix(self) -> np.ndarray:
-        """S+(U^3), unpacked from ``s3_support``."""
-        return np.unpackbits(self.s3_support, axis=1, count=self.n * self.k)
 
 
 @dataclass(frozen=True)
@@ -219,8 +213,8 @@ def _pack_rows(m: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _power_traces(s: np.ndarray, rows: np.ndarray) -> Tuple[int, int, int, int]:
-    """(tr S, tr S^2, tr S^3, tr S^4) of a square 0/1 matrix S, exactly; ``rows`` is ``_pack_rows(S)``.
+def _power_traces(s: np.ndarray) -> Tuple[int, int, int, int]:
+    """(tr S, tr S^2, tr S^3, tr S^4) of a square 0/1 matrix S, exactly.
 
     Each entry of S.S is a sum of popcounts of a packed row of S and a packed
     column, a 64-bit word at a time: no float, no BLAS.  Those entries are at
@@ -229,7 +223,7 @@ def _power_traces(s: np.ndarray, rows: np.ndarray) -> Tuple[int, int, int, int]:
     """
     nk = s.shape[0]
     assert nk < 2**15, "int64 trace sums could wrap"
-    r, c = rows.view(np.uint64), _pack_rows(s.T).view(np.uint64)
+    r, c = _pack_rows(s).view(np.uint64), _pack_rows(s.T).view(np.uint64)
     s2 = np.zeros((nk, nk), dtype=np.int64)
     for w in range(r.shape[1]):
         s2 += np.bitwise_count(r[:, w, None] & c[None, :, w])
@@ -260,10 +254,8 @@ def _fingerprints(checked: list) -> List[Fingerprint]:
     cps_a = char_polys(adjacency_matrix(g) for _, g, _ in checked)
     prints = []
     for (gid, g, k), cp_a in zip(checked, cps_a):
-        s3 = _s3(g)
-        rows = _pack_rows(s3)
         psi_squares = tuple(poly_graeffe(poly_divide_exact(cp_a.coeffs, [-k, 1])))
-        prints.append(Fingerprint(gid, g, k, cp_a, psi_squares, _power_traces(s3, rows), rows))
+        prints.append(Fingerprint(gid, g, k, cp_a, psi_squares, _power_traces(_s3(g))))
     return prints
 
 
@@ -287,19 +279,14 @@ def _certify(pairs: List[Tuple[Fingerprint, Fingerprint]], mapper,
              workers: int) -> List[CompareReport]:
     """The ``certify`` report of each pair, in order, by the resolver of the module docstring.
 
-    ``mapper`` (``map`` or ``_fork_map``) runs its residue and exact tasks,
-    each phase in at most ``workers`` tasks.
+    ``mapper`` (``map`` or ``_fork_map``) runs its exact tasks, in at most
+    ``workers`` tasks.
     """
     same = []
     for p, q in pairs:  # the A, S+(U) and S+(U^2) verdicts, by the rules of ``Fingerprint``
         a = p.charpoly_a.coeffs == q.charpoly_a.coeffs
         same.append({"a": a, "s1": a, "s2": (p.n, p.k, p.psi_squares) == (q.n, q.k, q.psi_squares)})
     proofs = [_settle_s3(p, q, all(s.values())) for (p, q), s in zip(pairs, same)]
-    opened = _open(pairs, proofs)
-    residue = dict(zip(map(id, opened), _dealt(mapper, _s3_residues, opened, workers)))
-    for i, (p, q) in enumerate(pairs):
-        if proofs[i] is None and residue[id(p)] != residue[id(q)]:
-            proofs[i] = False, f"mismatch mod p={residue[id(p)][0]}"
     exact = _open(pairs, proofs)
     polys = dict(zip(map(id, exact), _dealt(mapper, _exact_s3, exact, workers)))
     reports = []
@@ -356,14 +343,9 @@ def _build(task: List[Tuple[str, Graph]]) -> list:
     return [skipped[i] if i in skipped else next(prints) for i in range(len(task))]
 
 
-def _s3_residues(prints: List[Fingerprint]) -> list:
-    """``char_poly_residues`` of the S+(U^3) of each fingerprint, in one stacked kernel pass per size."""
-    return char_poly_residues([f._s3_matrix() for f in prints])
-
-
 def _exact_s3(prints: List[Fingerprint]) -> List[CharPoly]:
-    """The exact char poly of the S+(U^3) of each fingerprint, one matrix at a time."""
-    return [char_poly(f._s3_matrix()) for f in prints]
+    """The exact char poly of the S+(U^3) of each fingerprint's graph, one matrix at a time."""
+    return [char_poly(_s3(f.graph)) for f in prints]
 
 
 def batch_compare(
@@ -386,9 +368,9 @@ def batch_compare(
     import them again, which takes longer than fingerprinting a small graph.
     The graphs, largest edge count first, are dealt into one task per worker
     (``_deal``).  The pairs are then certified as ``certify`` certifies one
-    (see the module docstring), with the S+(U^3) residues and exact polys
-    that some pairs need dealt the same way.  Each phase forks its own
-    children (``_fork_map``).  A child whose result has been read is reaped
+    (see the module docstring), with the exact S+(U^3) polys that some
+    pairs need dealt the same way.  Each phase forks its own children
+    (``_fork_map``).  A child whose result has been read is reaped
     only once the pairs are certified, so its teardown overlaps the work
     that follows; every child is reaped before this returns or raises.  An
     exception a worker raises reaches the caller with its type and message.

@@ -374,6 +374,15 @@ def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeyp
     assert mat_equal(eye, int_eye(96)) and w_t.base is w_1 and not w_1.flags.writeable
 
 
+def test_verify_thm43_of_paley37_takes_the_minimal_polynomial_route(capsys, monkeypatch):
+    """S+(U^2) of paley:37 has n = 666, r = 290 and Krylov degree 6: 290^6 < 2^52, so its char
+    poly needs no Hessenberg pass, though 290^7 passes 2^53."""
+    monkeypatch.setenv("QWALK_LOG", "debug")
+    code, out, err = run_cli(capsys, "verify", "--checks", "thm43", "--generate", "paley:37")
+    assert code == 0 and out.splitlines() == ["paley:37  thm43       PASS"]
+    assert "charpoly route=minpoly n=666 krylov_degree=6 " in err and "route=hessenberg" not in err
+
+
 def test_main_shares_one_parser_between_calls(capsys, monkeypatch):
     from qwalkspec import cli
 

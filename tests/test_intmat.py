@@ -495,62 +495,13 @@ def _mixed_matrices():
     ]
 
 
-def _residue_cases():
-    """``_mixed_matrices()`` and the 1 x 1 matrices at the residues with two representatives."""
+def _residue_edges():
+    """1 x 1 matrices at the residues with two symmetric representatives, and at +-p."""
     from qwalkspec.intmat import _prime_ceiling, _primes
 
     p1 = _primes(1, _prime_ceiling(1))[0]
     half = (p1 + 1) // 2  # the residue with two symmetric representatives
-    edge = (half, -half, half - 1, 1 - half, p1, -p1)
-    return _mixed_matrices() + [int_matrix([[x]]) for x in edge]
-
-
-def test_char_poly_residues_are_char_poly_mod_the_first_prime_of_each_dimension(caplog):
-    from qwalkspec.intmat import (
-        _coefficient_bound_bits, _plan_primes, _prime_ceiling, _primes, char_poly_residues,
-    )
-
-    ms = _residue_cases()
-    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
-        found = char_poly_residues(ms)
-    assert len(found) == len(ms)
-    for m, (p, residues) in zip(ms, found):
-        n = m.shape[0]
-        assert p == _primes(1, _prime_ceiling(n))[0]
-        assert p == _plan_primes(n, _coefficient_bound_bits(m) + 12)[0]
-        assert residues == tuple(c % p for c in char_poly(m).coeffs)
-    assert found[1] == (_primes(1, _prime_ceiling(0))[0], (1,))  # the 0 x 0 matrix
-    assert found[0] == found[6] and found[2] == found[9]  # repeated matrices
-    # one pass, and one log line, per dimension; the 0 x 0 matrix needs none
-    lines = [r.getMessage() for r in caplog.records]
-    assert [line.split(" primes=")[0] for line in lines] == [
-        "charpoly n=5", "charpoly n=30", "charpoly n=1", "charpoly n=7"]
-    p30 = found[2][0]
-    assert lines[1].startswith(f"charpoly n=30 primes=1 p={p30} pass_matrices=3 pass_ms=")
-    assert lines[2].startswith("charpoly n=1 primes=1 p=") and " pass_matrices=8 " in lines[2]
-    assert char_poly_residues([]) == [] and char_poly_residues(iter(ms[:3])) == found[:3]
-
-
-@pytest.mark.parametrize("per_stack", [1, 2, 5])
-def test_char_poly_residues_route_each_matrix_across_stacks(per_stack, monkeypatch):
-    from qwalkspec import intmat
-
-    ms = _residue_cases()
-    whole = intmat.char_poly_residues(ms)
-    stacks = []
-    kernel = intmat._hessenberg_stack
-
-    def spy(h, primes):
-        stacks.append((h.shape[1], len(primes)))
-        return kernel(h, primes)
-
-    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
-    monkeypatch.setattr(intmat, "_STACK_BYTES", per_stack * 8 * (1 + 1) ** 2)
-    assert intmat.char_poly_residues(ms) == whole
-    # the eight 1 x 1 matrices span several stacks; every larger size gets one slot per stack
-    dim1 = [count for n, count in stacks if n == 1]
-    assert sum(dim1) == 8 and len(dim1) == -(-8 // per_stack)
-    assert sorted(n for n, _ in stacks if n > 1) == [5, 5, 5, 7, 30, 30, 30]
+    return [int_matrix([[x]]) for x in (half, -half, half - 1, 1 - half, p1, -p1)]
 
 
 def test_residue_stack_holds_symmetric_residues_of_each_slot():
@@ -583,7 +534,7 @@ def test_char_polys_equals_char_poly_and_berkowitz_on_mixed_sizes():
 def test_char_polys_routes_each_residue_to_its_matrix_across_stacks(per_stack, monkeypatch):
     from qwalkspec import char_polys, intmat
 
-    ms = _mixed_matrices()
+    ms = _mixed_matrices() + _residue_edges()
     alone = [char_poly(m) for m in ms]
     stacks = []
     kernel = intmat._hessenberg_stack
@@ -1040,6 +991,24 @@ def test_matrices_outside_the_route_fall_back_to_the_kernel(make, reason, caplog
     assert kernel_dims and set(kernel_dims) == {m.shape[0]}
     if m.shape[0] <= 30:
         assert cp.coeffs == berkowitz_charpoly(m).coeffs
+
+
+@pytest.mark.parametrize("c, route", [(2**26 - 1, "minpoly"), (2**26, "hessenberg")])
+def test_the_route_takes_krylov_degree_d_exactly_while_r_to_the_d_is_below_2_52(c, route, caplog,
+                                                                                 kernel_dims):
+    """Three copies of [[0, c], [c, 0]]: r = c and mu = t^2 - c^2, so d = 2.  The route forms no
+    power past M^d, so r^2 < 2^52 admits it although r^3 passes 2^53; r^2 = 2^52 does not."""
+    from qwalkspec import intmat
+
+    m = np.kron(int_eye(3), int_matrix([[0, c], [c, 0]]))
+    r = intmat._row_col_bound(m)
+    assert r == c and r**3 >= 2**53 and (r**2 < 2**52) == (route == "minpoly")
+    cp, fields = _logged_char_poly(caplog, m)
+    if route == "minpoly":
+        assert fields["route"] == "minpoly" and fields["krylov_degree"] == "2" and kernel_dims == []
+    else:
+        assert (fields["route"], fields["reason"]) == ("hessenberg", "bound") and kernel_dims == [6]
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
 
 
 def test_entries_whose_row_sums_would_wrap_int64_fall_back(caplog, kernel_dims):

@@ -38,8 +38,7 @@ from qwalkspec import (
     write_graph6_file,
 )
 from qwalkspec.graph6 import parse_graph6
-from qwalkspec.intmat import char_poly_residues
-from qwalkspec.invariants import Fingerprint, certify, fingerprints
+from qwalkspec.invariants import Fingerprint, _s3, certify, fingerprints
 from qwalkspec.polynomials import CharPoly, poly_divide_exact, poly_graeffe
 
 from oracles import _ppow, dense_arc_matrices, int_product
@@ -324,7 +323,7 @@ def test_no_phase_forks_more_than_workers_minus_one_children(monkeypatch):
     monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
     rng = np.random.default_rng(8)
     corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
-    corpus.append(("rook44", rook_graph(4)))  # the three twins need residues and exact polys
+    corpus.append(("rook44", rook_graph(4)))  # the three twins need exact polys
     forks, real_fork, real_map = [], os.fork, inv._fork_map
     phases = []
 
@@ -347,7 +346,7 @@ def test_no_phase_forks_more_than_workers_minus_one_children(monkeypatch):
         workers = min(threads, len(corpus))
         phases.clear()
         assert batch_compare(corpus, threads=threads) == expected
-        assert [name for name, _ in phases] == ["_build", "_s3_residues", "_exact_s3"]
+        assert [name for name, _ in phases] == ["_build", "_exact_s3"]
         assert phases[0][1] == workers - 1  # one child per task after the first
         assert all(count <= workers - 1 for _, count in phases), phases
     _no_child_left()
@@ -368,7 +367,7 @@ def test_every_forked_child_is_reaped_before_batch_compare_returns_or_raises(thr
     monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
     rng = np.random.default_rng(8)
     corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
-    corpus.append(("rook44", rook_graph(4)))  # the three twins need residues and exact polys
+    corpus.append(("rook44", rook_graph(4)))  # the three twins need exact polys
     expected = batch_compare(corpus, threads=1)
     events, real_fork, real_waitpid, real_certify = [], os.fork, os.waitpid, inv._certify
 
@@ -470,8 +469,7 @@ def test_batch_verdicts_equal_compare_of_exact_profiles():
 def _stub_fingerprint(gid, n, k, cp_a, traces):
     """A fingerprint of the char poly ``cp_a``, on an edgeless stand-in graph with n vertices."""
     psi = poly_divide_exact(cp_a.coeffs, [-k, 1])
-    return Fingerprint(gid, Graph(n, []), k, cp_a, tuple(poly_graeffe(psi)), traces,
-                       np.zeros((n * k, 8), dtype=np.uint8))
+    return Fingerprint(gid, Graph(n, []), k, cp_a, tuple(poly_graeffe(psi)), traces)
 
 
 @pytest.mark.parametrize("k, roots, signs", [
@@ -580,7 +578,7 @@ def test_workers_compute_the_exact_char_polys_that_pairs_need(monkeypatch, tmp_p
     corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
     corpus.append(("rook44", rook_graph(4)))
     expected = batch_compare(corpus, threads=1)
-    ids = {f._s3_matrix().tobytes(): f.graph_id for f in fingerprints(corpus)}
+    ids = {_s3(g).tobytes(): gid for gid, g in corpus}
     assert len(ids) == 4
     calls, real = tmp_path / "exact.log", inv.char_poly
 
@@ -606,14 +604,11 @@ def _equal_traces(monkeypatch):
     """Gives every fingerprint the same S+(U^3) traces, so that no trace proof can apply."""
     import qwalkspec.invariants as inv
 
-    monkeypatch.setattr(inv, "_power_traces", lambda s, rows: (0, 0, 0, 0))
+    monkeypatch.setattr(inv, "_power_traces", lambda s: (0, 0, 0, 0))
 
 
-def test_equal_residues_alone_never_decide_s3(monkeypatch, caplog):
-    import qwalkspec.invariants as inv
-
+def test_a_trace_tie_without_a_witness_is_split_by_the_exact_char_polys(monkeypatch, caplog):
     _equal_traces(monkeypatch)
-    monkeypatch.setattr(inv, "char_poly_residues", lambda ms: [(7, (1,)) for _ in ms])
     seen = _spy_exact_s3(monkeypatch, 96)
     corpus = [("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4))]
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
@@ -654,7 +649,7 @@ def test_each_pair_logs_the_certificate_of_its_s3_verdict(caplog):
 
 
 def test_equal_traces_alone_never_decide_s3(monkeypatch, caplog):
-    # with the traces forced equal, a residue mismatch or the exact polys decide
+    # with the traces forced equal and no witness, the exact polys decide every pair
     import qwalkspec.invariants as inv
 
     _equal_traces(monkeypatch)
@@ -672,37 +667,31 @@ def test_equal_traces_alone_never_decide_s3(monkeypatch, caplog):
     certificates = sorted(r.getMessage() for r in caplog.records
                           if r.getMessage().startswith("certificate"))
     assert [line.split(": s3 ", 1)[1].split("=")[0] for line in certificates] == [
-        "distinguished by mismatch mod p",  # rook44 vs shrikhande
-        "distinguished by mismatch mod p",  # rook44 vs shrikhande~
+        "distinguished by exact char poly bits",  # rook44 vs shrikhande
+        "distinguished by exact char poly bits",  # rook44 vs shrikhande~
         "cospectral by exact char poly bits",  # shrikhande vs shrikhande~
     ]
 
 
-def test_certify_stacks_the_residues_of_its_pair_in_one_kernel_pass(monkeypatch, caplog):
+def test_certify_decides_a_trace_tie_by_one_exact_char_poly_per_graph(monkeypatch, caplog):
     import qwalkspec.invariants as inv
-    from qwalkspec import intmat
 
     _equal_traces(monkeypatch)
     monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
-    p, q = fingerprints([("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4))])
-    passes, kernel = [], intmat._hessenberg_stack
-
-    def spy(h, primes):
-        passes.append((h.shape[1], len(primes)))
-        return kernel(h, primes)
-
-    monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
+    corpus = [("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4))]
+    p, q = fingerprints(corpus)
+    seen = _spy_exact_s3(monkeypatch, 96)
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.invariants"):
         report = certify(p, q)
-    assert passes == [(96, 2)]  # both graphs in one stacked residue pass, not one pass each
+    assert seen == [96, 96]  # one exact poly per graph, in the calling process
     assert report.distinguishing_invariant == "s3"
+    bits = max(abs(c).bit_length() for gid, g in corpus for c in profile(g, gid).charpoly_s3.coeffs)
     assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")] == [
-        "certificate shrikhande vs rook44: s3 distinguished by mismatch mod p=%d"
-        % char_poly_residues([p._s3_matrix()])[0][0]]
+        f"certificate shrikhande vs rook44: s3 distinguished by exact char poly bits={bits}"]
 
 
 def test_certifying_leaves_every_fingerprint_as_it_was_built(monkeypatch):
-    # twins without a witness need both the residues and the exact polys of S+(U^3)
+    # twins without a witness need the exact polys of S+(U^3)
     import qwalkspec.invariants as inv
 
     monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
@@ -745,7 +734,7 @@ def test_s3_traces_are_the_exact_traces_of_the_oracle_w_cubed():
         [f] = fingerprints([(gid, g)])
         assert f.s3_traces == _oracle_power_traces(s3), gid
         assert all(type(t) is int for t in f.s3_traces)
-        assert np.array_equal(f._s3_matrix(), s3), gid
+        assert np.array_equal(_s3(g), s3), gid
 
 
 def test_power_traces_of_random_zero_one_matrices():
@@ -754,9 +743,9 @@ def test_power_traces_of_random_zero_one_matrices():
     rng = np.random.default_rng(5)
     for n, density in ((1, 0.5), (7, 0.5), (63, 0.3), (64, 0.9), (65, 0.5), (130, 0.2)):
         s = (rng.random((n, n)) < density).astype(np.int64)
-        assert inv._power_traces(s, inv._pack_rows(s)) == _oracle_power_traces(s), n
+        assert inv._power_traces(s) == _oracle_power_traces(s), n
     full = np.ones((200, 200), dtype=np.int64)  # tr J^i = 200^i, the largest traces of any 0/1 matrix
-    assert inv._power_traces(full, inv._pack_rows(full)) == (200, 200**2, 200**3, 200**4)
+    assert inv._power_traces(full) == (200, 200**2, 200**3, 200**4)
 
 
 def _kernel_dims(monkeypatch):
@@ -845,10 +834,10 @@ def test_latin_square_srg_16_9_4_6_pair(monkeypatch, caplog):
         forced = [certify(*fingerprints(corpus))] + batch_compare(corpus, threads=1).pairs
     assert report == expected and forced == [expected] * 2
     assert expected.distinguishing_invariant == "s3"
-    residue = "certificate latin:Z2^2 vs latin:Z4: s3 distinguished by mismatch mod p=%d" % (
-        char_poly_residues([fingerprints(corpus[:1])[0]._s3_matrix()])[0][0])
+    bits = max(abs(c).bit_length() for gid, g in corpus for c in profile(g, gid).charpoly_s3.coeffs)
+    exact = f"certificate latin:Z2^2 vs latin:Z4: s3 distinguished by exact char poly bits={bits}"
     assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("certificate")] == [
-        "certificate latin:Z2^2 vs latin:Z4: s3 distinguished by trace mismatch i=2", residue, residue]
+        "certificate latin:Z2^2 vs latin:Z4: s3 distinguished by trace mismatch i=2", exact, exact]
 
 
 def _gq33_point_graphs():
@@ -909,7 +898,9 @@ def _spy_s3_builds(monkeypatch):
     return seen
 
 
-def test_the_exact_route_builds_each_s3_support_once(monkeypatch, capsys):
+def test_the_exact_route_builds_each_open_graphs_s3_support_once_more(monkeypatch, capsys):
+    """A fingerprint keeps only the traces of S+(U^3): a graph whose pair needs the exact poly
+    builds its support once more, however many pairs it is in, and a decided graph does not."""
     import qwalkspec.invariants as inv
     from qwalkspec.cli import main
 
@@ -917,14 +908,14 @@ def test_the_exact_route_builds_each_s3_support_once(monkeypatch, capsys):
     seen = _spy_s3_builds(monkeypatch)
     assert main(["compare", "shrikhande", "shrikhande", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1].endswith(",cospectral,cospectral,")
-    assert seen == [16, 16]
+    assert seen == [16, 16, 16, 16]  # two fingerprints, then two exact polys
     seen.clear()
     rng = np.random.default_rng(8)
     corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
     corpus.append(("petersen", petersen_graph()))
     result = batch_compare(corpus, threads=1)
     assert [r.distinguishing_invariant for r in result.pairs] == [None] * 3
-    assert sorted(seen) == [10, 16, 16, 16]
+    assert sorted(seen) == [10] + [16] * 6  # petersen, decided by degree, is built once
 
 
 def _task_corpus():
@@ -978,38 +969,27 @@ def test_batch_tasks_give_the_verdicts_of_compare_at_every_thread_count():
         assert report == compare(*(profiles[gid] for gid in report.pair)), report.pair
 
 
-def test_a_batch_task_takes_one_residue_pass_per_nk_class(monkeypatch):
+def test_a_batch_task_computes_one_exact_poly_per_open_graph_largest_nk_first(monkeypatch):
     import qwalkspec.invariants as inv
-    from qwalkspec import intmat
 
     _equal_traces(monkeypatch)
     monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
     corpus = _task_corpus()
-    passes, inside = [], []
-    kernel, residues = intmat._hessenberg_stack, inv.char_poly_residues
+    dims, real = [], inv.char_poly
 
-    def kernel_spy(h, primes):
-        if inside:
-            passes.append((h.shape[1], len(primes)))
-        return kernel(h, primes)
+    def spy(m):
+        dims.append(m.shape[0])
+        return real(m)
 
-    def residue_spy(ms):
-        inside.append(True)
-        try:
-            return residues(ms)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
-    monkeypatch.setattr(inv, "char_poly_residues", residue_spy)
+    monkeypatch.setattr(inv, "char_poly", spy)
     result = batch_compare(corpus, threads=1)
     # nk 96, 12 and 10 hold 3, 4 and 2 graphs of open pairs, largest nk
-    # first; c7, alone at nk = 14, is in no pair and gets no residue
-    assert passes == [(96, 3), (12, 4), (10, 2)]
+    # first; c7, alone at nk = 14, is in no pair and gets no exact poly
+    assert dims == [96] * 3 + [12] * 4 + [10] * 2
     assert [r.distinguishing_invariant for r in result.pairs] == [None, None, None, "s3", "s3", None]
 
 
-def test_a_one_nk_corpus_deals_its_residues_into_one_task_per_worker(monkeypatch):
+def test_a_one_nk_corpus_deals_its_exact_polys_into_one_task_per_worker(monkeypatch):
     import qwalkspec.invariants as inv
 
     _equal_traces(monkeypatch)
@@ -1017,13 +997,13 @@ def test_a_one_nk_corpus_deals_its_residues_into_one_task_per_worker(monkeypatch
     rng = np.random.default_rng(12)
     corpus = [(f"shr{i}", relabel(shrikhande_graph(), list(rng.permutation(16)))) for i in range(3)]
     corpus.append(("rook44", rook_graph(4)))  # all four at nk = 96, every pair open
-    calls, residues = [], inv._s3_residues
+    calls, exact = [], inv._exact_s3
 
     def spy(prints):
         calls.append([f.graph_id for f in prints])
-        return residues(prints)
+        return exact(prints)
 
-    monkeypatch.setattr(inv, "_s3_residues", spy)
+    monkeypatch.setattr(inv, "_exact_s3", spy)
     result = inv._batch(corpus, False, map, 2)
     assert calls == [["shr0", "shr2"], ["shr1", "rook44"]]
     calls.clear()
