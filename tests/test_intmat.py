@@ -1011,6 +1011,23 @@ def test_the_route_takes_krylov_degree_d_exactly_while_r_to_the_d_is_below_2_52(
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
 
 
+def test_chi_a_of_6_regular_24_vertex_circulant_twins_falls_back_for_degree(caplog, kernel_dims):
+    """circulant:24,1,5,11 and its image under the multiplier 5, circulant:24,1,5,7, as a batch
+    corpus may hold them: A has 13 distinct eigenvalues, one past n/2 = 12, so chi_A of each
+    takes the Hessenberg pass, and char_polys gives both to one pass."""
+    from qwalkspec import char_polys, circulant_graph
+
+    a, b = (adjacency_matrix(circulant_graph(24, conn)) for conn in ([1, 5, 11], [1, 5, 7]))
+    assert len(np.unique(np.round(np.linalg.eigvalsh(a.astype(float)), 6))) == 13
+    with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
+        polys = char_polys([a, b])
+    fields = _debug_fields(caplog.records)
+    assert [(f["route"], f["reason"], f["n"], f["pass_matrices"]) for f in fields] == [
+        ("hessenberg", "degree", "24", "2")] * 2
+    assert kernel_dims and set(kernel_dims) == {24}
+    assert polys[0] == polys[1] and polys[0].coeffs == berkowitz_charpoly(a).coeffs
+
+
 def test_entries_whose_row_sums_would_wrap_int64_fall_back(caplog, kernel_dims):
     """|entries| below 2^62 whose row sums pass 2^63: r must not wrap, so the route is refused."""
     big = 2**62 - 1

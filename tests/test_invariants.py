@@ -690,6 +690,20 @@ def test_certify_decides_a_trace_tie_by_one_exact_char_poly_per_graph(monkeypatc
         f"certificate shrikhande vs rook44: s3 distinguished by exact char poly bits={bits}"]
 
 
+def test_a_fingerprint_holds_no_s3_support_and_pickles_below_its_packed_bits():
+    # what a batch parent holds and each worker pickles: the graph, its polys and four traces
+    import dataclasses
+    import pickle
+
+    [f] = fingerprints([("paley:29", parse_generator_spec("paley:29"))])
+    assert [field.name for field in dataclasses.fields(f)] == [
+        "graph_id", "graph", "k", "charpoly_a", "psi_squares", "s3_traces"]
+    nk = f.n * f.k
+    s = _s3(f.graph).astype(np.int64)
+    assert nk == 406 and f.s3_traces[:2] == (np.trace(s), int((s * s.T).sum()))
+    assert len(pickle.dumps(f)) < nk * nk // 8  # S+(U^3) packed into bits alone would take 20.6 KB
+
+
 def test_certifying_leaves_every_fingerprint_as_it_was_built(monkeypatch):
     # twins without a witness need the exact polys of S+(U^3)
     import qwalkspec.invariants as inv
