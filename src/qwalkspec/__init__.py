@@ -60,7 +60,6 @@ from .intmat import (
     int_matrix,
     mat_equal,
     mat_mul,
-    modular_charpoly,
     positive_support,
 )
 from .invariants import (

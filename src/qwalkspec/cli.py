@@ -9,16 +9,16 @@ Subcommands:
 * ``batch``    -- all-pairs comparison over a corpus, grouped by (n, k).
 
 Generator specs use ``name:params`` syntax (``cycle:6``, ``rook:4``,
-``paley:13``) so experiments are reproducible from shell history.  Exit
-codes: 0 success / all checks pass, 1 check failure or hypothesis violation,
-2 usage or parse errors.  Set QWALK_LOG=debug for diagnostics.
+``paley:13``) so experiments are reproducible from shell history.  Each
+command builds its result once as a JSON value, CSV rows and text lines, and
+``_write`` prints the one that ``--format`` picks, to stdout or ``--output``.
+Exit codes: 0 success / all checks pass, 1 check failure or hypothesis
+violation, 2 usage or parse errors.  Set QWALK_LOG=debug for diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import os
@@ -33,17 +33,11 @@ from .generators import parse_generator_spec
 from .graph6 import read_graph6_file
 from .graphs import Graph, adjacency_matrix, is_connected, is_regular
 from .intmat import char_poly, char_polys, int_eye, mat_equal, positive_support
-from .invariants import (
-    BatchResult,
-    batch_compare,
-    batch_to_csv,
-    batch_to_json,
-    certify,
-    fingerprints,
-)
+from .invariants import _CSV_HEADER, _csv_rows, _csv_text, batch_compare, certify, fingerprints
 from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_roots
 from .supports import (
+    QuadraticPair,
     adjacency_charpoly,
     closed_form_spectrum_su,
     closed_form_spectrum_su2,
@@ -130,9 +124,19 @@ def _resolve_single(token: str) -> Tuple[str, Graph]:
     return token, parse_generator_spec(token)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
+def _write(args, data, header, rows, lines: List[str]) -> None:
+    """Print ``data`` as JSON, ``header`` and ``rows`` as CSV, or ``lines`` as text.
+
+    Only the ``--format`` picked is rendered; it goes to ``--output``, else to stdout.
+    """
+    if args.format == "json":
+        text = json.dumps(data, indent=2) + "\n"
+    elif args.format == "csv":
+        text = _csv_text(header, rows)
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -155,38 +159,53 @@ def _fmt_complex(z: complex) -> str:
 
 
 _CLOSED_SPECTRA = {"s1": closed_form_spectrum_su, "s2": closed_form_spectrum_su2}
+_SPECTRUM_HEADER = ("id", "which", "form", "field", "value", "multiplicity")
 
 
-def _spectrum_payload(gid: str, g: Graph, which: str, form: str) -> dict:
+def _spectrum(gid: str, g: Graph, which: str, form: str) -> Tuple[dict, list, List[str]]:
+    """One graph's spectrum as (JSON payload, CSV rows, text lines), from one pass over it."""
+    head = [gid, which, form]
+    payload = {"id": gid, "which": which, "form": form}
+    rows = []
+    lines = [f"# {gid}  which={which}  form={form}"]
     if form == "closed":
         if which not in _CLOSED_SPECTRA:
             raise HypothesisError(
                 f"no closed form for {which!r}; closed form exists for s1 (k >= 2)"
                 " and s2 (k > 2) only"
             )
-        return {"id": gid, "which": which, "form": form, "spectrum": _CLOSED_SPECTRA[which](g).to_json()}
-
-    if form == "charpoly":
+        spectrum = _CLOSED_SPECTRA[which](g)
+        payload["spectrum"] = spectrum.to_json()
+        for e in spectrum.entries:
+            if isinstance(e, QuadraticPair):
+                root_sum, product = _fmt_real(e.root_sum), _fmt_real(e.root_product)
+                tag = "conjugate pair" if e.conjugate else "real pair"
+                value = f"sum={root_sum};product={product}"
+                rows.append([*head, "quadratic-pair", value, e.multiplicity])
+                lines.append(f"pair sum={root_sum} product={product}"
+                             f"  multiplicity {e.multiplicity}  ({tag})")
+            else:
+                rows.append([*head, "rational", e.value, e.multiplicity])
+                lines.append(f"value {e.value}  multiplicity {e.multiplicity}")
+    elif form == "charpoly":
         cp = _charpoly_of(g, which)
-        return {
-            "id": gid,
-            "which": which,
-            "form": form,
-            "degree": cp.degree,
-            "coefficients": cp.to_json_list(),
-        }
-
-    # numeric
-    if which == "a":
-        vals = symmetric_eigenvalues(adjacency_matrix(g))
-    elif which in _CLOSED_SPECTRA:
-        try:
-            vals = _CLOSED_SPECTRA[which](g).numeric_values()
-        except HypothesisError:
-            vals = poly_roots(_charpoly_of(g, which).coeffs)
+        payload.update(degree=cp.degree, coefficients=cp.to_json_list())
+        rows = [[*head, f"t^{i}", c, ""] for i, c in enumerate(cp.coeffs)]
+        lines.append(str(cp))
     else:
-        vals = poly_roots(_charpoly_of(g, which).coeffs)
-    return {"id": gid, "which": which, "form": form, "values": _display_values(vals)}
+        if which == "a":
+            vals = symmetric_eigenvalues(adjacency_matrix(g))
+        elif which in _CLOSED_SPECTRA:
+            try:
+                vals = _CLOSED_SPECTRA[which](g).numeric_values()
+            except HypothesisError:
+                vals = poly_roots(_charpoly_of(g, which).coeffs)
+        else:
+            vals = poly_roots(_charpoly_of(g, which).coeffs)
+        payload["values"] = _display_values(vals)
+        rows = [[*head, "value", v, 1] for v in payload["values"]]
+        lines.extend(payload["values"])
+    return payload, rows, lines
 
 
 def _display_values(vals) -> List[str]:
@@ -212,71 +231,17 @@ def _charpoly_of(g: Graph, which: str) -> CharPoly:
     return char_poly(positive_support(_walks(build_arc_space(g), {"s1": 1, "s2": 2, "s3": 3}[which])[-1]))
 
 
-def _spectrum_text(payload: dict) -> str:
-    lines = [f"# {payload['id']}  which={payload['which']}  form={payload['form']}"]
-    if "spectrum" in payload:
-        for e in payload["spectrum"]["entries"]:
-            if e["type"] == "rational":
-                lines.append(f"value {e['value']}  multiplicity {e['multiplicity']}")
-            else:
-                tag = "conjugate pair" if e["conjugate"] else "real pair"
-                lines.append(
-                    f"pair sum={_fmt_real(e['root_sum'])} product={_fmt_real(e['root_product'])}"
-                    f"  multiplicity {e['multiplicity']}  ({tag})"
-                )
-    elif "coefficients" in payload:
-        cp = CharPoly.from_json_list(payload["coefficients"])
-        lines.append(str(cp))
-    else:
-        lines.extend(payload["values"])
-    return "\n".join(lines) + "\n"
-
-
-def _spectrum_csv(payloads: List[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "which", "form", "field", "value", "multiplicity"])
-    for p in payloads:
-        if "spectrum" in p:
-            for e in p["spectrum"]["entries"]:
-                if e["type"] == "rational":
-                    writer.writerow(
-                        [p["id"], p["which"], p["form"], "rational", e["value"], e["multiplicity"]]
-                    )
-                else:
-                    writer.writerow(
-                        [
-                            p["id"],
-                            p["which"],
-                            p["form"],
-                            "quadratic-pair",
-                            f"sum={_fmt_real(e['root_sum'])};product={_fmt_real(e['root_product'])}",
-                            e["multiplicity"],
-                        ]
-                    )
-        elif "coefficients" in p:
-            for i, c in enumerate(p["coefficients"]):
-                writer.writerow([p["id"], p["which"], p["form"], f"t^{i}", c, ""])
-        else:
-            for v in p["values"]:
-                writer.writerow([p["id"], p["which"], p["form"], "value", v, 1])
-    return buf.getvalue()
-
-
 def cmd_spectrum(args) -> int:
-    payloads = []
+    payloads, rows, lines = [], [], []
     for gid, g in _load_graphs(args):
         try:
-            payloads.append(_spectrum_payload(gid, g, args.which, args.form))
+            payload, graph_rows, graph_lines = _spectrum(gid, g, args.which, args.form)
         except HypothesisError as e:
             raise HypothesisError(f"{gid}: {e}") from None
-    if args.format == "json":
-        text = json.dumps(payloads if len(payloads) > 1 else payloads[0], indent=2) + "\n"
-    elif args.format == "csv":
-        text = _spectrum_csv(payloads)
-    else:
-        text = "".join(_spectrum_text(p) for p in payloads)
-    _emit(text, args.output)
+        payloads.append(payload)
+        rows += graph_rows
+        lines += graph_lines
+    _write(args, payloads if len(payloads) > 1 else payloads[0], _SPECTRUM_HEADER, rows, lines)
     return 0
 
 
@@ -366,6 +331,9 @@ def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
         return "SKIP", f"hypothesis: {e}"
 
 
+_VERIFY_HEADER = ("id", "check", "status", "detail")
+
+
 def cmd_verify(args) -> int:
     graphs = _load_graphs(args)
     wanted = []
@@ -380,32 +348,17 @@ def cmd_verify(args) -> int:
                 f"unknown check {token!r}; choose from all, {', '.join(CHECK_NAMES)}"
             )
     rows = []
-    any_fail = False
     for gid, g in graphs:
         inputs = _VerifyInputs(g, wanted)
-        for check in wanted:
-            status, detail = _run_check(check, inputs)
-            any_fail = any_fail or status == "FAIL"
-            rows.append({"id": gid, "check": check, "status": status, "detail": detail})
-
-    if args.format == "json":
-        text = json.dumps({"results": rows}, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "check", "status", "detail"])
-        for r in rows:
-            writer.writerow([r["id"], r["check"], r["status"], r["detail"]])
-        text = buf.getvalue()
-    else:
-        width = max(len(r["id"]) for r in rows)
-        lines = [
-            f"{r['id']:<{width}}  {r['check']:<10}  {r['status']:<4}  {r['detail']}".rstrip()
-            for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return 1 if any_fail else 0
+        rows.extend([gid, check, *_run_check(check, inputs)] for check in wanted)
+    width = max(len(gid) for gid, *_ in rows)
+    lines = [
+        f"{gid:<{width}}  {check:<10}  {status:<4}  {detail}".rstrip()
+        for gid, check, status, detail in rows
+    ]
+    results = [dict(zip(_VERIFY_HEADER, row)) for row in rows]
+    _write(args, {"results": results}, _VERIFY_HEADER, rows, lines)
+    return 1 if any(status == "FAIL" for _, _, status, _ in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +371,14 @@ def cmd_compare(args) -> int:
     id2, g2 = _resolve_single(args.second)
     if id1 == id2:
         id1, id2 = id1 + "#1", id2 + "#2"
-    try:
-        report = certify(*fingerprints([(id1, g1), (id2, g2)]))
-    except HypothesisError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    if args.format == "json":
-        text = json.dumps(report.to_json(), indent=2) + "\n"
-    elif args.format == "csv":
-        text = batch_to_csv(BatchResult([report], []))
-    else:
-        lines = [f"# {id1} vs {id2}"]
-        for which in ("a", "s1", "s2", "s3"):
-            lines.append(f"{which:<3} {report.verdicts[which]}")
-        lines.append(f"distinguishing invariant: {report.distinguishing_invariant or 'none'}")
-        lines.append("note: cospectral on all invariants does not certify isomorphism")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    report = certify(*fingerprints([(id1, g1), (id2, g2)]))
+    lines = [
+        f"# {id1} vs {id2}",
+        *(f"{which:<3} {verdict}" for which, verdict in report.verdicts.items()),
+        f"distinguishing invariant: {report.distinguishing_invariant or 'none'}",
+        "note: cospectral on all invariants does not certify isomorphism",
+    ]
+    _write(args, report.to_json(), _CSV_HEADER, _csv_rows([report]), lines)
     if args.expect_isomorphic and report.distinguishing_invariant is not None:
         return 1
     return 0
@@ -445,19 +389,13 @@ def cmd_batch(args) -> int:
     result = batch_compare(
         graphs, include_cross_class=args.include_cross_class, threads=args.threads
     )
-    if args.format == "csv":
-        text = batch_to_csv(result)
-    elif args.format == "text":
-        lines = []
-        for r in result.pairs:
-            verdict = r.distinguishing_invariant or "cospectral on all"
-            lines.append(f"{r.pair[0]} vs {r.pair[1]}: {verdict}")
-        for gid, reason in result.skipped:
-            lines.append(f"skipped {gid}: {reason}")
-        text = ("\n".join(lines) + "\n") if lines else "no comparable pairs\n"
-    else:
-        text = batch_to_json(result) + "\n"
-    _emit(text, args.output)
+    lines = [
+        f"{r.pair[0]} vs {r.pair[1]}: {r.distinguishing_invariant or 'cospectral on all'}"
+        for r in result.pairs
+    ]
+    lines += [f"skipped {gid}: {reason}" for gid, reason in result.skipped]
+    rows = _csv_rows(result.pairs)
+    _write(args, result.to_json(), _CSV_HEADER, rows, lines or ["no comparable pairs"])
     return 0
 
 

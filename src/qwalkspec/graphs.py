@@ -1,9 +1,10 @@
 """Simple undirected graphs, their structural predicates and isomorphism witnesses.
 
 Graphs are immutable: a vertex count ``n`` and a frozenset of edges, each
-edge a pair ``(u, v)`` with ``0 <= u < v < n``.  Loops and multi-edges are
-rejected at construction time; the walk machinery downstream is only
-defined on simple graphs.
+edge a pair ``(u, v)`` with ``0 <= u < v < n``.  Loops are rejected at
+construction time, and a repeated edge, in either orientation, is merged
+into one: ``Graph(3, [(0, 1), (1, 0)])`` has one edge.  The walk machinery
+downstream is only defined on simple graphs.
 
 ``find_isomorphism`` searches for a vertex map by individualization and
 refinement, the scheme of McKay and Piperno, "Practical graph isomorphism,

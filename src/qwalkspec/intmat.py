@@ -13,11 +13,10 @@ from 2^53 to 2^62 it runs in int64.  Python ints remain only as scalars,
 where big integers really arise: the coefficient bound, Bareiss and the CRT
 step.
 
-``char_poly`` has one exact engine, ``modular_charpoly``, the one-matrix
-case of ``char_polys``, with four routes, tried in order.  Let r be the
-larger of M's largest absolute row and column sums (``_row_col_bound``),
-computed once per matrix: r^i bounds every entry of M^i and every partial
-sum forming it.
+``char_poly`` is the one-matrix case of ``char_polys``, whose one exact
+engine has four routes, tried in order.  Let r be the larger of M's largest
+absolute row and column sums (``_row_col_bound``), computed once per
+matrix: r^i bounds every entry of M^i and every partial sum forming it.
 
 The permutation route (``_permutation_route``) takes every matrix with
 r <= 1: a signed partial permutation matrix, with at most one nonzero entry,
@@ -401,7 +400,7 @@ def char_polys(matrices: Iterable[np.ndarray]) -> list:
 
 
 def _char_polys(ms: list) -> list:
-    """The engine of ``char_polys`` and ``modular_charpoly``, on checked int64 matrices.
+    """The engine of ``char_polys`` and ``char_poly``, on checked int64 matrices.
 
     Each matrix tries the permutation route (``_permutation_route``), the
     trace route (``_trace_route``), then the minimal-polynomial route
@@ -792,14 +791,9 @@ def _crt(residues: np.ndarray, primes: list) -> CharPoly:
     return CharPoly(tuple(c - big_m if c > big_m // 2 else c for c in (basis @ residues) % big_m))
 
 
-def modular_charpoly(m: np.ndarray) -> CharPoly:
-    """char poly det(tI - M) via CRT over word-sized primes, exact: ``char_polys`` of one matrix."""
-    return _char_polys([_int64_square(m)[0]])[0]
-
-
 def char_poly(m: np.ndarray) -> CharPoly:
-    """Exact characteristic polynomial det(tI - M), monic, integer coefficients."""
-    return modular_charpoly(m)
+    """Exact characteristic polynomial det(tI - M), monic, integer: ``char_polys`` of M alone."""
+    return _char_polys([_int64_square(m)[0]])[0]
 
 
 def _int64_square(m: np.ndarray) -> tuple:

@@ -511,15 +511,22 @@ def batch_to_json(result: BatchResult) -> str:
 
 def batch_to_csv(result: BatchResult) -> str:
     """One row per compared pair."""
+    return _csv_text(_CSV_HEADER, _csv_rows(result.pairs))
+
+
+_CSV_HEADER = ("id1", "id2", *INVARIANT_ORDER, "distinguishing_invariant")
+
+
+def _csv_rows(pairs: Iterable[CompareReport]) -> list:
+    """One row under ``_CSV_HEADER`` per compared pair."""
+    return [
+        [*r.pair, *(r.verdicts[w] for w in INVARIANT_ORDER), r.distinguishing_invariant or ""]
+        for r in pairs
+    ]
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header, then each row, as CSV lines ending in a bare newline."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["id1", "id2", "a", "s1", "s2", "s3", "distinguishing_invariant"]
-    )
-    for r in result.pairs:
-        writer.writerow(
-            [r.pair[0], r.pair[1]]
-            + [r.verdicts[w] for w in INVARIANT_ORDER]
-            + [r.distinguishing_invariant or ""]
-        )
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()

@@ -267,14 +267,14 @@ def adjacency_charpoly(g: Graph) -> CharPoly:
     return char_poly(adjacency_matrix(g))
 
 
-def closed_form_charpoly_su(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:
+def closed_form_charpoly_su(g: Graph) -> CharPoly:
     """char poly of S+(U) built from the adjacency char poly, exactly.
 
     (t - (k-1)) * prod_{lambda != k} (t^2 - lambda t + (k-1))^{m_lambda}
                 * (t - 1)^{n(k-2)/2 + 1} * (t + 1)^{n(k-2)/2}
     """
     k = _require_walk_hypotheses(g, 2)
-    return _charpoly_su(g.n, k, adjacency_charpoly(g) if cp_a is None else cp_a)
+    return _charpoly_su(g.n, k, adjacency_charpoly(g))
 
 
 def _charpoly_su(n: int, k: int, cp_a: CharPoly) -> CharPoly:
@@ -288,14 +288,14 @@ def _charpoly_su(n: int, k: int, cp_a: CharPoly) -> CharPoly:
     return CharPoly(tuple(_kron_read(value, n * k, bits)))
 
 
-def ihara_style_charpoly(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:
+def ihara_style_charpoly(g: Graph) -> CharPoly:
     """The factorized form of the non-backtracking char poly, expanded over Z.
 
     [sum_i a_i t^(n-i) (t^2 + k - 1)^i] * (t^2 - 1)^(n(k-2)/2), with a_i the
     adjacency char poly coefficients.
     """
     k = _require_walk_hypotheses(g, 2)
-    return _ihara_charpoly(g.n, k, adjacency_charpoly(g) if cp_a is None else cp_a)
+    return _ihara_charpoly(g.n, k, adjacency_charpoly(g))
 
 
 def _ihara_charpoly(n: int, k: int, cp_a: CharPoly) -> CharPoly:
@@ -308,7 +308,7 @@ def _ihara_charpoly(n: int, k: int, cp_a: CharPoly) -> CharPoly:
     return CharPoly(tuple(_kron_read(value, n * k, bits)))
 
 
-def closed_form_charpoly_su2(g: Graph, cp_a: Optional[CharPoly] = None) -> CharPoly:
+def closed_form_charpoly_su2(g: Graph) -> CharPoly:
     """char poly of S+(U^2) for k > 2, from the adjacency char poly, exactly.
 
     Applies theta -> theta^2 + 1 to the closed-form S+(U) spectrum at the
@@ -322,7 +322,7 @@ def closed_form_charpoly_su2(g: Graph, cp_a: Optional[CharPoly] = None) -> CharP
             = (t-1)^(n-1) q((t+k-2)^2 / (t-1)).
     """
     k = _require_walk_hypotheses(g, 3)
-    return _charpoly_su2(g.n, k, adjacency_charpoly(g) if cp_a is None else cp_a)
+    return _charpoly_su2(g.n, k, adjacency_charpoly(g))
 
 
 def _charpoly_su2(n: int, k: int, cp_a: CharPoly) -> CharPoly:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 import qwalkspec as q
+from qwalkspec.supports import _charpoly_su, _charpoly_su2, _ihara_charpoly
 from conftest import corpus_graphs
 from oracles import berkowitz_charpoly, cofactor_charpoly, max_matching_distance
 
@@ -57,7 +58,7 @@ def test_criterion_2_support_spectrum_closed_form():
     t0 = time.perf_counter()
     failures = []
     for gid, g in CORPUS:
-        if cp_s1(gid, g) != q.closed_form_charpoly_su(g, cp_a(gid, g)):
+        if cp_s1(gid, g) != _charpoly_su(g.n, q.is_regular(g), cp_a(gid, g)):
             failures.append(gid)
     _finish(2, "char poly of S+(U) equals its closed form (corrected multiplicities)",
             t0, failures)
@@ -67,7 +68,7 @@ def test_criterion_3_ihara_style_identity():
     t0 = time.perf_counter()
     failures = []
     for gid, g in CORPUS:
-        if cp_s1(gid, g) != q.ihara_style_charpoly(g, cp_a(gid, g)):
+        if cp_s1(gid, g) != _ihara_charpoly(g.n, q.is_regular(g), cp_a(gid, g)):
             failures.append(gid)
     _finish(3, "Ihara-style factorization of char poly of S+(U)", t0, failures,
             budget=30)
@@ -107,7 +108,7 @@ def test_criterion_5_squared_support_spectrum():
         if a.k <= 2:
             continue
         lhs = q.char_poly(q.support_u_power(a, 2))
-        if lhs != q.closed_form_charpoly_su2(g, cp_a(gid, g)):
+        if lhs != _charpoly_su2(g.n, a.k, cp_a(gid, g)):
             failures.append(gid)
     _finish(5, "char poly of S+(U^2) equals the theta -> theta^2 + 1 closed form",
             t0, failures)

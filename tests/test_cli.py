@@ -760,3 +760,68 @@ def test_cli_runs_without_scipy():
     blocked = run('sys.modules["scipy"] = None')
     assert [code for code, _, _ in blocked] == [0] * len(runs)
     assert blocked == run("")
+
+
+_WRITE_CASES = {
+    "spectrum": ("spectrum", "--which", "s1", "--generate", "petersen", "--generate", "cycle:5"),
+    "verify": ("verify", "--generate", "petersen", "--generate", "cycle:5"),
+    "compare": ("compare", "shrikhande", "rook:4"),
+    "batch": ("batch", "--threads", "1", "--generate", "petersen", "--generate", "shrikhande",
+              "--generate", "rook:4"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", list(_WRITE_CASES))
+def test_output_file_holds_the_bytes_stdout_prints(command, fmt, tmp_path, capsys):
+    argv = (*_WRITE_CASES[command], "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    path = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--output", str(path)) == (code, "", err)
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("form", ["closed", "numeric"])
+def test_spectrum_json_payload_of_one_graph_is_an_object_and_of_several_a_list(form, capsys):
+    """Key order, entry types and exact ints of the payload; floats are compared as numbers."""
+    from oracles import max_matching_distance
+    from qwalkspec import closed_form_spectrum_su
+
+    argv = ("spectrum", "--which", "s1", "--form", form, "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--generate", "petersen")
+    assert code == 0
+    one = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--generate", "petersen", "--generate", "complete:4")
+    assert code == 0
+    several = json.loads(out)
+    assert isinstance(one, dict) and isinstance(several, list) and several[0] == one
+    for payload, spec in zip(several, ("petersen", "complete:4")):
+        g = parse_generator_spec(spec)
+        k = is_regular(g)
+        expected = closed_form_spectrum_su(g)
+        if form == "numeric":
+            assert list(payload) == ["id", "which", "form", "values"]
+            assert payload["id"] == spec and payload["form"] == "numeric"
+            values = [complex(v.replace("i", "j")) for v in payload["values"]]
+            assert max_matching_distance(values, expected.numeric_values()) < 1e-9
+            continue
+        assert list(payload) == ["id", "which", "form", "spectrum"]
+        assert (payload["id"], payload["which"], payload["form"]) == (spec, "s1", "closed")
+        spectrum = payload["spectrum"]
+        assert list(spectrum) == ["n", "k", "entries"]
+        assert (spectrum["n"], spectrum["k"]) == (g.n, k)
+        total = 0
+        for entry, e in zip(spectrum["entries"], expected.entries, strict=True):
+            assert type(entry["multiplicity"]) is int and entry["multiplicity"] == e.multiplicity
+            if entry["type"] == "rational":
+                assert list(entry) == ["type", "value", "multiplicity"]
+                assert type(entry["value"]) is int and entry["value"] == e.value
+                total += entry["multiplicity"]
+            else:
+                assert list(entry) == ["type", "root_sum", "root_product", "multiplicity",
+                                       "conjugate"]
+                assert entry["type"] == "quadratic-pair" and entry["conjugate"] is e.conjugate
+                assert type(entry["root_product"]) is int and entry["root_product"] == k - 1
+                assert abs(entry["root_sum"] - e.root_sum) < 1e-12
+                total += 2 * entry["multiplicity"]
+        assert total == g.n * k

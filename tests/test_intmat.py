@@ -16,7 +16,6 @@ from qwalkspec import (
     int_matrix,
     mat_equal,
     mat_mul,
-    modular_charpoly,
     positive_support,
     scaled_transition_matrix,
 )
@@ -90,7 +89,7 @@ def test_mat_mul_raises_overflow_when_its_bound_reaches_2_62():
         ),
         pytest.param(lambda: positive_support(np.array([[1j]])), TypeError, id="complex-support"),
         pytest.param(
-            lambda: modular_charpoly(np.array([[1, 2], [3, 4]], dtype=object)),
+            lambda: char_poly(np.array([[1, 2], [3, 4]], dtype=object)),
             TypeError,
             id="object",
         ),
@@ -157,7 +156,7 @@ def test_backends_agree_at_dimension_96():
     from qwalkspec import shrikhande_graph, support_u_power
 
     s2 = support_u_power(build_arc_space(shrikhande_graph()), 2)
-    assert berkowitz_charpoly(s2).coeffs == modular_charpoly(s2).coeffs
+    assert berkowitz_charpoly(s2).coeffs == char_poly(s2).coeffs
 
 
 def _debug_fields(records) -> list:
@@ -166,16 +165,16 @@ def _debug_fields(records) -> list:
     return [dict(part.split("=") for part in r.getMessage().split()[1:]) for r in records]
 
 
-def test_modular_charpoly_logs_one_debug_line_only_when_enabled(caplog):
+def test_char_poly_logs_one_debug_line_only_when_enabled(caplog):
     from qwalkspec import char_polys, intmat, petersen_graph, support_u, support_u_power
 
     a = build_arc_space(petersen_graph())
     s1, s2, s3 = support_u(a), support_u_power(a, 2), support_u_power(a, 3)
     with caplog.at_level(logging.INFO, logger="qwalkspec.intmat"):
-        quiet = modular_charpoly(s3)
+        quiet = char_poly(s3)
     assert caplog.records == []
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
-        cp = modular_charpoly(s3)
+        cp = char_poly(s3)
     assert cp == quiet == berkowitz_charpoly(s3)
     [fields] = _debug_fields(caplog.records)
     assert sorted(fields) == ["bound_bits", "cert_primes", "krylov_degree", "krylov_terms", "ms",
@@ -296,23 +295,23 @@ def test_berkowitz_vs_modular(n, scale):
     rng = np.random.default_rng(200 + n)
     m = int_matrix((rng.integers(-20, 21, size=(n, n)).astype(object) * scale).tolist())
     assert m.dtype == np.int64
-    assert berkowitz_charpoly(m).coeffs == modular_charpoly(m).coeffs
+    assert berkowitz_charpoly(m).coeffs == char_poly(m).coeffs
 
 
 def test_modular_handles_structured_matrices():
     # permutation-like and nilpotent matrices exercise the pivot-skip paths
     p = int_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert modular_charpoly(p).coeffs == (-1, 0, 0, 1)  # t^3 - 1
+    assert char_poly(p).coeffs == (-1, 0, 0, 1)  # t^3 - 1
     nil = int_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert modular_charpoly(nil).coeffs == (0, 0, 0, 1)  # t^3
+    assert char_poly(nil).coeffs == (0, 0, 0, 1)  # t^3
     z = np.zeros((4, 4), dtype=np.int64)
-    assert modular_charpoly(z).coeffs == (0, 0, 0, 0, 1)
+    assert char_poly(z).coeffs == (0, 0, 0, 0, 1)
 
 
 def test_modular_huge_entries():
     big = 2**61 - 1
     m = int_matrix([[big, 1], [1, -big]])
-    cp = modular_charpoly(m)
+    cp = char_poly(m)
     # det = -big^2 - 1, trace = 0
     assert cp.coeffs == (-(big * big) - 1, 0, 1)
 
@@ -325,7 +324,7 @@ def test_charpoly_methods_agree_on_support_matrices(corpus):
         if nk > 30:
             continue
         s1 = support_u(build_arc_space(g))
-        assert berkowitz_charpoly(s1).coeffs == modular_charpoly(s1).coeffs, gid
+        assert berkowitz_charpoly(s1).coeffs == char_poly(s1).coeffs, gid
 
 
 def test_charpoly_similarity_invariance():
@@ -456,7 +455,7 @@ def _pivot_split_matrix(n, seed, big):
 def test_primes_that_disagree_on_the_pivot_swap_alone(n, big):
     m = _pivot_split_matrix(n, 300 + n, big)
     assert m.dtype == np.int64 and (abs(m).max() > 2**60) == big
-    assert modular_charpoly(m).coeffs == berkowitz_charpoly(m).coeffs
+    assert char_poly(m).coeffs == berkowitz_charpoly(m).coeffs
 
 
 @pytest.mark.parametrize("per_group", [1, 2])
@@ -465,7 +464,7 @@ def test_primes_are_reduced_in_groups_that_fit_the_stack_budget(per_group, monke
 
     s3 = support_u_power(build_arc_space(petersen_graph()), 3)
     n = s3.shape[0]
-    whole = modular_charpoly(s3)
+    whole = char_poly(s3)
     groups = []
     stack = intmat._hessenberg_stack
 
@@ -476,7 +475,7 @@ def test_primes_are_reduced_in_groups_that_fit_the_stack_budget(per_group, monke
     monkeypatch.setattr(intmat, "_hessenberg_stack", spy)
     monkeypatch.setattr(intmat, "_STACK_BYTES", per_group * 8 * (n + 1) ** 2)
     monkeypatch.setattr(intmat, "_minpoly_route", lambda m, r: (None, "degree"))  # s3 takes the kernel
-    assert modular_charpoly(s3) == whole
+    assert char_poly(s3) == whole
     assert len(groups) > 1 and all(len(g) <= per_group for g in groups)
     primes = [q for g in groups for q in g]
     assert primes == sorted(set(primes), reverse=True)
