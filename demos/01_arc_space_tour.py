@@ -15,7 +15,7 @@ g = q.cycle_graph(3)
 a = q.build_arc_space(g)
 print(f"C3: n={g.n}, k={a.k}, arcs={a.size}")
 print("canonical arc order:", a.arcs)
-print("reversal permutation:", a.reverse)
+print("reversal permutation:", a.rev.tolist())
 print("arcs into each vertex (one row per vertex):", a.into.tolist())
 
 print("\nins (rows = vertices, cols = arcs; marks heads):")
@@ -26,12 +26,12 @@ print(q.outs_matrix(a))
 # %% The scaled walk matrix W = k*U ----------------------------------------
 # Entries: 2 for a non-backtracking continuation, 2-k for a backtracking
 # one, 0 otherwise.  At k=2 the backtracking entries vanish.
-w = q.scaled_transition_matrix(a)
+w = a.walk
 print("\nW = k*U for C3 (entries 0 and 2 only at k=2):")
 print(w)
 
 k4 = q.build_arc_space(q.complete_graph(4))
-w4 = q.scaled_transition_matrix(k4)
+w4 = k4.walk
 print("\nW entry values for K4 (k=3):", sorted({int(x) for x in w4.flat}))
 
 # %% Exact identities --------------------------------------------------------
@@ -40,7 +40,7 @@ print("\nW entry values for K4 (k=3):", sorted({int(x) for x in w4.flat}))
 # The suite reads K4's arc space, whose W is the one printed above.
 for name, ok in q.identity_suite(k4):
     print(f"{'ok ' if ok else 'FAIL'} {name}")
-print("W is formed once per arc space:", q.scaled_transition_matrix(k4) is w4)
+print("W is formed once per arc space:", k4.walk is w4)
 
 # %% The walk support is the non-backtracking matrix ------------------------
 s1 = q.support_u(a)

@@ -13,7 +13,6 @@ from .arcspace import (
     outs_matrix,
     reversal_matrix,
     scaled_reflection_q,
-    scaled_transition_matrix,
 )
 from .errors import (
     DivisibilityError,
@@ -68,7 +67,6 @@ from .invariants import (
     InvariantProfile,
     batch_compare,
     batch_to_csv,
-    batch_to_json,
     compare,
     profile,
 )
@@ -86,7 +84,6 @@ from .supports import (
     QuadraticPair,
     RationalEigenvalue,
     SupportSet,
-    adjacency_charpoly,
     build_support_set,
     closed_form_charpoly_su,
     closed_form_charpoly_su2,

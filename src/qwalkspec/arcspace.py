@@ -65,14 +65,13 @@ class ArcSpace:
         """The nk (tail, head) pairs, in arc order."""
         return tuple(zip(self.tail.tolist(), self.head.tolist()))
 
-    @property
-    def reverse(self) -> tuple:
-        """reverse[j] = the index of the reversal of arc j."""
-        return tuple(self.rev.tolist())
-
     @cached_property
     def walk(self) -> np.ndarray:
-        """W = k*U = W*I, formed on first use and read-only, so every caller shares it."""
+        """W = k*U = W*I, formed on first use and read-only, so every caller shares it.
+
+        Entry (j, i) is 2 when arc i can continue into arc j without
+        backtracking, 2 - k when j is the reversal of i, and 0 otherwise.
+        """
         w = self.w(int_eye(self.size))
         w.flags.writeable = False
         return w
@@ -119,15 +118,6 @@ def outs_matrix(a: ArcSpace) -> np.ndarray:
 def reversal_matrix(a: ArcSpace) -> np.ndarray:
     """The arc-reversal permutation P = P*I: symmetric, P^2 = I, zero diagonal."""
     return a.p(int_eye(a.size))
-
-
-def scaled_transition_matrix(a: ArcSpace) -> np.ndarray:
-    """W = k*U, the arc space's read-only ``walk``.
-
-    Entry (j, i) is 2 when arc i can continue into arc j without
-    backtracking, 2 - k when j is the reversal of i, and 0 otherwise.
-    """
-    return a.walk
 
 
 def scaled_reflection_q(a: ArcSpace) -> np.ndarray:

@@ -38,7 +38,6 @@ from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_roots
 from .supports import (
     QuadraticPair,
-    adjacency_charpoly,
     closed_form_spectrum_su,
     closed_form_spectrum_su2,
     identity_suite,
@@ -275,7 +274,7 @@ class _VerifyInputs:
 
     @cached_property
     def cp_a(self) -> CharPoly:
-        return adjacency_charpoly(self.g)
+        return char_poly(adjacency_matrix(self.g))
 
     @cached_property
     def arcs(self) -> ArcSpace:
@@ -468,15 +467,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with _logging_to_stderr():
             return args.func(args)
-    except (Graph6Error, ParameterError) as e:
+    except (Graph6Error, ParameterError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except HypothesisError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    except OSError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from .errors import Graph6Error
 from .graphs import Graph
 
 HEADER = ">>graph6<<"
+_COUNT_DIGITS = (1, 3, 6)  # digits of the vertex count after 0, 1 or 2 leading '~' bytes
 
 
 def _byte_values(s: str, start: int) -> List[int]:
@@ -27,6 +28,14 @@ def _byte_values(s: str, start: int) -> List[int]:
             raise Graph6Error(f"byte {b} out of range [63, 126] at offset {off}")
         vals.append(b - 63)
     return vals
+
+
+def _size_prefix(n: int) -> List[int]:
+    """The canonical vertex-count bytes of n, minus 63: the shortest of the three forms that holds n."""
+    if n >= 1 << 36:
+        raise ValueError(f"vertex count {n} exceeds graph6 range")
+    lead = 0 if n <= 62 else 1 if n <= 258047 else 2
+    return [63] * lead + [(n >> 6 * i) & 63 for i in reversed(range(_COUNT_DIGITS[lead]))]
 
 
 def parse_graph6(line: str) -> Graph:
@@ -41,24 +50,15 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(f"empty graph6 string (offset {base})")
 
     vals = _byte_values(s, base)
-    if vals[0] < 63:
-        n, pos = vals[0], 1
-    elif len(vals) >= 2 and vals[1] < 63:
-        if len(vals) < 4:
-            raise Graph6Error(f"truncated 3-byte vertex count at offset {len(s)}")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        pos = 4
-        if n <= 62:
-            raise Graph6Error(f"non-canonical long vertex count at offset {base}")
-    else:
-        if len(vals) < 8:
-            raise Graph6Error(f"truncated 6-byte vertex count at offset {len(s)}")
-        n = 0
-        for v in vals[2:8]:
-            n = (n << 6) | v
-        pos = 8
-        if n <= 258047:
-            raise Graph6Error(f"non-canonical long vertex count at offset {base}")
+    lead = 0 if vals[0] < 63 else 1 if len(vals) >= 2 and vals[1] < 63 else 2
+    pos = lead + _COUNT_DIGITS[lead]
+    if len(vals) < pos:
+        raise Graph6Error(f"truncated {_COUNT_DIGITS[lead]}-byte vertex count at offset {len(s)}")
+    n = 0
+    for v in vals[lead:pos]:
+        n = (n << 6) | v
+    if vals[:pos] != _size_prefix(n):
+        raise Graph6Error(f"non-canonical long vertex count at offset {base}")
     if n == 0:
         raise Graph6Error(f"vertex count 0 not representable (offset {base})")
 
@@ -94,15 +94,7 @@ def parse_graph6(line: str) -> Graph:
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a canonical graph6 string (no header, no newline)."""
     n = g.n
-    if n <= 62:
-        prefix = [n]
-    elif n <= 258047:
-        prefix = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
-    elif n <= 68719476735:
-        prefix = [63, 63] + [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
-    else:
-        raise ValueError(f"vertex count {n} exceeds graph6 range")
-
+    prefix = _size_prefix(n)
     nbits = n * (n - 1) // 2
     bits = bytearray(nbits)
     for (u, v) in g.edges:  # u < v; the bits run column by column of the upper triangle

@@ -74,14 +74,6 @@ class SrgParams:
             )
 
 
-def adjacency_lists(g: Graph) -> list:
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix (exact integer entries)."""
     a = np.zeros((g.n, g.n), dtype=np.int64)
@@ -101,19 +93,20 @@ def is_regular(g: Graph) -> Optional[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    adj = adjacency_lists(g)
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     seen = [False] * g.n
     seen[0] = True
     queue = deque([0])
-    count = 1
     while queue:
         u = queue.popleft()
         for w in adj[u]:
             if not seen[w]:
                 seen[w] = True
-                count += 1
                 queue.append(w)
-    return count == g.n
+    return all(seen)
 
 
 def srg_params(g: Graph) -> Optional[SrgParams]:

@@ -36,7 +36,7 @@ kernel pass per size for those adjacency char polys that fall back to it,
 and no kernel pass runs on S.  Some benchmark corpora do reach that pass:
 16 of the ``batch_cli`` seeds 1-60 (5, 6, 15, ...) hold a pair of 6-regular
 24-vertex circulant twins whose chi_A has Krylov degree 13 > n/2, so it
-falls back for "degree".  With ``threads`` 2 or more, ``_deal`` puts the
+falls back for "degree".  With ``threads`` 2 or more, ``_dealt`` puts the
 two twins, the corpus's only 72-edge graphs, in different tasks, which
 then share no pass.
 
@@ -55,7 +55,7 @@ order:
 
 The first three run in the calling process, pair by pair.  The exact char
 polys run after them, only for the graphs of the pairs still open, largest
-nk first, dealt into one task per worker (``_deal``), one matrix at a time,
+nk first, dealt into one task per worker (``_dealt``), one matrix at a time,
 each from S+(U^3) built again from the graph.  Dealt tasks are not
 rebalanced while they run, and exact polys are long and uneven, but no
 benchmark corpus or SRG family built so far reaches this phase: traces or
@@ -72,7 +72,7 @@ S+(U^3).
 calling process plus ``threads - 1`` forked children, not threads, since a
 fingerprint is built in numpy calls too short to release the interpreter
 lock for long.  Each phase (the fingerprints, the exact polys) is dealt by
-``_deal`` into at most ``threads`` tasks; ``_fork_map`` runs the first in
+``_dealt`` into at most ``threads`` tasks; ``_fork_map`` runs the first in
 the calling process and each other in a child forked for that phase alone.  ``certify`` runs them all in the calling process.
 """
 
@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import os
 import pickle
@@ -100,7 +99,6 @@ from .supports import (
     _charpoly_su,
     _charpoly_su2,
     _require_walk_hypotheses,
-    adjacency_charpoly,
     support_u_power,
 )
 
@@ -234,7 +232,7 @@ def _power_traces(s: np.ndarray) -> Tuple[int, int, int, int]:
 def profile(g: Graph, graph_id: str) -> InvariantProfile:
     """All four exact char polys of a connected regular graph with k >= 2."""
     k = _checked_k(g, graph_id)
-    cp_a = adjacency_charpoly(g)
+    cp_a = char_poly(adjacency_matrix(g))
     cp_s1, cp_s2 = _charpoly_su(g.n, k, cp_a), _charpoly_su2(g.n, k, cp_a)
     return InvariantProfile(graph_id, g.n, k, cp_a, cp_s1, cp_s2, char_poly(_s3(g)))
 
@@ -367,7 +365,7 @@ def batch_compare(
     start with numpy, qwalkspec and the corpus in memory; spawned ones would
     import them again, which takes longer than fingerprinting a small graph.
     The graphs, largest edge count first, are dealt into one task per worker
-    (``_deal``).  The pairs are then certified as ``certify`` certifies one
+    (``_dealt``).  The pairs are then certified as ``certify`` certifies one
     (see the module docstring), with the exact S+(U^3) polys that some
     pairs need dealt the same way.  Each phase forks its own children
     (``_fork_map``).  A child whose result has been read is reaped
@@ -409,23 +407,17 @@ def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mappe
     return BatchResult(reports, skipped)
 
 
-def _deal(items: list, workers: int) -> List[list]:
-    """``items``, sorted largest first, dealt round-robin into at most ``workers`` tasks.
-
-    Task t takes items t, t + workers, t + 2 workers, ..., so every task gets
-    a share of the largest items and the tasks differ by at most one item.
-    A graph that breaks a hypothesis is dealt like any other and skipped
-    inside its task.
-    """
-    return [items[t::workers] for t in range(min(workers, len(items)))]
-
-
 def _dealt(mapper, fn, items: list, workers: int) -> list:
-    """``fn``'s result for each of ``items``, in order, from ``mapper`` over ``_deal(items, workers)``.
+    """``fn``'s result for each of ``items``, in order, from ``mapper`` over tasks dealt from them.
 
-    ``fn`` takes a task, a list of items, and returns one result per item.
+    ``items``, sorted largest first, are dealt round-robin into at most
+    ``workers`` tasks: task t takes items t, t + workers, t + 2 workers, ...,
+    so every task gets a share of the largest items and the tasks differ by
+    at most one item.  A graph that breaks a hypothesis is dealt like any
+    other and skipped inside its task.  ``fn`` takes a task, a list of
+    items, and returns one result per item.
     """
-    tasks = _deal(items, workers)
+    tasks = [items[t::workers] for t in range(min(workers, len(items)))]
     done = list(mapper(fn, tasks))
     return [done[j % len(tasks)][j // len(tasks)] for j in range(len(items))]
 
@@ -503,10 +495,6 @@ def _child(fn, task, write: int, pipes: list) -> None:
         code = 0
     finally:
         os._exit(code)
-
-
-def batch_to_json(result: BatchResult) -> str:
-    return json.dumps(result.to_json(), indent=2)
 
 
 def batch_to_csv(result: BatchResult) -> str:

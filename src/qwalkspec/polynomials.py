@@ -42,10 +42,6 @@ class CharPoly:
     def to_json_list(self) -> list:
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json_list(cls, items: Sequence[str]) -> "CharPoly":
-        return cls(tuple(int(s) for s in items))
-
     def __str__(self) -> str:
         terms = []
         for i in range(self.degree, -1, -1):
@@ -77,17 +73,11 @@ def poly_trim(p: Sequence[int]) -> list:
     return p
 
 
-def poly_add(p: Sequence[int], q: Sequence[int]) -> list:
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
+def poly_sub(p: Sequence[int], q: Sequence[int]) -> list:
+    out = list(p) + [0] * (len(q) - len(p))
     for i, c in enumerate(q):
-        out[i] += c
+        out[i] -= c
     return poly_trim(out)
-
-
-def poly_scale(p: Sequence[int], c: int) -> list:
-    return poly_trim([c * x for x in p])
 
 
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> list:
@@ -141,18 +131,11 @@ def poly_derivative(p: Sequence[int]) -> list:
     return poly_trim([i * c for i, c in enumerate(p)][1:])
 
 
-def poly_content(p: Sequence[int]) -> int:
-    c = 0
-    for x in p:
-        c = math.gcd(c, x)
-    return c
-
-
 def poly_primitive(p: Sequence[int]) -> list:
     p = poly_trim(p)
     if not p:
         return []
-    c = poly_content(p)
+    c = math.gcd(*p)
     if p[-1] < 0:
         c = -c
     return [x // c for x in p]
@@ -197,17 +180,15 @@ def squarefree_decomposition(p: Sequence[int]) -> list:
     dp = poly_derivative(p)
     g = poly_gcd(p, dp)
     c = poly_divide_exact(p, g)
-    d = poly_add(poly_divide_exact(dp, g), poly_scale(poly_derivative(c), -1))
+    d = poly_sub(poly_divide_exact(dp, g), poly_derivative(c))
     out = []
     mult = 1
-    while True:
-        if len(c) == 1:
-            break
+    while len(c) > 1:
         a = poly_gcd(c, d)
         if len(a) > 1:
             out.append((a, mult))
         c = poly_divide_exact(c, a)
-        d = poly_add(poly_divide_exact(d, a), poly_scale(poly_derivative(c), -1))
+        d = poly_sub(poly_divide_exact(d, a), poly_derivative(c))
         mult += 1
     return out
 

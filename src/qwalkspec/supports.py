@@ -263,10 +263,6 @@ def closed_form_spectrum_su2(g: Graph) -> ClosedFormSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def adjacency_charpoly(g: Graph) -> CharPoly:
-    return char_poly(adjacency_matrix(g))
-
-
 def closed_form_charpoly_su(g: Graph) -> CharPoly:
     """char poly of S+(U) built from the adjacency char poly, exactly.
 
@@ -274,7 +270,7 @@ def closed_form_charpoly_su(g: Graph) -> CharPoly:
                 * (t - 1)^{n(k-2)/2 + 1} * (t + 1)^{n(k-2)/2}
     """
     k = _require_walk_hypotheses(g, 2)
-    return _charpoly_su(g.n, k, adjacency_charpoly(g))
+    return _charpoly_su(g.n, k, char_poly(adjacency_matrix(g)))
 
 
 def _charpoly_su(n: int, k: int, cp_a: CharPoly) -> CharPoly:
@@ -295,7 +291,7 @@ def ihara_style_charpoly(g: Graph) -> CharPoly:
     adjacency char poly coefficients.
     """
     k = _require_walk_hypotheses(g, 2)
-    return _ihara_charpoly(g.n, k, adjacency_charpoly(g))
+    return _ihara_charpoly(g.n, k, char_poly(adjacency_matrix(g)))
 
 
 def _ihara_charpoly(n: int, k: int, cp_a: CharPoly) -> CharPoly:
@@ -322,7 +318,7 @@ def closed_form_charpoly_su2(g: Graph) -> CharPoly:
             = (t-1)^(n-1) q((t+k-2)^2 / (t-1)).
     """
     k = _require_walk_hypotheses(g, 3)
-    return _charpoly_su2(g.n, k, adjacency_charpoly(g))
+    return _charpoly_su2(g.n, k, char_poly(adjacency_matrix(g)))
 
 
 def _charpoly_su2(n: int, k: int, cp_a: CharPoly) -> CharPoly:

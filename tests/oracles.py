@@ -166,7 +166,7 @@ def dense_arc_matrices(a):
     """{"ins", "outs", "P", "W", "S1", "kQ"} of an arc space, by their dense definitions.
 
     The incidence matrices and P are set entry by entry from ``a.arcs`` (P
-    looks up each reversed arc rather than trusting ``a.reverse``); the rest
+    looks up each reversed arc rather than trusting ``a.rev``); the rest
     are plain numpy products of them.
     """
     nk, index = len(a.arcs), {arc: j for j, arc in enumerate(a.arcs)}

@@ -30,7 +30,7 @@ def cp_s1(gid, g):
 
 def cp_a(gid, g):
     if gid not in _cp_a:
-        _cp_a[gid] = q.adjacency_charpoly(g)
+        _cp_a[gid] = q.char_poly(q.adjacency_matrix(g))
     return _cp_a[gid]
 
 

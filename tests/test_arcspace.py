@@ -21,7 +21,6 @@ from qwalkspec import (
     petersen_graph,
     reversal_matrix,
     scaled_reflection_q,
-    scaled_transition_matrix,
     su2_via_identity,
     support_u,
     support_u_power,
@@ -45,7 +44,7 @@ def test_arc_counts():
 def test_k2_single_edge():
     a = build_arc_space(Graph(2, [(0, 1)]))
     assert a.size == 2
-    assert a.reverse == (1, 0)
+    assert a.rev.tolist() == [1, 0]
     p = reversal_matrix(a)
     assert p.tolist() == [[0, 1], [1, 0]]
 
@@ -54,9 +53,9 @@ def test_reverse_is_fixed_point_free_involution(corpus):
     for _, g in corpus:
         a = build_arc_space(g)
         assert a.size == g.n * a.k == 2 * g.edge_count
-        for i, r in enumerate(a.reverse):
+        for i, r in enumerate(a.rev.tolist()):
             assert r != i
-            assert a.reverse[r] == i
+            assert a.rev[r] == i
             t, h = a.arcs[i]
             assert a.arcs[r] == (h, t)
 
@@ -96,20 +95,20 @@ def test_reversal_block_diagonal_c3():
 
 def test_scaled_walk_entries_k4():
     a = build_arc_space(complete_graph(4))
-    w = scaled_transition_matrix(a)
+    w = a.walk
     assert {int(x) for x in w.flat} == {2, -1, 0}  # k=3: 2, 2-k, 0
     assert int(w.trace()) == 0
 
 
 def test_scaled_walk_entries_c3():
-    w = scaled_transition_matrix(build_arc_space(cycle_graph(3)))
+    w = build_arc_space(cycle_graph(3)).walk
     assert {int(x) for x in w.flat} == {2, 0}
 
 
 def test_walk_orthogonality(corpus):
     for _, g in corpus[:6]:
         a = build_arc_space(g)
-        w = scaled_transition_matrix(a)
+        w = a.walk
         assert mat_equal(mat_mul(w, w.T), a.k * a.k * int_eye(a.size))
 
 
@@ -161,7 +160,7 @@ def test_identity_suite_all_pass(corpus):
 def test_trace_of_walk_matrix_zero(corpus):
     for _, g in corpus:
         a = build_arc_space(g)
-        assert int(scaled_transition_matrix(a).trace()) == 0
+        assert int(a.walk.trace()) == 0
 
 
 def test_ins_outs_reconstruct_adjacency(corpus):
@@ -171,12 +170,12 @@ def test_ins_outs_reconstruct_adjacency(corpus):
 
 
 def test_arc_matrices_are_int64(corpus):
-    builders = (ins_matrix, outs_matrix, reversal_matrix, scaled_transition_matrix,
-                scaled_reflection_q, support_u)
+    builders = (ins_matrix, outs_matrix, reversal_matrix, scaled_reflection_q, support_u)
     for gid, g in corpus:
         a = build_arc_space(g)
         for build in builders:
             assert build(a).dtype == np.int64, (gid, build.__name__)
+        assert a.walk.dtype == np.int64, (gid, "walk")
         for m in (2, 3):
             assert support_u_power(a, m).dtype == np.int64, (gid, m)
 
@@ -205,7 +204,7 @@ def test_arc_matrices_equal_their_dense_oracles():
         a = build_arc_space(g)
         dense = dense_arc_matrices(a)
         built = {"ins": ins_matrix(a), "outs": outs_matrix(a), "P": reversal_matrix(a),
-                 "W": scaled_transition_matrix(a), "kQ": scaled_reflection_q(a)}
+                 "W": a.walk, "kQ": scaled_reflection_q(a)}
         if a.k >= 2:
             built["S1"] = support_u(a)
         for name, m in built.items():
@@ -249,7 +248,7 @@ def test_identity_suite_fails_when_two_reversals_are_swapped():
     assert a.tail[1] != a.tail[2]  # a swap between arcs of one tail would keep W orthogonal
     rev[1], rev[2] = rev[2], rev[1]
     bad = dataclasses.replace(a, rev=rev)
-    assert bad.reverse != a.reverse and bad.walk is not a.walk
+    assert bad.rev.tolist() != a.rev.tolist() and bad.walk is not a.walk
     assert not mat_equal(bad.w(bad.walk.T), a.k * a.k * int_eye(a.size))
     assert "W*W^T = k^2 I" in [name for name, ok in identity_suite(bad) if not ok]
 
@@ -258,14 +257,14 @@ def test_index_arrays_follow_the_canonical_arc_order():
     for gid, g in _walk_cases() + _edge_cases():
         a = build_arc_space(g)
         arcs = [arc for u, v in g.sorted_edges() for arc in ((u, v), (v, u))]
-        assert a.arcs == tuple(arcs) and a.reverse == tuple(j ^ 1 for j in range(len(arcs))), gid
+        assert a.arcs == tuple(arcs) and a.rev.tolist() == [j ^ 1 for j in range(len(arcs))], gid
         into = [[j for j, (_, h) in enumerate(arcs) if h == v] for v in range(g.n)]
         assert a.into.tolist() == into, gid
 
 
 def test_one_arc_space_forms_w_once_and_read_only():
     a = build_arc_space(petersen_graph())
-    w = scaled_transition_matrix(a)
+    w = a.walk
     assert w is a.walk and _walk_powers(a, 2)[0] is w
     assert mat_equal(w, dense_arc_matrices(a)["W"])
     with pytest.raises(ValueError, match="read-only"):

@@ -14,6 +14,7 @@ from qwalkspec import (
     write_graph6,
     write_graph6_file,
 )
+from qwalkspec.graph6 import _size_prefix
 
 
 def test_known_encodings():
@@ -91,6 +92,19 @@ def test_non_canonical_long_count_rejected():
     # n=4 encoded with the 3-byte form: '~' '?' '?' 'C' + payload
     with pytest.raises(Graph6Error, match="non-canonical"):
         parse_graph6("~??C~")
+    # n = 4, n = 258047 (the largest 3-byte count) and n = 0 in the 6-byte form,
+    # n = 0 in the 3-byte form: each fails on its count, before any payload
+    for bad in ("~~?????C", "~~???}~~", "~~??????", "~???"):
+        for header in ("", ">>graph6<<"):
+            with pytest.raises(Graph6Error, match=f"^non-canonical long vertex count at offset {len(header)}$"):
+                parse_graph6(header + bad)
+
+
+def test_size_prefix_takes_the_shortest_form():
+    assert [len(_size_prefix(n)) for n in (1, 62, 63, 258047, 258048, 2**36 - 1)] == [1, 1, 4, 4, 8, 8]
+    assert _size_prefix(63) == [63, 0, 0, 63] and _size_prefix(258048) == [63, 63, 0, 0, 0, 63, 0, 0]
+    with pytest.raises(ValueError, match="exceeds graph6 range"):
+        _size_prefix(2**36)
 
 
 def test_file_roundtrip(tmp_path):

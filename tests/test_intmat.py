@@ -17,7 +17,6 @@ from qwalkspec import (
     mat_equal,
     mat_mul,
     positive_support,
-    scaled_transition_matrix,
 )
 
 from oracles import berkowitz_charpoly, cofactor_charpoly, int_product, naive_determinant
@@ -237,7 +236,7 @@ def test_positive_support_examples():
 
 def test_positive_support_of_scaled_walk_c3():
     # at k=2 the scaled walk matrix has entries 0 and 2 only
-    w = scaled_transition_matrix(build_arc_space(cycle_graph(3)))
+    w = build_arc_space(cycle_graph(3)).walk
     vals = {int(x) for x in w.flat}
     assert vals == {0, 2}
     assert mat_equal(2 * positive_support(w), w)
@@ -252,7 +251,7 @@ def _power(m, e):
 
 
 def test_sign_pattern_invariant_under_scaling():
-    w = scaled_transition_matrix(build_arc_space(cycle_graph(4)))
+    w = build_arc_space(cycle_graph(4)).walk
     for c in (2, 3):
         for m in (2, 3):
             assert mat_equal(

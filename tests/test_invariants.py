@@ -16,7 +16,6 @@ from qwalkspec import (
     adjacency_matrix,
     batch_compare,
     batch_to_csv,
-    batch_to_json,
     build_arc_space,
     char_poly,
     circulant_graph,
@@ -211,7 +210,7 @@ def test_batch_compare_deterministic_order_and_threads():
     assert len(r1.pairs) == 4  # three C5 pairs and the two K4
     assert [gid for gid, _ in r1.skipped] == ["irregular", "disconnected", "k1"]
     for t in (2, 4):
-        assert batch_to_json(results[t]) == batch_to_json(r1)
+        assert results[t].to_json() == r1.to_json()
         assert results[t].skipped == r1.skipped
 
 
@@ -409,7 +408,7 @@ def test_every_forked_child_is_reaped_before_batch_compare_returns_or_raises(thr
 def test_batch_json_and_csv_schemas():
     corpus = [("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4))]
     result = batch_compare(corpus)
-    blob = json.loads(batch_to_json(result))
+    blob = json.loads(json.dumps(result.to_json(), indent=2))
     assert set(blob) == {"pairs", "skipped"}
     assert blob["pairs"][0]["ids"] == ["rook44", "shrikhande"]
     assert set(blob["pairs"][0]["verdicts"]) == {"a", "s1", "s2", "s3"}
