@@ -32,7 +32,7 @@ from .errors import Graph6Error, HypothesisError, ParameterError
 from .generators import parse_generator_spec
 from .graph6 import read_graph6_file
 from .graphs import Graph, adjacency_matrix, is_connected, is_regular
-from .intmat import char_poly, char_polys, int_eye, mat_equal, positive_support
+from .intmat import char_poly, char_polys, int_eye, mat_equal
 from .invariants import _CSV_HEADER, _csv_rows, _csv_text, batch_compare, certify, fingerprints
 from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_roots
@@ -41,6 +41,8 @@ from .supports import (
     closed_form_spectrum_su,
     closed_form_spectrum_su2,
     identity_suite,
+    support_u,
+    support_u_power,
 )
 from .supports import (
     _charpoly_su,
@@ -48,7 +50,6 @@ from .supports import (
     _ihara_charpoly,
     _walk_hypotheses,
     _walk_supports,
-    _walks,
 )
 
 CHECK_NAMES = ("identities", "thm32", "thm41", "thm43", "ihara")
@@ -227,7 +228,8 @@ def _display_values(vals) -> List[str]:
 def _charpoly_of(g: Graph, which: str) -> CharPoly:
     if which == "a":
         return char_poly(adjacency_matrix(g))
-    return char_poly(positive_support(_walks(build_arc_space(g), {"s1": 1, "s2": 2, "s3": 3}[which])[-1]))
+    a = build_arc_space(g)
+    return char_poly(support_u(a) if which == "s1" else support_u_power(a, int(which[1])))
 
 
 def cmd_spectrum(args) -> int:
@@ -300,6 +302,14 @@ class _VerifyInputs:
         return dict(zip(matrices, char_polys(matrices.values())))
 
 
+# check -> (least k, closed form of (n, k, chi_A), brute-force char poly it must equal, detail on FAIL)
+_POLY_CHECKS = {
+    "thm32": (2, _charpoly_su, "s1", "charpoly mismatch"),
+    "ihara": (2, _ihara_charpoly, "s1", "factorization mismatch"),
+    "thm43": (3, _charpoly_su2, "s2", "charpoly mismatch"),
+}
+
+
 def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
     """Returns (status, detail) with status in PASS/FAIL/SKIP; check is one of CHECK_NAMES."""
     g, k = inputs.g, inputs.k
@@ -309,23 +319,15 @@ def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
                 return "SKIP", "hypothesis: regular graph with k >= 1"
             failed = [name for name, ok in identity_suite(inputs.arcs) if not ok]
             return ("FAIL", ", ".join(failed)) if failed else ("PASS", "")
-        if check == "thm32":
-            rhs = _charpoly_su(g.n, inputs.walk_k(2), inputs.cp_a)
-            ok = inputs.brute_force["s1"] == rhs
-            return ("PASS", "") if ok else ("FAIL", "charpoly mismatch")
-        if check == "ihara":
-            rhs = _ihara_charpoly(g.n, inputs.walk_k(2), inputs.cp_a)
-            ok = inputs.brute_force["s1"] == rhs
-            return ("PASS", "") if ok else ("FAIL", "factorization mismatch")
-        if k is not None and k <= 2:  # thm41 and thm43 both need k > 2
+        if check in ("thm41", "thm43") and k is not None and k <= 2:  # both need k > 2
             return "SKIP", f"hypothesis k>2 (got k={k})"
         if check == "thm41":
             s1, s2 = inputs.supports
             ok = mat_equal(s2, inputs.arcs.s1(s1) + int_eye(len(s1)))  # S+(U)^2 + I
             return ("PASS", "") if ok else ("FAIL", "S+(U^2) != S+(U)^2 + I")
-        rhs = _charpoly_su2(g.n, inputs.walk_k(3), inputs.cp_a)  # thm43
-        ok = inputs.brute_force["s2"] == rhs
-        return ("PASS", "") if ok else ("FAIL", "charpoly mismatch")
+        min_k, closed_form, which, detail = _POLY_CHECKS[check]
+        rhs = closed_form(g.n, inputs.walk_k(min_k), inputs.cp_a)
+        return ("PASS", "") if inputs.brute_force[which] == rhs else ("FAIL", detail)
     except HypothesisError as e:
         return "SKIP", f"hypothesis: {e}"
 

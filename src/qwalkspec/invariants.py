@@ -72,8 +72,10 @@ S+(U^3).
 calling process plus ``threads - 1`` forked children, not threads, since a
 fingerprint is built in numpy calls too short to release the interpreter
 lock for long.  Each phase (the fingerprints, the exact polys) is dealt by
-``_dealt`` into at most ``threads`` tasks; ``_fork_map`` runs the first in
-the calling process and each other in a child forked for that phase alone.  ``certify`` runs them all in the calling process.
+``_dealt`` into at most ``threads`` tasks and runs through ``_fork_map``,
+which runs the first task in the calling process and each other in a child
+forked for that phase alone.  One worker, as in ``certify``, makes one task,
+which runs in the calling process, and nothing is forked.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -270,15 +271,15 @@ def certify(p: Fingerprint, q: Fingerprint) -> CompareReport:
     The S+(U^3) verdict rests on the first proof of the module docstring's
     chain that applies.
     """
-    return _certify([(p, q)], map, 1)[0]
+    return _certify([(p, q)], 1, [])[0]
 
 
-def _certify(pairs: List[Tuple[Fingerprint, Fingerprint]], mapper,
-             workers: int) -> List[CompareReport]:
+def _certify(pairs: List[Tuple[Fingerprint, Fingerprint]], workers: int,
+             finished: list) -> List[CompareReport]:
     """The ``certify`` report of each pair, in order, by the resolver of the module docstring.
 
-    ``mapper`` (``map`` or ``_fork_map``) runs its exact tasks, in at most
-    ``workers`` tasks.
+    Its exact polys run through ``_fork_map`` in at most ``workers`` tasks;
+    the children whose results were read are appended to ``finished``.
     """
     same = []
     for p, q in pairs:  # the A, S+(U) and S+(U^2) verdicts, by the rules of ``Fingerprint``
@@ -286,7 +287,7 @@ def _certify(pairs: List[Tuple[Fingerprint, Fingerprint]], mapper,
         same.append({"a": a, "s1": a, "s2": (p.n, p.k, p.psi_squares) == (q.n, q.k, q.psi_squares)})
     proofs = [_settle_s3(p, q, all(s.values())) for (p, q), s in zip(pairs, same)]
     exact = _open(pairs, proofs)
-    polys = dict(zip(map(id, exact), _dealt(mapper, _exact_s3, exact, workers)))
+    polys = dict(zip(map(id, exact), _dealt(_exact_s3, exact, workers, finished)))
     reports = []
     for (p, q), s, proof in zip(pairs, same, proofs):
         if proof is None:
@@ -360,10 +361,11 @@ def batch_compare(
 
     ``threads`` workers fingerprint the graphs (default: the CPUs this
     process may run on), never more than there are graphs: the calling
-    process plus ``threads - 1`` forked children.  With one, all work runs in
-    this process and nothing is forked.  The children are forked, so they
-    start with numpy, qwalkspec and the corpus in memory; spawned ones would
-    import them again, which takes longer than fingerprinting a small graph.
+    process plus ``threads - 1`` forked children.  Every phase runs through
+    ``_fork_map``; with one worker it runs in this process and nothing is
+    forked.  The children are forked, so they start with numpy, qwalkspec
+    and the corpus in memory; spawned ones would import them again, which
+    takes longer than fingerprinting a small graph.
     The graphs, largest edge count first, are dealt into one task per worker
     (``_dealt``).  The pairs are then certified as ``certify`` certifies one
     (see the module docstring), with the exact S+(U^3) polys that some
@@ -375,23 +377,21 @@ def batch_compare(
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(corpus), threads or 1)
-    if workers <= 1:
-        return _batch(corpus, include_cross_class, map, 1)
+    workers = max(1, min(len(corpus), threads or 1))
     finished: list = []  # children whose results were read, reaped once the pairs are certified
     try:
-        return _batch(corpus, include_cross_class, partial(_fork_map, finished=finished), workers)
+        return _batch(corpus, include_cross_class, workers, finished)
     finally:
         for pid in finished:
             os.waitpid(pid, 0)
 
 
-def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mapper,
-           workers: int) -> BatchResult:
-    """``batch_compare``, with ``mapper`` (``map`` or ``_fork_map``) running the tasks of ``workers``."""
+def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, workers: int,
+           finished: list) -> BatchResult:
+    """``batch_compare`` on ``workers``, each phase through ``_fork_map``, which appends to ``finished``."""
     results: list = [None] * len(corpus)
     order = sorted(range(len(corpus)), key=lambda i: -corpus[i][1].edge_count)
-    for i, r in zip(order, _dealt(mapper, _build, [corpus[i] for i in order], workers)):
+    for i, r in zip(order, _dealt(_build, [corpus[i] for i in order], workers, finished)):
         results[i] = r
     prints = [r for r in results if isinstance(r, Fingerprint)]
     skipped: List[Tuple[str, str]] = [r for r in results if not isinstance(r, Fingerprint)]
@@ -402,23 +402,24 @@ def _batch(corpus: Sequence[Tuple[str, Graph]], include_cross_class: bool, mappe
             p, q = prints[i], prints[j]
             if include_cross_class or (p.n, p.k) == (q.n, q.k):
                 pairs.append((p, q) if p.graph_id <= q.graph_id else (q, p))
-    reports = _certify(pairs, mapper, workers)
+    reports = _certify(pairs, workers, finished)
     reports.sort(key=lambda r: r.pair)
     return BatchResult(reports, skipped)
 
 
-def _dealt(mapper, fn, items: list, workers: int) -> list:
-    """``fn``'s result for each of ``items``, in order, from ``mapper`` over tasks dealt from them.
+def _dealt(fn, items: list, workers: int, finished: list) -> list:
+    """``fn``'s result for each of ``items``, in order, from ``_fork_map`` over tasks dealt from them.
 
     ``items``, sorted largest first, are dealt round-robin into at most
     ``workers`` tasks: task t takes items t, t + workers, t + 2 workers, ...,
     so every task gets a share of the largest items and the tasks differ by
     at most one item.  A graph that breaks a hypothesis is dealt like any
     other and skipped inside its task.  ``fn`` takes a task, a list of
-    items, and returns one result per item.
+    items, and returns one result per item.  One task runs in the calling
+    process; ``_fork_map`` appends the children it reads to ``finished``.
     """
     tasks = [items[t::workers] for t in range(min(workers, len(items)))]
-    done = list(mapper(fn, tasks))
+    done = _fork_map(fn, tasks, finished)
     return [done[j % len(tasks)][j // len(tasks)] for j in range(len(items))]
 
 

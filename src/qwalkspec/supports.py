@@ -19,6 +19,10 @@ Every function here that builds an arc-space matrix takes the graph's
 ``ArcSpace``, so one arc space serves a graph's every check.  S+(U) is the
 support of the arc space's W, and S+(U^m) the support of W^m, each power
 computed from the arc structure in O((nk)^2) (``arcspace._walk_powers``).
+``support_u`` and ``support_u_power`` build one support each, as the CLI's
+``spectrum --form charpoly`` and ``invariants`` use them; ``_walk_supports``
+builds a whole chain W, ..., W^m once, for ``verify``'s checks and
+``build_support_set``.
 The identity suite and ``su2_via_identity`` multiply by P, W, kQ and S+(U)
 through the same ``ArcSpace``, never by a dense product; the dense incidence
 definitions are test oracles (``tests/oracles.py``).
@@ -177,9 +181,9 @@ class ClosedFormSpectrum:
         }
 
 
-def _snap_int(x: float, tol: float = EIGENVALUE_CLUSTER_TOL):
+def _snap_int(x: float):
     r = round(x)
-    return int(r) if abs(x - r) <= tol else float(x)
+    return int(r) if abs(x - r) <= EIGENVALUE_CLUSTER_TOL else float(x)
 
 
 def _adjacency_eigenvalue_clusters(g: Graph) -> List[tuple]:

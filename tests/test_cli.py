@@ -327,7 +327,7 @@ def test_verify_decides_each_graphs_hypotheses_once(tmp_path, capsys, monkeypatc
 
 
 def test_spectrum_charpoly_forms_only_the_support_it_returns(capsys, monkeypatch):
-    from qwalkspec import cli, intmat, supports
+    from qwalkspec import intmat, supports
 
     shapes, real = [], intmat.positive_support
 
@@ -335,7 +335,7 @@ def test_spectrum_charpoly_forms_only_the_support_it_returns(capsys, monkeypatch
         shapes.append(m.shape)
         return real(m)
 
-    for module in (cli, intmat, supports):
+    for module in (intmat, supports):
         monkeypatch.setattr(module, "positive_support", spy)
     code, out, _ = run_cli(capsys, "spectrum", "--which", "s3", "--form", "charpoly", "--generate", "petersen")
     assert code == 0 and shapes == [(30, 30)]
@@ -428,6 +428,62 @@ def test_verify_identities_text_format(capsys):
     )
     assert code == 0
     assert "identities" in out and "ihara" in out
+
+
+def _corrupt_verify_input(monkeypatch, check):
+    """Feeds ``check`` a wrong input, leaving its code as it is: an arc space with two reversals
+    swapped (identities), an S+(U^2) with one entry flipped (thm41), or brute-force char polys
+    whose constant term is off by one (thm32, ihara, thm43)."""
+    import dataclasses
+
+    from qwalkspec import cli
+    from qwalkspec.polynomials import CharPoly
+
+    if check == "identities":
+        real_arcs = cli.build_arc_space
+
+        def swapped(g):
+            a = real_arcs(g)
+            rev = a.rev.copy()
+            rev[1], rev[2] = rev[2], rev[1]  # arcs of different tails, as in test_arcspace
+            return dataclasses.replace(a, rev=rev)
+
+        monkeypatch.setattr(cli, "build_arc_space", swapped)
+    elif check == "thm41":
+        real_supports = cli._walk_supports
+
+        def flipped(a, m):
+            s1, s2 = real_supports(a, m)
+            s2 = s2.copy()
+            s2[0, 0] ^= 1
+            return [s1, s2]
+
+        monkeypatch.setattr(cli, "_walk_supports", flipped)
+    else:
+        real_polys = cli.char_polys
+        monkeypatch.setattr(cli, "char_polys", lambda ms: [
+            CharPoly((cp.coeffs[0] + 1, *cp.coeffs[1:])) for cp in real_polys(ms)])
+
+
+_FAIL_DETAILS = {
+    "identities": "P^2 = I, P*ins^T = outs^T, P*outs^T = ins^T, W*W^T = k^2 I,"
+                  " S+(U)*ins^T = (k-1)outs^T, S+(U)*outs^T = outs^T A - ins^T",
+    "thm32": "charpoly mismatch",
+    "thm41": "S+(U^2) != S+(U)^2 + I",
+    "thm43": "charpoly mismatch",
+    "ihara": "factorization mismatch",
+}
+
+
+@pytest.mark.parametrize("check", list(_FAIL_DETAILS))
+def test_verify_reports_fail_when_a_checks_input_is_corrupted(check, capsys, monkeypatch):
+    _corrupt_verify_input(monkeypatch, check)
+    detail = _FAIL_DETAILS[check]
+    argv = ["verify", "--checks", check, "--generate", "petersen"]
+    assert run_cli(capsys, *argv) == (1, f"petersen  {check:<10}  FAIL  {detail}\n", "")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    row = {"id": "petersen", "check": check, "status": "FAIL", "detail": detail}
+    assert (code, json.loads(out)) == (1, {"results": [row]})
 
 
 def test_verify_unknown_check(capsys):

@@ -330,17 +330,17 @@ def test_no_phase_forks_more_than_workers_minus_one_children(monkeypatch):
         forks.append(None)
         return real_fork()
 
-    def counting_map(fn, tasks, **kwargs):
+    def counting_map(fn, tasks, finished):
         before = len(forks)
         try:
-            return real_map(fn, tasks, **kwargs)
+            return real_map(fn, tasks, finished)
         finally:
             phases.append((fn.__name__, len(forks) - before))
 
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(inv, "_fork_map", counting_map)
     expected = batch_compare(corpus, threads=1)
-    assert forks == [] and phases == []
+    assert forks == [] and phases == [("_build", 0), ("_exact_s3", 0)]
     for threads in (2, 3, 8):
         workers = min(threads, len(corpus))
         phases.clear()
@@ -355,12 +355,14 @@ def _fail_in_a_child(task):
     raise ValueError("a child's task failed")
 
 
-@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("fail", [None, "_build", "_exact_s3"])
 def test_every_forked_child_is_reaped_before_batch_compare_returns_or_raises(threads, fail, monkeypatch):
     """A child whose result was read is reaped once the pairs are certified, so its teardown
     overlaps the work that follows; on an error in a child's task (in the first phase, or in the
-    last, with the earlier phases' children still unreaped) every child is reaped all the same."""
+    last, with the earlier phases' children still unreaped) every child is reaped all the same.
+    With one worker nothing is forked, and the error of the calling process's one task reaches
+    the caller through ``_fork_map`` all the same."""
     import qwalkspec.invariants as inv
 
     monkeypatch.setattr(inv, "find_isomorphism", lambda g, h, **kwargs: None)
@@ -369,6 +371,7 @@ def test_every_forked_child_is_reaped_before_batch_compare_returns_or_raises(thr
     corpus.append(("rook44", rook_graph(4)))  # the three twins need exact polys
     expected = batch_compare(corpus, threads=1)
     events, real_fork, real_waitpid, real_certify = [], os.fork, os.waitpid, inv._certify
+    real_map, raised_by = inv._fork_map, []
 
     def fork():
         pid = real_fork()
@@ -386,19 +389,32 @@ def test_every_forked_child_is_reaped_before_batch_compare_returns_or_raises(thr
         events.append(("certified", None))
         return out
 
+    def fork_map(fn, tasks, finished):
+        try:
+            return real_map(fn, tasks, finished)
+        except ValueError:
+            raised_by.append(fn)
+            raise
+
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "waitpid", waitpid)
     monkeypatch.setattr(inv, "_certify", certify)
+    monkeypatch.setattr(inv, "_fork_map", fork_map)
     if fail is None:
         assert batch_compare(corpus, threads=threads) == expected
         certified = events.index(("certified", None))
         assert "reap" not in [e for e, _ in events[:certified]]
-        assert all(e == "reap" for e, _ in events[certified + 1 :]) and events[-1][0] == "reap"
+        assert all(e == "reap" for e, _ in events[certified + 1 :])
+        assert events[-1][0] == ("reap" if threads > 1 else "certified")
     else:
-        _in_children(monkeypatch, fail, _fail_in_a_child)
+        if threads == 1:  # the one task runs in the calling process
+            monkeypatch.setattr(inv, fail, _fail_in_a_child)
+        else:
+            _in_children(monkeypatch, fail, _fail_in_a_child)
         with pytest.raises(ValueError, match="a child's task failed"):
             batch_compare(corpus, threads=threads)
         assert ("certified", None) not in events
+        assert raised_by == [getattr(inv, fail)]
     forked = [pid for e, pid in events if e == "fork"]
     assert len(forked) >= threads - 1
     assert sorted(pid for e, pid in events if e == "reap") == sorted(forked)
@@ -950,7 +966,7 @@ def _task_corpus():
     ]
 
 
-def test_batch_tasks_give_the_verdicts_of_compare_at_every_thread_count():
+def test_batch_tasks_give_the_verdicts_of_compare_at_every_thread_count(monkeypatch):
     import qwalkspec.invariants as inv
 
     corpus = _task_corpus()
@@ -960,18 +976,19 @@ def test_batch_tasks_give_the_verdicts_of_compare_at_every_thread_count():
                "k4", "c6~", "k4~", "c5", "c5~"]
     built = []
 
-    def recording_map(fn, tasks):
-        tasks = list(tasks)
+    def recording_map(fn, tasks, finished):
         if fn is inv._build:
             built.append([[gid for gid, _ in task] for task in tasks])
-        return map(fn, tasks)
+        return [fn(task) for task in tasks]
 
     layouts = {1: [by_size], 3: [["shrikhande", "c7", "triangles", "k4~"], ["rook44", "c6", "k4", "c5"],
                                  ["shrikhande~", "irregular", "c6~", "c5~"]]}
-    for workers, tasks in layouts.items():
-        built.clear()
-        inv._batch(corpus, True, recording_map, workers)
-        assert built == [tasks], workers
+    with monkeypatch.context() as patch:  # every task in this process, so the spy sees them
+        patch.setattr(inv, "_fork_map", recording_map)
+        for workers, tasks in layouts.items():
+            built.clear()
+            inv._batch(corpus, True, workers, [])
+            assert built == [tasks], workers
     results = [batch_compare(corpus, include_cross_class=True, threads=t) for t in (1, 2, 3)]
     assert results[1] == results[0] and results[2] == results[0]
     assert results[0].skipped == [("irregular", "graph is not regular"),
@@ -1017,7 +1034,9 @@ def test_a_one_nk_corpus_deals_its_exact_polys_into_one_task_per_worker(monkeypa
         return exact(prints)
 
     monkeypatch.setattr(inv, "_exact_s3", spy)
-    result = inv._batch(corpus, False, map, 2)
+    with monkeypatch.context() as patch:  # both tasks in this process, so the spy sees them
+        patch.setattr(inv, "_fork_map", lambda fn, tasks, finished: [fn(task) for task in tasks])
+        result = inv._batch(corpus, False, 2, [])
     assert calls == [["shr0", "shr2"], ["shr1", "rook44"]]
     calls.clear()
     assert batch_compare(corpus, threads=1) == result
