@@ -17,7 +17,7 @@ a = q.build_arc_space(g)
 
 # %% Closed form for S+(U) ---------------------------------------------------
 spec = q.closed_form_spectrum_su(g)
-print(f"Petersen: n={spec.n}, k={spec.k}, total multiplicity {spec.total_multiplicity()}")
+print(f"Petersen: n={spec.n}, k={spec.k}, total multiplicity {len(spec.numeric_values())}")
 for entry in spec.entries:
     print(" ", entry)
 

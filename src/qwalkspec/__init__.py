@@ -46,8 +46,6 @@ from .graphs import (
     SrgParams,
     adjacency_matrix,
     find_isomorphism,
-    is_connected,
-    is_regular,
     relabel,
     srg_params,
 )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import intmat
 from .errors import ValencyError
-from .graphs import Graph, is_regular
+from .graphs import Graph
 from .intmat import int_eye
 
 
@@ -94,12 +94,12 @@ class ArcSpace:
 
 def build_arc_space(g: Graph) -> ArcSpace:
     """Index the nk arcs of a regular graph (valency >= 1)."""
-    k = is_regular(g)
+    k = g.valency
     if k is None:
         raise ValencyError("graph is not regular")
     if k < 1:
         raise ValencyError(f"valency {k} < 1: no arcs to index")
-    edges = np.array(g.sorted_edges(), dtype=np.int64)  # row j: arcs 2j = (u, v) and 2j + 1 = (v, u)
+    edges = np.array(sorted(g.edges), dtype=np.int64)  # row j: arcs 2j = (u, v) and 2j + 1 = (v, u)
     head = edges[:, ::-1].ravel()
     into = np.argsort(head, kind="stable").reshape(g.n, k)
     return ArcSpace(g, k, edges.ravel(), head, np.arange(len(head)) ^ 1, into)

@@ -31,8 +31,8 @@ from .arcspace import ArcSpace, build_arc_space
 from .errors import Graph6Error, HypothesisError, ParameterError
 from .generators import parse_generator_spec
 from .graph6 import read_graph6_file
-from .graphs import Graph, adjacency_matrix, is_connected, is_regular
-from .intmat import char_poly, char_polys, int_eye, mat_equal
+from .graphs import Graph, adjacency_matrix
+from .intmat import char_poly, char_polys, mat_equal
 from .invariants import _CSV_HEADER, _csv_rows, _csv_text, batch_compare, certify, fingerprints
 from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_roots
@@ -41,16 +41,11 @@ from .supports import (
     closed_form_spectrum_su,
     closed_form_spectrum_su2,
     identity_suite,
+    su2_via_identity,
     support_u,
     support_u_power,
 )
-from .supports import (
-    _charpoly_su,
-    _charpoly_su2,
-    _ihara_charpoly,
-    _walk_hypotheses,
-    _walk_supports,
-)
+from .supports import _charpoly_su, _charpoly_su2, _ihara_charpoly, _require_walk_hypotheses
 
 CHECK_NAMES = ("identities", "thm32", "thm41", "thm43", "ihara")
 
@@ -158,7 +153,6 @@ def _fmt_complex(z: complex) -> str:
 # ---------------------------------------------------------------------------
 
 
-_CLOSED_SPECTRA = {"s1": closed_form_spectrum_su, "s2": closed_form_spectrum_su2}
 _SPECTRUM_HEADER = ("id", "which", "form", "field", "value", "multiplicity")
 
 
@@ -168,13 +162,15 @@ def _spectrum(gid: str, g: Graph, which: str, form: str) -> Tuple[dict, list, Li
     payload = {"id": gid, "which": which, "form": form}
     rows = []
     lines = [f"# {gid}  which={which}  form={form}"]
+    # looked up at each call, so that a wrapper installed after import sees every closed spectrum
+    closed = {"s1": closed_form_spectrum_su, "s2": closed_form_spectrum_su2}.get(which)
     if form == "closed":
-        if which not in _CLOSED_SPECTRA:
+        if closed is None:
             raise HypothesisError(
                 f"no closed form for {which!r}; closed form exists for s1 (k >= 2)"
                 " and s2 (k > 2) only"
             )
-        spectrum = _CLOSED_SPECTRA[which](g)
+        spectrum = closed(g)
         payload["spectrum"] = spectrum.to_json()
         for e in spectrum.entries:
             if isinstance(e, QuadraticPair):
@@ -195,9 +191,9 @@ def _spectrum(gid: str, g: Graph, which: str, form: str) -> Tuple[dict, list, Li
     else:
         if which == "a":
             vals = symmetric_eigenvalues(adjacency_matrix(g))
-        elif which in _CLOSED_SPECTRA:
+        elif closed is not None:
             try:
-                vals = _CLOSED_SPECTRA[which](g).numeric_values()
+                vals = closed(g).numeric_values()
             except HypothesisError:
                 vals = poly_roots(_charpoly_of(g, which).coeffs)
         else:
@@ -254,25 +250,15 @@ def cmd_spectrum(args) -> int:
 class _VerifyInputs:
     """What several verify checks of one graph share, each computed once on first use.
 
-    ``k`` is the graph's valency, or None if it is not regular, decided once here,
-    and ``connected`` once on first use: thm32, thm43 and ihara check their
-    hypotheses against them (``walk_k``) and call the unchecked closed forms.
-    ``arcs`` is the graph's one arc space: the identity suite and the W, W^2
-    chain share it and its W.
+    thm32, thm43 and ihara check their hypotheses on the graph's own
+    ``valency`` and ``connected`` (``_require_walk_hypotheses``) and call the
+    unchecked closed forms.  ``arcs`` is the graph's one arc space: the
+    identity suite, the supports and thm41's S+(U)^2 + I share it and its W.
     """
 
     def __init__(self, g: Graph, checks: List[str]):
         self.g = g
         self.checks = checks
-        self.k = is_regular(g)
-
-    @cached_property
-    def connected(self) -> bool:
-        return is_connected(self.g)
-
-    def walk_k(self, min_k: int) -> int:
-        """k, or ``HypothesisError`` unless the graph is k-regular, k >= min_k and connected."""
-        return _walk_hypotheses(self.k, min_k, lambda: self.connected)
 
     @cached_property
     def cp_a(self) -> CharPoly:
@@ -284,12 +270,15 @@ class _VerifyInputs:
 
     @cached_property
     def supports(self) -> list:
-        """[S+(U), S+(U^2)] from one W chain, built once; W alone when no check uses S+(U^2).
+        """[S+(U), S+(U^2)], built once; S+(U) alone when no check uses S+(U^2).
 
         thm41 and thm43 use S+(U^2) unless their k > 2 hypothesis fails on k.
         """
-        s2 = ("thm41" in self.checks or "thm43" in self.checks) and (self.k is None or self.k > 2)
-        return _walk_supports(self.arcs, 2 if s2 else 1)
+        k = self.g.valency
+        s1 = support_u(self.arcs)
+        if ("thm41" in self.checks or "thm43" in self.checks) and (k is None or k > 2):
+            return [s1, support_u_power(self.arcs, 2)]
+        return [s1]
 
     @cached_property
     def brute_force(self) -> dict:
@@ -297,7 +286,7 @@ class _VerifyInputs:
         matrices = {}
         if "thm32" in self.checks or "ihara" in self.checks:
             matrices["s1"] = self.supports[0]
-        if "thm43" in self.checks and (self.k is None or self.k > 2):
+        if "thm43" in self.checks and (self.g.valency is None or self.g.valency > 2):
             matrices["s2"] = self.supports[1]
         return dict(zip(matrices, char_polys(matrices.values())))
 
@@ -312,7 +301,7 @@ _POLY_CHECKS = {
 
 def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
     """Returns (status, detail) with status in PASS/FAIL/SKIP; check is one of CHECK_NAMES."""
-    g, k = inputs.g, inputs.k
+    g, k = inputs.g, inputs.g.valency
     try:
         if check == "identities":
             if k is None or k < 1:
@@ -322,11 +311,10 @@ def _run_check(check: str, inputs: _VerifyInputs) -> Tuple[str, str]:
         if check in ("thm41", "thm43") and k is not None and k <= 2:  # both need k > 2
             return "SKIP", f"hypothesis k>2 (got k={k})"
         if check == "thm41":
-            s1, s2 = inputs.supports
-            ok = mat_equal(s2, inputs.arcs.s1(s1) + int_eye(len(s1)))  # S+(U)^2 + I
+            ok = mat_equal(inputs.supports[1], su2_via_identity(inputs.arcs))
             return ("PASS", "") if ok else ("FAIL", "S+(U^2) != S+(U)^2 + I")
         min_k, closed_form, which, detail = _POLY_CHECKS[check]
-        rhs = closed_form(g.n, inputs.walk_k(min_k), inputs.cp_a)
+        rhs = closed_form(g.n, _require_walk_hypotheses(g, min_k), inputs.cp_a)
         return ("PASS", "") if inputs.brute_force[which] == rhs else ("FAIL", detail)
     except HypothesisError as e:
         return "SKIP", f"hypothesis: {e}"

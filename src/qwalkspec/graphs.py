@@ -6,6 +6,11 @@ construction time, and a repeated edge, in either orientation, is merged
 into one: ``Graph(3, [(0, 1), (1, 0)])`` has one edge.  The walk machinery
 downstream is only defined on simple graphs.
 
+A graph owns the two facts every theorem's hypotheses read: ``valency`` (its
+common degree, or None if it is not regular) and ``connected``.  Each is
+decided on first use and kept, so a graph is checked at most once however
+many arc spaces, closed forms and checks read it.
+
 ``find_isomorphism`` searches for a vertex map by individualization and
 refinement, the scheme of McKay and Piperno, "Practical graph isomorphism,
 II" (arXiv:1301.1493), without their automorphism pruning.  It returns a
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index
 from typing import Iterable, Optional, Sequence
 
@@ -27,7 +33,7 @@ from .intmat import mat_equal, mat_mul
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph on vertices ``0 .. n-1``."""
+    """A simple undirected graph on vertices ``0 .. n-1``, with its valency and connectivity."""
 
     n: int
     edges: frozenset
@@ -51,9 +57,33 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list:
-        """Edges as (u, v) with u < v, in lexicographic order."""
-        return sorted(self.edges)
+    @cached_property
+    def valency(self) -> Optional[int]:
+        """The common degree if the graph is regular, else None."""
+        d = [0] * self.n
+        for u, v in self.edges:
+            d[u] += 1
+            d[v] += 1
+        k = d[0]
+        return k if all(x == k for x in d) else None
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether every vertex is reachable from vertex 0."""
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        seen = [False] * self.n
+        seen[0] = True
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        return all(seen)
 
 
 @dataclass(frozen=True)
@@ -82,33 +112,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def is_regular(g: Graph) -> Optional[int]:
-    """The common degree if g is regular, else None."""
-    d = [0] * g.n
-    for u, v in g.edges:
-        d[u] += 1
-        d[v] += 1
-    k = d[0]
-    return k if all(x == k for x in d) else None
-
-
-def is_connected(g: Graph) -> bool:
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return all(seen)
-
-
 def srg_params(g: Graph) -> Optional[SrgParams]:
     """SRG parameters, or None if g is not strongly regular.
 
@@ -121,7 +124,7 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
     2-walks from a vertex to its non-neighbours gives k(k - lambda - 1) =
     (n - k - 1) mu, so ``SrgParams`` accepts them.
     """
-    k = is_regular(g)
+    k = g.valency
     if k is None:
         return None
     a = adjacency_matrix(g)

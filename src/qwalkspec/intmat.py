@@ -776,7 +776,8 @@ def _plan_primes(n: int, bits: float) -> list:
     primes: list = []
     while sum(map(math.log2, primes)) <= bits + 1:
         primes = _primes(len(primes) + 1, ceiling)
-    assert _sum_terms(n) * ((primes[0] + 1) // 2) ** 2 < _FLOAT_EXACT, "float64 sums could round"
+    if _sum_terms(n) * ((primes[0] + 1) // 2) ** 2 >= _FLOAT_EXACT:
+        raise OverflowError(f"float64 sums could round at n={n}, prime {primes[0]}")
     return primes
 
 

@@ -221,7 +221,8 @@ def _power_traces(s: np.ndarray) -> Tuple[int, int, int, int]:
     2^60: no int64 wraps.
     """
     nk = s.shape[0]
-    assert nk < 2**15, "int64 trace sums could wrap"
+    if nk >= 2**15:
+        raise OverflowError(f"int64 trace sums could wrap at nk={nk} >= 2^15")
     r, c = _pack_rows(s).view(np.uint64), _pack_rows(s.T).view(np.uint64)
     s2 = np.zeros((nk, nk), dtype=np.int64)
     for w in range(r.shape[1]):

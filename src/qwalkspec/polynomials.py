@@ -43,7 +43,7 @@ class CharPoly:
         return [str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
-        terms = []
+        terms = []  # never empty: the leading coefficient is 1
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
             if c == 0:
@@ -55,8 +55,6 @@ class CharPoly:
                 var = "t" if i == 1 else f"t^{i}"
                 body = var if mag == 1 else f"{mag}*{var}"
             terms.append(("- " if c < 0 else "+ ") + body)
-        if not terms:
-            return "0"
         head = terms[0].replace("+ ", "").replace("- ", "-")
         return " ".join([head] + terms[1:])
 

@@ -19,10 +19,10 @@ Every function here that builds an arc-space matrix takes the graph's
 ``ArcSpace``, so one arc space serves a graph's every check.  S+(U) is the
 support of the arc space's W, and S+(U^m) the support of W^m, each power
 computed from the arc structure in O((nk)^2) (``arcspace._walk_powers``).
-``support_u`` and ``support_u_power`` build one support each, as the CLI's
-``spectrum --form charpoly`` and ``invariants`` use them; ``_walk_supports``
-builds a whole chain W, ..., W^m once, for ``verify``'s checks and
-``build_support_set``.
+``support_u``, ``support_u_power`` and ``build_support_set`` are the only
+builders of supports: the CLI's ``spectrum`` and ``verify`` and ``invariants``
+all call them by these names.  W is the arc space's own, formed once, so the
+S+(U) and S+(U^2) of one graph share it.
 The identity suite and ``su2_via_identity`` multiply by P, W, kQ and S+(U)
 through the same ``ArcSpace``, never by a dense product; the dense incidence
 definitions are test oracles (``tests/oracles.py``).
@@ -34,18 +34,22 @@ adjacency characteristic polynomial, evaluated once at t = 2^B as a Python
 int and read back as B-bit digits, with B from a bound on the result's
 1-norm.  Floating point appears only in the report-oriented
 ``ClosedFormSpectrum``, never in an identity check.
+
+Every closed form checks its hypotheses through ``_require_walk_hypotheses``,
+which reads the graph's own ``valency`` and ``connected``: a graph decides
+them once, however many closed forms and checks ask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
 from .arcspace import ArcSpace, _walk_powers, ins_matrix, outs_matrix, reversal_matrix, scaled_reflection_q
 from .errors import HypothesisError, ValencyError
-from .graphs import Graph, adjacency_matrix, is_connected, is_regular
+from .graphs import Graph, adjacency_matrix
 from .intmat import char_poly, int_eye, mat_equal, mat_mul, positive_support
 from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_divide_exact, poly_graeffe
@@ -56,7 +60,7 @@ EIGENVALUE_CLUSTER_TOL = 1e-6
 
 def support_u(a: ArcSpace) -> np.ndarray:
     """S+(U), the support of W: the non-backtracking arc matrix (k >= 2)."""
-    return _walk_supports(a, 1)[0]
+    return positive_support(_walks(a, 1)[0])
 
 
 def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
@@ -64,11 +68,6 @@ def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
     if m not in (2, 3):
         raise ValueError(f"only powers 2 and 3 are supported, got {m}")
     return positive_support(_walks(a, m)[-1])
-
-
-def _walk_supports(a: ArcSpace, m: int) -> list:
-    """[S+(U), ..., S+(U^m)], the supports of one chain W, ..., W^m (k >= 2)."""
-    return [positive_support(w) for w in _walks(a, m)]
 
 
 def _walks(a: ArcSpace, m: int) -> list:
@@ -95,7 +94,8 @@ class SupportSet:
 
 
 def build_support_set(a: ArcSpace) -> SupportSet:
-    return SupportSet(*_walk_supports(a, 3))
+    """S+(U), S+(U^2) and S+(U^3), the supports of one chain W, W^2, W^3 (k >= 2)."""
+    return SupportSet(*map(positive_support, _walks(a, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +134,8 @@ class QuadraticPair:
     multiplicity: int
     conjugate: bool
 
-    def discriminant(self) -> float:
-        return self.root_sum**2 - 4 * self.root_product
-
     def numeric_values(self) -> list:
-        disc = complex(self.discriminant()) ** 0.5
+        disc = complex(self.root_sum**2 - 4 * self.root_product) ** 0.5
         r1 = (self.root_sum + disc) / 2
         r2 = (self.root_sum - disc) / 2
         return [r1, r2] * self.multiplicity
@@ -160,12 +157,6 @@ class ClosedFormSpectrum:
     n: int
     k: int
     entries: tuple
-
-    def total_multiplicity(self) -> int:
-        total = 0
-        for e in self.entries:
-            total += e.multiplicity * (2 if isinstance(e, QuadraticPair) else 1)
-        return total
 
     def numeric_values(self) -> list:
         vals: list = []
@@ -199,29 +190,21 @@ def _adjacency_eigenvalue_clusters(g: Graph) -> List[tuple]:
 
 
 def _require_walk_hypotheses(g: Graph, min_k: int) -> int:
-    return _walk_hypotheses(is_regular(g), min_k, lambda: is_connected(g))
-
-
-def _walk_hypotheses(k: Optional[int], min_k: int, connected: Callable[[], bool]) -> int:
-    """k, if the graph is k-regular with k >= min_k and ``connected()``; else ``HypothesisError``
+    """g's valency k, if g is k-regular with k >= min_k and connected; else ``HypothesisError``
     naming the first hypothesis that fails.  Connectivity is asked for only after the degrees pass."""
+    k = g.valency
     if k is None:
         raise HypothesisError("graph is not regular")
     if k < min_k:
         raise HypothesisError(f"valency k >= {min_k} required, got k={k}")
-    if not connected():
+    if not g.connected:
         raise HypothesisError("graph is not connected")
     return k
 
 
 def closed_form_spectrum_su(g: Graph) -> ClosedFormSpectrum:
     """Closed-form spectrum of S+(U) for a connected regular graph, k >= 2."""
-    return _spectrum_su(g, _require_walk_hypotheses(g, 2))
-
-
-def _spectrum_su(g: Graph, k: int) -> ClosedFormSpectrum:
-    """``closed_form_spectrum_su`` of a graph whose hypotheses are checked, with valency k."""
-    n = g.n
+    n, k = g.n, _require_walk_hypotheses(g, 2)
     entries: list = [RationalEigenvalue(k - 1, 1)]
     clusters = _adjacency_eigenvalue_clusters(g)
     top_val, top_mult = clusters[-1]
@@ -243,7 +226,8 @@ def _spectrum_su(g: Graph, k: int) -> ClosedFormSpectrum:
 
 def closed_form_spectrum_su2(g: Graph) -> ClosedFormSpectrum:
     """Closed-form spectrum of S+(U^2) for k > 2: the image theta -> theta^2 + 1."""
-    su = _spectrum_su(g, _require_walk_hypotheses(g, 3))
+    _require_walk_hypotheses(g, 3)
+    su = closed_form_spectrum_su(g)
     n, k = su.n, su.k
     entries: list = []
     two_mult = 0

@@ -58,7 +58,7 @@ def test_criterion_2_support_spectrum_closed_form():
     t0 = time.perf_counter()
     failures = []
     for gid, g in CORPUS:
-        if cp_s1(gid, g) != _charpoly_su(g.n, q.is_regular(g), cp_a(gid, g)):
+        if cp_s1(gid, g) != _charpoly_su(g.n, g.valency, cp_a(gid, g)):
             failures.append(gid)
     _finish(2, "char poly of S+(U) equals its closed form (corrected multiplicities)",
             t0, failures)
@@ -68,7 +68,7 @@ def test_criterion_3_ihara_style_identity():
     t0 = time.perf_counter()
     failures = []
     for gid, g in CORPUS:
-        if cp_s1(gid, g) != _ihara_charpoly(g.n, q.is_regular(g), cp_a(gid, g)):
+        if cp_s1(gid, g) != _ihara_charpoly(g.n, g.valency, cp_a(gid, g)):
             failures.append(gid)
     _finish(3, "Ihara-style factorization of char poly of S+(U)", t0, failures,
             budget=30)

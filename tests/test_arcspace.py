@@ -256,7 +256,7 @@ def test_identity_suite_fails_when_two_reversals_are_swapped():
 def test_index_arrays_follow_the_canonical_arc_order():
     for gid, g in _walk_cases() + _edge_cases():
         a = build_arc_space(g)
-        arcs = [arc for u, v in g.sorted_edges() for arc in ((u, v), (v, u))]
+        arcs = [arc for u, v in sorted(g.edges) for arc in ((u, v), (v, u))]
         assert a.arcs == tuple(arcs) and a.rev.tolist() == [j ^ 1 for j in range(len(arcs))], gid
         into = [[j for j, (_, h) in enumerate(arcs) if h == v] for v in range(g.n)]
         assert a.into.tolist() == into, gid

@@ -11,7 +11,6 @@ from qwalkspec import (
     complete_graph,
     cycle_graph,
     int_eye,
-    is_regular,
     mat_equal,
     parse_generator_spec,
     parse_graph6,
@@ -133,7 +132,7 @@ def test_spectrum_numeric_s1_s2_values_are_the_roots_of_the_exact_char_poly(
     else:
         texts = out.splitlines()[1:]
     values = [complex(t.replace("i", "j")) for t in texts]
-    assert len(values) == g.n * is_regular(g)
+    assert len(values) == g.n * g.valency
     cp = _exact_support_charpoly(g, which)
     for z in values:  # a root: |cp(z)| tiny against the sum of |c_i| |z|^i
         assert abs(np.polyval(cp[::-1], z)) <= 1e-9 * np.polyval(np.abs(cp[::-1]), abs(z))
@@ -236,12 +235,13 @@ def test_verify_skips_need_no_brute_force_char_poly(tmp_path, capsys, monkeypatc
 def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s2_builds,
                                                          capsys, monkeypatch):
     """The pass is shared when S+(U) and S+(U^2) fall back to the kernel, forced here for all."""
-    from qwalkspec import cli, intmat
+    from qwalkspec import ArcSpace, cli, intmat
 
     nk = 30 if spec == "petersen" else 12
-    passes, calls, chains, regular = [], [], [], []
-    kernel, polys, supports = intmat._hessenberg_stack, cli.char_polys, cli._walk_supports
-    is_regular = cli.is_regular
+    passes, calls, s1_builds, powers, walks, regular = [], [], [], [], [], []
+    kernel, polys = intmat._hessenberg_stack, cli.char_polys
+    support_u, support_u_power = cli.support_u, cli.support_u_power
+    walk, valency = ArcSpace.walk.func, Graph.valency.func
 
     def kernel_spy(h, primes):
         passes.append(h.shape[1])
@@ -252,66 +252,63 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
         calls.append(len(ms))
         return polys(ms)
 
-    def supports_spy(a, m):
-        chains.append(m)
-        return supports(a, m)
+    def support_u_spy(a):
+        s1_builds.append(a)
+        return support_u(a)
 
-    def regular_spy(g):
+    def power_spy(a, m):
+        powers.append(m)
+        return support_u_power(a, m)
+
+    def walk_spy(a):
+        walks.append(a)
+        return walk(a)
+
+    def valency_spy(g):
         regular.append(g)
-        return is_regular(g)
+        return valency(g)
 
     monkeypatch.setattr(intmat, "_hessenberg_stack", kernel_spy)
     monkeypatch.setattr(intmat, "_permutation_route", lambda m, r: None)  # cycle:6's S+(U) has r = 1
     monkeypatch.setattr(intmat, "_trace_route", lambda m, r: None)
     monkeypatch.setattr(intmat, "_minpoly_route", lambda m, r: (None, "degree"))
     monkeypatch.setattr(cli, "char_polys", polys_spy)
-    monkeypatch.setattr(cli, "_walk_supports", supports_spy)
-    monkeypatch.setattr(cli, "is_regular", regular_spy)
+    monkeypatch.setattr(cli, "support_u", support_u_spy)
+    monkeypatch.setattr(cli, "support_u_power", power_spy)
+    monkeypatch.setattr(ArcSpace.walk, "func", walk_spy)
+    monkeypatch.setattr(Graph.valency, "func", valency_spy)
     code, out, _ = run_cli(capsys, "verify", "--generate", spec, "--checks", checks)
     assert code == 0 and "FAIL" not in out
-    assert calls == shared and [m for m in chains if m == 2] == s2_builds
-    assert len(chains) == (1 if shared or s2_builds else 0)  # one W chain for every check
+    assert calls == shared and powers == s2_builds
+    assert len(s1_builds) == (1 if shared or s2_builds else 0)  # one S+(U) for every check
+    assert len(walks) == 1  # one W for the identities, the supports and thm41's S+(U)^2 + I
     assert passes.count(nk) == len(shared)
     assert len(regular) == 1  # one graph, its k decided once for every check
 
 
 def test_verify_decides_each_graphs_hypotheses_once(tmp_path, capsys, monkeypatch):
-    """One is_connected per graph that reaches it, is_regular only in _VerifyInputs and
-    build_arc_space, and every SKIP detail the one the checked closed forms raise."""
-    from qwalkspec import HypothesisError, arcspace, cli, supports
+    """Each graph's valency decided once, its connectivity once if the degrees pass, and every
+    SKIP detail the one the checked closed forms raise."""
+    from qwalkspec import HypothesisError, cli, supports
 
     graphs = [petersen_graph(), cycle_graph(5),
               Graph(8, [(i, j) for b in (0, 4) for i in range(b, b + 4) for j in range(i + 1, b + 4)]),
               Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), Graph(6, [(0, 1), (2, 3), (4, 5)])]
     path = tmp_path / "graphs.g6"
     write_graph6_file(str(path), graphs)
-    calls = []
-
-    def spy(module, name):
-        real = getattr(module, name)
-
-        def counted(g):
-            calls.append((module.__name__.split(".")[-1], name, g.n))
-            return real(g)
-
-        monkeypatch.setattr(module, name, counted)
-
-    for module in (cli, arcspace, supports):
-        spy(module, "is_regular")
-    for module in (cli, supports):
-        spy(module, "is_connected")
+    calls = _spy_graph_facts(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--format", "json")
     assert code == 0
-    assert [c for c in calls if c[1] == "is_connected"] == [("cli", "is_connected", n) for n in (10, 5, 8)]
-    assert {c[0] for c in calls if c[1] == "is_regular"} == {"cli", "arcspace"}
-    assert [c[2] for c in calls if c[0] == "cli" and c[1] == "is_regular"] == [g.n for g in graphs]
+    assert [(name, g.n) for name, g in calls if name == "connected"] == [("connected", n) for n in (10, 5, 8)]
+    assert [g.n for name, g in calls if name == "valency"] == [g.n for g in graphs]
+    assert len({id(g) for _, g in calls}) == len(graphs)  # the graphs read from the file, no copies
 
     checked = {"thm32": supports.closed_form_charpoly_su, "ihara": supports.ihara_style_charpoly,
                "thm43": supports.closed_form_charpoly_su2}
     rows = iter(json.loads(out)["results"])
     monkeypatch.undo()
     for g in graphs:
-        k = is_regular(g)
+        k = g.valency
         for check in cli.CHECK_NAMES:
             row = next(rows)
             if check == "thm43" and k is not None and k <= 2:
@@ -324,6 +321,76 @@ def test_verify_decides_each_graphs_hypotheses_once(tmp_path, capsys, monkeypatc
                 assert row["status"] == "PASS", (g.n, check)
             except HypothesisError as e:
                 assert (row["status"], row["detail"]) == ("SKIP", f"hypothesis: {e}"), (g.n, check)
+
+
+def _spy_graph_facts(monkeypatch) -> list:
+    """The (name, graph) of each time a graph decides its ``valency`` or ``connected``."""
+    calls = []
+    for name in ("valency", "connected"):
+        prop = getattr(Graph, name)
+
+        def counted(g, name=name, real=prop.func):
+            calls.append((name, g))
+            return real(g)
+
+        monkeypatch.setattr(prop, "func", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--checks", "all", "--input", "GRAPHS"],
+    ["batch", "--threads", "1", "--include-cross-class", "--input", "GRAPHS"],
+    ["compare", "shrikhande", "rook:4"],
+    ["compare", "petersen", "petersen"],
+    ["spectrum", "--which", "s2", "--form", "closed", "--generate", "petersen",
+     "--generate", "hypercube:3"],
+    ["spectrum", "--which", "s1", "--form", "closed", "--input", "GRAPHS"],
+    ["spectrum", "--which", "s2", "--form", "numeric", "--generate", "cycle:5",
+     "--generate", "complete:4"],
+])
+def test_each_command_decides_a_graphs_valency_and_connectivity_at_most_once(
+        argv, tmp_path, capsys, monkeypatch):
+    graphs = [petersen_graph(), cycle_graph(5), complete_graph(4), parse_generator_spec("rook:4"),
+              Graph(8, [(i, j) for b in (0, 4) for i in range(b, b + 4) for j in range(i + 1, b + 4)]),
+              Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), Graph(6, [(0, 1), (2, 3), (4, 5)])]
+    path = tmp_path / "graphs.g6"
+    write_graph6_file(str(path), graphs)
+    calls = _spy_graph_facts(monkeypatch)
+    run_cli(capsys, *[str(path) if a == "GRAPHS" else a for a in argv])
+    assert calls
+    for name in ("valency", "connected"):
+        per_graph = [id(g) for n, g in calls if n == name]
+        assert len(per_graph) == len(set(per_graph)), name
+
+
+def test_wrappers_installed_after_import_see_every_closed_spectrum_and_support(capsys, monkeypatch):
+    """``spectrum`` and ``verify`` reach the closed spectra and supports through the public names
+    of ``cli``, read at each call, so a wrapper installed after import sees every one."""
+    from qwalkspec import cli
+
+    seen = []
+    for name in ("closed_form_spectrum_su", "closed_form_spectrum_su2", "su2_via_identity",
+                 "support_u", "support_u_power"):
+        def wrapper(*args, name=name, real=getattr(cli, name)):
+            seen.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    for which in ("s1", "s2"):
+        for form in ("closed", "numeric"):
+            assert run_cli(capsys, "spectrum", "--which", which, "--form", form,
+                           "--generate", "petersen")[0] == 0
+    assert seen == ["closed_form_spectrum_su"] * 2 + ["closed_form_spectrum_su2"] * 2
+    seen.clear()
+    for which in ("s1", "s2", "s3"):
+        assert run_cli(capsys, "spectrum", "--which", which, "--form", "charpoly",
+                       "--generate", "petersen")[0] == 0
+    assert seen == ["support_u", "support_u_power", "support_u_power"]
+    seen.clear()
+    code, out, _ = run_cli(capsys, "verify", "--checks", "all", "--generate", "petersen",
+                           "--generate", "cycle:5")
+    assert code == 0 and out.count("PASS") == 8
+    assert seen == ["support_u", "support_u_power", "su2_via_identity", "support_u"]
 
 
 def test_spectrum_charpoly_forms_only_the_support_it_returns(capsys, monkeypatch):
@@ -450,15 +517,14 @@ def _corrupt_verify_input(monkeypatch, check):
 
         monkeypatch.setattr(cli, "build_arc_space", swapped)
     elif check == "thm41":
-        real_supports = cli._walk_supports
+        real_power = cli.support_u_power
 
         def flipped(a, m):
-            s1, s2 = real_supports(a, m)
-            s2 = s2.copy()
+            s2 = real_power(a, m).copy()
             s2[0, 0] ^= 1
-            return [s1, s2]
+            return s2
 
-        monkeypatch.setattr(cli, "_walk_supports", flipped)
+        monkeypatch.setattr(cli, "support_u_power", flipped)
     else:
         real_polys = cli.char_polys
         monkeypatch.setattr(cli, "char_polys", lambda ms: [
@@ -853,7 +919,7 @@ def test_spectrum_json_payload_of_one_graph_is_an_object_and_of_several_a_list(f
     assert isinstance(one, dict) and isinstance(several, list) and several[0] == one
     for payload, spec in zip(several, ("petersen", "complete:4")):
         g = parse_generator_spec(spec)
-        k = is_regular(g)
+        k = g.valency
         expected = closed_form_spectrum_su(g)
         if form == "numeric":
             assert list(payload) == ["id", "which", "form", "values"]

@@ -15,8 +15,6 @@ from qwalkspec import (
     find_isomorphism,
     generate,
     hypercube_graph,
-    is_connected,
-    is_regular,
     paley_graph,
     parse_generator_spec,
     petersen_graph,
@@ -55,8 +53,8 @@ def test_petersen_shape():
     g = petersen_graph()
     assert g.n == 10
     assert g.edge_count == 15
-    assert is_regular(g) == 3
-    assert is_connected(g)
+    assert g.valency == 3
+    assert g.connected
 
 
 def test_adjacency_matrix_c3_and_empty():
@@ -96,15 +94,15 @@ def test_petersen_adjacency_row_sums():
 
 
 def test_is_regular_cases():
-    assert is_regular(cycle_graph(6)) == 2
-    assert is_regular(Graph(3, [(0, 1)])) is None
-    assert is_regular(Graph(2, [])) == 0
+    assert cycle_graph(6).valency == 2
+    assert Graph(3, [(0, 1)]).valency is None
+    assert Graph(2, []).valency == 0
 
 
 def test_disjoint_cycles_regular_not_connected():
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert is_regular(g) == 2
-    assert not is_connected(g)
+    assert g.valency == 2
+    assert not g.connected
 
 
 def test_srg_params_examples():
@@ -203,8 +201,8 @@ def test_generate_dispatch_and_spec_parsing():
 def test_hypercube():
     q3 = hypercube_graph(3)
     assert q3.n == 8
-    assert is_regular(q3) == 3
-    assert is_connected(q3)
+    assert q3.valency == 3
+    assert q3.connected
 
 
 def test_circulant_matches_cycle():
@@ -216,8 +214,8 @@ def test_relabel_preserves_predicates(corpus):
     for _, g in corpus:
         perm = list(rng.permutation(g.n))
         h = relabel(g, perm)
-        assert is_regular(h) == is_regular(g)
-        assert is_connected(h) == is_connected(g)
+        assert h.valency == g.valency
+        assert h.connected == g.connected
         assert srg_params(h) == srg_params(g)
         isolated_h, isolated_g = ((adjacency_matrix(x).sum(axis=1) == 0).sum() for x in (h, g))
         assert isolated_h == isolated_g

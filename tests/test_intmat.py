@@ -364,6 +364,31 @@ def test_bareiss_singular():
     assert bareiss_determinant(m) == 0
 
 
+def test_bareiss_of_the_empty_matrix_is_one():
+    assert bareiss_determinant(np.zeros((0, 0), dtype=np.int64)) == 1
+
+
+def test_char_poly_of_a_non_square_matrix_is_a_value_error():
+    from qwalkspec import char_polys
+
+    m = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="not square"):
+        char_poly(m)
+    with pytest.raises(ValueError, match="not square"):
+        char_polys([int_eye(2), m])
+
+
+def test_plan_primes_refuses_primes_whose_float64_sums_could_round(monkeypatch):
+    """An explicit raise, not an assert, so the guard holds under ``python -O`` too."""
+    from qwalkspec import intmat
+
+    ceiling = intmat._prime_ceiling
+    assert intmat._plan_primes(8, 10)[0] <= ceiling(8)
+    monkeypatch.setattr(intmat, "_prime_ceiling", lambda n: 2 * ceiling(n) + 1)
+    with pytest.raises(OverflowError, match="float64 sums could round"):
+        intmat._plan_primes(8, 10)
+
+
 def test_charpoly_monic_and_det_sign(corpus):
     for gid, g in corpus[:4]:
         a = adjacency_matrix(g)

@@ -22,8 +22,6 @@ from qwalkspec import (
     compare,
     complete_graph,
     cycle_graph,
-    is_connected,
-    is_regular,
     parse_generator_spec,
     petersen_graph,
     poly_mul,
@@ -451,7 +449,7 @@ def _verdict_corpus():
                for a, b in ((1, 4), (4, 5), (1, 5))]
     for n, k, seed in ((10, 3, 1), (10, 3, 2), (12, 4, 3), (12, 4, 4)):
         g = _random_regular(n, k, seed)
-        if is_connected(g):
+        if g.connected:
             corpus.append((f"rr{n}.{k}.{seed}", g))
             corpus.append((f"rr{n}.{k}.{seed}~", relabel(g, list(rng.permutation(n)))))
     # cospectral only in S+(U^2): their A eigenvalues other than 3 differ, but not their squares
@@ -526,7 +524,7 @@ def test_psi_roots_that_differ_in_sign_split_s_plus_u_but_not_s_plus_u_squared(k
 def test_equal_nk_with_different_n_and_k_distinguishes_s_plus_u_and_its_square(first, second):
     corpus = [(spec, parse_generator_spec(spec)) for spec in (first, second)]
     (_, g), (_, h) = corpus
-    assert g.n * is_regular(g) == h.n * is_regular(h) and g.n != h.n
+    assert g.n * g.valency == h.n * h.valency and g.n != h.n
     expected = compare(*(profile(g, gid) for gid, g in corpus))
     assert certify(*fingerprints(corpus)) == expected
     assert [expected.verdicts[w] for w in ("a", "s1", "s2")] == ["distinguished"] * 3
@@ -777,6 +775,18 @@ def test_power_traces_of_random_zero_one_matrices():
     assert inv._power_traces(full) == (200, 200**2, 200**3, 200**4)
 
 
+def test_power_traces_refuses_nk_at_2_15_before_it_allocates():
+    """An explicit raise, not an assert, so the guard holds under ``python -O`` too.
+
+    The broadcast view of one zero takes no memory; packing its rows would take 128 MB.
+    """
+    import qwalkspec.invariants as inv
+
+    s = np.broadcast_to(np.zeros((1, 1), np.int64), (2**15, 2**15))
+    with pytest.raises(OverflowError, match="2\\^15"):
+        inv._power_traces(s)
+
+
 def _kernel_dims(monkeypatch):
     """Records the dimension of every Hessenberg kernel pass."""
     from qwalkspec import intmat
@@ -825,8 +835,8 @@ def test_the_batch_benchmark_corpus_adjacency_polys_take_the_trace_route_inside_
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
         batch_compare(corpus, threads=1)
     routes = sorted(r.getMessage().split()[1:3] for r in caplog.records if r.getMessage().startswith("charpoly "))
-    inside = sorted(["route=traces", f"n={g.n}"] for _, g in corpus if is_regular(g) ** g.n < 2**53)
-    outside = [["route=minpoly", f"n={g.n}"] for _, g in corpus if is_regular(g) ** g.n >= 2**53]
+    inside = sorted(["route=traces", f"n={g.n}"] for _, g in corpus if g.valency ** g.n < 2**53)
+    outside = [["route=minpoly", f"n={g.n}"] for _, g in corpus if g.valency ** g.n >= 2**53]
     assert len(inside) == 10 and routes == sorted(inside + outside)
 
 

@@ -125,6 +125,13 @@ def test_poly_divide_exact():
         poly_divide_exact([1, 3], [2])  # content not divisible
 
 
+def test_poly_divide_exact_by_zero_or_by_a_longer_divisor():
+    with pytest.raises(ZeroDivisionError):
+        poly_divide_exact([1, 1], [0, 0])
+    with pytest.raises(DivisibilityError, match="degree of dividend below divisor"):
+        poly_divide_exact([1, 1], [1, 0, 1])
+
+
 def test_poly_equal_ignores_trailing_zeros():
     assert poly_trim([1, 2, 0, 0]) == poly_trim([1, 2])
     assert poly_trim([1, 2]) != poly_trim([1, 2, 3])
@@ -146,6 +153,11 @@ def test_poly_gcd():
     assert poly_gcd(p, q) == [-1, 1]
     assert poly_gcd(p, [1]) == [1]
     assert poly_gcd([], p) == poly_primitive(p)
+
+
+def test_poly_gcd_takes_its_arguments_in_either_order():
+    p = poly_mul([-1, 1], [1, 1])  # (t-1)(t+1)
+    assert poly_gcd([-2, 2], p) == poly_gcd(p, [-2, 2]) == [-1, 1]
 
 
 def test_squarefree_decomposition():

@@ -15,7 +15,6 @@ from qwalkspec import (
     closed_form_charpoly_su2,
     identity_suite,
     ihara_style_charpoly,
-    is_connected,
     mat_equal,
     su2_via_identity,
     support_u_power,
@@ -45,7 +44,7 @@ def random_graphs():
     out = []
     for n, k, seed in CASES:
         g = random_regular(n, k, seed)
-        if is_connected(g):
+        if g.connected:
             out.append((f"rr(n={n},k={k},seed={seed})", g))
     assert len(out) >= 6
     return out
