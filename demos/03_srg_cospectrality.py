@@ -51,4 +51,8 @@ corpus = q.read_graph6_file(path)
 result = q.batch_compare(corpus)
 os.unlink(path)
 print("\nbatch over a .g6 corpus:")
-print(q.batch_to_csv(result))
+for r in result.pairs:
+    verdicts = " ".join(f"{which}={r.verdicts[which]}" for which in ("a", "s1", "s2", "s3"))
+    print(f"  {r.pair[0]} vs {r.pair[1]}: {verdicts}")
+for gid, reason in result.skipped:
+    print(f"  skipped {gid}: {reason}")

@@ -64,7 +64,6 @@ from .invariants import (
     CompareReport,
     InvariantProfile,
     batch_compare,
-    batch_to_csv,
     compare,
     profile,
 )

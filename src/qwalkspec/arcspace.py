@@ -14,8 +14,9 @@ coincide.
 ``build_arc_space`` builds the index arrays of the arcs once, and the
 ``ArcSpace`` applies every arc-space matrix from them: W, S+(U), kQ, P and
 ``ins`` act by index gathers and a sum over the k arcs into each vertex,
-O(nk) per column.  W = W*I is formed once per arc space, read-only, and
-starts every walk power (``_walk_powers``).  The dense definitions
+O(nk) per column.  W = W*I and its support S+(U) are each formed once per
+arc space, read-only: W starts every walk power (``supports._walks``), and
+S+(U) serves every support check and S+(U)^2 + I.  The dense definitions
 2*outs^T*ins - k*P, outs^T*ins - P and 2*ins^T*ins - k*I are test oracles
 (``tests/oracles.py``).
 """
@@ -42,7 +43,7 @@ class ArcSpace:
     the n rows summing M over the k arcs into each vertex:
     W*M = 2(ins*M)[tail] - k*M[rev], S+(U)*M = (ins*M)[tail] - M[rev],
     kQ*M = 2(ins*M)[head] - k*M and P*M = M[rev].  Entries grow by at most
-    3k per product; ``_walk_powers`` checks its chain against 2^62.
+    3k per product; ``supports._walks`` checks its chain against 2^62.
     """
 
     graph: Graph
@@ -72,9 +73,16 @@ class ArcSpace:
         Entry (j, i) is 2 when arc i can continue into arc j without
         backtracking, 2 - k when j is the reversal of i, and 0 otherwise.
         """
-        w = self.w(int_eye(self.size))
-        w.flags.writeable = False
-        return w
+        return _read_only(self.w(int_eye(self.size)))
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """S+(U), the 0/1 support of W, formed on first use and read-only, so every caller shares it.
+
+        For k >= 2 it is the non-backtracking arc matrix; ``supports.support_u``
+        checks that valency before it hands the matrix out.
+        """
+        return _read_only(intmat.positive_support(self.walk))
 
     def ins(self, m: np.ndarray) -> np.ndarray:
         return m[self.into].sum(axis=1)
@@ -90,6 +98,11 @@ class ArcSpace:
 
     def p(self, m: np.ndarray) -> np.ndarray:
         return m[self.rev]
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 def build_arc_space(g: Graph) -> ArcSpace:
@@ -123,17 +136,3 @@ def reversal_matrix(a: ArcSpace) -> np.ndarray:
 def scaled_reflection_q(a: ArcSpace) -> np.ndarray:
     """kQ = kQ*I = 2*ins[head] - k*I; satisfies (kQ)^2 = k^2 I."""
     return a.kq(int_eye(a.size))
-
-
-def _walk_powers(a: ArcSpace, m: int) -> list:
-    """[W, W^2, ..., W^m], each W times the last, by the arc step in O((nk)^2) per power.
-
-    Each row of W has 1-norm 2(k-1) + |k-2| <= 3k, so no entry met reaches
-    (3k)^m, checked against 2^62 first.
-    """
-    if (3 * a.k) ** m >= intmat._INT64_SAFE:
-        raise OverflowError(f"W^{m} at k={a.k} may reach 2^62 in magnitude")
-    powers = [a.walk]
-    for _ in range(m - 1):
-        powers.append(a.w(powers[-1]))
-    return powers

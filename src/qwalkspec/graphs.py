@@ -7,9 +7,11 @@ into one: ``Graph(3, [(0, 1), (1, 0)])`` has one edge.  The walk machinery
 downstream is only defined on simple graphs.
 
 A graph owns the two facts every theorem's hypotheses read: ``valency`` (its
-common degree, or None if it is not regular) and ``connected``.  Each is
-decided on first use and kept, so a graph is checked at most once however
-many arc spaces, closed forms and checks read it.
+common degree, or None if it is not regular) and ``connected``, and the one
+polynomial every closed form reads: ``charpoly``, the exact adjacency
+characteristic polynomial chi_A.  Each is decided on first use and kept, so
+a graph is checked, and chi_A formed, at most once however many arc spaces,
+closed forms and checks read it.
 
 ``find_isomorphism`` searches for a vertex map by individualization and
 refinement, the scheme of McKay and Piperno, "Practical graph isomorphism,
@@ -28,12 +30,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .intmat import mat_equal, mat_mul
+from .intmat import char_poly, mat_equal, mat_mul
+from .polynomials import CharPoly
 
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph on vertices ``0 .. n-1``, with its valency and connectivity."""
+    """A simple undirected graph on vertices ``0 .. n-1``, with its valency, connectivity and chi_A."""
 
     n: int
     edges: frozenset
@@ -84,6 +87,11 @@ class Graph:
                     seen[w] = True
                     queue.append(w)
         return all(seen)
+
+    @cached_property
+    def charpoly(self) -> CharPoly:
+        """chi_A, the exact characteristic polynomial of the adjacency matrix."""
+        return char_poly(adjacency_matrix(self))
 
 
 @dataclass(frozen=True)

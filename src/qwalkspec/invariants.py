@@ -6,7 +6,8 @@ coefficient equality, never by comparing floating-point root multisets: the
 entire value of the invariant is exactness.  Each polynomial comes from the
 cheapest exact route:
 
-* A and S+(U^3): ``char_poly`` of the matrix, which tries the permutation
+* A and S+(U^3): ``char_poly`` of the matrix, for A once per graph
+  (``Graph.charpoly``).  It tries the permutation
   route (a signed partial permutation from its cycles, when the row and
   column sum bound r is at most 1, as for S+(U^3) of a cycle), the trace
   route (Newton's identities on exact float64 powers, while r^n < 2^53:
@@ -14,10 +15,9 @@ cheapest exact route:
   and falls back to the modular Hessenberg/CRT engine with a
   Hadamard-bounded prime count;
 * S+(U): ``closed_form_charpoly_su``, an integer polynomial composition of
-  the adjacency char poly;
-* S+(U^2): the same closed form at every k >= 2 (``supports._charpoly_su2``),
-  which is ``closed_form_charpoly_su2`` for k > 2 and, at k = 2, where
-  S+(U^2) = S+(U)^2, squares the S+(U) eigenvalues.
+  chi_A;
+* S+(U^2): ``closed_form_charpoly_su2`` at every k >= 2, which at k = 2,
+  where S+(U^2) = S+(U)^2, squares the S+(U) eigenvalues.
 
 None of these routes runs an nk x nk matrix product (see ``supports``)
 or rounds.  The brute-force polynomials stay one call away, as
@@ -80,8 +80,6 @@ which runs in the calling process, and nothing is forked.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import os
 import pickle
@@ -97,9 +95,9 @@ from .graphs import Graph, adjacency_matrix, find_isomorphism
 from .intmat import char_poly, char_polys
 from .polynomials import CharPoly, poly_divide_exact, poly_graeffe
 from .supports import (
-    _charpoly_su,
-    _charpoly_su2,
     _require_walk_hypotheses,
+    closed_form_charpoly_su,
+    closed_form_charpoly_su2,
     support_u_power,
 )
 
@@ -129,8 +127,8 @@ class Fingerprint:
     ``psi_squares`` is Graeffe(psi) with psi = chi_A / (x - k): the monic
     polynomial of degree n - 1 whose roots are the lambda^2 over the roots
     lambda of psi.  With chi_A it decides A, S+(U) and S+(U^2) exactly, with
-    no degree-nk poly of the closed forms (``supports._charpoly_su`` and
-    ``_charpoly_su2``):
+    no degree-nk poly of the closed forms (``closed_form_charpoly_su`` and
+    ``closed_form_charpoly_su2``):
 
     * chi_A fixes n (its degree) and k (its largest root), so equal chi_A
       give equal closed forms.
@@ -234,9 +232,8 @@ def _power_traces(s: np.ndarray) -> Tuple[int, int, int, int]:
 def profile(g: Graph, graph_id: str) -> InvariantProfile:
     """All four exact char polys of a connected regular graph with k >= 2."""
     k = _checked_k(g, graph_id)
-    cp_a = char_poly(adjacency_matrix(g))
-    cp_s1, cp_s2 = _charpoly_su(g.n, k, cp_a), _charpoly_su2(g.n, k, cp_a)
-    return InvariantProfile(graph_id, g.n, k, cp_a, cp_s1, cp_s2, char_poly(_s3(g)))
+    return InvariantProfile(graph_id, g.n, k, g.charpoly, closed_form_charpoly_su(g),
+                            closed_form_charpoly_su2(g), char_poly(_s3(g)))
 
 
 def fingerprints(items: Iterable[Tuple[str, Graph]]) -> List[Fingerprint]:
@@ -497,26 +494,3 @@ def _child(fn, task, write: int, pipes: list) -> None:
         code = 0
     finally:
         os._exit(code)
-
-
-def batch_to_csv(result: BatchResult) -> str:
-    """One row per compared pair."""
-    return _csv_text(_CSV_HEADER, _csv_rows(result.pairs))
-
-
-_CSV_HEADER = ("id1", "id2", *INVARIANT_ORDER, "distinguishing_invariant")
-
-
-def _csv_rows(pairs: Iterable[CompareReport]) -> list:
-    """One row under ``_CSV_HEADER`` per compared pair."""
-    return [
-        [*r.pair, *(r.verdicts[w] for w in INVARIANT_ORDER), r.distinguishing_invariant or ""]
-        for r in pairs
-    ]
-
-
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The header, then each row, as CSV lines ending in a bare newline."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()

@@ -17,23 +17,26 @@ powers of B.
 
 Every function here that builds an arc-space matrix takes the graph's
 ``ArcSpace``, so one arc space serves a graph's every check.  S+(U) is the
-support of the arc space's W, and S+(U^m) the support of W^m, each power
-computed from the arc structure in O((nk)^2) (``arcspace._walk_powers``).
+arc space's own ``support`` of its W, formed once, and S+(U^m) the support
+of W^m, each power computed from the arc structure in O((nk)^2) by
+``_walks``, which alone guards the chain: k >= 2, and (3k)^m < 2^62.
 ``support_u``, ``support_u_power`` and ``build_support_set`` are the only
 builders of supports: the CLI's ``spectrum`` and ``verify`` and ``invariants``
-all call them by these names.  W is the arc space's own, formed once, so the
-S+(U) and S+(U^2) of one graph share it.
-The identity suite and ``su2_via_identity`` multiply by P, W, kQ and S+(U)
-through the same ``ArcSpace``, never by a dense product; the dense incidence
-definitions are test oracles (``tests/oracles.py``).
+all call them by these names.  The identity suite and ``su2_via_identity``
+multiply by P, W, kQ and S+(U) through the same ``ArcSpace``, never by a
+dense product; the dense incidence definitions are test oracles
+(``tests/oracles.py``).
 
-``closed_form_charpoly_su``/``_su2`` expand these eigenvalue lists into exact
+``closed_form_charpoly_su``, ``ihara_style_charpoly`` and
+``closed_form_charpoly_su2`` expand these eigenvalue lists into exact
 integer polynomials without ever computing an individual eigenvalue: the
 product over adjacency eigenvalues is a polynomial composition of the
-adjacency characteristic polynomial, evaluated once at t = 2^B as a Python
-int and read back as B-bit digits, with B from a bound on the result's
-1-norm.  Floating point appears only in the report-oriented
-``ClosedFormSpectrum``, never in an identity check.
+graph's own chi_A (``Graph.charpoly``), evaluated once at t = 2^B as a
+Python int and read back as B-bit digits, with B from a bound on the
+result's 1-norm.  Their unchecked kernels ``_charpoly_su``,
+``_ihara_charpoly`` and ``_charpoly_su2`` take (n, k, chi_A), so tests can
+feed them polynomials of no graph.  Floating point appears only in the
+report-oriented ``ClosedFormSpectrum``, never in an identity check.
 
 Every closed form checks its hypotheses through ``_require_walk_hypotheses``,
 which reads the graph's own ``valency`` and ``connected``: a graph decides
@@ -47,10 +50,11 @@ from typing import List
 
 import numpy as np
 
-from .arcspace import ArcSpace, _walk_powers, ins_matrix, outs_matrix, reversal_matrix, scaled_reflection_q
+from . import intmat
+from .arcspace import ArcSpace, ins_matrix, outs_matrix, reversal_matrix, scaled_reflection_q
 from .errors import HypothesisError, ValencyError
 from .graphs import Graph, adjacency_matrix
-from .intmat import char_poly, int_eye, mat_equal, mat_mul, positive_support
+from .intmat import int_eye, mat_equal, mat_mul, positive_support
 from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_divide_exact, poly_graeffe
 from .polynomials import _homogeneous, _kron_bits, _kron_read
@@ -59,8 +63,9 @@ EIGENVALUE_CLUSTER_TOL = 1e-6
 
 
 def support_u(a: ArcSpace) -> np.ndarray:
-    """S+(U), the support of W: the non-backtracking arc matrix (k >= 2)."""
-    return positive_support(_walks(a, 1)[0])
+    """S+(U), the support of W: the non-backtracking arc matrix (k >= 2), the arc space's own, read-only."""
+    _walks(a, 1)
+    return a.support
 
 
 def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
@@ -71,17 +76,27 @@ def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
 
 
 def _walks(a: ArcSpace, m: int) -> list:
-    """[W, ..., W^m], once the valency k >= 2 that every walk support needs is checked."""
+    """[W, W^2, ..., W^m], each W times the last, by the arc step in O((nk)^2) per power.
+
+    Every walk support needs k >= 2, checked first.  Each row of W has
+    1-norm 2(k-1) + |k-2| <= 3k, so no entry met reaches (3k)^m, checked
+    against 2^62 next.  W is the arc space's own.
+    """
     if a.k < 2:
         raise ValencyError(f"support of the walk needs valency >= 2, got k={a.k}")
-    return _walk_powers(a, m)
+    if (3 * a.k) ** m >= intmat._INT64_SAFE:
+        raise OverflowError(f"W^{m} at k={a.k} may reach 2^62 in magnitude")
+    powers = [a.walk]
+    for _ in range(m - 1):
+        powers.append(a.w(powers[-1]))
+    return powers
 
 
 def su2_via_identity(a: ArcSpace) -> np.ndarray:
     """S+(U)^2 + I, which equals S+(U^2) exactly when k > 2."""
     if a.k <= 2:
         raise HypothesisError(f"S+(U^2) = S+(U)^2 + I requires k > 2, got k={a.k}")
-    return a.s1(support_u(a)) + int_eye(a.size)
+    return a.s1(a.support) + int_eye(a.size)
 
 
 @dataclass(frozen=True)
@@ -94,8 +109,8 @@ class SupportSet:
 
 
 def build_support_set(a: ArcSpace) -> SupportSet:
-    """S+(U), S+(U^2) and S+(U^3), the supports of one chain W, W^2, W^3 (k >= 2)."""
-    return SupportSet(*map(positive_support, _walks(a, 3)))
+    """S+(U), S+(U^2) and S+(U^3), the supports of one chain W, W^2, W^3 (k >= 2), S+(U) the arc space's."""
+    return SupportSet(support_u(a), *map(positive_support, _walks(a, 3)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +223,11 @@ def closed_form_spectrum_su(g: Graph) -> ClosedFormSpectrum:
     entries: list = [RationalEigenvalue(k - 1, 1)]
     clusters = _adjacency_eigenvalue_clusters(g)
     top_val, top_mult = clusters[-1]
+    # g is connected and k-regular, so k is simple: only float clustering can merge it with lambda_2
     if abs(top_val - k) > EIGENVALUE_CLUSTER_TOL or top_mult != 1:
-        raise HypothesisError("adjacency spectrum inconsistent with a connected regular graph")
+        raise HypothesisError(f"float eigenvalues cannot resolve the simple adjacency eigenvalue k={k} at cluster"
+                              f" tolerance {EIGENVALUE_CLUSTER_TOL:g}: top cluster {top_val:.12g} of"
+                              f" multiplicity {top_mult}")
     for lam, mult in clusters[:-1]:
         lam = _snap_int(lam)
         disc = lam * lam - 4 * (k - 1)
@@ -258,7 +276,7 @@ def closed_form_charpoly_su(g: Graph) -> CharPoly:
                 * (t - 1)^{n(k-2)/2 + 1} * (t + 1)^{n(k-2)/2}
     """
     k = _require_walk_hypotheses(g, 2)
-    return _charpoly_su(g.n, k, char_poly(adjacency_matrix(g)))
+    return _charpoly_su(g.n, k, g.charpoly)
 
 
 def _charpoly_su(n: int, k: int, cp_a: CharPoly) -> CharPoly:
@@ -279,7 +297,7 @@ def ihara_style_charpoly(g: Graph) -> CharPoly:
     adjacency char poly coefficients.
     """
     k = _require_walk_hypotheses(g, 2)
-    return _ihara_charpoly(g.n, k, char_poly(adjacency_matrix(g)))
+    return _ihara_charpoly(g.n, k, g.charpoly)
 
 
 def _ihara_charpoly(n: int, k: int, cp_a: CharPoly) -> CharPoly:
@@ -293,20 +311,23 @@ def _ihara_charpoly(n: int, k: int, cp_a: CharPoly) -> CharPoly:
 
 
 def closed_form_charpoly_su2(g: Graph) -> CharPoly:
-    """char poly of S+(U^2) for k > 2, from the adjacency char poly, exactly.
+    """char poly of S+(U^2) for k >= 2, from the adjacency char poly, exactly.
 
-    Applies theta -> theta^2 + 1 to the closed-form S+(U) spectrum at the
-    polynomial level.  Each adjacency eigenvalue family lambda != k maps to
-    the monic quadratic with root sum lambda^2 - 2k + 4 and root product
-    lambda^2 + (k-2)^2, i.e. (t+k-2)^2 - (t-1) lambda^2.  With q the Graeffe
-    square of psi (the adjacency char poly without the x - k factor), whose
-    roots are the lambda^2, their product is
+    For k > 2 it applies theta -> theta^2 + 1 to the closed-form S+(U)
+    spectrum at the polynomial level.  Each adjacency eigenvalue family
+    lambda != k maps to the monic quadratic with root sum lambda^2 - 2k + 4
+    and root product lambda^2 + (k-2)^2, i.e. (t+k-2)^2 - (t-1) lambda^2.
+    With q the Graeffe square of psi (the adjacency char poly without the
+    x - k factor), whose roots are the lambda^2, their product is
 
         prod_{lambda != k} [(t+k-2)^2 - (t-1) lambda^2]
             = (t-1)^(n-1) q((t+k-2)^2 / (t-1)).
+
+    At k = 2, where S+(U^2) = S+(U)^2, it squares the S+(U) eigenvalues
+    (``_charpoly_su2``).
     """
-    k = _require_walk_hypotheses(g, 3)
-    return _charpoly_su2(g.n, k, char_poly(adjacency_matrix(g)))
+    k = _require_walk_hypotheses(g, 2)
+    return _charpoly_su2(g.n, k, g.charpoly)
 
 
 def _charpoly_su2(n: int, k: int, cp_a: CharPoly) -> CharPoly:

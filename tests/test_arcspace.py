@@ -9,6 +9,7 @@ from qwalkspec import (
     ValencyError,
     adjacency_matrix,
     build_arc_space,
+    build_support_set,
     complete_graph,
     cycle_graph,
     identity_suite,
@@ -25,7 +26,7 @@ from qwalkspec import (
     support_u,
     support_u_power,
 )
-from qwalkspec.arcspace import _walk_powers
+from qwalkspec.supports import _walks
 
 from oracles import dense_arc_matrices
 
@@ -231,14 +232,18 @@ def test_walk_powers_equal_the_mat_mul_chain():
     # the chain starts from the dense oracle W, not from the arc step under test
     for gid, g in _walk_cases() + _edge_cases():
         a = build_arc_space(g)
+        if a.k < 2:
+            with pytest.raises(ValencyError, match="valency >= 2"):
+                _walks(a, 1)
+            continue
         w = dense_arc_matrices(a)["W"]
         chain = [w, mat_mul(w, w)]
         chain.append(mat_mul(chain[1], w))
-        powers = _walk_powers(a, 3)
+        powers = _walks(a, 3)
         assert [p.dtype for p in powers] == [np.int64] * 3, gid
         assert all(mat_equal(p, c) for p, c in zip(powers, chain)), gid
         assert int(np.abs(powers[2]).max()) <= (3 * a.k) ** 3, gid
-        assert all(mat_equal(p, c) for p, c in zip(_walk_powers(a, 2), chain)), gid
+        assert all(mat_equal(p, c) for p, c in zip(_walks(a, 2), chain)), gid
 
 
 def test_identity_suite_fails_when_two_reversals_are_swapped():
@@ -265,10 +270,21 @@ def test_index_arrays_follow_the_canonical_arc_order():
 def test_one_arc_space_forms_w_once_and_read_only():
     a = build_arc_space(petersen_graph())
     w = a.walk
-    assert w is a.walk and _walk_powers(a, 2)[0] is w
+    assert w is a.walk and _walks(a, 2)[0] is w
     assert mat_equal(w, dense_arc_matrices(a)["W"])
     with pytest.raises(ValueError, match="read-only"):
         w[0, 0] = 1
+
+
+def test_one_arc_space_forms_s_plus_u_once_and_read_only():
+    """``support_u``, ``build_support_set`` and ``su2_via_identity`` share the arc space's S+(U)."""
+    a = build_arc_space(petersen_graph())
+    s1 = support_u(a)
+    assert s1 is a.support and build_support_set(a).s1 is s1
+    assert mat_equal(s1, dense_arc_matrices(a)["S1"])
+    assert mat_equal(su2_via_identity(a), mat_mul(s1, s1) + int_eye(a.size))
+    with pytest.raises(ValueError, match="read-only"):
+        s1[0, 0] = 1
 
 
 def test_walk_powers_refuse_a_bound_at_the_int64_limit(monkeypatch):
@@ -276,8 +292,8 @@ def test_walk_powers_refuse_a_bound_at_the_int64_limit(monkeypatch):
 
     a = build_arc_space(petersen_graph())  # k = 3: entries of W^m stay below 9^m
     monkeypatch.setattr(intmat, "_INT64_SAFE", 9**3)
-    assert len(_walk_powers(a, 2)) == 2
+    assert len(_walks(a, 2)) == 2
     with pytest.raises(OverflowError, match="W\\^3 at k=3"):
-        _walk_powers(a, 3)
+        _walks(a, 3)
     with pytest.raises(OverflowError):
         support_u_power(a, 3)

@@ -240,7 +240,7 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
     nk = 30 if spec == "petersen" else 12
     passes, calls, s1_builds, powers, walks, regular = [], [], [], [], [], []
     kernel, polys = intmat._hessenberg_stack, cli.char_polys
-    support_u, support_u_power = cli.support_u, cli.support_u_power
+    support, support_u_power = ArcSpace.support.func, cli.support_u_power
     walk, valency = ArcSpace.walk.func, Graph.valency.func
 
     def kernel_spy(h, primes):
@@ -252,9 +252,9 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
         calls.append(len(ms))
         return polys(ms)
 
-    def support_u_spy(a):
+    def support_spy(a):
         s1_builds.append(a)
-        return support_u(a)
+        return support(a)
 
     def power_spy(a, m):
         powers.append(m)
@@ -273,14 +273,15 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
     monkeypatch.setattr(intmat, "_trace_route", lambda m, r: None)
     monkeypatch.setattr(intmat, "_minpoly_route", lambda m, r: (None, "degree"))
     monkeypatch.setattr(cli, "char_polys", polys_spy)
-    monkeypatch.setattr(cli, "support_u", support_u_spy)
+    monkeypatch.setattr(ArcSpace.support, "func", support_spy)
     monkeypatch.setattr(cli, "support_u_power", power_spy)
     monkeypatch.setattr(ArcSpace.walk, "func", walk_spy)
     monkeypatch.setattr(Graph.valency, "func", valency_spy)
     code, out, _ = run_cli(capsys, "verify", "--generate", spec, "--checks", checks)
     assert code == 0 and "FAIL" not in out
     assert calls == shared and powers == s2_builds
-    assert len(s1_builds) == (1 if shared or s2_builds else 0)  # one S+(U) for every check
+    # one S+(U) for every check that reads it; thm43 alone reads only S+(U^2)
+    assert len(s1_builds) == (0 if checks == "thm43" else 1)
     assert len(walks) == 1  # one W for the identities, the supports and thm41's S+(U)^2 + I
     assert passes.count(nk) == len(shared)
     assert len(regular) == 1  # one graph, its k decided once for every check
@@ -364,23 +365,31 @@ def test_each_command_decides_a_graphs_valency_and_connectivity_at_most_once(
 
 
 def test_wrappers_installed_after_import_see_every_closed_spectrum_and_support(capsys, monkeypatch):
-    """``spectrum`` and ``verify`` reach the closed spectra and supports through the public names
-    of ``cli``, read at each call, so a wrapper installed after import sees every one."""
-    from qwalkspec import cli
+    """``spectrum``, ``verify`` and ``profile`` reach the closed spectra, closed char polys and
+    supports through their public names, read at each call, so a wrapper installed after import
+    at every module that binds the name sees every one."""
+    import qwalkspec
+    from qwalkspec import cli, invariants, supports
 
     seen = []
     for name in ("closed_form_spectrum_su", "closed_form_spectrum_su2", "su2_via_identity",
-                 "support_u", "support_u_power"):
-        def wrapper(*args, name=name, real=getattr(cli, name)):
+                 "support_u", "support_u_power", "closed_form_charpoly_su", "ihara_style_charpoly",
+                 "closed_form_charpoly_su2"):
+        real = getattr(supports, name)
+
+        def wrapper(*args, name=name, real=real):
             seen.append(name)
             return real(*args)
 
-        monkeypatch.setattr(cli, name, wrapper)
+        for module in (supports, cli, invariants, qwalkspec):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
     for which in ("s1", "s2"):
         for form in ("closed", "numeric"):
             assert run_cli(capsys, "spectrum", "--which", which, "--form", form,
                            "--generate", "petersen")[0] == 0
-    assert seen == ["closed_form_spectrum_su"] * 2 + ["closed_form_spectrum_su2"] * 2
+    # closed_form_spectrum_su2 squares the spectrum closed_form_spectrum_su returns
+    assert seen == ["closed_form_spectrum_su"] * 2 + ["closed_form_spectrum_su2", "closed_form_spectrum_su"] * 2
     seen.clear()
     for which in ("s1", "s2", "s3"):
         assert run_cli(capsys, "spectrum", "--which", which, "--form", "charpoly",
@@ -390,7 +399,71 @@ def test_wrappers_installed_after_import_see_every_closed_spectrum_and_support(c
     code, out, _ = run_cli(capsys, "verify", "--checks", "all", "--generate", "petersen",
                            "--generate", "cycle:5")
     assert code == 0 and out.count("PASS") == 8
-    assert seen == ["support_u", "support_u_power", "su2_via_identity", "support_u"]
+    assert seen == ["closed_form_charpoly_su", "support_u", "support_u_power", "su2_via_identity",
+                    "closed_form_charpoly_su2", "ihara_style_charpoly",  # petersen, k = 3
+                    "closed_form_charpoly_su", "support_u", "ihara_style_charpoly"]  # cycle:5, k = 2
+    seen.clear()
+    for g in (petersen_graph(), cycle_graph(5)):
+        invariants.profile(g, "g")
+    assert seen == ["closed_form_charpoly_su", "closed_form_charpoly_su2", "support_u_power"] * 2
+
+
+def _spy_shared_values(monkeypatch) -> tuple:
+    """The graphs that form chi_A, the arc spaces that form S+(U), and the shapes of all supports."""
+    from qwalkspec import ArcSpace, intmat, supports
+
+    chi_a, s_plus_u, supports_formed = [], [], []
+    charpoly, support, positive_support = Graph.charpoly.func, ArcSpace.support.func, intmat.positive_support
+
+    def charpoly_spy(g):
+        chi_a.append(g)
+        return charpoly(g)
+
+    def support_spy(a):
+        s_plus_u.append(a)
+        return support(a)
+
+    def positive_support_spy(m):
+        supports_formed.append(m.shape)
+        return positive_support(m)
+
+    monkeypatch.setattr(Graph.charpoly, "func", charpoly_spy)
+    monkeypatch.setattr(ArcSpace.support, "func", support_spy)
+    for module in (intmat, supports):
+        monkeypatch.setattr(module, "positive_support", positive_support_spy)
+    return chi_a, s_plus_u, supports_formed
+
+
+@pytest.mark.parametrize("argv, chi_a, s_plus_u, supports_formed", [
+    # thm32, ihara and thm43 share chi_A; S+(U) serves thm32, ihara and thm41's S+(U)^2 + I
+    (["verify", "--checks", "all", "--generate", "petersen"], 1, 1, [(30, 30)] * 2),
+    (["verify", "--checks", "all", "--generate", "petersen", "--generate", "cycle:5"], 2, 2,
+     [(30, 30)] * 2 + [(10, 10)]),
+    (["spectrum", "--which", "a", "--form", "charpoly", "--generate", "petersen",
+      "--generate", "cycle:5"], 2, 0, []),
+    (["spectrum", "--which", "s1", "--form", "charpoly", "--generate", "petersen"], 0, 1, [(30, 30)]),
+])
+def test_each_command_forms_a_graphs_chi_a_and_s_plus_u_at_most_once(
+        argv, chi_a, s_plus_u, supports_formed, capsys, monkeypatch):
+    spied = _spy_shared_values(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "FAIL" not in out
+    assert [len(spied[0]), len(spied[1]), spied[2]] == [chi_a, s_plus_u, supports_formed]
+    for values in spied[:2]:
+        assert len({id(x) for x in values}) == len(values)  # never twice for one graph
+
+
+def test_profile_forms_chi_a_once_and_no_s_plus_u(monkeypatch):
+    """``profile`` reads chi_A for A and both closed forms, and builds only S+(U^3)."""
+    from qwalkspec import invariants
+
+    chi_a, s_plus_u, supports_formed = _spy_shared_values(monkeypatch)
+    for g, nk in ((petersen_graph(), 30), (cycle_graph(5), 10)):
+        p = invariants.profile(g, "g")
+        assert p.charpoly_a is g.charpoly and chi_a == [g]
+        assert s_plus_u == [] and supports_formed == [(nk, nk)]
+        chi_a.clear()
+        supports_formed.clear()
 
 
 def test_spectrum_charpoly_forms_only_the_support_it_returns(capsys, monkeypatch):

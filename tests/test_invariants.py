@@ -15,7 +15,6 @@ from qwalkspec import (
     HypothesisError,
     adjacency_matrix,
     batch_compare,
-    batch_to_csv,
     build_arc_space,
     char_poly,
     circulant_graph,
@@ -426,10 +425,11 @@ def test_batch_json_and_csv_schemas():
     assert set(blob) == {"pairs", "skipped"}
     assert blob["pairs"][0]["ids"] == ["rook44", "shrikhande"]
     assert set(blob["pairs"][0]["verdicts"]) == {"a", "s1", "s2", "s3"}
-    csv_text = batch_to_csv(result)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "id1,id2,a,s1,s2,s3,distinguishing_invariant"
-    assert len(lines) == 2
+    from qwalkspec.cli import _CSV_HEADER, _csv_rows
+
+    assert ",".join(_CSV_HEADER) == "id1,id2,a,s1,s2,s3,distinguishing_invariant"
+    assert _csv_rows(result.pairs) == [
+        ["rook44", "shrikhande", "cospectral", "cospectral", "cospectral", "distinguished", "s3"]]
 
 
 def _random_regular(n, k, seed):

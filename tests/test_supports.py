@@ -328,6 +328,40 @@ def test_one_s_plus_u_squared_closed_form_at_k_2_matches_brute_force():
         assert _charpoly_su2(g.n, 2, char_poly(adjacency_matrix(g))) == cp_s2, g.n
 
 
+def test_closed_form_charpoly_su2_accepts_every_k_from_2_and_checks_the_rest():
+    """The public closed form runs at k = 2 too, where it equals the brute-force S+(U^2) of a
+    cycle; k = 1, irregular and disconnected graphs still raise, naming the failed hypothesis."""
+    for n in (3, 4, 5, 8, 12):
+        g = cycle_graph(n)
+        assert closed_form_charpoly_su2(g) == char_poly(support_u_power(build_arc_space(g), 2)), n
+    k4 = complete_graph(4).edges
+    for g, message in [
+        (Graph(6, [(0, 1), (2, 3), (4, 5)]), "valency k >= 2 required, got k=1"),
+        (Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), "graph is not regular"),
+        (Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]), "graph is not connected"),
+        (Graph(8, list(k4) + [(u + 4, v + 4) for u, v in k4]), "graph is not connected"),
+    ]:
+        with pytest.raises(HypothesisError, match=f"^{message}$"):
+            closed_form_charpoly_su2(g)
+
+
+def test_closed_form_spectrum_su_names_float_clustering_when_it_merges_k(monkeypatch, capsys):
+    """The exact checks pass, so a top cluster of multiplicity 2 can only come from float
+    clustering: two eigenvalues 5e-7 apart fall inside EIGENVALUE_CLUSTER_TOL = 1e-6."""
+    from qwalkspec import cli, supports
+
+    monkeypatch.setattr(supports, "symmetric_eigenvalues",
+                        lambda a: np.array([-2.0] * 4 + [1.0] * 4 + [3 - 5e-7, 3.0]))
+    with pytest.raises(HypothesisError, match="^float eigenvalues cannot resolve the simple adjacency eigenvalue"
+                                              " k=3 at cluster tolerance 1e-06: top cluster 2.99999975 of"
+                                              " multiplicity 2$"):
+        closed_form_spectrum_su(petersen_graph())
+    with pytest.raises(HypothesisError, match="eigenvalue k=3"):
+        closed_form_spectrum_su2(petersen_graph())
+    assert cli.main(["spectrum", "--which", "s1", "--form", "closed", "--generate", "petersen"]) == 1
+    assert capsys.readouterr().err.startswith("error: petersen: float eigenvalues cannot resolve the simple")
+
+
 CLOSED_FORM_SPECS = (
     "cycle:3", "cycle:7", "cycle:12", "complete:4", "complete:7", "complete_bipartite:3,3",
     "complete_bipartite:5,5", "petersen", "hypercube:3", "hypercube:5", "paley:13", "paley:29",
