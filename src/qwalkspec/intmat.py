@@ -40,12 +40,12 @@ of strongly regular graphs:
 * mu, the minimal polynomial of a Krylov sequence u^T M^i v (fixed
   pseudo-random u, v), by Berlekamp-Massey modulo one prime, run online: it
   stops once its length L has held for ``_KRYLOV_MARGIN`` terms past 2L, so
-  degree d costs about 2d terms.  d must stay at most n/2, and r^d below
-  2^52: the route forms no power past M^d, so every entry it forms, and
-  every partial sum, is at most r^d, exact in float64 and within the
-  2^53 - p that ``_reduce`` asks of what it reduces.  mu is lifted from that
-  prime alone, and by CRT over as many primes as its coefficient bound asks
-  for only if the one-prime lift fails the certificate.
+  degree d costs about 2d terms.  Its one gate is r^d < 2^52: the route
+  forms no power past M^d, so every entry it forms, and every partial sum,
+  is at most r^d, exact in float64 and within the 2^53 - p that ``_reduce``
+  asks of what it reduces.  mu is lifted from that prime alone, and by CRT
+  over as many primes as its coefficient bound asks for only if the
+  one-prime lift fails the certificate.
   When that bound asks for more than one prime, the one-prime lift may be
   wrong, so mu(M) v = 0 for one pseudo-random 0/1 vector v is checked first,
   exactly and in O(d n^2), to reject a wrong lift before mu(M) is formed;
@@ -61,10 +61,10 @@ of strongly regular graphs:
   integer steps.  No prime, gcd or CRT is needed, and Jordan blocks (mu not
   squarefree) need nothing special.
 
-A matrix whose degree or bound rules this route out, or whose certificate
-fails, takes the Hessenberg route unchanged: Hessenberg reduction and the
-Hessenberg determinant recurrence modulo word-sized primes, recombined by one
-CRT step per matrix.  The primes are taken, largest first, until their
+A matrix whose bound rules this route out ("bound"), or whose certificate
+fails ("certificate"), takes the Hessenberg route unchanged: Hessenberg
+reduction and the Hessenberg determinant recurrence modulo word-sized primes,
+recombined by one CRT step per matrix.  The primes are taken, largest first, until their
 product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
 plus guard bits.  Every route is exact, not probabilistic: a pseudo-random
 choice, an early stop or a wrong one-prime lift can only send a matrix to the
@@ -546,24 +546,25 @@ def _powers(mf: np.ndarray, d: int):
 
 
 def _minpoly_route(m: np.ndarray, r: int) -> tuple:
-    """(det(tI - M), None) by the minimal-polynomial route, or (None, "degree" | "bound" | "certificate").
+    """(det(tI - M), None) by the minimal-polynomial route, or (None, "bound" | "certificate").
 
-    With r from ``_row_col_bound``, the Krylov degree d may reach neither
-    2d > n ("degree") nor r^d >= 2^52 ("bound").  The route forms no power
-    past M^d: ``_certify_minpoly``'s chain stops at M^d and ``_kills_vector``'s
-    vectors at M^d v, so every entry and partial sum is at most r^d < 2^52.
-    That is exact in float64, and within the |x| <= 2^53 - p that ``_reduce``
-    needs, since every prime is far below 2^52.
+    With r from ``_row_col_bound``, the Krylov degree d may not reach
+    r^d >= 2^52 ("bound").  The route forms no power past M^d:
+    ``_certify_minpoly``'s chain stops at M^d and ``_kills_vector``'s vectors
+    at M^d v, so every entry and partial sum is at most r^d < 2^52.  That is
+    exact in float64, and within the |x| <= 2^53 - p that ``_reduce`` needs,
+    since every prime is far below 2^52.  The loop also stops at d = n, which
+    no minimal polynomial passes, so it ends when r <= 1.
     """
     start = perf_counter()
     n = m.shape[0]
     cap = 0  # the largest degree the loop may reach
-    while cap < n // 2 and r ** (cap + 1) < _FLOAT_EXACT // 2:
+    while cap < n and r ** (cap + 1) < _FLOAT_EXACT // 2:
         cap += 1
     primes = _primes(1, _prime_ceiling(n))
     rel, terms = _krylov_relation(_residues(m, r, primes[0]), primes[0], cap) if cap else (None, 0)
     if rel is None:
-        return None, "degree" if cap == n // 2 else "bound"
+        return None, "bound"
     d, rels = len(rel) - 1, [rel]
     bound_bits = d * math.log2(r + 1)  # |mu_i| <= C(d, i) r^(d - i) <= (1 + r)^d
     mu = list(_crt(np.array(rels, dtype=object), primes).coeffs)

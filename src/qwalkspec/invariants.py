@@ -33,12 +33,9 @@ the Graeffe square of psi = chi_A / (x - k) (degree n - 1), and the exact
 traces tr(S^i) for i = 1..4 of S = S+(U^3), all four from one 0/1 product
 S.S by popcounts; S itself is not kept.  The graphs of one call share one
 kernel pass per size for those adjacency char polys that fall back to it,
-and no kernel pass runs on S.  Some benchmark corpora do reach that pass:
-16 of the ``batch_cli`` seeds 1-60 (5, 6, 15, ...) hold a pair of 6-regular
-24-vertex circulant twins whose chi_A has Krylov degree 13 > n/2, so it
-falls back for "degree".  With ``threads`` 2 or more, ``_dealt`` puts the
-two twins, the corpus's only 72-edge graphs, in different tasks, which
-then share no pass.
+and no kernel pass runs on S.  No ``batch_cli`` benchmark corpus of seeds
+1-60 reaches that pass: every chi_A there takes the trace or the
+minimal-polynomial route.
 
 ``certify`` (one pair) and ``batch_compare`` (all pairs of a corpus) settle
 their pairs through one resolver.  By the paper's closed forms (see

@@ -838,18 +838,19 @@ def test_usage_error_exit_2():
 
 
 def test_qwalk_log_env():
-    """cycle:54's A has r = 2 and 2^54 >= 2^53, so the trace route refuses it, and 28 distinct
-    eigenvalues, more than 54 / 2, send it on to the kernel."""
+    """cycle:120's A has r = 2 and 2^120 >= 2^53, so the trace route refuses it, and 61 distinct
+    eigenvalues, with 2^61 >= 2^52, send it on to the kernel for "bound"."""
     import os
 
-    argv = [sys.executable, "-m", "qwalkspec.cli", "batch", "--generate", "cycle:54",
-            "--generate", "circulant:54,1"]
+    argv = [sys.executable, "-m", "qwalkspec.cli", "batch", "--generate", "cycle:120",
+            "--generate", "circulant:120,1"]
     env = dict(os.environ, QWALK_LOG="debug")
     result = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "profiling" in result.stderr
-    assert " n=54 primes=" in result.stderr  # the adjacency polys' pass; no pass runs on S+(U^3)
-    assert "certificate circulant:54,1 vs cycle:54: s3 cospectral by isomorphism witness" in result.stderr
+    # the adjacency polys' pass; no pass runs on S+(U^3)
+    assert "route=hessenberg reason=bound n=120 primes=" in result.stderr
+    assert "certificate circulant:120,1 vs cycle:120: s3 cospectral by isomorphism witness" in result.stderr
     env.pop("QWALK_LOG")
     quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert (quiet.returncode, quiet.stdout, quiet.stderr) == (0, result.stdout, "")

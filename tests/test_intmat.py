@@ -27,14 +27,15 @@ def rand_int_matrix(rng, n, lo=-9, hi=9):
 
 
 def _permutation_sum(rng, n, outside_gate=True):
-    """The sum of three random n x n permutation matrices, times the least c with (3c)^n >= 2^53.
+    """The sum of three random n x n permutation matrices, times the least c with (3c)^(n/2 + 1) >= 2^52.
 
-    Row and column sums 3c, so ``outside_gate`` keeps it off the trace route (which needs
-    r^n < 2^53), and (for these seeds) a minimal polynomial of degree above n / 2, so
-    the char poly takes the kernel.  Without ``outside_gate``, c = 1 and the trace route takes it.
+    Row and column sums r = 3c, so ``outside_gate`` keeps it off the trace route (which needs
+    r^n < 2^53) and caps the minimal-polynomial route's Krylov degree at n / 2 (r^d < 2^52);
+    for these seeds the minimal polynomial has degree above n / 2, so the char poly takes the
+    kernel for "bound".  Without ``outside_gate``, c = 1 and the trace route takes it.
     """
     c = 1
-    while outside_gate and (3 * c) ** n < 2**53:
+    while outside_gate and (3 * c) ** (n // 2 + 1) < 2**52:
         c += 1
     return c * sum(int_eye(n)[rng.permutation(n)] for _ in range(3))
 
@@ -197,8 +198,8 @@ def test_char_poly_logs_one_debug_line_only_when_enabled(caplog):
     assert all(sorted(f) == ["actual_bits", "bound_bits", "n", "pass_matrices", "pass_ms", "primes",
                              "reason", "route"] for f in lines)
     assert [(f["n"], f["pass_matrices"], f["route"], f["reason"]) for f in lines] == [
-        ("30", "2", "hessenberg", "degree"), ("30", "2", "hessenberg", "degree"),
-        ("10", "1", "hessenberg", "degree"),
+        ("30", "2", "hessenberg", "bound"), ("30", "2", "hessenberg", "bound"),
+        ("10", "1", "hessenberg", "bound"),
     ]
     assert lines[0]["pass_ms"] == lines[1]["pass_ms"]
     assert [int(f["actual_bits"]) for f in lines] == [
@@ -1000,7 +1001,7 @@ def test_unimodular_conjugates_of_jordan_matrices_equal_berkowitz_on_the_route(k
 @pytest.mark.parametrize(
     "make, reason",
     [
-        pytest.param(lambda: _permutation_sum(np.random.default_rng(5), 24), "degree", id="sparse"),
+        pytest.param(lambda: _permutation_sum(np.random.default_rng(5), 24), "bound", id="sparse"),
         pytest.param(lambda: rand_int_matrix(np.random.default_rng(6), 30), "bound", id="random"),
         pytest.param(lambda: _srg_matrix("shrikhande", "s3"), "bound", id="shrikhande-s3"),
         pytest.param(lambda: int_matrix([[1 << 27, 0, 0], [0, 1, 0], [0, 0, 1]]), "bound",
@@ -1034,10 +1035,11 @@ def test_the_route_takes_krylov_degree_d_exactly_while_r_to_the_d_is_below_2_52(
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
 
 
-def test_chi_a_of_6_regular_24_vertex_circulant_twins_falls_back_for_degree(caplog, kernel_dims):
+def test_chi_a_of_6_regular_24_vertex_circulant_twins_takes_the_route_at_krylov_degree_13(
+        caplog, kernel_dims):
     """circulant:24,1,5,11 and its image under the multiplier 5, circulant:24,1,5,7, as a batch
-    corpus may hold them: A has 13 distinct eigenvalues, one past n/2 = 12, so chi_A of each
-    takes the Hessenberg pass, and char_polys gives both to one pass."""
+    corpus may hold them: A has 13 distinct eigenvalues, one past n/2 = 12, and r = 6 with
+    6^13 < 2^52, so chi_A of each takes the minimal-polynomial route and no kernel pass runs."""
     from qwalkspec import char_polys, circulant_graph
 
     a, b = (adjacency_matrix(circulant_graph(24, conn)) for conn in ([1, 5, 11], [1, 5, 7]))
@@ -1045,10 +1047,36 @@ def test_chi_a_of_6_regular_24_vertex_circulant_twins_falls_back_for_degree(capl
     with caplog.at_level(logging.DEBUG, logger="qwalkspec.intmat"):
         polys = char_polys([a, b])
     fields = _debug_fields(caplog.records)
-    assert [(f["route"], f["reason"], f["n"], f["pass_matrices"]) for f in fields] == [
-        ("hessenberg", "degree", "24", "2")] * 2
-    assert kernel_dims and set(kernel_dims) == {24}
+    assert [(f["route"], f["n"], f["krylov_degree"]) for f in fields] == [("minpoly", "24", "13")] * 2
+    assert kernel_dims == []
     assert polys[0] == polys[1] and polys[0].coeffs == berkowitz_charpoly(a).coeffs
+
+
+def test_chi_a_of_cycle_54_takes_the_route_at_krylov_degree_28_above_n_over_2(caplog, kernel_dims):
+    """cycle:54's A has r = 2, so 2^54 >= 2^53 keeps it off the trace route; its 28 distinct
+    eigenvalues give Krylov degree 28 > 54 / 2, and 2^28 < 2^52 admits it to the route."""
+    from qwalkspec import cycle_graph
+
+    a = adjacency_matrix(cycle_graph(54))
+    cp, fields = _logged_char_poly(caplog, a)
+    assert (fields["route"], fields["krylov_degree"]) == ("minpoly", "28") and kernel_dims == []
+    assert cp.coeffs == berkowitz_charpoly(a).coeffs
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: np.zeros((40, 40), dtype=np.int64), id="zero"),
+    pytest.param(lambda: int_eye(40)[np.roll(np.arange(40), 1)], id="40-cycle"),
+])
+def test_the_route_returns_on_matrices_with_r_at_most_1(make, caplog):
+    """r <= 1 never reaches the bound r^d >= 2^52, so only d <= n ends the Krylov loop: a 40-cycle's
+    mu = t^40 - 1 reaches d = n exactly."""
+    from qwalkspec import intmat
+
+    m = make()
+    assert intmat._row_col_bound(m) <= 1
+    cp, fields = _logged_minpoly_route(caplog, m)
+    assert int(fields["krylov_degree"]) <= m.shape[0]
+    assert cp.coeffs == berkowitz_charpoly(m).coeffs
 
 
 def test_entries_whose_row_sums_would_wrap_int64_fall_back(caplog, kernel_dims):

@@ -819,9 +819,24 @@ def test_compare_and_the_batch_benchmark_corpus_run_no_kernel_pass_on_s3(
     result = batch_compare(corpus, threads=1)
     assert len(result.pairs) == 25
     assert not arc_dims & set(dims)  # no pass: the adjacency polys take the trace or minpoly route
-    # the spy sees a pass where one runs: cycle:54's A is outside the trace route's gate
-    char_poly(adjacency_matrix(cycle_graph(54)))
-    assert dims == [54]
+    # the spy sees a pass where one runs: cycle:120's A (r = 2, Krylov degree 61) is outside
+    # the trace route's gate and the minimal-polynomial route's bound 2^d < 2^52
+    char_poly(adjacency_matrix(cycle_graph(120)))
+    assert dims == [120]
+
+
+@pytest.mark.parametrize("seed", [5, 6, 15])
+def test_batch_benchmark_corpora_with_circulant_twins_run_no_kernel_pass(seed, monkeypatch, tmp_path):
+    """These seeds hold a pair of 6-regular 24-vertex circulant twins, whose chi_A has Krylov
+    degree 13 > n/2: the minimal-polynomial route takes them, so no kernel pass runs at all."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    import workloads
+
+    dims = _kernel_dims(monkeypatch)
+    corpus = [(f"g{i}", g) for i, (_, g) in enumerate(workloads.BatchCli(seed, {}, str(tmp_path)).members)]
+    assert sum(g.n == 24 and g.valency == 6 for _, g in corpus) >= 2
+    batch_compare(corpus, threads=1)
+    assert dims == []
 
 
 def test_the_batch_benchmark_corpus_adjacency_polys_take_the_trace_route_inside_its_gate(
