@@ -15,10 +15,13 @@ coincide.
 ``ArcSpace`` applies every arc-space matrix from them: W, S+(U), kQ, P and
 ``ins`` act by index gathers and a sum over the k arcs into each vertex,
 O(nk) per column.  W = W*I and its support S+(U) are each formed once per
-arc space, read-only: W starts every walk power (``supports._walks``), and
-S+(U) serves every support check and S+(U)^2 + I.  The dense definitions
-2*outs^T*ins - k*P, outs^T*ins - P and 2*ins^T*ins - k*I are test oracles
-(``tests/oracles.py``).
+arc space, read-only: W serves the identity suite and S+(U), and S+(U)
+serves every support check and S+(U)^2 + I.  No walk power is formed here:
+``supports.support_u_power`` builds S+(U^2) and S+(U^3) from the entry
+formulas of W^2 and W^3 over A and A^2 = ins*A[tail], in int32 row blocks
+whose entries it bounds by 16k + 2k^2 + k^3 < 2^31.  The dense definitions
+2*outs^T*ins - k*P, outs^T*ins - P and 2*ins^T*ins - k*I, and the chain
+W, W*W, W*W*W by the arc step, are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class ArcSpace:
     the n rows summing M over the k arcs into each vertex:
     W*M = 2(ins*M)[tail] - k*M[rev], S+(U)*M = (ins*M)[tail] - M[rev],
     kQ*M = 2(ins*M)[head] - k*M and P*M = M[rev].  Entries grow by at most
-    3k per product; ``supports._walks`` checks its chain against 2^62.
+    3k per product.
     """
 
     graph: Graph

@@ -17,9 +17,18 @@ powers of B.
 
 Every function here that builds an arc-space matrix takes the graph's
 ``ArcSpace``, so one arc space serves a graph's every check.  S+(U) is the
-arc space's own ``support`` of its W, formed once, and S+(U^m) the support
-of W^m, each power computed from the arc structure in O((nk)^2) by
-``_walks``, which alone guards the chain: k >= 2, and (3k)^m < 2^62.
+arc space's own ``support`` of its W, formed once.  S+(U^2) and S+(U^3)
+never form W.  With t, h the arc tails and heads, W's entry (j, i) is
+2[h_i = t_j] - k[i = rev j]; summing over the middle arcs gives
+
+    W^2[j, i] = 4A[t_j, h_i] - 2k([t_j = t_i] + [h_j = h_i]) + k^2 [i = j]
+    W^3[j, i] = 8A^2[t_j, h_i] - 4k(A[t_j, t_i] + A[h_j, h_i]) + 2k^2 [h_j = t_i] - k^3 [i = rev j]
+
+and ``support_u_power`` reads both from one table of terms, ``_POWER_TERMS``,
+in int32 row blocks, with A^2 = ins*A[t].  No entry exceeds
+16k + 2k^2 + k^3 in magnitude, which it checks against 2^31 before it
+builds anything.  Every walk support needs k >= 2.  The walk-product chain
+W, W*W, W*W*W by the arc step is the test oracle (``tests/oracles.py``).
 ``support_u``, ``support_u_power`` and ``build_support_set`` are the only
 builders of supports: the CLI's ``spectrum`` and ``verify`` and ``invariants``
 all call them by these names.  The identity suite and ``su2_via_identity``
@@ -64,32 +73,48 @@ EIGENVALUE_CLUSTER_TOL = 1e-6
 
 def support_u(a: ArcSpace) -> np.ndarray:
     """S+(U), the support of W: the non-backtracking arc matrix (k >= 2), the arc space's own, read-only."""
-    _walks(a, 1)
+    _walk_valency(a)
     return a.support
 
 
-def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
-    """S+(U^m) for m in {2, 3}, computed sign-exactly as the support of W^m."""
-    if m not in (2, 3):
-        raise ValueError(f"only powers 2 and 3 are supported, got {m}")
-    return positive_support(_walks(a, m)[-1])
-
-
-def _walks(a: ArcSpace, m: int) -> list:
-    """[W, W^2, ..., W^m], each W times the last, by the arc step in O((nk)^2) per power.
-
-    Every walk support needs k >= 2, checked first.  Each row of W has
-    1-norm 2(k-1) + |k-2| <= 3k, so no entry met reaches (3k)^m, checked
-    against 2^62 next.  W is the arc space's own.
-    """
+def _walk_valency(a: ArcSpace) -> int:
+    """The arc space's valency k; ``ValencyError`` unless k >= 2, which every walk support needs."""
     if a.k < 2:
         raise ValencyError(f"support of the walk needs valency >= 2, got k={a.k}")
-    if (3 * a.k) ** m >= intmat._INT64_SAFE:
-        raise OverflowError(f"W^{m} at k={a.k} may reach 2^62 in magnitude")
-    powers = [a.walk]
-    for _ in range(m - 1):
-        powers.append(a.w(powers[-1]))
-    return powers
+    return a.k
+
+
+# Entry (j, i) of W^m is (-k)^m at i = rev j if the flag is set, else at i = j, plus c k^e (A^p)[x_j, y_i]
+# for each term (c, e, p, "xy"), where x and y, t or h, pick the tail or head of arcs j and i.
+_POWER_TERMS = {2: (False, ((4, 0, 1, "th"), (-2, 1, 0, "tt"), (-2, 1, 0, "hh"))),
+                3: (True, ((8, 0, 2, "th"), (-4, 1, 1, "tt"), (-4, 1, 1, "hh"), (2, 2, 0, "ht")))}
+
+
+def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
+    """S+(U^m) for m in {2, 3}: the support of W^m, from its entry formula in int32 row blocks.
+
+    An entry of A^p is at most 1 for p < 2 and k for p = 2, so no entry of
+    W^m exceeds k^m plus the sum over the terms of |c| k^e times that:
+    4 + 4k + k^2 for m = 2, 16k + 2k^2 + k^3 for m = 3.  That bound is
+    checked against 2^31 before anything is built.  Each term's columns
+    c k^e (A^p)[:, y] are gathered once, n x nk; each row block then gathers
+    their rows x_j and sums them.  The rows come in as few near-equal blocks
+    as keep each block's int32 entries within ``intmat._STACK_BYTES``.
+    """
+    if m not in _POWER_TERMS:
+        raise ValueError(f"only powers 2 and 3 are supported, got {m}")
+    k, (reversed_diagonal, terms) = _walk_valency(a), _POWER_TERMS[m]
+    if k**m + sum(abs(c) * k**e * (k if p == 2 else 1) for c, e, p, _ in terms) >= 1 << 31:
+        raise OverflowError(f"W^{m} at k={k} may reach 2^31 in magnitude")
+    adj, ends = adjacency_matrix(a.graph), {"t": a.tail, "h": a.head}
+    powers = [x.astype(np.int32) for x in (int_eye(a.n), adj, a.ins(adj[a.tail]))]
+    columns = [(c * k**e * powers[p][:, ends[y]], ends[x]) for c, e, p, (x, y) in terms]
+    out = np.empty((a.size, a.size), dtype=np.int64)
+    for j in np.array_split(np.arange(a.size), -(-4 * a.size**2 // intmat._STACK_BYTES)):
+        block = sum(column[x[j]] for column, x in columns)
+        block[np.arange(len(j)), a.rev[j] if reversed_diagonal else j] += (-k) ** m
+        out[j] = positive_support(block)
+    return out
 
 
 def su2_via_identity(a: ArcSpace) -> np.ndarray:
@@ -109,8 +134,8 @@ class SupportSet:
 
 
 def build_support_set(a: ArcSpace) -> SupportSet:
-    """S+(U), S+(U^2) and S+(U^3), the supports of one chain W, W^2, W^3 (k >= 2), S+(U) the arc space's."""
-    return SupportSet(support_u(a), *map(positive_support, _walks(a, 3)[1:]))
+    """S+(U), S+(U^2) and S+(U^3) (k >= 2), S+(U) the arc space's."""
+    return SupportSet(support_u(a), support_u_power(a, 2), support_u_power(a, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ paths so that agreement between oracle and implementation is meaningful:
 * ``dense_arc_matrices``: ins, outs, P and the dense incidence products
   W = 2 outs^T ins - kP, S+(U) = outs^T ins - P and kQ = 2 ins^T ins - kI,
   the reference for the arc-step matrices of ``arcspace`` and ``supports``.
+* ``arc_step_walk_powers``: the walk-product chain W, W^2, ..., W^m, each
+  W times the last by the arc step, the reference for the entry formulas
+  that build S+(U^2) and S+(U^3) in ``supports``.
 * ``pairwise_srg_params``: SRG parameters by intersecting neighbour sets
   pair by pair, the reference for ``srg_params``.
 * ``nested_list_adjacency_matrix``: the adjacency matrix filled entry by
@@ -177,6 +180,18 @@ def dense_arc_matrices(a):
     x = outs.T @ ins
     return {"ins": ins, "outs": outs, "P": p, "W": 2 * x - a.k * p, "S1": x - p,
             "kQ": 2 * ins.T @ ins - a.k * np.eye(nk, dtype=np.int64)}
+
+
+def arc_step_walk_powers(a, m):
+    """[W, W^2, ..., W^m] of an arc space, each W times the last by the arc step ``a.w``, in int64.
+
+    Each row of W has 1-norm 2(k-1) + |k-2| <= 3k, so no entry reaches (3k)^m.
+    """
+    assert (3 * a.k) ** m < 2**62, (a.k, m)
+    powers = [a.walk]
+    for _ in range(m - 1):
+        powers.append(a.w(powers[-1]))
+    return powers
 
 
 def nested_list_adjacency_matrix(g):

@@ -20,15 +20,15 @@ from qwalkspec import (
     outs_matrix,
     parse_generator_spec,
     petersen_graph,
+    positive_support,
     reversal_matrix,
     scaled_reflection_q,
     su2_via_identity,
     support_u,
     support_u_power,
 )
-from qwalkspec.supports import _walks
 
-from oracles import dense_arc_matrices
+from oracles import arc_step_walk_powers, dense_arc_matrices
 
 
 def test_canonical_arc_order_c3():
@@ -228,22 +228,96 @@ def test_arc_step_products_equal_the_dense_products():
         assert mat_equal(a.ins(m), mat_mul(dense["ins"], m)), gid
 
 
-def test_walk_powers_equal_the_mat_mul_chain():
-    # the chain starts from the dense oracle W, not from the arc step under test
+def _built_walk_power(monkeypatch, a, m):
+    """W^m as ``support_u_power`` builds it, with its support step taken out, and the rows of each block."""
+    from qwalkspec import supports
+
+    rows = []
+
+    def keep(block):
+        rows.append(len(block))
+        return block
+
+    with monkeypatch.context() as patch:
+        patch.setattr(supports, "positive_support", keep)
+        return support_u_power(a, m), rows
+
+
+def test_walk_powers_equal_the_mat_mul_chain(monkeypatch):
+    # the chain starts from the dense oracle W, not from the arc step or the entry formulas under test
     for gid, g in _walk_cases() + _edge_cases():
         a = build_arc_space(g)
         if a.k < 2:
-            with pytest.raises(ValencyError, match="valency >= 2"):
-                _walks(a, 1)
+            for m in (2, 3):
+                with pytest.raises(ValencyError, match="valency >= 2"):
+                    support_u_power(a, m)
             continue
         w = dense_arc_matrices(a)["W"]
         chain = [w, mat_mul(w, w)]
         chain.append(mat_mul(chain[1], w))
-        powers = _walks(a, 3)
-        assert [p.dtype for p in powers] == [np.int64] * 3, gid
-        assert all(mat_equal(p, c) for p, c in zip(powers, chain)), gid
-        assert int(np.abs(powers[2]).max()) <= (3 * a.k) ** 3, gid
-        assert all(mat_equal(p, c) for p, c in zip(_walks(a, 2), chain)), gid
+        assert all(mat_equal(p, c) for p, c in zip(arc_step_walk_powers(a, 3), chain)), gid
+        for m in (2, 3):
+            assert mat_equal(_built_walk_power(monkeypatch, a, m)[0], chain[m - 1]), (gid, m)
+            support = support_u_power(a, m)
+            assert support.dtype == np.int64 and mat_equal(support, positive_support(chain[m - 1])), (gid, m)
+        assert int(np.abs(chain[2]).max()) <= 16 * a.k + 2 * a.k**2 + a.k**3, gid
+
+
+def _formula_corpus():
+    """Every generator family, and seeded random regular graphs with k = 2..6."""
+    specs = ("cycle:5", "complete:6", "complete_bipartite:3,3", "petersen", "hypercube:4",
+             "circulant:12,1,5", "shrikhande", "rook:3,3", "paley:13")
+    cases = [(spec, parse_generator_spec(spec)) for spec in specs]
+    for n, k, seed in ((11, 2, 1), (10, 3, 2), (9, 4, 3), (12, 5, 4), (11, 6, 5)):
+        h = nx.random_regular_graph(k, n, seed=seed)
+        cases.append((f"rr({n},{k},{seed})", Graph(n, [tuple(e) for e in h.edges()])))
+    return cases
+
+
+def test_walk_powers_equal_the_arc_step_chain_on_every_family_in_any_blocks(monkeypatch):
+    from qwalkspec import intmat
+
+    for gid, g in _formula_corpus():
+        a = build_arc_space(g)
+        chain = arc_step_walk_powers(a, 3)
+        for stack_bytes in (intmat._STACK_BYTES, 4 * a.size * 7):  # one block, then at most 7 int32 rows each
+            monkeypatch.setattr(intmat, "_STACK_BYTES", stack_bytes)
+            for m in (2, 3):
+                built, rows = _built_walk_power(monkeypatch, a, m)
+                assert mat_equal(built, chain[m - 1]) and sum(rows) == a.size, (gid, m, rows)
+                assert mat_equal(support_u_power(a, m), positive_support(chain[m - 1])), (gid, m, rows)
+        assert max(rows) <= 7 and len(rows) == -(-a.size // 7), (gid, rows)
+    monkeypatch.undo()
+    a = build_arc_space(cycle_graph(1024))  # nk = 2048: two blocks at the real block size
+    chain = arc_step_walk_powers(a, 3)
+    for m in (2, 3):
+        built, rows = _built_walk_power(monkeypatch, a, m)
+        assert rows == [1024, 1024] and mat_equal(built, chain[m - 1]), m
+
+
+def _single_term_mutants(table):
+    """(m, what, mutated entry) for each term of each power dropped, negated or with t and h swapped,
+    and each (-k)^m put on the other diagonal."""
+    for m, (reversed_diagonal, terms) in table.items():
+        yield m, "diagonal", (not reversed_diagonal, terms)
+        for i, (c, e, p, xy) in enumerate(terms):
+            for what, mutants in (("dropped", ()), ("negated", ((-c, e, p, xy),)),
+                                  ("t and h swapped", ((c, e, p, xy.translate(str.maketrans("th", "ht"))),))):
+                yield m, f"term {i} {what}", (reversed_diagonal, terms[:i] + mutants + terms[i + 1:])
+
+
+def test_every_single_term_mutant_of_the_power_table_disagrees_with_the_oracle(monkeypatch):
+    from qwalkspec import supports
+
+    cases = [(gid, build_arc_space(g)) for gid, g in _formula_corpus()]
+    chains = {gid: arc_step_walk_powers(a, 3) for gid, a in cases}
+    mutants = list(_single_term_mutants(supports._POWER_TERMS))
+    assert len(mutants) == 2 + 3 * (3 + 4)
+    for m, what, entry in mutants:
+        with monkeypatch.context() as patch:
+            patch.setitem(supports._POWER_TERMS, m, entry)
+            assert any(not mat_equal(_built_walk_power(monkeypatch, a, m)[0], chains[gid][m - 1])
+                       for gid, a in cases), (m, what)
 
 
 def test_identity_suite_fails_when_two_reversals_are_swapped():
@@ -269,8 +343,11 @@ def test_index_arrays_follow_the_canonical_arc_order():
 
 def test_one_arc_space_forms_w_once_and_read_only():
     a = build_arc_space(petersen_graph())
+    for m in (2, 3):
+        support_u_power(a, m)
+    assert "walk" not in vars(a)  # the entry formulas never form W
     w = a.walk
-    assert w is a.walk and _walks(a, 2)[0] is w
+    assert w is a.walk and arc_step_walk_powers(a, 2)[0] is w
     assert mat_equal(w, dense_arc_matrices(a)["W"])
     with pytest.raises(ValueError, match="read-only"):
         w[0, 0] = 1
@@ -287,13 +364,19 @@ def test_one_arc_space_forms_s_plus_u_once_and_read_only():
         s1[0, 0] = 1
 
 
-def test_walk_powers_refuse_a_bound_at_the_int64_limit(monkeypatch):
-    from qwalkspec import intmat
+def test_walk_powers_refuse_a_bound_at_the_int32_limit(monkeypatch):
+    """An explicit raise, so ``python -O`` keeps it, before anything is built.
 
-    a = build_arc_space(petersen_graph())  # k = 3: entries of W^m stay below 9^m
-    monkeypatch.setattr(intmat, "_INT64_SAFE", 9**3)
-    assert len(_walks(a, 2)) == 2
-    with pytest.raises(OverflowError, match="W\\^3 at k=3"):
-        _walks(a, 3)
-    with pytest.raises(OverflowError):
-        support_u_power(a, 3)
+    The least k with 4 + 4k + k^2 >= 2^31 is 46339, and with 16k + 2k^2 + k^3 >= 2^31 it is 1290.
+    """
+    from qwalkspec import supports
+
+    a = build_arc_space(petersen_graph())
+    bounds = {2: lambda k: 4 + 4 * k + k**2, 3: lambda k: 16 * k + 2 * k**2 + k**3}
+    for m, k in ((2, 46339), (3, 1290)):
+        assert bounds[m](k - 1) < 2**31 <= bounds[m](k)
+        assert support_u_power(dataclasses.replace(a, k=k - 1), m).shape == (a.size, a.size)
+        with monkeypatch.context() as patch:
+            patch.setattr(supports, "adjacency_matrix", None)  # the first thing built
+            with pytest.raises(OverflowError, match=f"W\\^{m} at k={k} may reach 2\\^31"):
+                support_u_power(dataclasses.replace(a, k=k), m)

@@ -282,7 +282,8 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
     assert calls == shared and powers == s2_builds
     # one S+(U) for every check that reads it; thm43 alone reads only S+(U^2)
     assert len(s1_builds) == (0 if checks == "thm43" else 1)
-    assert len(walks) == 1  # one W for the identities, the supports and thm41's S+(U)^2 + I
+    # one W for the identities, S+(U) and thm41's S+(U)^2 + I; S+(U^2)'s entry formula forms none
+    assert len(walks) == (0 if checks == "thm43" else 1)
     assert passes.count(nk) == len(shared)
     assert len(regular) == 1  # one graph, its k decided once for every check
 
@@ -484,17 +485,17 @@ def test_spectrum_charpoly_forms_only_the_support_it_returns(capsys, monkeypatch
 
 
 def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeypatch):
-    """One arc space serves every check: its W = W*I feeds both identity_suite and the W, W^2
-    chain, so the W products are W*I, W*W^T and W*W; the A, S+(U) and S+(U^2) char polys all
-    take the minimal-polynomial route."""
+    """One arc space serves every check: its W = W*I feeds identity_suite and S+(U), and S+(U^2)
+    and S+(U^3) come from their entry formulas, so the W products are W*I and W*W^T alone; the A,
+    S+(U) and S+(U^2) char polys all take the minimal-polynomial route."""
     from qwalkspec import arcspace, intmat
 
     built, w_calls, passes = [], [], []
     arc_space, w, kernel = arcspace.ArcSpace, arcspace.ArcSpace.w, intmat._hessenberg_stack
 
     def arc_space_spy(*fields):  # every arc space that build_arc_space makes, whoever calls it
-        built.append(fields[0])
-        return arc_space(*fields)
+        built.append(arc_space(*fields))
+        return built[-1]
 
     def w_spy(self, m):
         w_calls.append(m)
@@ -510,8 +511,8 @@ def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeyp
     code, out, _ = run_cli(capsys, "verify", "--generate", "shrikhande", "--checks", "all")
     assert code == 0 and out.count(" PASS") == 5
     assert len(built) == 1 and passes == []
-    [eye, w_t, w_1] = w_calls
-    assert mat_equal(eye, int_eye(96)) and w_t.base is w_1 and not w_1.flags.writeable
+    [eye, w_t] = w_calls
+    assert mat_equal(eye, int_eye(96)) and w_t.base is built[0].walk and not w_t.base.flags.writeable
 
 
 def test_verify_thm43_of_paley37_takes_the_minimal_polynomial_route(capsys, monkeypatch):

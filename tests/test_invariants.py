@@ -764,6 +764,42 @@ def test_s3_traces_are_the_exact_traces_of_the_oracle_w_cubed():
         assert np.array_equal(_s3(g), s3), gid
 
 
+def test_s3_traces_of_shrikhande_and_rook44():
+    # tr S^3 tells the pair apart, tr S^4 does not
+    p, q = fingerprints([("shrikhande", shrikhande_graph()), ("rook44", rook_graph(4))])
+    assert p.s3_traces == (96, 3840, 93024, 4147680)
+    assert q.s3_traces == (96, 3840, 92448, 4147680)
+
+
+def _edges_on_a_triangle(g):
+    """The number of edges {u, v} of g whose ends have a common neighbour, from neighbour sets."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return sum(bool(nbrs[u] & nbrs[v]) for u, v in g.edges)
+
+
+def test_trace_of_s3_is_twice_the_number_of_edges_on_a_triangle(corpus, monkeypatch, tmp_path):
+    """On the diagonal of W^3 every term but 8A^2[t_j, h_j] vanishes: A has a zero diagonal, no arc
+    is a loop and none is its own reversal.  So arc j is on the diagonal of S+(U^3) exactly when its
+    ends have a common neighbour, and each such edge has two arcs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks"))
+    import workloads
+
+    graphs = list(corpus) + [(spec, parse_generator_spec(spec))
+                             for spec in ("paley:29", "hypercube:4", "circulant:24,1,5,7", "complete:7")]
+    for n, k, seed in ((11, 2, 1), (10, 3, 2), (9, 4, 3), (12, 5, 4), (11, 6, 5), (14, 6, 6)):
+        h = nx.random_regular_graph(k, n, seed=seed)
+        graphs.append((f"rr({n},{k},{seed})", Graph(n, [tuple(e) for e in h.edges()])))
+    for seed in range(1, 11):
+        members = workloads.BatchCli(seed, {}, str(tmp_path)).members
+        graphs += [(f"batch_cli:{seed}:{i}", g) for i, (_, g) in enumerate(members)]
+    traces = {gid: int(np.trace(_s3(g))) for gid, g in graphs}
+    assert {gid: 2 * _edges_on_a_triangle(g) for gid, g in graphs} == traces
+    assert [traces[gid] for gid in ("shrikhande", "paley13", "paley:29", "petersen")] == [96, 78, 406, 0]
+
+
 def test_power_traces_of_random_zero_one_matrices():
     import qwalkspec.invariants as inv
 
