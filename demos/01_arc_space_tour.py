@@ -43,7 +43,10 @@ for name, ok in q.identity_suite(k4):
 print("W is formed once per arc space:", k4.walk is w4)
 
 # %% The walk support is the non-backtracking matrix ------------------------
-s1 = q.support_u(a)
+# support_u_power builds S+(U), S+(U^2) and S+(U^3) from the entry formulas of
+# W, W^2 and W^3, never from W itself: W[j, i] = 2[head i = tail j] - k[i = rev j].
+s1 = q.support_u_power(a, 1)
 print("\nS+(U) for C3 (two disjoint directed 3-cycles):")
 print(s1)
+print("equals the support of W:", q.mat_equal(s1, q.positive_support(w)))
 print("char poly:", q.char_poly(s1))  # (t^3 - 1)^2

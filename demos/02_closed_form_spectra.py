@@ -26,7 +26,7 @@ for entry in spec.entries:
 # adjacency char poly and compare with the exact (modular CRT) char poly of
 # the actual 30x30 support matrix.  Equality is exact, coefficient by
 # coefficient.
-brute = q.char_poly(q.support_u(a))
+brute = q.char_poly(q.support_u_power(a, 1))
 closed = q.closed_form_charpoly_su(g)
 print("\nchar poly of S+(U):", brute)
 print("closed form equals brute force:", brute == closed)
@@ -42,7 +42,9 @@ print(f"numeric roots: {len(roots)}, of which {at[1]} at +1 and {at[-1]} at -1")
 
 # %% S+(U^2) via the squared-support identity --------------------------------
 # For k > 2, S+(U^2) = S+(U)^2 + I entrywise, and its spectrum is the image
-# of the S+(U) spectrum under theta -> theta^2 + 1.
+# of the S+(U) spectrum under theta -> theta^2 + 1.  support_u_power reads
+# S+(U^2) off its entry formula; su2_via_identity squares S+(U) by two arc
+# steps, so the two sides share no code.
 print("\nS+(U^2) = S+(U)^2 + I:", q.mat_equal(q.support_u_power(a, 2), q.su2_via_identity(a)))
 spec2 = q.closed_form_spectrum_su2(g)
 for entry in spec2.entries:
@@ -54,6 +56,6 @@ print("closed form for S+(U^2) equals brute force:",
 # At k = 2 the walk matrix coincides with its support (backtracking entries
 # are 2 - k = 0), so S+(U^2) is exactly S+(U)^2 with no +I term.
 c6 = q.build_arc_space(q.cycle_graph(6))
-s1 = q.support_u(c6)
+s1 = q.support_u_power(c6, 1)
 print("\nC6: S+(U^2) == S+(U)^2 (no +I at k=2):",
       q.mat_equal(q.support_u_power(c6, 2), q.mat_mul(s1, s1)))

@@ -89,7 +89,6 @@ from .supports import (
     identity_suite,
     ihara_style_charpoly,
     su2_via_identity,
-    support_u,
     support_u_power,
 )
 

@@ -14,14 +14,14 @@ coincide.
 ``build_arc_space`` builds the index arrays of the arcs once, and the
 ``ArcSpace`` applies every arc-space matrix from them: W, S+(U), kQ, P and
 ``ins`` act by index gathers and a sum over the k arcs into each vertex,
-O(nk) per column.  W = W*I and its support S+(U) are each formed once per
-arc space, read-only: W serves the identity suite and S+(U), and S+(U)
-serves every support check and S+(U)^2 + I.  No walk power is formed here:
-``supports.support_u_power`` builds S+(U^2) and S+(U^3) from the entry
-formulas of W^2 and W^3 over A and A^2 = ins*A[tail], in int32 row blocks
-whose entries it bounds by 16k + 2k^2 + k^3 < 2^31.  The dense definitions
-2*outs^T*ins - k*P, outs^T*ins - P and 2*ins^T*ins - k*I, and the chain
-W, W*W, W*W*W by the arc step, are test oracles (``tests/oracles.py``).
+O(nk) per column.  W = W*I is formed once per arc space, read-only, for the
+identity suite.  No walk support is formed here:
+``supports.support_u_power`` builds S+(U), S+(U^2) and S+(U^3) from the
+entry formulas of W, W^2 and W^3 over A and A^2 = ins*A[tail], in int32 row
+blocks whose entries it bounds by 16k + 2k^2 + k^3 < 2^31.  The dense
+definitions 2*outs^T*ins - k*P, outs^T*ins - P and 2*ins^T*ins - k*I, and
+the chain W, W*W, W*W*W by the arc step, are test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import intmat
 from .errors import ValencyError
 from .graphs import Graph
 from .intmat import int_eye
@@ -76,16 +75,9 @@ class ArcSpace:
         Entry (j, i) is 2 when arc i can continue into arc j without
         backtracking, 2 - k when j is the reversal of i, and 0 otherwise.
         """
-        return _read_only(self.w(int_eye(self.size)))
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        """S+(U), the 0/1 support of W, formed on first use and read-only, so every caller shares it.
-
-        For k >= 2 it is the non-backtracking arc matrix; ``supports.support_u``
-        checks that valency before it hands the matrix out.
-        """
-        return _read_only(intmat.positive_support(self.walk))
+        w = self.w(int_eye(self.size))
+        w.flags.writeable = False
+        return w
 
     def ins(self, m: np.ndarray) -> np.ndarray:
         return m[self.into].sum(axis=1)
@@ -101,11 +93,6 @@ class ArcSpace:
 
     def p(self, m: np.ndarray) -> np.ndarray:
         return m[self.rev]
-
-
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
 
 
 def build_arc_space(g: Graph) -> ArcSpace:

@@ -47,7 +47,6 @@ from .supports import (
     identity_suite,
     ihara_style_charpoly,
     su2_via_identity,
-    support_u,
     support_u_power,
 )
 
@@ -228,10 +227,7 @@ def _display_values(vals) -> List[str]:
 
 
 def _charpoly_of(g: Graph, which: str) -> CharPoly:
-    if which == "a":
-        return g.charpoly
-    a = build_arc_space(g)
-    return char_poly(support_u(a) if which == "s1" else support_u_power(a, int(which[1])))
+    return g.charpoly if which == "a" else char_poly(support_u_power(build_arc_space(g), int(which[1])))
 
 
 def cmd_spectrum(args) -> int:
@@ -256,9 +252,11 @@ def cmd_spectrum(args) -> int:
 class _VerifyInputs:
     """What several verify checks of one graph share, each computed once on first use.
 
-    ``arcs`` is the graph's one arc space: the identity suite, the supports
-    and thm41's S+(U)^2 + I share it, its W and its S+(U).  The closed forms
-    read the graph's own chi_A, ``valency`` and ``connected``.
+    ``arcs`` is the graph's one arc space: the identity suite reads its W,
+    the supports come from their entry formulas over its arcs, and thm41's
+    S+(U)^2 + I from two arc steps.  No check but the identities forms W.
+    The closed forms read the graph's own chi_A, ``valency`` and
+    ``connected``.
     """
 
     def __init__(self, g: Graph, checks: List[str]):
@@ -283,7 +281,7 @@ class _VerifyInputs:
         """
         matrices = {}
         if "thm32" in self.checks or "ihara" in self.checks:
-            matrices["s1"] = support_u(self.arcs)
+            matrices["s1"] = support_u_power(self.arcs, 1)
         if "thm43" in self.checks and self.g.valency > 2:
             matrices["s2"] = self.su2
         return dict(zip(matrices, char_polys(matrices.values())))

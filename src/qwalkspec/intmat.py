@@ -5,6 +5,7 @@ and no other matrix type exists.  Every public function that computes on a
 matrix runs one check, ``_int64``: bool and integer arrays are range-checked
 and converted, an entry at or above 2^62 raises ``OverflowError``, and float,
 complex and object arrays raise ``TypeError`` rather than be truncated.
+``positive_support`` reads only signs, so it checks only the dtype.
 ``mat_mul`` raises ``OverflowError`` when its a-priori bound on the product
 (the inner dimension times the largest entries of both factors) reaches 2^62,
 so nothing wraps silently.  Below 2^53 that bound keeps every partial sum an
@@ -124,11 +125,17 @@ def int_eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def _int64(m: np.ndarray) -> np.ndarray:
-    """m as an exact int64 matrix: the one check at every public entry point."""
+def _integer(m: np.ndarray) -> np.ndarray:
+    """m as an array; ``TypeError`` unless it is a bool or integer array."""
     m = np.asarray(m)
     if m.dtype.kind not in "biu":
         raise TypeError(f"exact matrices are integer arrays, not {m.dtype}; see int_matrix")
+    return m
+
+
+def _int64(m: np.ndarray) -> np.ndarray:
+    """m as an exact int64 matrix: the one check at every public entry point."""
+    m = _integer(m)
     if m.size and max(int(m.max()), -int(m.min())) >= _INT64_SAFE:
         raise OverflowError("matrix entry at or above 2^62 in magnitude")
     return m.astype(np.int64, copy=False)
@@ -148,8 +155,12 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def positive_support(m: np.ndarray) -> np.ndarray:
-    """0/1 int64 matrix marking the strictly positive entries of m."""
-    return (_int64(m) > 0).astype(np.int64)
+    """0/1 int64 matrix marking the strictly positive entries of m.
+
+    A sign needs no range check and no int64 copy: an integer m of any
+    width is compared with 0 as it is.
+    """
+    return (_integer(m) > 0).astype(np.int64)
 
 
 def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:

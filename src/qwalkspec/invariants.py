@@ -20,15 +20,14 @@ cheapest exact route:
   where S+(U^2) = S+(U)^2, squares the S+(U) eigenvalues.
 
 None of these routes runs an nk x nk matrix product (see ``supports``)
-or rounds.  S+(U^3) itself comes from ``support_u_power``: the entry
-formula W^3[j, i] = 8A^2[t_j, h_i] - 4k(A[t_j, t_i] + A[h_j, h_i])
-+ 2k^2 [h_j = t_i] - k^3 [i = rev j] over the arc tails t and heads h,
-in int32 row blocks, each entry at most 16k + 2k^2 + k^3 < 2^31.  The
-walk-product chain W, W*W, W*W*W is the tests' oracle
+or rounds.  S+(U^3) itself comes from ``support_u_power``, as S+(U) and
+S+(U^2) do: the entry formula W^3[j, i] = 8A^2[t_j, h_i] - 4k(A[t_j, t_i]
++ A[h_j, h_i]) + 2k^2 [h_j = t_i] - k^3 [i = rev j] over the arc tails t
+and heads h, in int32 row blocks, each entry at most 16k + 2k^2 + k^3 <
+2^31.  The walk-product chain W, W*W, W*W*W is the tests' oracle
 (``tests/oracles.py``).  The brute-force polynomials stay one call away,
-as ``char_poly(support_u(a))`` and ``char_poly(support_u_power(a, 2))``
-or ``qwalkspec spectrum --form charpoly``, and the tests hold the two
-routes equal.
+as ``char_poly(support_u_power(a, m))`` for m = 1, 2 or ``qwalkspec
+spectrum --form charpoly``, and the tests hold the two routes equal.
 
 ``batch_compare`` and the CLI's ``compare`` reach the same verdicts as
 ``compare`` on the two profiles without expanding the S+(U) or S+(U^2)

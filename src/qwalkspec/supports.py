@@ -16,24 +16,25 @@ entries 2 - k are zero), so supports of walk powers are simply supports of
 powers of B.
 
 Every function here that builds an arc-space matrix takes the graph's
-``ArcSpace``, so one arc space serves a graph's every check.  S+(U) is the
-arc space's own ``support`` of its W, formed once.  S+(U^2) and S+(U^3)
-never form W.  With t, h the arc tails and heads, W's entry (j, i) is
+``ArcSpace``, so one arc space serves a graph's every check.  No walk
+support forms W.  With t, h the arc tails and heads, W's entry (j, i) is
 2[h_i = t_j] - k[i = rev j]; summing over the middle arcs gives
 
     W^2[j, i] = 4A[t_j, h_i] - 2k([t_j = t_i] + [h_j = h_i]) + k^2 [i = j]
     W^3[j, i] = 8A^2[t_j, h_i] - 4k(A[t_j, t_i] + A[h_j, h_i]) + 2k^2 [h_j = t_i] - k^3 [i = rev j]
 
-and ``support_u_power`` reads both from one table of terms, ``_POWER_TERMS``,
-in int32 row blocks, with A^2 = ins*A[t].  No entry exceeds
-16k + 2k^2 + k^3 in magnitude, which it checks against 2^31 before it
-builds anything.  Every walk support needs k >= 2.  The walk-product chain
-W, W*W, W*W*W by the arc step is the test oracle (``tests/oracles.py``).
-``support_u``, ``support_u_power`` and ``build_support_set`` are the only
-builders of supports: the CLI's ``spectrum`` and ``verify`` and ``invariants``
-all call them by these names.  The identity suite and ``su2_via_identity``
-multiply by P, W, kQ and S+(U) through the same ``ArcSpace``, never by a
-dense product; the dense incidence definitions are test oracles
+and ``support_u_power`` reads all three from one table of terms,
+``_POWER_TERMS``, in int32 row blocks, with A^2 = ins*A[t].  No entry
+exceeds 16k + 2k^2 + k^3 in magnitude, which it checks against 2^31 before
+it builds anything.  Every walk support needs k >= 2.  The walk-product
+chain W, W*W, W*W*W by the arc step is the test oracle
+(``tests/oracles.py``).  ``support_u_power`` and ``build_support_set`` are
+the only builders of supports: the CLI's ``spectrum`` and ``verify`` and
+``invariants`` all call them by these names.  The identity suite multiplies
+by P, W, kQ and S+(U) through the same ``ArcSpace``, never by a dense
+product, and ``su2_via_identity`` squares S+(U) by the arc step alone, so
+thm41 checks the entry formula of S+(U^2) against a product that shares no
+code with it.  The dense incidence definitions are test oracles
 (``tests/oracles.py``).
 
 ``closed_form_charpoly_su``, ``ihara_style_charpoly`` and
@@ -71,12 +72,6 @@ from .polynomials import _homogeneous, _kron_bits, _kron_read
 EIGENVALUE_CLUSTER_TOL = 1e-6
 
 
-def support_u(a: ArcSpace) -> np.ndarray:
-    """S+(U), the support of W: the non-backtracking arc matrix (k >= 2), the arc space's own, read-only."""
-    _walk_valency(a)
-    return a.support
-
-
 def _walk_valency(a: ArcSpace) -> int:
     """The arc space's valency k; ``ValencyError`` unless k >= 2, which every walk support needs."""
     if a.k < 2:
@@ -86,23 +81,25 @@ def _walk_valency(a: ArcSpace) -> int:
 
 # Entry (j, i) of W^m is (-k)^m at i = rev j if the flag is set, else at i = j, plus c k^e (A^p)[x_j, y_i]
 # for each term (c, e, p, "xy"), where x and y, t or h, pick the tail or head of arcs j and i.
-_POWER_TERMS = {2: (False, ((4, 0, 1, "th"), (-2, 1, 0, "tt"), (-2, 1, 0, "hh"))),
+_POWER_TERMS = {1: (True, ((2, 0, 0, "th"),)),
+                2: (False, ((4, 0, 1, "th"), (-2, 1, 0, "tt"), (-2, 1, 0, "hh"))),
                 3: (True, ((8, 0, 2, "th"), (-4, 1, 1, "tt"), (-4, 1, 1, "hh"), (2, 2, 0, "ht")))}
 
 
 def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
-    """S+(U^m) for m in {2, 3}: the support of W^m, from its entry formula in int32 row blocks.
+    """S+(U^m) for m in {1, 2, 3}: the support of W^m, from its entry formula in int32 row blocks.
 
-    An entry of A^p is at most 1 for p < 2 and k for p = 2, so no entry of
-    W^m exceeds k^m plus the sum over the terms of |c| k^e times that:
-    4 + 4k + k^2 for m = 2, 16k + 2k^2 + k^3 for m = 3.  That bound is
-    checked against 2^31 before anything is built.  Each term's columns
+    S+(U), the support of W, is the non-backtracking arc matrix.  An entry
+    of A^p is at most 1 for p < 2 and k for p = 2, so no entry of W^m
+    exceeds k^m plus the sum over the terms of |c| k^e times that: k + 2
+    for m = 1, 4 + 4k + k^2 for m = 2, 16k + 2k^2 + k^3 for m = 3.  That
+    bound is checked against 2^31 before anything is built.  Each term's columns
     c k^e (A^p)[:, y] are gathered once, n x nk; each row block then gathers
     their rows x_j and sums them.  The rows come in as few near-equal blocks
     as keep each block's int32 entries within ``intmat._STACK_BYTES``.
     """
     if m not in _POWER_TERMS:
-        raise ValueError(f"only powers 2 and 3 are supported, got {m}")
+        raise ValueError(f"only powers 1, 2 and 3 are supported, got {m}")
     k, (reversed_diagonal, terms) = _walk_valency(a), _POWER_TERMS[m]
     if k**m + sum(abs(c) * k**e * (k if p == 2 else 1) for c, e, p, _ in terms) >= 1 << 31:
         raise OverflowError(f"W^{m} at k={k} may reach 2^31 in magnitude")
@@ -118,10 +115,11 @@ def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
 
 
 def su2_via_identity(a: ArcSpace) -> np.ndarray:
-    """S+(U)^2 + I, which equals S+(U^2) exactly when k > 2."""
+    """S+(U)^2 + I, which equals S+(U^2) exactly when k > 2, by the arc step alone."""
     if a.k <= 2:
         raise HypothesisError(f"S+(U^2) = S+(U)^2 + I requires k > 2, got k={a.k}")
-    return a.s1(a.support) + int_eye(a.size)
+    eye = int_eye(a.size)
+    return a.s1(a.s1(eye)) + eye
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,8 @@ class SupportSet:
 
 
 def build_support_set(a: ArcSpace) -> SupportSet:
-    """S+(U), S+(U^2) and S+(U^3) (k >= 2), S+(U) the arc space's."""
-    return SupportSet(support_u(a), support_u_power(a, 2), support_u_power(a, 3))
+    """S+(U), S+(U^2) and S+(U^3) (k >= 2), each from its entry formula."""
+    return SupportSet(*(support_u_power(a, m) for m in (1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------

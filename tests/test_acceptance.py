@@ -24,7 +24,7 @@ _cp_a = {}
 
 def cp_s1(gid, g):
     if gid not in _cp_s1:
-        _cp_s1[gid] = q.char_poly(q.support_u(q.build_arc_space(g)))
+        _cp_s1[gid] = q.char_poly(q.support_u_power(q.build_arc_space(g), 1))
     return _cp_s1[gid]
 
 
@@ -88,7 +88,7 @@ def test_criterion_4_squared_support_identity():
             # walk matrix is exactly 2*S+(U) here, so the true relation is
             # S+(U^2) = S+(U)^2, strictly smaller than the support of
             # (outs^T ins)^2 wherever a backtracking 2-walk exists.
-            s1 = q.support_u(a)
+            s1 = q.support_u_power(a, 1)
             b2 = q.mat_mul(s1, s1)
             if not q.mat_equal(s2, b2):
                 failures.append(f"{gid}: S+(U^2) != S+(U)^2 at k=2")
@@ -128,7 +128,7 @@ def test_criterion_6_relabeling_invariance():
                     failures.append(f"{gid} trial {trial}: {which} changed")
             # profile takes s1 and s2 from closed forms; brute force must agree
             a = q.build_arc_space(h)
-            brute = {"s1": q.support_u(a), "s2": q.support_u_power(a, 2)}
+            brute = {"s1": q.support_u_power(a, 1), "s2": q.support_u_power(a, 2)}
             for which, m in brute.items():
                 if q.char_poly(m).coeffs != base.charpoly(which).coeffs:
                     failures.append(f"{gid} trial {trial}: brute-force {which} differs")

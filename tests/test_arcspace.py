@@ -24,7 +24,6 @@ from qwalkspec import (
     reversal_matrix,
     scaled_reflection_q,
     su2_via_identity,
-    support_u,
     support_u_power,
 )
 
@@ -146,7 +145,7 @@ def test_support_from_reflection_identity(corpus):
         a = build_arc_space(g)
         if a.k < 2:
             continue
-        lhs = 2 * support_u(a)
+        lhs = 2 * support_u_power(a, 1)
         kq = scaled_reflection_q(a)
         rhs = mat_mul(reversal_matrix(a), kq + (a.k - 2) * int_eye(a.size))
         assert mat_equal(lhs, rhs)
@@ -171,13 +170,13 @@ def test_ins_outs_reconstruct_adjacency(corpus):
 
 
 def test_arc_matrices_are_int64(corpus):
-    builders = (ins_matrix, outs_matrix, reversal_matrix, scaled_reflection_q, support_u)
+    builders = (ins_matrix, outs_matrix, reversal_matrix, scaled_reflection_q)
     for gid, g in corpus:
         a = build_arc_space(g)
         for build in builders:
             assert build(a).dtype == np.int64, (gid, build.__name__)
         assert a.walk.dtype == np.int64, (gid, "walk")
-        for m in (2, 3):
+        for m in (1, 2, 3):
             assert support_u_power(a, m).dtype == np.int64, (gid, m)
 
 
@@ -207,7 +206,7 @@ def test_arc_matrices_equal_their_dense_oracles():
         built = {"ins": ins_matrix(a), "outs": outs_matrix(a), "P": reversal_matrix(a),
                  "W": a.walk, "kQ": scaled_reflection_q(a)}
         if a.k >= 2:
-            built["S1"] = support_u(a)
+            built["S1"] = support_u_power(a, 1)
         for name, m in built.items():
             assert m.dtype == np.int64 and mat_equal(m, dense[name]), (gid, name)
         if a.k > 2:
@@ -248,7 +247,7 @@ def test_walk_powers_equal_the_mat_mul_chain(monkeypatch):
     for gid, g in _walk_cases() + _edge_cases():
         a = build_arc_space(g)
         if a.k < 2:
-            for m in (2, 3):
+            for m in (1, 2, 3):
                 with pytest.raises(ValencyError, match="valency >= 2"):
                     support_u_power(a, m)
             continue
@@ -256,7 +255,7 @@ def test_walk_powers_equal_the_mat_mul_chain(monkeypatch):
         chain = [w, mat_mul(w, w)]
         chain.append(mat_mul(chain[1], w))
         assert all(mat_equal(p, c) for p, c in zip(arc_step_walk_powers(a, 3), chain)), gid
-        for m in (2, 3):
+        for m in (1, 2, 3):
             assert mat_equal(_built_walk_power(monkeypatch, a, m)[0], chain[m - 1]), (gid, m)
             support = support_u_power(a, m)
             assert support.dtype == np.int64 and mat_equal(support, positive_support(chain[m - 1])), (gid, m)
@@ -282,7 +281,7 @@ def test_walk_powers_equal_the_arc_step_chain_on_every_family_in_any_blocks(monk
         chain = arc_step_walk_powers(a, 3)
         for stack_bytes in (intmat._STACK_BYTES, 4 * a.size * 7):  # one block, then at most 7 int32 rows each
             monkeypatch.setattr(intmat, "_STACK_BYTES", stack_bytes)
-            for m in (2, 3):
+            for m in (1, 2, 3):
                 built, rows = _built_walk_power(monkeypatch, a, m)
                 assert mat_equal(built, chain[m - 1]) and sum(rows) == a.size, (gid, m, rows)
                 assert mat_equal(support_u_power(a, m), positive_support(chain[m - 1])), (gid, m, rows)
@@ -290,20 +289,21 @@ def test_walk_powers_equal_the_arc_step_chain_on_every_family_in_any_blocks(monk
     monkeypatch.undo()
     a = build_arc_space(cycle_graph(1024))  # nk = 2048: two blocks at the real block size
     chain = arc_step_walk_powers(a, 3)
-    for m in (2, 3):
+    for m in (1, 2, 3):
         built, rows = _built_walk_power(monkeypatch, a, m)
         assert rows == [1024, 1024] and mat_equal(built, chain[m - 1]), m
 
 
 def _single_term_mutants(table):
-    """(m, what, mutated entry) for each term of each power dropped, negated or with t and h swapped,
-    and each (-k)^m put on the other diagonal."""
+    """(m, what, mutated entry) for each term of each power zeroed, negated or with t and h swapped,
+    and each (-k)^m put on the other diagonal.  A zeroed term stands for a dropped one, so that the
+    one term of W can go too."""
     for m, (reversed_diagonal, terms) in table.items():
         yield m, "diagonal", (not reversed_diagonal, terms)
         for i, (c, e, p, xy) in enumerate(terms):
-            for what, mutants in (("dropped", ()), ("negated", ((-c, e, p, xy),)),
-                                  ("t and h swapped", ((c, e, p, xy.translate(str.maketrans("th", "ht"))),))):
-                yield m, f"term {i} {what}", (reversed_diagonal, terms[:i] + mutants + terms[i + 1:])
+            for what, mutant in (("zeroed", (0, e, p, xy)), ("negated", (-c, e, p, xy)),
+                                 ("t and h swapped", (c, e, p, xy.translate(str.maketrans("th", "ht"))))):
+                yield m, f"term {i} {what}", (reversed_diagonal, terms[:i] + (mutant,) + terms[i + 1:])
 
 
 def test_every_single_term_mutant_of_the_power_table_disagrees_with_the_oracle(monkeypatch):
@@ -312,7 +312,7 @@ def test_every_single_term_mutant_of_the_power_table_disagrees_with_the_oracle(m
     cases = [(gid, build_arc_space(g)) for gid, g in _formula_corpus()]
     chains = {gid: arc_step_walk_powers(a, 3) for gid, a in cases}
     mutants = list(_single_term_mutants(supports._POWER_TERMS))
-    assert len(mutants) == 2 + 3 * (3 + 4)
+    assert len(mutants) == 3 + 3 * (1 + 3 + 4)
     for m, what, entry in mutants:
         with monkeypatch.context() as patch:
             patch.setitem(supports._POWER_TERMS, m, entry)
@@ -343,7 +343,7 @@ def test_index_arrays_follow_the_canonical_arc_order():
 
 def test_one_arc_space_forms_w_once_and_read_only():
     a = build_arc_space(petersen_graph())
-    for m in (2, 3):
+    for m in (1, 2, 3):
         support_u_power(a, m)
     assert "walk" not in vars(a)  # the entry formulas never form W
     w = a.walk
@@ -353,27 +353,33 @@ def test_one_arc_space_forms_w_once_and_read_only():
         w[0, 0] = 1
 
 
-def test_one_arc_space_forms_s_plus_u_once_and_read_only():
-    """``support_u``, ``build_support_set`` and ``su2_via_identity`` share the arc space's S+(U)."""
-    a = build_arc_space(petersen_graph())
-    s1 = support_u(a)
-    assert s1 is a.support and build_support_set(a).s1 is s1
-    assert mat_equal(s1, dense_arc_matrices(a)["S1"])
-    assert mat_equal(su2_via_identity(a), mat_mul(s1, s1) + int_eye(a.size))
-    with pytest.raises(ValueError, match="read-only"):
-        s1[0, 0] = 1
+def test_s_plus_u_peaks_below_twice_and_a_quarter_its_int64_result():
+    """S+(U) of paley:61 (nk = 1830, two int32 row blocks) forms no int64 W and no int64 copy of a
+    block: W alone is as large as the 26.8 MB result, and W plus its support peak at 3.0 times it."""
+    import tracemalloc
+
+    a = build_arc_space(parse_generator_spec("paley:61"))
+    tracemalloc.start()
+    try:
+        s1 = support_u_power(a, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s1.nbytes == 8 * 1830**2 and peak < 2.25 * s1.nbytes, peak / s1.nbytes
+    assert "walk" not in vars(a)
 
 
 def test_walk_powers_refuse_a_bound_at_the_int32_limit(monkeypatch):
     """An explicit raise, so ``python -O`` keeps it, before anything is built.
 
-    The least k with 4 + 4k + k^2 >= 2^31 is 46339, and with 16k + 2k^2 + k^3 >= 2^31 it is 1290.
+    The least k with k + 2 >= 2^31 is 2^31 - 2, with 4 + 4k + k^2 >= 2^31 it is 46339, and with
+    16k + 2k^2 + k^3 >= 2^31 it is 1290.
     """
     from qwalkspec import supports
 
     a = build_arc_space(petersen_graph())
-    bounds = {2: lambda k: 4 + 4 * k + k**2, 3: lambda k: 16 * k + 2 * k**2 + k**3}
-    for m, k in ((2, 46339), (3, 1290)):
+    bounds = {1: lambda k: k + 2, 2: lambda k: 4 + 4 * k + k**2, 3: lambda k: 16 * k + 2 * k**2 + k**3}
+    for m, k in ((1, 2**31 - 2), (2, 46339), (3, 1290)):
         assert bounds[m](k - 1) < 2**31 <= bounds[m](k)
         assert support_u_power(dataclasses.replace(a, k=k - 1), m).shape == (a.size, a.size)
         with monkeypatch.context() as patch:

@@ -91,10 +91,9 @@ def test_spectrum_numeric_s3(capsys):
 
 
 def _exact_support_charpoly(g, which):
-    from qwalkspec import build_arc_space, char_poly, support_u, support_u_power
+    from qwalkspec import build_arc_space, char_poly, support_u_power
 
-    a = build_arc_space(g)
-    return char_poly(support_u(a) if which == "s1" else support_u_power(a, 2)).coeffs
+    return char_poly(support_u_power(build_arc_space(g), int(which[1]))).coeffs
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
@@ -222,25 +221,24 @@ def test_verify_skips_need_no_brute_force_char_poly(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "spec, checks, shared, s2_builds",
+    "spec, checks, shared, built",
     [
-        ("petersen", "all", [2], [2]),
-        ("petersen", "thm32", [1], []),
-        ("petersen", "thm43,ihara", [2], [2]),
+        ("petersen", "all", [2], [1, 2]),
+        ("petersen", "thm32", [1], [1]),
+        ("petersen", "thm43,ihara", [2], [1, 2]),
         ("petersen", "thm43", [1], [2]),
         ("petersen", "identities,thm41", [], [2]),
-        ("cycle:6", "all", [1], []),
+        ("cycle:6", "all", [1], [1]),
     ],
 )
-def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s2_builds,
+def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, built,
                                                          capsys, monkeypatch):
     """The pass is shared when S+(U) and S+(U^2) fall back to the kernel, forced here for all."""
     from qwalkspec import ArcSpace, cli, intmat
 
     nk = 30 if spec == "petersen" else 12
-    passes, calls, s1_builds, powers, walks, regular = [], [], [], [], [], []
-    kernel, polys = intmat._hessenberg_stack, cli.char_polys
-    support, support_u_power = ArcSpace.support.func, cli.support_u_power
+    passes, calls, powers, walks, regular = [], [], [], [], []
+    kernel, polys, support_u_power = intmat._hessenberg_stack, cli.char_polys, cli.support_u_power
     walk, valency = ArcSpace.walk.func, Graph.valency.func
 
     def kernel_spy(h, primes):
@@ -251,10 +249,6 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
         ms = list(ms)
         calls.append(len(ms))
         return polys(ms)
-
-    def support_spy(a):
-        s1_builds.append(a)
-        return support(a)
 
     def power_spy(a, m):
         powers.append(m)
@@ -273,17 +267,15 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, s
     monkeypatch.setattr(intmat, "_trace_route", lambda m, r: None)
     monkeypatch.setattr(intmat, "_minpoly_route", lambda m, r: (None, "degree"))
     monkeypatch.setattr(cli, "char_polys", polys_spy)
-    monkeypatch.setattr(ArcSpace.support, "func", support_spy)
     monkeypatch.setattr(cli, "support_u_power", power_spy)
     monkeypatch.setattr(ArcSpace.walk, "func", walk_spy)
     monkeypatch.setattr(Graph.valency, "func", valency_spy)
     code, out, _ = run_cli(capsys, "verify", "--generate", spec, "--checks", checks)
     assert code == 0 and "FAIL" not in out
-    assert calls == shared and powers == s2_builds
-    # one S+(U) for every check that reads it; thm43 alone reads only S+(U^2)
-    assert len(s1_builds) == (0 if checks == "thm43" else 1)
-    # one W for the identities, S+(U) and thm41's S+(U)^2 + I; S+(U^2)'s entry formula forms none
-    assert len(walks) == (0 if checks == "thm43" else 1)
+    # one formula S+(U) when thm32 or ihara reads it, one S+(U^2) for thm41 and thm43
+    assert calls == shared and powers == built
+    # one W for the identities alone: no entry formula forms it, nor thm41's S+(U)^2 + I
+    assert len(walks) == ("identities" in checks or checks == "all")
     assert passes.count(nk) == len(shared)
     assert len(regular) == 1  # one graph, its k decided once for every check
 
@@ -374,7 +366,7 @@ def test_wrappers_installed_after_import_see_every_closed_spectrum_and_support(c
 
     seen = []
     for name in ("closed_form_spectrum_su", "closed_form_spectrum_su2", "su2_via_identity",
-                 "support_u", "support_u_power", "closed_form_charpoly_su", "ihara_style_charpoly",
+                 "support_u_power", "closed_form_charpoly_su", "ihara_style_charpoly",
                  "closed_form_charpoly_su2"):
         real = getattr(supports, name)
 
@@ -395,14 +387,14 @@ def test_wrappers_installed_after_import_see_every_closed_spectrum_and_support(c
     for which in ("s1", "s2", "s3"):
         assert run_cli(capsys, "spectrum", "--which", which, "--form", "charpoly",
                        "--generate", "petersen")[0] == 0
-    assert seen == ["support_u", "support_u_power", "support_u_power"]
+    assert seen == ["support_u_power"] * 3
     seen.clear()
     code, out, _ = run_cli(capsys, "verify", "--checks", "all", "--generate", "petersen",
                            "--generate", "cycle:5")
     assert code == 0 and out.count("PASS") == 8
-    assert seen == ["closed_form_charpoly_su", "support_u", "support_u_power", "su2_via_identity",
+    assert seen == ["closed_form_charpoly_su", "support_u_power", "support_u_power", "su2_via_identity",
                     "closed_form_charpoly_su2", "ihara_style_charpoly",  # petersen, k = 3
-                    "closed_form_charpoly_su", "support_u", "ihara_style_charpoly"]  # cycle:5, k = 2
+                    "closed_form_charpoly_su", "support_u_power", "ihara_style_charpoly"]  # cycle:5, k = 2
     seen.clear()
     for g in (petersen_graph(), cycle_graph(5)):
         invariants.profile(g, "g")
@@ -411,32 +403,36 @@ def test_wrappers_installed_after_import_see_every_closed_spectrum_and_support(c
 
 def _spy_shared_values(monkeypatch) -> tuple:
     """The graphs that form chi_A, the arc spaces that form S+(U), and the shapes of all supports."""
-    from qwalkspec import ArcSpace, intmat, supports
+    import qwalkspec
+    from qwalkspec import cli, intmat, invariants, supports
 
     chi_a, s_plus_u, supports_formed = [], [], []
-    charpoly, support, positive_support = Graph.charpoly.func, ArcSpace.support.func, intmat.positive_support
+    charpoly, positive_support = Graph.charpoly.func, intmat.positive_support
+    support_u_power = supports.support_u_power
 
     def charpoly_spy(g):
         chi_a.append(g)
         return charpoly(g)
 
-    def support_spy(a):
-        s_plus_u.append(a)
-        return support(a)
+    def power_spy(a, m):
+        if m == 1:
+            s_plus_u.append(a)
+        return support_u_power(a, m)
 
     def positive_support_spy(m):
         supports_formed.append(m.shape)
         return positive_support(m)
 
     monkeypatch.setattr(Graph.charpoly, "func", charpoly_spy)
-    monkeypatch.setattr(ArcSpace.support, "func", support_spy)
+    for module in (supports, cli, invariants, qwalkspec):
+        monkeypatch.setattr(module, "support_u_power", power_spy)
     for module in (intmat, supports):
         monkeypatch.setattr(module, "positive_support", positive_support_spy)
     return chi_a, s_plus_u, supports_formed
 
 
 @pytest.mark.parametrize("argv, chi_a, s_plus_u, supports_formed", [
-    # thm32, ihara and thm43 share chi_A; S+(U) serves thm32, ihara and thm41's S+(U)^2 + I
+    # thm32, ihara and thm43 share chi_A, and thm32 and ihara one formula S+(U)
     (["verify", "--checks", "all", "--generate", "petersen"], 1, 1, [(30, 30)] * 2),
     (["verify", "--checks", "all", "--generate", "petersen", "--generate", "cycle:5"], 2, 2,
      [(30, 30)] * 2 + [(10, 10)]),
@@ -485,9 +481,9 @@ def test_spectrum_charpoly_forms_only_the_support_it_returns(capsys, monkeypatch
 
 
 def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeypatch):
-    """One arc space serves every check: its W = W*I feeds identity_suite and S+(U), and S+(U^2)
-    and S+(U^3) come from their entry formulas, so the W products are W*I and W*W^T alone; the A,
-    S+(U) and S+(U^2) char polys all take the minimal-polynomial route."""
+    """One arc space serves every check: its W = W*I feeds identity_suite, and S+(U) and S+(U^2)
+    come from their entry formulas, so the W products are W*I and W*W^T alone; the A, S+(U) and
+    S+(U^2) char polys all take the minimal-polynomial route."""
     from qwalkspec import arcspace, intmat
 
     built, w_calls, passes = [], [], []
@@ -513,6 +509,20 @@ def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeyp
     assert len(built) == 1 and passes == []
     [eye, w_t] = w_calls
     assert mat_equal(eye, int_eye(96)) and w_t.base is built[0].walk and not w_t.base.flags.writeable
+
+
+@pytest.mark.parametrize("m, row, checks", [
+    (1, (False, ((2, 0, 0, "th"),)), "thm32,ihara"),  # -k at j, not at rev j: backtracking allowed
+    (2, (True, ((4, 0, 1, "th"), (-2, 1, 0, "tt"), (-2, 1, 0, "hh"))), "thm41,thm43"),  # k^2 at rev j
+])
+def test_verify_fails_when_an_entry_formula_is_wrong(m, row, checks, capsys, monkeypatch):
+    """A wrong S+(U) row fails both closed forms of S+(U), and a wrong S+(U^2) row fails its
+    closed form and thm41, whose S+(U)^2 + I shares no code with the formula."""
+    from qwalkspec import supports
+
+    monkeypatch.setitem(supports._POWER_TERMS, m, row)
+    code, out, _ = run_cli(capsys, "verify", "--generate", "petersen", "--checks", checks)
+    assert code == 1 and out.count(" FAIL ") == 2 and "PASS" not in out, out
 
 
 def test_verify_thm43_of_paley37_takes_the_minimal_polynomial_route(capsys, monkeypatch):

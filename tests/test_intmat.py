@@ -88,6 +88,8 @@ def test_mat_mul_raises_overflow_when_its_bound_reaches_2_62():
             lambda: bareiss_determinant(np.array([[0.5, 1], [2, 3]])), TypeError, id="bareiss"
         ),
         pytest.param(lambda: positive_support(np.array([[1j]])), TypeError, id="complex-support"),
+        pytest.param(lambda: positive_support(np.array([[0.5]])), TypeError, id="float-support"),
+        pytest.param(lambda: positive_support(np.array([[1]], dtype=object)), TypeError, id="object-support"),
         pytest.param(
             lambda: char_poly(np.array([[1, 2], [3, 4]], dtype=object)),
             TypeError,
@@ -166,10 +168,10 @@ def _debug_fields(records) -> list:
 
 
 def test_char_poly_logs_one_debug_line_only_when_enabled(caplog):
-    from qwalkspec import char_polys, intmat, petersen_graph, support_u, support_u_power
+    from qwalkspec import char_polys, intmat, petersen_graph, support_u_power
 
     a = build_arc_space(petersen_graph())
-    s1, s2, s3 = support_u(a), support_u_power(a, 2), support_u_power(a, 3)
+    s1, s2, s3 = support_u_power(a, 1), support_u_power(a, 2), support_u_power(a, 3)
     with caplog.at_level(logging.INFO, logger="qwalkspec.intmat"):
         quiet = char_poly(s3)
     assert caplog.records == []
@@ -233,6 +235,18 @@ def test_positive_support_examples():
     # idempotent
     s = positive_support(m)
     assert mat_equal(positive_support(s), s)
+
+
+def test_positive_support_reads_signs_of_any_integer_width_without_an_int64_copy(monkeypatch):
+    from qwalkspec import intmat
+
+    monkeypatch.setattr(intmat, "_int64", None)  # no range scan, no int64 copy
+    for dtype in (np.int8, np.int32, np.uint16):
+        m = np.array([[-1, 0], [2, -5]]).astype(dtype)
+        s = positive_support(m)
+        assert s.dtype == np.int64 and s.tolist() == ((m > 0) * 1).tolist(), dtype
+    huge = positive_support(np.array([[2**63 + 5, 0]], dtype=np.uint64))  # a sign needs no 2^62 bound
+    assert huge.tolist() == [[1, 0]] and huge.dtype == np.int64
 
 
 def test_positive_support_of_scaled_walk_c3():
@@ -317,13 +331,13 @@ def test_modular_huge_entries():
 
 
 def test_charpoly_methods_agree_on_support_matrices(corpus):
-    from qwalkspec import support_u
+    from qwalkspec import support_u_power
 
     for gid, g in corpus:
         nk = 2 * g.edge_count
         if nk > 30:
             continue
-        s1 = support_u(build_arc_space(g))
+        s1 = support_u_power(build_arc_space(g), 1)
         assert berkowitz_charpoly(s1).coeffs == char_poly(s1).coeffs, gid
 
 
@@ -508,14 +522,14 @@ def test_primes_are_reduced_in_groups_that_fit_the_stack_budget(per_group, monke
 
 def _mixed_matrices():
     """Matrices of sizes 0, 1, 5, 7 and 30, in mixed order, with repeats."""
-    from qwalkspec import petersen_graph, support_u, support_u_power
+    from qwalkspec import petersen_graph, support_u_power
 
     rng = np.random.default_rng(41)
     a = build_arc_space(petersen_graph())
     five, seven = rand_int_matrix(rng, 5), rand_int_matrix(rng, 7, -2**40, 2**40)
     return [
-        five, np.zeros((0, 0), dtype=np.int64), support_u(a), int_matrix([[-3]]), seven,
-        support_u_power(a, 2), five, rand_int_matrix(rng, 5), int_matrix([[7]]), support_u(a),
+        five, np.zeros((0, 0), dtype=np.int64), support_u_power(a, 1), int_matrix([[-3]]), seven,
+        support_u_power(a, 2), five, rand_int_matrix(rng, 5), int_matrix([[7]]), support_u_power(a, 1),
     ]
 
 
@@ -661,13 +675,12 @@ def _logged_minpoly_route(caplog, m):
 
 
 def _srg_matrix(spec, which):
-    from qwalkspec import generators, support_u, support_u_power
+    from qwalkspec import generators, support_u_power
 
     g = generators.parse_generator_spec(spec)
     if which == "a":
         return adjacency_matrix(g)
-    a = build_arc_space(g)
-    return support_u(a) if which == "s1" else support_u_power(a, int(which[1]))
+    return support_u_power(build_arc_space(g), int(which[1]))
 
 
 _SRG_ROUTES = {("petersen", "s1"): "traces", ("petersen", "s2"): "minpoly", ("petersen", "s3"): "minpoly",
@@ -760,9 +773,9 @@ def _divide_by_root(p, root, q):
 
 
 def test_a_planted_mu_with_a_missing_factor_fails_the_certificate(caplog, kernel_dims, monkeypatch):
-    from qwalkspec import intmat, shrikhande_graph, support_u
+    from qwalkspec import intmat, shrikhande_graph, support_u_power
 
-    m = support_u(build_arc_space(shrikhande_graph()))
+    m = support_u_power(build_arc_space(shrikhande_graph()), 1)
     relation, certify, verdicts = intmat._krylov_relation, intmat._certify_minpoly, []
 
     def planted(mq, q, cap):  # mu / (t - (k - 1)): a proper factor of the true mu
@@ -1360,11 +1373,11 @@ def test_the_200_identity_and_reversal_take_the_permutation_route(caplog, kernel
 @pytest.mark.parametrize("n", [3, 4, 30, 53, 200])
 def test_su_of_a_cycle_takes_the_permutation_route(n, caplog, kernel_dims):
     """S+(U) of C_n is the arc-successor permutation: two directed n-cycles, chi = (t^n - 1)^2."""
-    from qwalkspec import support_u
+    from qwalkspec import support_u_power
     from qwalkspec.supports import _charpoly_su
 
     g = cycle_graph(n)
-    cp, fields = _logged_char_poly(caplog, support_u(build_arc_space(g)))
+    cp, fields = _logged_char_poly(caplog, support_u_power(build_arc_space(g), 1))
     assert (fields["route"], fields["n"], fields["cycles"]) == ("permutation", str(2 * n), "2")
     assert kernel_dims == []
     assert cp.coeffs == tuple(1 if j in (0, 2 * n) else -2 if j == n else 0 for j in range(2 * n + 1))

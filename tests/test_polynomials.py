@@ -227,9 +227,9 @@ def test_charpoly_str_formatting():
 
 def test_squarefree_of_corpus_charpoly():
     # the C3 walk-support char poly (t^3-1)^2 decomposes cleanly
-    from qwalkspec import build_arc_space, char_poly, cycle_graph, support_u
+    from qwalkspec import build_arc_space, char_poly, cycle_graph, support_u_power
 
-    cp = char_poly(support_u(build_arc_space(cycle_graph(3))))
+    cp = char_poly(support_u_power(build_arc_space(cycle_graph(3)), 1))
     dec = squarefree_decomposition(list(cp.coeffs))
     assert dec == [([-1, 0, 0, 1], 2)]
     roots = poly_roots(list(cp.coeffs))

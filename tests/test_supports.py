@@ -34,7 +34,6 @@ from qwalkspec import (
     poly_roots,
     positive_support,
     su2_via_identity,
-    support_u,
     support_u_power,
 )
 from qwalkspec.arcspace import ins_matrix
@@ -44,7 +43,7 @@ from oracles import dense_arc_matrices, max_matching_distance, schoolbook_closed
 
 def test_support_u_c3_is_two_directed_triangles():
     a = build_arc_space(cycle_graph(3))
-    s1 = support_u(a)
+    s1 = support_u_power(a, 1)
     # arcs: (0,1),(1,0),(0,2),(2,0),(1,2),(2,1); rows mark feeders
     expected = [
         [0, 0, 0, 1, 0, 0],
@@ -62,32 +61,33 @@ def test_support_u_c3_is_two_directed_triangles():
 def test_support_u_row_sums(corpus):
     for gid, g in corpus:
         a = build_arc_space(g)
-        s1 = support_u(a)
+        s1 = support_u_power(a, 1)
         for i in range(a.size):
             assert sum(s1[i, :]) == a.k - 1, gid
             assert sum(s1[:, i]) == a.k - 1, gid
 
 
 def test_support_u_matches_sign_of_walk_matrix(corpus):
-    # support_u is the support of the arc-step W, so the reference is the dense oracle W
+    # S+(U) comes from W's entry formula, so the reference is the dense oracle W
     for gid, g in corpus:
         a = build_arc_space(g)
         dense = dense_arc_matrices(a)
-        assert mat_equal(support_u(a), positive_support(dense["W"])), gid
-        assert mat_equal(support_u(a), dense["S1"]), gid
+        assert mat_equal(support_u_power(a, 1), positive_support(dense["W"])), gid
+        assert mat_equal(support_u_power(a, 1), dense["S1"]), gid
 
 
 def test_support_u_requires_k2():
     with pytest.raises(ValencyError):
-        support_u(build_arc_space(Graph(2, [(0, 1)])))
+        support_u_power(build_arc_space(Graph(2, [(0, 1)])), 1)
     with pytest.raises(ValencyError):
         support_u_power(build_arc_space(Graph(2, [(0, 1)])), 2)
 
 
 def test_support_power_rejects_bad_exponent():
     a = build_arc_space(cycle_graph(4))
-    with pytest.raises(ValueError):
-        support_u_power(a, 4)
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="only powers 1, 2 and 3"):
+            support_u_power(a, m)
 
 
 def test_squared_support_identity_k_gt_2(corpus):
@@ -111,7 +111,7 @@ def test_squared_support_at_k2_is_square_of_support():
     # the true support of U^2.
     for n in (3, 4, 5, 6):
         a = build_arc_space(cycle_graph(n))
-        s1 = support_u(a)
+        s1 = support_u_power(a, 1)
         s2 = support_u_power(a, 2)
         b2 = mat_mul(s1, s1)
         assert mat_equal(s2, b2)  # B is a permutation at k=2, so B^2 is 0/1
@@ -134,7 +134,7 @@ def test_squared_support_row_sums_k_gt_2(corpus):
 def test_support_set_consistency():
     a = build_arc_space(petersen_graph())
     ss = build_support_set(a)
-    assert mat_equal(ss.s1, support_u(a))
+    assert mat_equal(ss.s1, support_u_power(a, 1))
     assert mat_equal(ss.s2, support_u_power(a, 2))
     assert mat_equal(ss.s3, support_u_power(a, 3))
 
@@ -272,7 +272,7 @@ def test_trace_zero_exact(corpus):
     # the middle sum read off the psi = phi_A/(x-k) coefficients.
     for gid, g in corpus:
         a = build_arc_space(g)
-        assert int(support_u(a).trace()) == 0, gid
+        assert int(support_u_power(a, 1).trace()) == 0, gid
         cp_a = char_poly(adjacency_matrix(g))
         psi = poly_divide_exact(list(cp_a.coeffs), [-a.k, 1])
         lambda_sum = -psi[-2] if len(psi) >= 2 else 0  # sum of roots of psi
@@ -293,13 +293,13 @@ def test_closed_form_charpoly_su_c3():
 
 def test_closed_form_charpoly_su_matches_brute_force(small_corpus):
     for gid, g in small_corpus:
-        lhs = char_poly(support_u(build_arc_space(g)))
+        lhs = char_poly(support_u_power(build_arc_space(g), 1))
         assert lhs == closed_form_charpoly_su(g), gid
 
 
 def test_ihara_identity_small(small_corpus):
     for gid, g in small_corpus:
-        lhs = char_poly(support_u(build_arc_space(g)))
+        lhs = char_poly(support_u_power(build_arc_space(g), 1))
         assert lhs.coeffs == ihara_style_charpoly(g).coeffs, gid
 
 
@@ -400,7 +400,7 @@ def test_closed_forms_match_the_schoolbook_route():
 
 def test_numeric_roots_match_closed_form(small_corpus):
     for gid, g in small_corpus:
-        cp = char_poly(support_u(build_arc_space(g)))
+        cp = char_poly(support_u_power(build_arc_space(g), 1))
         roots = poly_roots(cp.coeffs)
         expected = closed_form_spectrum_su(g).numeric_values()
         assert max_matching_distance(roots, expected) < 1e-6, gid
