@@ -10,6 +10,8 @@ quoted n(k-1)/2 fails the dimension count nk and the zero-trace constraint,
 as the exact comparison below certifies.)
 """
 
+import numpy as np
+
 import qwalkspec as q
 
 g = q.petersen_graph()
@@ -45,7 +47,7 @@ print(f"numeric roots: {len(roots)}, of which {at[1]} at +1 and {at[-1]} at -1")
 # of the S+(U) spectrum under theta -> theta^2 + 1.  support_u_power reads
 # S+(U^2) off its entry formula; su2_via_identity squares S+(U) by two arc
 # steps, so the two sides share no code.
-print("\nS+(U^2) = S+(U)^2 + I:", q.mat_equal(q.support_u_power(a, 2), q.su2_via_identity(a)))
+print("\nS+(U^2) = S+(U)^2 + I:", np.array_equal(q.support_u_power(a, 2), q.su2_via_identity(a)))
 spec2 = q.closed_form_spectrum_su2(g)
 for entry in spec2.entries:
     print(" ", entry)
@@ -58,4 +60,4 @@ print("closed form for S+(U^2) equals brute force:",
 c6 = q.build_arc_space(q.cycle_graph(6))
 s1 = q.support_u_power(c6, 1)
 print("\nC6: S+(U^2) == S+(U)^2 (no +I at k=2):",
-      q.mat_equal(q.support_u_power(c6, 2), q.mat_mul(s1, s1)))
+      np.array_equal(q.support_u_power(c6, 2), s1 @ s1))

@@ -11,8 +11,6 @@ from .arcspace import (
     build_arc_space,
     ins_matrix,
     outs_matrix,
-    reversal_matrix,
-    scaled_reflection_q,
 )
 from .errors import (
     DivisibilityError,
@@ -55,8 +53,6 @@ from .intmat import (
     char_polys,
     int_eye,
     int_matrix,
-    mat_equal,
-    mat_mul,
     positive_support,
 )
 from .invariants import (

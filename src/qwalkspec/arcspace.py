@@ -14,20 +14,19 @@ coincide.
 ``build_arc_space`` builds the index arrays of the arcs once, and the
 ``ArcSpace`` applies every arc-space matrix from them: W, S+(U), kQ, P and
 ``ins`` act by index gathers and a sum over the k arcs into each vertex,
-O(nk) per column.  W = W*I is formed once per arc space, read-only, for the
-identity suite.  No walk support is formed here:
-``supports.support_u_power`` builds S+(U), S+(U^2) and S+(U^3) from the
-entry formulas of W, W^2 and W^3 over A and A^2 = ins*A[tail], in int32 row
-blocks whose entries it bounds by 16k + 2k^2 + k^3 < 2^31.  The dense
-definitions 2*outs^T*ins - k*P, outs^T*ins - P and 2*ins^T*ins - k*I, and
-the chain W, W*W, W*W*W by the arc step, are test oracles
-(``tests/oracles.py``).
+O(nk) per column; outs = ins*P, so outs*M = ins*(P*M).  An arc matrix X
+itself is X*I, formed only where a caller needs it.  No walk support is
+formed here: ``supports.support_u_power`` builds S+(U), S+(U^2) and S+(U^3)
+from the entry formulas of W, W^2 and W^3 over A = ins*I[tail] and
+A^2 = ins*A[tail], in int32 row blocks whose entries it bounds by
+16k + 2k^2 + k^3 < 2^31.  The dense definitions 2*outs^T*ins - k*P,
+outs^T*ins - P and 2*ins^T*ins - k*I, and the chain W, W*W, W*W*W by the
+arc step, are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,25 +67,18 @@ class ArcSpace:
         """The nk (tail, head) pairs, in arc order."""
         return tuple(zip(self.tail.tolist(), self.head.tolist()))
 
-    @cached_property
-    def walk(self) -> np.ndarray:
-        """W = k*U = W*I, formed on first use and read-only, so every caller shares it.
-
-        Entry (j, i) is 2 when arc i can continue into arc j without
-        backtracking, 2 - k when j is the reversal of i, and 0 otherwise.
-        """
-        w = self.w(int_eye(self.size))
-        w.flags.writeable = False
-        return w
-
     def ins(self, m: np.ndarray) -> np.ndarray:
         return m[self.into].sum(axis=1)
 
     def w(self, m: np.ndarray) -> np.ndarray:
-        return 2 * self.ins(m)[self.tail] - self.k * m[self.rev]
+        out = (2 * self.ins(m))[self.tail]
+        out -= self.k * m[self.rev]
+        return out
 
     def s1(self, m: np.ndarray) -> np.ndarray:
-        return self.ins(m)[self.tail] - m[self.rev]
+        out = self.ins(m)[self.tail]
+        out -= m[self.rev]
+        return out
 
     def kq(self, m: np.ndarray) -> np.ndarray:
         return 2 * self.ins(m)[self.head] - self.k * m
@@ -116,13 +108,3 @@ def ins_matrix(a: ArcSpace) -> np.ndarray:
 def outs_matrix(a: ArcSpace) -> np.ndarray:
     """n x nk 0/1 matrix: entry (i, j) = 1 iff vertex i is the tail of arc j."""
     return int_eye(a.n)[:, a.tail]
-
-
-def reversal_matrix(a: ArcSpace) -> np.ndarray:
-    """The arc-reversal permutation P = P*I: symmetric, P^2 = I, zero diagonal."""
-    return a.p(int_eye(a.size))
-
-
-def scaled_reflection_q(a: ArcSpace) -> np.ndarray:
-    """kQ = kQ*I = 2*ins[head] - k*I; satisfies (kQ)^2 = k^2 I."""
-    return a.kq(int_eye(a.size))

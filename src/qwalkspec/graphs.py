@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .intmat import char_poly, mat_equal, mat_mul
+from .intmat import char_poly
 from .polynomials import CharPoly
 
 
@@ -136,7 +136,7 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
     if k is None:
         return None
     a = adjacency_matrix(g)
-    a2 = mat_mul(a, a)
+    a2 = a @ a  # int64: every entry counts common neighbours, so is at most n
     lam = np.unique(a2[a == 1])
     mu = np.unique(a2[(a == 0) & ~np.eye(g.n, dtype=bool)])
     if len(lam) != 1 or len(mu) != 1:
@@ -207,7 +207,7 @@ def find_isomorphism(g: Graph, h: Graph, stats: Optional[dict] = None) -> Option
                 pi = np.empty(n, dtype=np.int64)
                 pi[colours[n:]] = np.arange(n)  # pi[c] = the vertex of h coloured c
                 pi = pi[colours[:n]]
-                return pi if mat_equal(a_h[np.ix_(pi, pi)], a_g) else None
+                return pi if np.array_equal(a_h[np.ix_(pi, pi)], a_g) else None
             cell = int(np.flatnonzero(sizes == sizes[sizes > 1].min())[0])
             v = int(np.flatnonzero(colours[:n] == cell)[0])
             for w in np.flatnonzero(colours[n:] == cell):

@@ -5,14 +5,11 @@ and no other matrix type exists.  Every public function that computes on a
 matrix runs one check, ``_int64``: bool and integer arrays are range-checked
 and converted, an entry at or above 2^62 raises ``OverflowError``, and float,
 complex and object arrays raise ``TypeError`` rather than be truncated.
-``positive_support`` reads only signs, so it checks only the dtype.
-``mat_mul`` raises ``OverflowError`` when its a-priori bound on the product
-(the inner dimension times the largest entries of both factors) reaches 2^62,
-so nothing wraps silently.  Below 2^53 that bound keeps every partial sum an
-integer float64 holds exactly, so the product runs in float64, through BLAS;
-from 2^53 to 2^62 it runs in int64.  Python ints remain only as scalars,
-where big integers really arise: the coefficient bound, Bareiss and the CRT
-step.
+``positive_support`` reads only signs, so it checks only the dtype.  No
+general matrix product lives here: the arc-space products are gathers of
+``arcspace.ArcSpace``, and the char poly routes below bound every product
+they form.  Python ints remain only as scalars, where big integers really
+arise: the coefficient bound, Bareiss and the CRT step.
 
 ``char_poly`` is the one-matrix case of ``char_polys``, whose one exact
 engine has four routes, tried in order.  Let r be the larger of M's largest
@@ -141,19 +138,6 @@ def _int64(m: np.ndarray) -> np.ndarray:
     return m.astype(np.int64, copy=False)
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact int64 matrix product; ``OverflowError`` unless a bound proves it fits."""
-    a, b = _int64(a), _int64(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    if bound >= _INT64_SAFE:  # |entries| < 2^62 here, so np.abs cannot wrap
-        raise OverflowError("matrix product may reach 2^62 in magnitude")
-    if bound < _FLOAT_EXACT:  # every partial sum is an integer below 2^53, exact in float64
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
-    return np.matmul(a, b)
-
-
 def positive_support(m: np.ndarray) -> np.ndarray:
     """0/1 int64 matrix marking the strictly positive entries of m.
 
@@ -161,10 +145,6 @@ def positive_support(m: np.ndarray) -> np.ndarray:
     width is compared with 0 as it is.
     """
     return (_integer(m) > 0).astype(np.int64)
-
-
-def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool(np.array_equal(a, b))
 
 
 # ---------------------------------------------------------------------------

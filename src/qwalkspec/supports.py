@@ -24,15 +24,17 @@ support forms W.  With t, h the arc tails and heads, W's entry (j, i) is
     W^3[j, i] = 8A^2[t_j, h_i] - 4k(A[t_j, t_i] + A[h_j, h_i]) + 2k^2 [h_j = t_i] - k^3 [i = rev j]
 
 and ``support_u_power`` reads all three from one table of terms,
-``_POWER_TERMS``, in int32 row blocks, with A^2 = ins*A[t].  No entry
-exceeds 16k + 2k^2 + k^3 in magnitude, which it checks against 2^31 before
-it builds anything.  Every walk support needs k >= 2.  The walk-product
+``_POWER_TERMS``, in int32 row blocks.  It forms only the powers of A its
+terms read, each by the arc step from I: A = ins*I[t] and A^2 = ins*A[t].
+No entry exceeds 16k + 2k^2 + k^3 in magnitude, which it checks against
+2^31 before it builds anything.  Every walk support needs k >= 2.  The walk-product
 chain W, W*W, W*W*W by the arc step is the test oracle
 (``tests/oracles.py``).  ``support_u_power`` and ``build_support_set`` are
 the only builders of supports: the CLI's ``spectrum`` and ``verify`` and
-``invariants`` all call them by these names.  The identity suite multiplies
-by P, W, kQ and S+(U) through the same ``ArcSpace``, never by a dense
-product, and ``su2_via_identity`` squares S+(U) by the arc step alone, so
+``invariants`` all call them by these names.  The identity suite forms
+every product by the same ``ArcSpace``, never by a dense product: ins*X and
+outs*X = ins*(P*X) by its ``ins`` gather, and P, W, kQ and S+(U) by its arc
+steps.  ``su2_via_identity`` squares S+(U) by the arc step alone, so
 thm41 checks the entry formula of S+(U^2) against a product that shares no
 code with it.  The dense incidence definitions are test oracles
 (``tests/oracles.py``).
@@ -61,10 +63,10 @@ from typing import List
 import numpy as np
 
 from . import intmat
-from .arcspace import ArcSpace, ins_matrix, outs_matrix, reversal_matrix, scaled_reflection_q
+from .arcspace import ArcSpace, ins_matrix, outs_matrix
 from .errors import HypothesisError, ValencyError
 from .graphs import Graph, adjacency_matrix
-from .intmat import int_eye, mat_equal, mat_mul, positive_support
+from .intmat import int_eye, positive_support
 from .jacobi import symmetric_eigenvalues
 from .polynomials import CharPoly, poly_divide_exact, poly_graeffe
 from .polynomials import _homogeneous, _kron_bits, _kron_read
@@ -94,7 +96,8 @@ def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
     exceeds k^m plus the sum over the terms of |c| k^e times that: k + 2
     for m = 1, 4 + 4k + k^2 for m = 2, 16k + 2k^2 + k^3 for m = 3.  That
     bound is checked against 2^31 before anything is built.  Each term's columns
-    c k^e (A^p)[:, y] are gathered once, n x nk; each row block then gathers
+    c k^e (A^p)[:, y] are gathered once, n x nk, from the powers A^p that the
+    terms read, each by the arc step from I; each row block then gathers
     their rows x_j and sums them.  The rows come in as few near-equal blocks
     as keep each block's int32 entries within ``intmat._STACK_BYTES``.
     """
@@ -103,9 +106,10 @@ def support_u_power(a: ArcSpace, m: int) -> np.ndarray:
     k, (reversed_diagonal, terms) = _walk_valency(a), _POWER_TERMS[m]
     if k**m + sum(abs(c) * k**e * (k if p == 2 else 1) for c, e, p, _ in terms) >= 1 << 31:
         raise OverflowError(f"W^{m} at k={k} may reach 2^31 in magnitude")
-    adj, ends = adjacency_matrix(a.graph), {"t": a.tail, "h": a.head}
-    powers = [x.astype(np.int32) for x in (int_eye(a.n), adj, a.ins(adj[a.tail]))]
-    columns = [(c * k**e * powers[p][:, ends[y]], ends[x]) for c, e, p, (x, y) in terms]
+    ends, powers = {"t": a.tail, "h": a.head}, [int_eye(a.n)]
+    for _ in range(max(p for _, _, p, _ in terms)):
+        powers.append(a.ins(powers[-1][a.tail]))
+    columns = [((c * k**e * powers[p][:, ends[y]]).astype(np.int32), ends[x]) for c, e, p, (x, y) in terms]
     out = np.empty((a.size, a.size), dtype=np.int64)
     for j in np.array_split(np.arange(a.size), -(-4 * a.size**2 // intmat._STACK_BYTES)):
         block = sum(column[x[j]] for column, x in columns)
@@ -118,8 +122,9 @@ def su2_via_identity(a: ArcSpace) -> np.ndarray:
     """S+(U)^2 + I, which equals S+(U^2) exactly when k > 2, by the arc step alone."""
     if a.k <= 2:
         raise HypothesisError(f"S+(U^2) = S+(U)^2 + I requires k > 2, got k={a.k}")
-    eye = int_eye(a.size)
-    return a.s1(a.s1(eye)) + eye
+    out = a.s1(a.s1(int_eye(a.size)))  # I is freed before the second step
+    out.flat[:: a.size + 1] += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -386,25 +391,23 @@ def identity_suite(a: ArcSpace) -> List[tuple]:
     Covers the incidence/reversal/orthogonality identities of the walk
     construction plus, for k >= 2, the two support intertwining relations
     S+(U) ins^T = (k-1) outs^T and S+(U) outs^T = outs^T A - ins^T.  Every
-    left factor of size nk x nk acts by the arc step, in O((nk)^2), and W is
-    the arc space's own.
+    product is by the arc step: ins*X = a.ins(X) and outs*X = a.ins(a.p(X)),
+    which read ``into`` and ``rev`` where ins^T and outs^T read ``head`` and
+    ``tail``, and each nk x nk left factor acts in O((nk)^2).
     """
     k, eye_n, eye_nk = a.k, int_eye(a.n), int_eye(a.size)
-    ins, outs, adj = ins_matrix(a), outs_matrix(a), adjacency_matrix(a.graph)
-    p, w, kq = reversal_matrix(a), a.walk, scaled_reflection_q(a)
+    ins_t, outs_t, adj = ins_matrix(a).T, outs_matrix(a).T, adjacency_matrix(a.graph)
     checks = [
-        ("ins*outs^T = A", mat_equal(mat_mul(ins, outs.T), adj)),
-        ("outs*outs^T = kI", mat_equal(mat_mul(outs, outs.T), k * eye_n)),
-        ("ins*ins^T = kI", mat_equal(mat_mul(ins, ins.T), k * eye_n)),
-        ("P^2 = I", mat_equal(a.p(p), eye_nk)),
-        ("P*ins^T = outs^T", mat_equal(a.p(ins.T), outs.T)),
-        ("P*outs^T = ins^T", mat_equal(a.p(outs.T), ins.T)),
-        ("W*W^T = k^2 I", mat_equal(a.w(w.T), k * k * eye_nk)),
-        ("(kQ)^2 = k^2 I", mat_equal(a.kq(kq), k * k * eye_nk)),
+        ("ins*outs^T = A", np.array_equal(a.ins(outs_t), adj)),
+        ("outs*outs^T = kI", np.array_equal(a.ins(a.p(outs_t)), k * eye_n)),
+        ("ins*ins^T = kI", np.array_equal(a.ins(ins_t), k * eye_n)),
+        ("P^2 = I", np.array_equal(a.p(a.p(eye_nk)), eye_nk)),
+        ("P*ins^T = outs^T", np.array_equal(a.p(ins_t), outs_t)),
+        ("P*outs^T = ins^T", np.array_equal(a.p(outs_t), ins_t)),
+        ("W*W^T = k^2 I", np.array_equal(a.w(a.w(eye_nk).T), k * k * eye_nk)),
+        ("(kQ)^2 = k^2 I", np.array_equal(a.kq(a.kq(eye_nk)), k * k * eye_nk)),
     ]
     if k >= 2:
-        checks += [
-            ("S+(U)*ins^T = (k-1)outs^T", mat_equal(a.s1(ins.T), (k - 1) * outs.T)),
-            ("S+(U)*outs^T = outs^T A - ins^T", mat_equal(a.s1(outs.T), adj[a.tail] - ins.T)),
-        ]
+        checks += [("S+(U)*ins^T = (k-1)outs^T", np.array_equal(a.s1(ins_t), (k - 1) * outs_t)),
+                   ("S+(U)*outs^T = outs^T A - ins^T", np.array_equal(a.s1(outs_t), adj[a.tail] - ins_t))]
     return checks

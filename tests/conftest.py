@@ -1,9 +1,5 @@
-import importlib
-import pkgutil
-
 import pytest
 
-import qwalkspec
 from qwalkspec import (
     complete_bipartite_graph,
     complete_graph,
@@ -44,18 +40,3 @@ def corpus():
 def small_corpus():
     """Corpus members cheap enough for per-test exact recomputation."""
     return [(gid, g) for gid, g in corpus_graphs() if 2 * g.edge_count <= 30]
-
-
-@pytest.fixture
-def mat_mul_shapes(monkeypatch):
-    """Operand shapes of every ``mat_mul`` call from any qwalkspec module, as a + b tuples."""
-    shapes = []
-    for info in pkgutil.iter_modules(qwalkspec.__path__):
-        module = importlib.import_module(f"qwalkspec.{info.name}")
-        real = getattr(module, "mat_mul", None)
-        if real is not None:
-            def spy(a, b, real=real):
-                shapes.append(a.shape + b.shape)
-                return real(a, b)
-            monkeypatch.setattr(module, "mat_mul", spy)
-    return shapes

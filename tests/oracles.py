@@ -9,8 +9,8 @@ paths so that agreement between oracle and implementation is meaningful:
   integers (O(n^4)), the reference ``char_poly`` is compared against at any
   size.  It returns the library's ``CharPoly`` container only so results
   compare directly.
-* ``int_product``: the matrix product over Python ints, the reference for
-  ``mat_mul``.
+* ``int_product``: the matrix product over Python ints, which cannot
+  overflow, the reference where an int64 product might.
 * ``dense_arc_matrices``: ins, outs, P and the dense incidence products
   W = 2 outs^T ins - kP, S+(U) = outs^T ins - P and kQ = 2 ins^T ins - kI,
   the reference for the arc-step matrices of ``arcspace`` and ``supports``.
@@ -188,7 +188,7 @@ def arc_step_walk_powers(a, m):
     Each row of W has 1-norm 2(k-1) + |k-2| <= 3k, so no entry reaches (3k)^m.
     """
     assert (3 * a.k) ** m < 2**62, (a.k, m)
-    powers = [a.walk]
+    powers = [a.w(np.eye(a.size, dtype=np.int64))]
     for _ in range(m - 1):
         powers.append(a.w(powers[-1]))
     return powers

@@ -81,7 +81,7 @@ def test_criterion_4_squared_support_identity():
         a = q.build_arc_space(g)
         s2 = q.support_u_power(a, 2)
         if a.k > 2:
-            if not q.mat_equal(s2, q.su2_via_identity(a)):
+            if not np.array_equal(s2, q.su2_via_identity(a)):
                 failures.append(f"{gid}: S+(U^2) != S+(U)^2 + I")
         else:
             # k = 2 (cycles): the identity's +I does not apply.  The scaled
@@ -89,13 +89,13 @@ def test_criterion_4_squared_support_identity():
             # S+(U^2) = S+(U)^2, strictly smaller than the support of
             # (outs^T ins)^2 wherever a backtracking 2-walk exists.
             s1 = q.support_u_power(a, 1)
-            b2 = q.mat_mul(s1, s1)
-            if not q.mat_equal(s2, b2):
+            b2 = s1 @ s1
+            if not np.array_equal(s2, b2):
                 failures.append(f"{gid}: S+(U^2) != S+(U)^2 at k=2")
-            if q.mat_equal(s2, b2 + q.int_eye(a.size)):
+            if np.array_equal(s2, b2 + q.int_eye(a.size)):
                 failures.append(f"{gid}: +I unexpectedly holds at k=2")
-            x = q.mat_mul(q.outs_matrix(a).T, q.ins_matrix(a))
-            if q.mat_equal(s2, q.positive_support(q.mat_mul(x, x))):
+            x = q.outs_matrix(a).T @ q.ins_matrix(a)
+            if np.array_equal(s2, q.positive_support(x @ x)):
                 failures.append(f"{gid}: support of (outs^T ins)^2 unexpectedly equals S+(U^2)")
     _finish(4, "S+(U^2) = S+(U)^2 + I for k>2; documented k=2 behavior", t0, failures)
 

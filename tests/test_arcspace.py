@@ -15,14 +15,10 @@ from qwalkspec import (
     identity_suite,
     ins_matrix,
     int_eye,
-    mat_equal,
-    mat_mul,
     outs_matrix,
     parse_generator_spec,
     petersen_graph,
     positive_support,
-    reversal_matrix,
-    scaled_reflection_q,
     su2_via_identity,
     support_u_power,
 )
@@ -45,8 +41,7 @@ def test_k2_single_edge():
     a = build_arc_space(Graph(2, [(0, 1)]))
     assert a.size == 2
     assert a.rev.tolist() == [1, 0]
-    p = reversal_matrix(a)
-    assert p.tolist() == [[0, 1], [1, 0]]
+    assert a.p(int_eye(2)).tolist() == [[0, 1], [1, 0]]
 
 
 def test_reverse_is_fixed_point_free_involution(corpus):
@@ -85,7 +80,7 @@ def test_incidence_columns_single_one(corpus):
 
 
 def test_reversal_block_diagonal_c3():
-    p = reversal_matrix(build_arc_space(cycle_graph(3)))
+    p = build_arc_space(cycle_graph(3)).p(int_eye(6))
     swap = [[0, 1], [1, 0]]
     for b in range(3):
         block = [[int(p[2 * b + i, 2 * b + j]) for j in range(2)] for i in range(2)]
@@ -95,27 +90,27 @@ def test_reversal_block_diagonal_c3():
 
 def test_scaled_walk_entries_k4():
     a = build_arc_space(complete_graph(4))
-    w = a.walk
+    w = a.w(int_eye(a.size))
     assert {int(x) for x in w.flat} == {2, -1, 0}  # k=3: 2, 2-k, 0
     assert int(w.trace()) == 0
 
 
 def test_scaled_walk_entries_c3():
-    w = build_arc_space(cycle_graph(3)).walk
+    w = build_arc_space(cycle_graph(3)).w(int_eye(6))
     assert {int(x) for x in w.flat} == {2, 0}
 
 
 def test_walk_orthogonality(corpus):
     for _, g in corpus[:6]:
         a = build_arc_space(g)
-        w = a.walk
-        assert mat_equal(mat_mul(w, w.T), a.k * a.k * int_eye(a.size))
+        w = a.w(int_eye(a.size))
+        assert np.array_equal(w @ w.T, a.k * a.k * int_eye(a.size))
 
 
 def test_arc_adjacency_row_col_sums(corpus):
     for _, g in corpus[:6]:
         a = build_arc_space(g)
-        x = mat_mul(outs_matrix(a).T, ins_matrix(a))
+        x = outs_matrix(a).T @ ins_matrix(a)
         for j in range(a.size):
             assert sum(x[j, :]) == a.k
             assert sum(x[:, j]) == a.k
@@ -128,15 +123,15 @@ def test_arc_adjacency_row_col_sums(corpus):
 
 def test_reflection_k2_diagonal():
     a = build_arc_space(Graph(2, [(0, 1)]))
-    kq = scaled_reflection_q(a)
+    kq = a.kq(int_eye(2))
     assert kq[0, 0] == 1 and kq[1, 1] == 1  # k=1: 2*ins^T*ins - I has diagonal 1
 
 
 def test_reflection_squares(corpus):
     for _, g in corpus[:6]:
         a = build_arc_space(g)
-        kq = scaled_reflection_q(a)
-        assert mat_equal(mat_mul(kq, kq), a.k * a.k * int_eye(a.size))
+        kq = a.kq(int_eye(a.size))
+        assert np.array_equal(kq @ kq, a.k * a.k * int_eye(a.size))
 
 
 def test_support_from_reflection_identity(corpus):
@@ -146,9 +141,9 @@ def test_support_from_reflection_identity(corpus):
         if a.k < 2:
             continue
         lhs = 2 * support_u_power(a, 1)
-        kq = scaled_reflection_q(a)
-        rhs = mat_mul(reversal_matrix(a), kq + (a.k - 2) * int_eye(a.size))
-        assert mat_equal(lhs, rhs)
+        eye = int_eye(a.size)
+        rhs = a.p(eye) @ (a.kq(eye) + (a.k - 2) * eye)
+        assert np.array_equal(lhs, rhs)
 
 
 def test_identity_suite_all_pass(corpus):
@@ -160,22 +155,22 @@ def test_identity_suite_all_pass(corpus):
 def test_trace_of_walk_matrix_zero(corpus):
     for _, g in corpus:
         a = build_arc_space(g)
-        assert int(a.walk.trace()) == 0
+        assert int(a.w(int_eye(a.size)).trace()) == 0
 
 
 def test_ins_outs_reconstruct_adjacency(corpus):
     for _, g in corpus:
         a = build_arc_space(g)
-        assert mat_equal(mat_mul(ins_matrix(a), outs_matrix(a).T), adjacency_matrix(g))
+        assert np.array_equal(ins_matrix(a) @ outs_matrix(a).T, adjacency_matrix(g))
 
 
 def test_arc_matrices_are_int64(corpus):
-    builders = (ins_matrix, outs_matrix, reversal_matrix, scaled_reflection_q)
     for gid, g in corpus:
         a = build_arc_space(g)
-        for build in builders:
-            assert build(a).dtype == np.int64, (gid, build.__name__)
-        assert a.walk.dtype == np.int64, (gid, "walk")
+        eye = int_eye(a.size)
+        built = {"ins": ins_matrix(a), "outs": outs_matrix(a), "P": a.p(eye), "W": a.w(eye), "kQ": a.kq(eye)}
+        for name, m in built.items():
+            assert m.dtype == np.int64, (gid, name)
         for m in (1, 2, 3):
             assert support_u_power(a, m).dtype == np.int64, (gid, m)
 
@@ -203,15 +198,15 @@ def test_arc_matrices_equal_their_dense_oracles():
     for gid, g in _walk_cases() + _edge_cases():
         a = build_arc_space(g)
         dense = dense_arc_matrices(a)
-        built = {"ins": ins_matrix(a), "outs": outs_matrix(a), "P": reversal_matrix(a),
-                 "W": a.walk, "kQ": scaled_reflection_q(a)}
+        eye = int_eye(a.size)
+        built = {"ins": ins_matrix(a), "outs": outs_matrix(a), "P": a.p(eye), "W": a.w(eye), "kQ": a.kq(eye)}
         if a.k >= 2:
             built["S1"] = support_u_power(a, 1)
         for name, m in built.items():
-            assert m.dtype == np.int64 and mat_equal(m, dense[name]), (gid, name)
+            assert m.dtype == np.int64 and np.array_equal(m, dense[name]), (gid, name)
         if a.k > 2:
             s1 = dense["S1"]
-            assert mat_equal(su2_via_identity(a), mat_mul(s1, s1) + int_eye(a.size)), gid
+            assert np.array_equal(su2_via_identity(a), s1 @ s1 + eye), gid
         assert [name for name, ok in identity_suite(a) if not ok] == [], gid
 
 
@@ -223,8 +218,9 @@ def test_arc_step_products_equal_the_dense_products():
         m = rng.integers(-9, 10, size=(a.size, 5))
         products = {"W": a.w, "S1": a.s1, "kQ": a.kq, "P": a.p}
         for name, product in products.items():
-            assert mat_equal(product(m), mat_mul(dense[name], m)), (gid, name)
-        assert mat_equal(a.ins(m), mat_mul(dense["ins"], m)), gid
+            assert np.array_equal(product(m), dense[name] @ m), (gid, name)
+        assert np.array_equal(a.ins(m), dense["ins"] @ m), gid
+        assert np.array_equal(a.ins(a.p(m)), dense["outs"] @ m), gid  # outs = ins*P
 
 
 def _built_walk_power(monkeypatch, a, m):
@@ -242,7 +238,7 @@ def _built_walk_power(monkeypatch, a, m):
         return support_u_power(a, m), rows
 
 
-def test_walk_powers_equal_the_mat_mul_chain(monkeypatch):
+def test_walk_powers_equal_the_dense_product_chain(monkeypatch):
     # the chain starts from the dense oracle W, not from the arc step or the entry formulas under test
     for gid, g in _walk_cases() + _edge_cases():
         a = build_arc_space(g)
@@ -252,13 +248,13 @@ def test_walk_powers_equal_the_mat_mul_chain(monkeypatch):
                     support_u_power(a, m)
             continue
         w = dense_arc_matrices(a)["W"]
-        chain = [w, mat_mul(w, w)]
-        chain.append(mat_mul(chain[1], w))
-        assert all(mat_equal(p, c) for p, c in zip(arc_step_walk_powers(a, 3), chain)), gid
+        chain = [w, w @ w]  # no entry reaches (3k)^3 < 2^62: int64 is exact
+        chain.append(chain[1] @ w)
+        assert all(np.array_equal(p, c) for p, c in zip(arc_step_walk_powers(a, 3), chain)), gid
         for m in (1, 2, 3):
-            assert mat_equal(_built_walk_power(monkeypatch, a, m)[0], chain[m - 1]), (gid, m)
+            assert np.array_equal(_built_walk_power(monkeypatch, a, m)[0], chain[m - 1]), (gid, m)
             support = support_u_power(a, m)
-            assert support.dtype == np.int64 and mat_equal(support, positive_support(chain[m - 1])), (gid, m)
+            assert support.dtype == np.int64 and np.array_equal(support, positive_support(chain[m - 1])), (gid, m)
         assert int(np.abs(chain[2]).max()) <= 16 * a.k + 2 * a.k**2 + a.k**3, gid
 
 
@@ -283,15 +279,15 @@ def test_walk_powers_equal_the_arc_step_chain_on_every_family_in_any_blocks(monk
             monkeypatch.setattr(intmat, "_STACK_BYTES", stack_bytes)
             for m in (1, 2, 3):
                 built, rows = _built_walk_power(monkeypatch, a, m)
-                assert mat_equal(built, chain[m - 1]) and sum(rows) == a.size, (gid, m, rows)
-                assert mat_equal(support_u_power(a, m), positive_support(chain[m - 1])), (gid, m, rows)
+                assert np.array_equal(built, chain[m - 1]) and sum(rows) == a.size, (gid, m, rows)
+                assert np.array_equal(support_u_power(a, m), positive_support(chain[m - 1])), (gid, m, rows)
         assert max(rows) <= 7 and len(rows) == -(-a.size // 7), (gid, rows)
     monkeypatch.undo()
     a = build_arc_space(cycle_graph(1024))  # nk = 2048: two blocks at the real block size
     chain = arc_step_walk_powers(a, 3)
     for m in (1, 2, 3):
         built, rows = _built_walk_power(monkeypatch, a, m)
-        assert rows == [1024, 1024] and mat_equal(built, chain[m - 1]), m
+        assert rows == [1024, 1024] and np.array_equal(built, chain[m - 1]), m
 
 
 def _single_term_mutants(table):
@@ -316,7 +312,7 @@ def test_every_single_term_mutant_of_the_power_table_disagrees_with_the_oracle(m
     for m, what, entry in mutants:
         with monkeypatch.context() as patch:
             patch.setitem(supports._POWER_TERMS, m, entry)
-            assert any(not mat_equal(_built_walk_power(monkeypatch, a, m)[0], chains[gid][m - 1])
+            assert any(not np.array_equal(_built_walk_power(monkeypatch, a, m)[0], chains[gid][m - 1])
                        for gid, a in cases), (m, what)
 
 
@@ -326,10 +322,41 @@ def test_identity_suite_fails_when_two_reversals_are_swapped():
     rev = a.rev.copy()
     assert a.tail[1] != a.tail[2]  # a swap between arcs of one tail would keep W orthogonal
     rev[1], rev[2] = rev[2], rev[1]
-    bad = dataclasses.replace(a, rev=rev)
-    assert bad.rev.tolist() != a.rev.tolist() and bad.walk is not a.walk
-    assert not mat_equal(bad.w(bad.walk.T), a.k * a.k * int_eye(a.size))
+    bad, eye = dataclasses.replace(a, rev=rev), int_eye(a.size)
+    w = bad.w(eye)
+    assert bad.rev.tolist() != a.rev.tolist() and not np.array_equal(w, a.w(eye))
+    assert not np.array_equal(bad.w(w.T), a.k * a.k * eye)
     assert "W*W^T = k^2 I" in [name for name, ok in identity_suite(bad) if not ok]
+
+
+def test_identity_suite_fails_when_two_arcs_are_swapped_between_rows_of_into():
+    """ins*X and outs*X read ``into``, while ins^T and outs^T read ``head`` and ``tail``, so the
+    three n x n products check one against the other."""
+    a = build_arc_space(petersen_graph())
+    into = a.into.copy()
+    x, y = into[0, 0], into[1, 0]
+    assert a.tail[x] != a.tail[y]  # arcs of one tail swapped between rows would keep ins*outs^T = A
+    into[0, 0], into[1, 0] = y, x
+    failed = [name for name, ok in identity_suite(dataclasses.replace(a, into=into)) if not ok]
+    assert {"ins*outs^T = A", "outs*outs^T = kI", "ins*ins^T = kI"} <= set(failed), failed
+    assert [name for name, ok in identity_suite(a) if not ok] == []
+
+
+@pytest.mark.parametrize(
+    "field, must_fail",
+    [("head", {"ins*ins^T = kI", "P*ins^T = outs^T", "(kQ)^2 = k^2 I"}),
+     ("tail", {"ins*outs^T = A", "outs*outs^T = kI", "P*outs^T = ins^T", "W*W^T = k^2 I"})],
+    ids=["head", "tail"],
+)
+def test_identity_suite_fails_when_two_arcs_swap_their_head_or_tail(field, must_fail):
+    """ins^T reads ``head`` and outs^T reads ``tail``, while ins*X and outs*X read ``into`` and
+    ``rev``, so a swap in either array shows in the products that read it."""
+    a = build_arc_space(petersen_graph())
+    y = next(j for j in range(a.size) if {a.tail[j], a.head[j]}.isdisjoint({a.tail[0], a.head[0]}))
+    ends = getattr(a, field).copy()
+    ends[0], ends[y] = ends[y], ends[0]
+    failed = [name for name, ok in identity_suite(dataclasses.replace(a, **{field: ends})) if not ok]
+    assert must_fail <= set(failed), failed
 
 
 def test_index_arrays_follow_the_canonical_arc_order():
@@ -341,16 +368,27 @@ def test_index_arrays_follow_the_canonical_arc_order():
         assert a.into.tolist() == into, gid
 
 
-def test_one_arc_space_forms_w_once_and_read_only():
-    a = build_arc_space(petersen_graph())
-    for m in (1, 2, 3):
-        support_u_power(a, m)
-    assert "walk" not in vars(a)  # the entry formulas never form W
-    w = a.walk
-    assert w is a.walk and arc_step_walk_powers(a, 2)[0] is w
-    assert mat_equal(w, dense_arc_matrices(a)["W"])
-    with pytest.raises(ValueError, match="read-only"):
-        w[0, 0] = 1
+def test_walk_supports_never_apply_w_and_read_only_the_powers_of_a_they_need(monkeypatch):
+    """The entry formulas apply no arc step but ``ins``: none for S+(U), which reads only I, one for
+    A = ins*I[tail] in S+(U^2), and a second for A^2 = ins*A[tail] in S+(U^3).  None calls
+    ``adjacency_matrix``."""
+    from qwalkspec import ArcSpace, supports
+
+    calls = []
+
+    def spy(name, real):
+        return lambda self, m: calls.append(name) or real(self, m)
+
+    for name in ("ins", "w", "s1", "kq", "p"):
+        monkeypatch.setattr(ArcSpace, name, spy(name, getattr(ArcSpace, name)))
+    monkeypatch.setattr(supports, "adjacency_matrix", None)
+    for spec in ("petersen", "shrikhande", "paley:13", "circulant:12,1,5", "cycle:7"):
+        a = build_arc_space(parse_generator_spec(spec))
+        chain = arc_step_walk_powers(a, 3)
+        for m in (1, 2, 3):
+            calls.clear()
+            assert np.array_equal(support_u_power(a, m), positive_support(chain[m - 1])), (spec, m)
+            assert calls == ["ins"] * (m - 1), (spec, m, calls)
 
 
 def test_s_plus_u_peaks_below_twice_and_a_quarter_its_int64_result():
@@ -366,7 +404,23 @@ def test_s_plus_u_peaks_below_twice_and_a_quarter_its_int64_result():
     finally:
         tracemalloc.stop()
     assert s1.nbytes == 8 * 1830**2 and peak < 2.25 * s1.nbytes, peak / s1.nbytes
-    assert "walk" not in vars(a)
+
+
+def test_su2_via_identity_peaks_below_three_and_a_quarter_its_int64_result():
+    """S+(U)^2 + I of paley:61 (nk = 1830) frees I before the second arc step, which subtracts
+    M[rev] in place, and adds I to the diagonal in place: S+(U), its square and one gathered
+    M[rev] peak at 3.0 times the 26.8 MB result."""
+    import tracemalloc
+
+    a = build_arc_space(parse_generator_spec("paley:61"))
+    tracemalloc.start()
+    try:
+        s2 = su2_via_identity(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s2.nbytes == 8 * 1830**2 and peak < 3.25 * s2.nbytes, peak / s2.nbytes
+    assert np.array_equal(s2, support_u_power(a, 2))
 
 
 def test_walk_powers_refuse_a_bound_at_the_int32_limit(monkeypatch):
@@ -383,6 +437,6 @@ def test_walk_powers_refuse_a_bound_at_the_int32_limit(monkeypatch):
         assert bounds[m](k - 1) < 2**31 <= bounds[m](k)
         assert support_u_power(dataclasses.replace(a, k=k - 1), m).shape == (a.size, a.size)
         with monkeypatch.context() as patch:
-            patch.setattr(supports, "adjacency_matrix", None)  # the first thing built
+            patch.setattr(supports, "int_eye", None)  # the first thing built
             with pytest.raises(OverflowError, match=f"W\\^{m} at k={k} may reach 2\\^31"):
                 support_u_power(dataclasses.replace(a, k=k), m)

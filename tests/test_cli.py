@@ -11,7 +11,6 @@ from qwalkspec import (
     complete_graph,
     cycle_graph,
     int_eye,
-    mat_equal,
     parse_generator_spec,
     parse_graph6,
     petersen_graph,
@@ -239,7 +238,7 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, b
     nk = 30 if spec == "petersen" else 12
     passes, calls, powers, walks, regular = [], [], [], [], []
     kernel, polys, support_u_power = intmat._hessenberg_stack, cli.char_polys, cli.support_u_power
-    walk, valency = ArcSpace.walk.func, Graph.valency.func
+    w, valency = ArcSpace.w, Graph.valency.func
 
     def kernel_spy(h, primes):
         passes.append(h.shape[1])
@@ -254,9 +253,9 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, b
         powers.append(m)
         return support_u_power(a, m)
 
-    def walk_spy(a):
-        walks.append(a)
-        return walk(a)
+    def w_spy(a, m):
+        walks.append(m)
+        return w(a, m)
 
     def valency_spy(g):
         regular.append(g)
@@ -268,14 +267,14 @@ def test_verify_shares_one_kernel_pass_between_s1_and_s2(spec, checks, shared, b
     monkeypatch.setattr(intmat, "_minpoly_route", lambda m, r: (None, "degree"))
     monkeypatch.setattr(cli, "char_polys", polys_spy)
     monkeypatch.setattr(cli, "support_u_power", power_spy)
-    monkeypatch.setattr(ArcSpace.walk, "func", walk_spy)
+    monkeypatch.setattr(ArcSpace, "w", w_spy)
     monkeypatch.setattr(Graph.valency, "func", valency_spy)
     code, out, _ = run_cli(capsys, "verify", "--generate", spec, "--checks", checks)
     assert code == 0 and "FAIL" not in out
     # one formula S+(U) when thm32 or ihara reads it, one S+(U^2) for thm41 and thm43
     assert calls == shared and powers == built
-    # one W for the identities alone: no entry formula forms it, nor thm41's S+(U)^2 + I
-    assert len(walks) == ("identities" in checks or checks == "all")
+    # W*I and W*W^T for the identities alone: no entry formula applies W, nor thm41's S+(U)^2 + I
+    assert len(walks) == 2 * ("identities" in checks or checks == "all")
     assert passes.count(nk) == len(shared)
     assert len(regular) == 1  # one graph, its k decided once for every check
 
@@ -481,9 +480,9 @@ def test_spectrum_charpoly_forms_only_the_support_it_returns(capsys, monkeypatch
 
 
 def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeypatch):
-    """One arc space serves every check: its W = W*I feeds identity_suite, and S+(U) and S+(U^2)
-    come from their entry formulas, so the W products are W*I and W*W^T alone; the A, S+(U) and
-    S+(U^2) char polys all take the minimal-polynomial route."""
+    """One arc space serves every check: identity_suite forms W = W*I and then W*W^T from it, and
+    S+(U) and S+(U^2) come from their entry formulas, so those are the only W products; the A,
+    S+(U) and S+(U^2) char polys all take the minimal-polynomial route."""
     from qwalkspec import arcspace, intmat
 
     built, w_calls, passes = [], [], []
@@ -494,8 +493,8 @@ def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeyp
         return built[-1]
 
     def w_spy(self, m):
-        w_calls.append(m)
-        return w(self, m)
+        w_calls.append((m, w(self, m)))
+        return w_calls[-1][1]
 
     def kernel_spy(h, primes):
         passes.append(h.shape[1])
@@ -507,8 +506,8 @@ def test_verify_builds_one_w_chain_and_no_kernel_pass_for_an_srg(capsys, monkeyp
     code, out, _ = run_cli(capsys, "verify", "--generate", "shrikhande", "--checks", "all")
     assert code == 0 and out.count(" PASS") == 5
     assert len(built) == 1 and passes == []
-    [eye, w_t] = w_calls
-    assert mat_equal(eye, int_eye(96)) and w_t.base is built[0].walk and not w_t.base.flags.writeable
+    [(eye, walk), (w_t, _)] = w_calls
+    assert np.array_equal(eye, int_eye(96)) and w_t.base is walk
 
 
 @pytest.mark.parametrize("m, row, checks", [
@@ -562,15 +561,24 @@ def test_main_shares_one_parser_between_calls(capsys, monkeypatch):
     assert len(built) == 1
 
 
-def test_verify_makes_no_arc_space_mat_mul(capsys, mat_mul_shapes):
-    # W, S+(U), kQ and P act by the arc step, so no mat_mul takes an nk x nk operand
+def test_verify_forms_every_arc_space_product_by_the_arc_step(capsys, monkeypatch):
+    # ins, outs, W, S+(U), kQ and P all act through ins: each operand has nk rows and n or nk columns
+    from qwalkspec import ArcSpace
+
+    operands, ins = [], ArcSpace.ins
+
+    def ins_spy(self, m):
+        operands.append((self.n, self.size, m.shape))
+        return ins(self, m)
+
+    monkeypatch.setattr(ArcSpace, "ins", ins_spy)
     code, out, _ = run_cli(capsys, "verify", "--checks", "all", "--generate", "shrikhande",
                            "--generate", "paley:13", "--generate", "cycle:12")
     assert code == 0 and out.count(" PASS") == 13
-    assert mat_mul_shapes  # the n x nk incidence products still go through mat_mul
-    arc_dims = {96, 78, 24}
-    square = [s for s in mat_mul_shapes if {s[:2], s[2:]} & {(d, d) for d in arc_dims}]
-    assert square == []
+    assert {(n, nk) for n, nk, _ in operands} == {(16, 96), (13, 78), (12, 24)}
+    assert all(shape in ((nk, n), (nk, nk)) for n, nk, shape in operands), operands
+    for n, nk in ((16, 96), (13, 78), (12, 24)):  # the three n x n incidence products at least
+        assert [shape for m, size, shape in operands if (m, size) == (n, nk)].count((nk, n)) >= 3, n
 
 
 def test_verify_identities_text_format(capsys):
@@ -616,8 +624,8 @@ def _corrupt_verify_input(monkeypatch, check):
 
 
 _FAIL_DETAILS = {
-    "identities": "P^2 = I, P*ins^T = outs^T, P*outs^T = ins^T, W*W^T = k^2 I,"
-                  " S+(U)*ins^T = (k-1)outs^T, S+(U)*outs^T = outs^T A - ins^T",
+    "identities": "outs*outs^T = kI, P^2 = I, P*ins^T = outs^T, P*outs^T = ins^T, W*W^T = k^2 I,"
+                  " S+(U)*ins^T = (k-1)outs^T, S+(U)*outs^T = outs^T A - ins^T",  # outs*X = ins*(P*X) reads rev
     "thm32": "charpoly mismatch",
     "thm41": "S+(U^2) != S+(U)^2 + I",
     "thm43": "charpoly mismatch",

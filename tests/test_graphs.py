@@ -129,6 +129,19 @@ def test_srg_params_match_pairwise_reference(corpus):
         assert (None if p is None else (p.n, p.k, p.lam, p.mu)) == pairwise_srg_params(g)
 
 
+@pytest.mark.parametrize(
+    "spec, expected",
+    [("paley:61", (61, 30, 14, 15)), ("rook:5,5", (25, 8, 3, 2)), ("complete_bipartite:4,4", (8, 4, 0, 4)),
+     ("hypercube:4", None)],
+    ids=["paley:61", "rook:5,5", "complete_bipartite:4,4", "hypercube:4"],
+)
+def test_srg_params_of_larger_generated_graphs_match_pairwise_reference(spec, expected):
+    # A^2 is a plain int64 product: its entries count common neighbours, at most n
+    g = parse_generator_spec(spec)
+    p = srg_params(g)
+    assert (None if p is None else (p.n, p.k, p.lam, p.mu)) == pairwise_srg_params(g) == expected
+
+
 def test_srg_shrikhande_and_rook():
     s = srg_params(shrikhande_graph())
     r = srg_params(rook_graph(4))

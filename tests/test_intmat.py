@@ -11,15 +11,14 @@ from qwalkspec import (
     bareiss_determinant,
     build_arc_space,
     char_poly,
+    char_polys,
     cycle_graph,
     int_eye,
     int_matrix,
-    mat_equal,
-    mat_mul,
     positive_support,
 )
 
-from oracles import berkowitz_charpoly, cofactor_charpoly, int_product, naive_determinant
+from oracles import berkowitz_charpoly, cofactor_charpoly, naive_determinant
 
 
 def rand_int_matrix(rng, n, lo=-9, hi=9):
@@ -43,7 +42,7 @@ def _permutation_sum(rng, n, outside_gate=True):
 def test_int_matrix_constructors():
     m = int_matrix([[1, 2], [3, 4]])
     assert m.dtype == np.int64
-    assert mat_equal(int_eye(2), int_matrix([[1, 0], [0, 1]]))
+    assert np.array_equal(int_eye(2), int_matrix([[1, 0], [0, 1]]))
     assert int_eye(2).dtype == np.int64
     with pytest.raises(ValueError):
         int_matrix([[1, 2], [3]])
@@ -61,18 +60,6 @@ def test_int_matrix_int64_below_2_62_overflow_from_2_62():
         int_matrix([[1.0, 2]])
 
 
-def test_mat_mul_raises_overflow_when_its_bound_reaches_2_62():
-    a = int_matrix([[2**40]])
-    with pytest.raises(OverflowError):
-        mat_mul(a, a)
-    # 2 * (2^31)^2 = 2^63 would wrap an int64 accumulator
-    b = int_matrix([[2**31, 2**31]])
-    with pytest.raises(OverflowError):
-        mat_mul(b, b.T)
-    small = mat_mul(int_matrix([[3, 1]]), int_matrix([[2], [5]]))
-    assert small.dtype == np.int64 and small[0, 0] == 11
-
-
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -83,7 +70,6 @@ def test_mat_mul_raises_overflow_when_its_bound_reaches_2_62():
             OverflowError,
             id="uint64-from-2^63",
         ),
-        pytest.param(lambda: mat_mul(np.array([[0.5]]), np.array([[0.5]])), TypeError, id="mat_mul"),
         pytest.param(
             lambda: bareiss_determinant(np.array([[0.5, 1], [2, 3]])), TypeError, id="bareiss"
         ),
@@ -96,60 +82,15 @@ def test_mat_mul_raises_overflow_when_its_bound_reaches_2_62():
             id="object",
         ),
         pytest.param(lambda: int_matrix([[2**62]]), OverflowError, id="int_matrix-2^62"),
+        pytest.param(lambda: char_polys([int_eye(2), np.array([[0.5]])]), TypeError, id="char_polys"),
+        pytest.param(
+            lambda: bareiss_determinant(np.array([[2**62, 0], [0, 1]])), OverflowError, id="bareiss-2^62"
+        ),
     ],
 )
 def test_inexact_or_oversized_matrices_are_rejected_not_truncated(call, error):
     with pytest.raises(error, match="int_matrix" if error is TypeError else "2\\^62"):
         call()
-
-
-def test_mat_mul_identity_and_dims():
-    m = int_matrix([[1, 2], [3, 4]])
-    assert mat_equal(mat_mul(int_eye(2), m), m)
-    with pytest.raises(ValueError):
-        mat_mul(m, np.zeros((3, 2), dtype=np.int64))
-
-
-def test_mat_mul_rejects_entries_from_2_62():
-    one, zero = int_matrix([[1]]), np.zeros((1, 1), dtype=np.int64)
-    assert mat_mul(int_matrix([[2**62 - 1]]), one)[0, 0] == 2**62 - 1
-    # the entry check, not the product bound (which is 0 here), rejects these
-    for big in (np.array([[x]]) for x in (2**62, -(2**62), -(2**63))):
-        with pytest.raises(OverflowError):
-            mat_mul(big, zero)
-        with pytest.raises(OverflowError):
-            mat_mul(zero, big)
-    with pytest.raises(OverflowError):
-        mat_mul(np.array([[2**63 + 5]], dtype=np.uint64), zero)
-
-
-@st.composite
-def _mat_mul_operands(draw):
-    rows, inner, cols = draw(st.tuples(*[st.integers(0, 4)] * 3))
-
-    def matrix(r, c):
-        hi = 2 ** draw(st.integers(0, 62)) - 1
-        entry = st.one_of(st.sampled_from([-hi, hi]), st.integers(-hi, hi))
-        flat = draw(st.lists(entry, min_size=r * c, max_size=r * c))
-        return np.array(flat, dtype=np.int64).reshape(r, c)
-
-    return matrix(rows, inner), matrix(inner, cols)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_mat_mul_operands())
-@example((int_matrix([[2**61 - 1]]), int_matrix([[2]])))  # bound 2^62 - 2: fits
-@example((int_matrix([[2**61]]), int_matrix([[2]])))  # bound exactly 2^62
-@example((int_matrix([[2**31, -(2**31)]]), int_matrix([[2**30], [2**30]])))  # 2^62, true product 0
-def test_mat_mul_equals_the_int_product_or_raises_exactly_when_its_bound_reaches_2_62(operands):
-    a, b = operands
-    top = [max((abs(int(x)) for x in m.flat), default=0) for m in (a, b)]
-    if a.shape[1] * top[0] * top[1] >= 2**62:
-        with pytest.raises(OverflowError):
-            mat_mul(a, b)
-    else:
-        c = mat_mul(a, b)
-        assert c.dtype == np.int64 and c.tolist() == int_product(a, b)
 
 
 def test_backends_agree_at_dimension_96():
@@ -224,7 +165,7 @@ def test_char_poly_logs_one_debug_line_only_when_enabled(caplog):
 
 def test_positive_support_examples():
     z = np.zeros((2, 2), dtype=np.int64)
-    assert mat_equal(positive_support(z), z)
+    assert np.array_equal(positive_support(z), z)
     m = int_matrix([[-1, 0], [2, -5]])
     assert positive_support(m).tolist() == [[0, 0], [1, 0]]
     assert positive_support(m).dtype == np.int64
@@ -234,7 +175,7 @@ def test_positive_support_examples():
     assert flags.tolist() == [[1, 0]] and flags.dtype == np.int64
     # idempotent
     s = positive_support(m)
-    assert mat_equal(positive_support(s), s)
+    assert np.array_equal(positive_support(s), s)
 
 
 def test_positive_support_reads_signs_of_any_integer_width_without_an_int64_copy(monkeypatch):
@@ -251,25 +192,25 @@ def test_positive_support_reads_signs_of_any_integer_width_without_an_int64_copy
 
 def test_positive_support_of_scaled_walk_c3():
     # at k=2 the scaled walk matrix has entries 0 and 2 only
-    w = build_arc_space(cycle_graph(3)).walk
+    w = build_arc_space(cycle_graph(3)).w(int_eye(6))
     vals = {int(x) for x in w.flat}
     assert vals == {0, 2}
-    assert mat_equal(2 * positive_support(w), w)
+    assert np.array_equal(2 * positive_support(w), w)
 
 
 def _power(m, e):
-    """m^e by a chain of e - 1 mat_mul calls."""
+    """m^e by a chain of e - 1 products."""
     out = m
     for _ in range(e - 1):
-        out = mat_mul(out, m)
+        out = out @ m
     return out
 
 
 def test_sign_pattern_invariant_under_scaling():
-    w = build_arc_space(cycle_graph(4)).walk
+    w = build_arc_space(cycle_graph(4)).w(int_eye(8))
     for c in (2, 3):
         for m in (2, 3):
-            assert mat_equal(
+            assert np.array_equal(
                 positive_support(_power(w, m)), positive_support(_power(c * w, m))
             )
 
@@ -286,10 +227,8 @@ def test_charpoly_adjacency_c3():
 
 def test_charpoly_reversal_matrix_squares_to_identity():
     a = build_arc_space(cycle_graph(4))
-    from qwalkspec import reversal_matrix
-
-    p = reversal_matrix(a)
-    assert mat_equal(mat_mul(p, p), int_eye(a.size))
+    p = a.p(int_eye(a.size))
+    assert np.array_equal(p @ p, int_eye(a.size))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -349,7 +288,7 @@ def test_charpoly_similarity_invariance():
         p = np.zeros((n, n), dtype=np.int64)
         for i, j in enumerate(perm):
             p[j, i] = 1
-        conj = mat_mul(p.T, mat_mul(m, p))
+        conj = p.T @ m @ p
         assert char_poly(m).coeffs == char_poly(conj).coeffs
 
 
@@ -736,9 +675,9 @@ def _unimodular_conjugate(m, rng, steps):
     for _ in range(steps):
         i, j = rng.choice(n, 2, replace=False)
         c = int(rng.choice([-1, 1]))
-        p, p_inv = mat_mul(p, _elementary(n, i, j, c)), mat_mul(_elementary(n, i, j, -c), p_inv)
-    assert mat_equal(mat_mul(p, p_inv), int_eye(n))
-    return mat_mul(mat_mul(p, m), p_inv)
+        p, p_inv = p @ _elementary(n, i, j, c), _elementary(n, i, j, -c) @ p_inv
+    assert np.array_equal(p @ p_inv, int_eye(n))
+    return p @ m @ p_inv
 
 
 def test_a_non_diagonalizable_matrix_takes_the_route(caplog, kernel_dims):
@@ -1413,25 +1352,3 @@ def test_krylov_relations_of_m_itself_equal_those_of_its_residues(monkeypatch):
         for which in ("s1", "s2"):
             char_poly(_srg_matrix(spec, which))
     assert stacks == []
-
-
-def test_mat_mul_runs_in_float64_below_2_53_and_in_int64_from_it(monkeypatch):
-    calls, real = [], np.matmul
-
-    def spy(a, b):
-        calls.append((a.dtype.name, b.dtype.name))
-        return real(a, b)
-
-    monkeypatch.setattr(np, "matmul", spy)
-    x, y = 69431, 20394401
-    assert 6361 * x * y == 2**53 - 1  # inner dimension 6361: the bound is 2^53 - 1
-    a = int_matrix([[x] * 6361, [x, -x] * 3180 + [x - 1], [-x] * 6361])
-    b = int_matrix([[y, -y, 1]] * 6361)
-    c = mat_mul(a, b)
-    assert calls == [("float64", "float64")] and c.dtype == np.int64
-    assert c.tolist() == int_product(a, b) and c[0, 0] == 2**53 - 1
-    calls.clear()
-    a = int_matrix([[2**26, 2**26 - 1]])  # bound 2 * 2^26 * 2^26 = 2^53
-    b = int_matrix([[2**26], [-(2**26) + 1]])
-    c = mat_mul(a, b)
-    assert calls == [("int64", "int64")] and c.tolist() == int_product(a, b)

@@ -962,14 +962,21 @@ def test_gq33_point_graphs_are_distinguished_by_the_fourth_trace(caplog):
         "certificate W(3) vs Q(4,3): s3 distinguished by trace mismatch i=4"]
 
 
-def test_fingerprints_make_no_arc_space_mat_mul(mat_mul_shapes):
-    # W^3 comes from the arc structure: no nk x nk product, in any module
+def test_fingerprints_apply_no_arc_matrix(monkeypatch):
+    # W^3 comes from its entry formula: no W, S+(U), kQ or P product, only the n-column ins steps to A and A^2
     import qwalkspec.invariants as inv
+    from qwalkspec import ArcSpace
 
+    calls = []
+
+    def spy(name, real):
+        return lambda self, m: calls.append((name, self.n, m.shape)) or real(self, m)
+
+    for name in ("ins", "w", "s1", "kq", "p"):
+        monkeypatch.setattr(ArcSpace, name, spy(name, getattr(ArcSpace, name)))
     graphs = [("petersen", petersen_graph()), ("rook44", rook_graph(4)), ("C7", cycle_graph(7))]
     assert [f.graph_id for f in inv.fingerprints(graphs)] == ["petersen", "rook44", "C7"]
-    arc_dims = {30, 96, 14}
-    assert not [s for s in mat_mul_shapes if arc_dims & set(s)]
+    assert {name for name, _, _ in calls} == {"ins"} and all(shape[1] == n for _, n, shape in calls), calls
 
 
 def _spy_s3_builds(monkeypatch):

@@ -13,7 +13,7 @@ from qwalkspec import (
     poly_roots,
     squarefree_decomposition,
 )
-from qwalkspec import char_poly, int_matrix, mat_mul
+from qwalkspec import char_poly, int_matrix
 from qwalkspec.polynomials import (
     _homogeneous,
     _kron_bits,
@@ -57,7 +57,7 @@ def test_graeffe_squares_the_roots():
     rng = np.random.default_rng(2)
     for n in range(1, 9):
         m = int_matrix(rng.integers(-5, 6, size=(n, n)).tolist())
-        assert poly_graeffe(char_poly(m).coeffs) == list(char_poly(mat_mul(m, m)).coeffs)
+        assert poly_graeffe(char_poly(m).coeffs) == list(char_poly(m @ m).coeffs)
 
 
 def _norm(p):

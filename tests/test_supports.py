@@ -25,8 +25,6 @@ from qwalkspec import (
     hypercube_graph,
     ihara_style_charpoly,
     int_eye,
-    mat_equal,
-    mat_mul,
     outs_matrix,
     parse_generator_spec,
     petersen_graph,
@@ -55,7 +53,7 @@ def test_support_u_c3_is_two_directed_triangles():
     ]
     assert s1.tolist() == expected
     # a permutation of order 3: s1^3 = I
-    assert mat_equal(mat_mul(s1, mat_mul(s1, s1)), int_eye(6))
+    assert np.array_equal(s1 @ s1 @ s1, int_eye(6))
 
 
 def test_support_u_row_sums(corpus):
@@ -72,8 +70,8 @@ def test_support_u_matches_sign_of_walk_matrix(corpus):
     for gid, g in corpus:
         a = build_arc_space(g)
         dense = dense_arc_matrices(a)
-        assert mat_equal(support_u_power(a, 1), positive_support(dense["W"])), gid
-        assert mat_equal(support_u_power(a, 1), dense["S1"]), gid
+        assert np.array_equal(support_u_power(a, 1), positive_support(dense["W"])), gid
+        assert np.array_equal(support_u_power(a, 1), dense["S1"]), gid
 
 
 def test_support_u_requires_k2():
@@ -95,7 +93,7 @@ def test_squared_support_identity_k_gt_2(corpus):
         a = build_arc_space(g)
         if a.k <= 2:
             continue
-        assert mat_equal(support_u_power(a, 2), su2_via_identity(a)), gid
+        assert np.array_equal(support_u_power(a, 2), su2_via_identity(a)), gid
 
 
 def test_su2_identity_hypothesis_gate():
@@ -113,11 +111,11 @@ def test_squared_support_at_k2_is_square_of_support():
         a = build_arc_space(cycle_graph(n))
         s1 = support_u_power(a, 1)
         s2 = support_u_power(a, 2)
-        b2 = mat_mul(s1, s1)
-        assert mat_equal(s2, b2)  # B is a permutation at k=2, so B^2 is 0/1
-        assert not mat_equal(s2, b2 + int_eye(a.size))
-        x = mat_mul(outs_matrix(a).T, ins_matrix(a))
-        assert not mat_equal(s2, positive_support(mat_mul(x, x)))
+        b2 = s1 @ s1
+        assert np.array_equal(s2, b2)  # B is a permutation at k=2, so B^2 is 0/1
+        assert not np.array_equal(s2, b2 + int_eye(a.size))
+        x = outs_matrix(a).T @ ins_matrix(a)
+        assert not np.array_equal(s2, positive_support(x @ x))
 
 
 def test_squared_support_row_sums_k_gt_2(corpus):
@@ -134,9 +132,9 @@ def test_squared_support_row_sums_k_gt_2(corpus):
 def test_support_set_consistency():
     a = build_arc_space(petersen_graph())
     ss = build_support_set(a)
-    assert mat_equal(ss.s1, support_u_power(a, 1))
-    assert mat_equal(ss.s2, support_u_power(a, 2))
-    assert mat_equal(ss.s3, support_u_power(a, 3))
+    assert np.array_equal(ss.s1, support_u_power(a, 1))
+    assert np.array_equal(ss.s2, support_u_power(a, 2))
+    assert np.array_equal(ss.s3, support_u_power(a, 3))
 
 
 def test_cubed_support_relabeling_invariance():
