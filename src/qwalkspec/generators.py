@@ -1,31 +1,45 @@
 """Named graph families with fixed, documented vertex numbering.
 
 The numbering per family is part of the contract so test fixtures and
-command-line experiments are reproducible.
+command-line experiments are reproducible.  cycle, complete, circulant,
+hypercube, rook, shrikhande and paley are Cayley graphs of
+Z_m1 x ... x Z_mr, built by ``_cayley``: x ~ x + c for each c in a
+connection set, with x numbered row-major, so x_r varies fastest.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ParameterError
 from .graphs import Graph
 from .intmat import _is_prime
 
 
+def _cayley(moduli: tuple, connection: Iterable[tuple]) -> Graph:
+    """The Cayley graph of Z_m1 x ... x Z_mr: x ~ x + c for each c in ``connection``.
+
+    Vertex (x_1, ..., x_r) is numbered row-major, ((x_1 m_2 + x_2) m_3 + ...) m_r + x_r.
+    """
+    x = np.indices(moduli).reshape(len(moduli), -1)  # column v holds the element numbered v
+    ends = (np.ravel_multi_index(x + np.reshape(c, (-1, 1)), moduli, mode="wrap") for c in connection)
+    return Graph(x.shape[1], {(u, v) for w in ends for u, v in enumerate(w.tolist())})
+
+
 def cycle_graph(n: int) -> Graph:
     """C_n: vertices 0..n-1, edges {i, i+1 mod n}.  Requires n >= 3."""
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
-    return Graph(n, {(i, (i + 1) % n) for i in range(n)})
+    return _cayley((n,), [(1,)])
 
 
 def complete_graph(n: int) -> Graph:
     """K_n on vertices 0..n-1."""
     if n < 1:
         raise ParameterError(f"complete needs n >= 1, got {n}")
-    return Graph(n, combinations(range(n), 2))
+    return _cayley((n,), [(c,) for c in range(1, n)])
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
@@ -47,22 +61,19 @@ def hypercube_graph(d: int) -> Graph:
     """Q_d: vertices are the integers 0..2^d-1, edges join words at Hamming distance 1."""
     if d < 1:
         raise ParameterError(f"hypercube needs d >= 1, got {d}")
-    return Graph(1 << d, {(v, v ^ (1 << b)) for v in range(1 << d) for b in range(d)})
+    return _cayley((2,) * d, [tuple(int(i == b) for i in range(d)) for b in range(d)])
 
 
 def circulant_graph(n: int, connections: Iterable[int]) -> Graph:
     """Circulant on Z_n: i ~ i+c for each c in the connection set (c and n-c identified)."""
     if n < 3:
         raise ParameterError(f"circulant needs n >= 3, got {n}")
-    conn = set()
-    for c in connections:
-        c = c % n
-        if c == 0:
-            raise ParameterError("connection 0 mod n would create loops")
-        conn.add(min(c, n - c))
+    conn = {c % n for c in connections}
+    if 0 in conn:
+        raise ParameterError("connection 0 mod n would create loops")
     if not conn:
         raise ParameterError("empty connection set")
-    return Graph(n, {(i, (i + c) % n) for i in range(n) for c in conn})
+    return _cayley((n,), [(c,) for c in conn])
 
 
 def shrikhande_graph() -> Graph:
@@ -72,13 +83,7 @@ def shrikhande_graph() -> Graph:
     one of +-(1,0), +-(0,1), +-(1,1).  This is an SRG(16, 6, 2, 2) that is
     not isomorphic to the 4x4 rook's graph.
     """
-    edges = set()
-    diffs = [(1, 0), (0, 1), (1, 1)]
-    for a in range(4):
-        for b in range(4):
-            for da, db in diffs:
-                edges.add((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4))
-    return Graph(16, edges)
+    return _cayley((4, 4), [(1, 0), (0, 1), (1, 1)])
 
 
 def rook_graph(m: int, m2: int = None) -> Graph:
@@ -87,12 +92,7 @@ def rook_graph(m: int, m2: int = None) -> Graph:
         raise ParameterError(f"only square rook graphs are supported, got ({m},{m2})")
     if m < 2:
         raise ParameterError(f"rook needs m >= 2, got {m}")
-    edges = set()
-    for r in range(m):
-        for c1, c2 in combinations(range(m), 2):
-            edges.add((m * r + c1, m * r + c2))  # same row
-            edges.add((m * c1 + r, m * c2 + r))  # same column
-    return Graph(m * m, edges)
+    return _cayley((m, m), [(0, c) for c in range(1, m)] + [(c, 0) for c in range(1, m)])
 
 
 def paley_graph(q: int) -> Graph:
@@ -101,8 +101,7 @@ def paley_graph(q: int) -> Graph:
         raise ParameterError(f"paley needs a prime, got {q}")
     if q % 4 != 1:
         raise ParameterError(f"paley needs q = 1 mod 4, got {q}")
-    squares = {(x * x) % q for x in range(1, q)}
-    return Graph(q, {(i, (i + s) % q) for i in range(q) for s in squares})
+    return _cayley((q,), {(x * x % q,) for x in range(1, q)})
 
 
 _FAMILIES = {

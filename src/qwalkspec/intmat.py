@@ -38,20 +38,19 @@ of strongly regular graphs:
 * mu, the minimal polynomial of a Krylov sequence u^T M^i v (fixed
   pseudo-random u, v), by Berlekamp-Massey modulo one prime, run online: it
   stops once its length L has held for ``_KRYLOV_MARGIN`` terms past 2L, so
-  degree d costs about 2d terms.  Its one gate is r^d < 2^52: the route
-  forms no power past M^d, so every entry it forms, and every partial sum,
-  is at most r^d, exact in float64 and within the 2^53 - p that ``_reduce``
-  asks of what it reduces.  mu is lifted from that prime alone, and by CRT
-  over as many primes as its coefficient bound asks for only if the
-  one-prime lift fails the certificate.
+  degree d costs about 2d terms.  Its gate on the degree is r^d < 2^52: the
+  route forms no power past M^d, so every entry it forms, and every partial
+  sum, is at most r^d, exact in float64.  mu is lifted from that prime
+  alone, and by CRT over as many primes as its coefficient bound asks for
+  only if the one-prime lift fails the certificate.
   When that bound asks for more than one prime, the one-prime lift may be
   wrong, so mu(M) v = 0 for one pseudo-random 0/1 vector v is checked first,
   exactly and in O(d n^2), to reject a wrong lift before mu(M) is formed;
-* the certificate mu(M) = 0, checked exactly: the powers M^i, from the same
-  ``_powers`` chain, are exact in float64.  mu(M) is formed in float64 too
-  while its bound B = sum |mu_i| r^i is below 2^53, and is reduced modulo
-  primes whose product exceeds 2B above it.  The exact traces p_i = tr(M^i)
-  of those powers come free;
+* the certificate mu(M) = 0, checked exactly in float64: the powers M^i,
+  from the same ``_powers`` chain, and mu(M), whose entries and partial sums
+  are at most B = sum |mu_i| r^i.  Its gate on mu is B < 2^53: a larger B
+  is refused before any power is formed.  The exact traces p_i = tr(M^i) of
+  those powers come free;
 * chi from mu and p_0, ..., p_(d-1) by one integer recurrence
   (``_charpoly_from_traces``): mu(M) = 0 makes sum_i p_i t^i a rational
   function with denominator t^d mu(1/t), and t E'/E = p_0 - sum_i p_i t^i
@@ -59,15 +58,16 @@ of strongly regular graphs:
   integer steps.  No prime, gcd or CRT is needed, and Jordan blocks (mu not
   squarefree) need nothing special.
 
-A matrix whose bound rules this route out ("bound"), or whose certificate
-fails ("certificate"), takes the Hessenberg route unchanged: Hessenberg
-reduction and the Hessenberg determinant recurrence modulo word-sized primes,
-recombined by one CRT step per matrix.  The primes are taken, largest first, until their
-product exceeds 2^(B+1), with B a rigorous Hadamard-style coefficient bound
-plus guard bits.  Every route is exact, not probabilistic: a pseudo-random
-choice, an early stop or a wrong one-prime lift can only send a matrix to the
-Hessenberg route.  The tests hold all four equal to an independent
-reference, the division-free Berkowitz algorithm in ``tests/oracles.py``.
+A matrix whose r^d or B rules this route out ("bound"), or whose
+certificate fails ("certificate"), takes the Hessenberg route unchanged:
+Hessenberg reduction and the Hessenberg determinant recurrence modulo
+word-sized primes, recombined by one CRT step per matrix.  The primes are
+taken, largest first, until their product exceeds 2^(b+1), with b a rigorous
+Hadamard-style coefficient bound in bits plus guard bits.  Every route is
+exact, not probabilistic: a pseudo-random choice, an early stop or a wrong
+one-prime lift can only send a matrix to the Hessenberg route.  The tests
+hold all four equal to an independent reference, the division-free
+Berkowitz algorithm in ``tests/oracles.py``.
 
 One kernel serves many primes, and several same-size matrices, at once.  It
 holds S residues, each of one matrix modulo one of that matrix's primes, as
@@ -540,12 +540,12 @@ def _minpoly_route(m: np.ndarray, r: int) -> tuple:
     """(det(tI - M), None) by the minimal-polynomial route, or (None, "bound" | "certificate").
 
     With r from ``_row_col_bound``, the Krylov degree d may not reach
-    r^d >= 2^52 ("bound").  The route forms no power past M^d:
-    ``_certify_minpoly``'s chain stops at M^d and ``_kills_vector``'s vectors
-    at M^d v, so every entry and partial sum is at most r^d < 2^52.  That is
-    exact in float64, and within the |x| <= 2^53 - p that ``_reduce`` needs,
-    since every prime is far below 2^52.  The loop also stops at d = n, which
-    no minimal polynomial passes, so it ends when r <= 1.
+    r^d >= 2^52, and the final mu may not have B = sum |mu_i| r^i >= 2^53
+    ("bound"): ``_certify_minpoly``'s chain stops at M^d and ``_kills_vector``'s
+    vectors at M^d v, so every entry they form is at most r^d, and every sum
+    of mu's terms at most B, exact in float64.  A mu with mu(M) != 0 is
+    "certificate".  The loop also stops at d = n, which no minimal
+    polynomial passes, so it ends when r <= 1.
     """
     start = perf_counter()
     n = m.shape[0]
@@ -560,7 +560,7 @@ def _minpoly_route(m: np.ndarray, r: int) -> tuple:
     bound_bits = d * math.log2(r + 1)  # |mu_i| <= C(d, i) r^(d - i) <= (1 + r)^d
     mu = list(_crt(np.array(rels, dtype=object), primes).coeffs)
     # the one-prime lift may be wrong only if the bound asks for more primes (``_plan_primes``)
-    traces, cert_primes = _certify_minpoly(m, mu, r, bound_bits + 1 >= math.log2(primes[0]))
+    traces = _certify_minpoly(m, mu, r, bound_bits + 1 >= math.log2(primes[0]))
     if traces is None:  # the one-prime lift is wrong once some |mu_i| reaches half the prime
         primes = _plan_primes(n, bound_bits)
         for p in primes[1:]:
@@ -571,14 +571,14 @@ def _minpoly_route(m: np.ndarray, r: int) -> tuple:
             rels.append(rel)
         if len(primes) > 1:
             mu = list(_crt(np.array(rels, dtype=object), primes).coeffs)
-            traces, cert_primes = _certify_minpoly(m, mu, r)
+            traces = _certify_minpoly(m, mu, r)
     if traces is None:
-        return None, "certificate"
+        return None, "certificate" if _float_exact(mu, r) else "bound"
     chi = _charpoly_from_traces(mu, traces, n)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("charpoly route=minpoly n=%d krylov_degree=%d krylov_terms=%d mu_primes=%d"
-                  " cert_primes=%d bound_bits=%.0f ms=%.1f", n, d, terms, len(primes), cert_primes,
-                  bound_bits, (perf_counter() - start) * 1e3)
+                  " bound_bits=%.0f ms=%.1f", n, d, terms, len(primes), bound_bits,
+                  (perf_counter() - start) * 1e3)
     return chi, None
 
 
@@ -638,62 +638,46 @@ def _splitmix(count: int, seed: int) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _certify_minpoly(m: np.ndarray, mu: list, r: int, screen: bool = False) -> tuple:
-    """(traces, primes): traces [tr(M^0), ..., tr(M^d)] if mu(M) = 0 exactly, else None.
+def _float_exact(mu: list, r: int) -> bool:
+    """Whether B = sum |mu_i| r^i < 2^53, so that mu(M) and mu(M) v are exact in float64."""
+    return sum(abs(c) * r**i for i, c in enumerate(mu)) < _FLOAT_EXACT
 
-    M^i and every partial sum forming it are at most r^i <= r^d < 2^52, so
-    exact in float64 and fit for ``_reduce``.  So are mu(M) and its partial
-    sums while their bound B = sum |mu_i| r^i is below 2^53 (``primes`` 0).
-    Above it, mu(M) is zero if it is zero modulo primes whose product
-    exceeds 2B.  A power at most (p - 1) / 2 is its own residue, a larger one
-    is reduced once, and the accumulator, d + 1 < ``_sum_terms(n)`` products
-    of residues, at the end.  With ``screen``, ``_kills_vector`` runs first:
-    it rejects a wrong mu, such as a wrong one-prime lift, by d
-    matrix-vector products instead of d matrix products.
+
+def _certify_minpoly(m: np.ndarray, mu: list, r: int, screen: bool = False) -> list | None:
+    """[tr(M^0), ..., tr(M^d)] if mu(M) = 0 exactly, else None; None at once unless B < 2^53.
+
+    M^i and every partial sum forming it are at most r^i <= r^d < 2^52, and
+    mu(M) and its partial sums at most B = sum |mu_i| r^i, so with B < 2^53
+    (``_float_exact``) the whole check is exact in float64.  A mu with a
+    larger B is refused before any power is formed.  With ``screen``,
+    ``_kills_vector`` runs first: it rejects a wrong mu, such as a wrong
+    one-prime lift, by d matrix-vector products instead of d matrix products.
     """
-    n = m.shape[0]
-    bound = sum(abs(c) * r**i for i, c in enumerate(mu))
-    primes = _plan_primes(n, bound.bit_length()) if bound >= _FLOAT_EXACT else []
+    if not _float_exact(mu, r):
+        return None
     mf = m.astype(np.float64)
-    if screen and not _kills_vector(mf, mu, primes):
-        return None, len(primes)
-    if primes:
-        q3 = np.array(primes, dtype=np.float64)[:, None, None]
-        coef = _reduce(np.array([[c % q for c in mu] for q in primes], dtype=np.float64), q3[:, :, 0]).T
-        coef, acc = coef[:, :, None, None], np.zeros((len(primes), n, n))
-    else:
-        coef, acc = [float(c) for c in mu], np.zeros((n, n))
-    traces = []
-    for i, (c, power) in enumerate(zip(coef, _powers(mf, len(mu) - 1))):
+    if screen and not _kills_vector(mf, mu):
+        return None
+    acc, traces = np.zeros(mf.shape), []
+    for c, power in zip(mu, _powers(mf, len(mu) - 1)):
         traces.append(sum(np.diagonal(power).astype(np.int64).tolist()))  # as Python ints: n may be large
-        if primes and 2 * r**i >= primes[-1]:  # reduced once, into a stack of its residues
-            acc += c * _reduce(np.broadcast_to(power, acc.shape).copy(), q3)
-        else:
-            acc += c * power
-    if primes:
-        _reduce(acc, q3)
-    return None if acc.any() else traces, len(primes)
+        acc += float(c) * power
+    return None if acc.any() else traces
 
 
-def _kills_vector(mf: np.ndarray, mu: list, primes: list) -> bool:
+def _kills_vector(mf: np.ndarray, mu: list) -> bool:
     """Whether mu(M) v = 0, exactly, for one pseudo-random 0/1 vector v: a necessary condition for mu(M) = 0.
 
     The Krylov vectors M^i v are exact in float64, as the powers of
-    ``_certify_minpoly`` are, and mu(M) v is bounded by the same B.  So it is
-    one float64 product without ``primes``, and with them one product of the
-    vectors' residues per prime, d + 1 < ``_sum_terms(n)`` terms a sum.
+    ``_certify_minpoly`` are, and mu(M) v is bounded by the same B < 2^53, so
+    it is one exact float64 product.
     """
     n, d = mf.shape[0], len(mu) - 1
     k = np.empty((d + 1, n))
     k[0] = _splitmix(n, _KRYLOV_SEED + 1) >> np.uint64(63)
     for i in range(d):
         np.matmul(mf, k[i], out=k[i + 1])
-    if not primes:
-        return not (np.array(mu, dtype=np.float64) @ k).any()
-    q = np.array(primes, dtype=np.float64)
-    coef = _reduce(np.array([[c % p for c in mu] for p in primes], dtype=np.float64), q[:, None])
-    residues = _reduce(np.broadcast_to(k, (len(primes), d + 1, n)).copy(), q[:, None, None])
-    return not _reduce(np.einsum("pi,pin->pn", coef, residues), q[:, None]).any()
+    return not (np.array(mu, dtype=np.float64) @ k).any()
 
 
 def _charpoly_from_traces(mu: list, traces: list, n: int) -> CharPoly:

@@ -22,6 +22,7 @@ from qwalkspec import (
     rook_graph,
     shrikhande_graph,
     srg_params,
+    write_graph6,
 )
 
 
@@ -209,6 +210,28 @@ def test_generate_dispatch_and_spec_parsing():
     assert parse_generator_spec("petersen") == petersen_graph()
     with pytest.raises(ParameterError):
         parse_generator_spec("cycle:x")
+
+
+# graph6 of each family member as built before the group families shared one Cayley builder
+_PINNED_GRAPH6 = {
+    "cycle:5": "Dhc",
+    "complete:4": "C~",
+    "complete_bipartite:2,3": "D]o",
+    "petersen": "IheA@GUAo",
+    "hypercube:3": "Gr`HOk",
+    "circulant:10,1,4": "IhdLIchdG",
+    "circulant:10,-1,13": "IlSgkTDgg",
+    "shrikhande": "OlfJHsHBGK_\\oHWKeBK_\\",
+    "rook:3": "H{S{aSf",
+    "paley:13": "LlthgsL`mEkLkL",
+}
+
+
+@pytest.mark.parametrize("spec", _PINNED_GRAPH6)
+def test_every_family_keeps_its_vertex_numbering(spec):
+    """The numbering of each family is part of its contract: the graph6 string, which encodes
+    the adjacency matrix in vertex order, stays as pinned."""
+    assert write_graph6(parse_generator_spec(spec)) == _PINNED_GRAPH6[spec]
 
 
 def test_hypercube():

@@ -120,13 +120,12 @@ def test_char_poly_logs_one_debug_line_only_when_enabled(caplog):
         cp = char_poly(s3)
     assert cp == quiet == berkowitz_charpoly(s3)
     [fields] = _debug_fields(caplog.records)
-    assert sorted(fields) == ["bound_bits", "cert_primes", "krylov_degree", "krylov_terms", "ms",
-                              "mu_primes", "n", "route"]
+    assert sorted(fields) == ["bound_bits", "krylov_degree", "krylov_terms", "ms", "mu_primes", "n", "route"]
     assert fields["route"] == "minpoly" and int(fields["n"]) == 30
     assert 1 <= int(fields["krylov_degree"]) <= 15
     # Berlekamp-Massey stops once its length d has held for the margin past 2d
     assert int(fields["krylov_terms"]) == 2 * int(fields["krylov_degree"]) + intmat._KRYLOV_MARGIN
-    assert int(fields["mu_primes"]) == 1 and fields["cert_primes"] == "0"  # one-prime lift, float64 check
+    assert int(fields["mu_primes"]) == 1  # one-prime lift
     assert float(fields["bound_bits"]) > 0
     assert float(fields["ms"]) >= 0
 
@@ -730,7 +729,7 @@ def test_a_planted_mu_with_a_missing_factor_fails_the_certificate(caplog, kernel
     cp, fields = _logged_char_poly(caplog, m)
     # mu(M) != 0 rejects the planted mu in float64: its bound is below 2^53, and one prime already
     # covers mu's coefficient bound, so no CRT lift is tried
-    assert verdicts == [(None, 0)]
+    assert verdicts == [None]
     assert (fields["route"], fields["reason"]) == ("hessenberg", "certificate") and kernel_dims == [96]
     assert cp == berkowitz_charpoly(m)
 
@@ -764,7 +763,7 @@ def test_a_wrong_one_prime_lift_is_lifted_again_by_crt(caplog, kernel_dims):
     assert 2 * 94_109_400 > intmat._primes(1, intmat._prime_ceiling(8))[0]
     cp, fields = _logged_char_poly(caplog, m)
     assert fields["route"] == "minpoly" and kernel_dims == []
-    assert (fields["krylov_degree"], fields["mu_primes"], fields["cert_primes"]) == ("4", "2", "0")
+    assert (fields["krylov_degree"], fields["mu_primes"]) == ("4", "2")
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
 
 
@@ -851,39 +850,33 @@ def test_correct_one_prime_lifts_keep_one_prime(caplog, monkeypatch):
     assert screened == 2  # cycle:30's S+(U) and paley:13's S+(U^2)
 
 
-def test_the_vector_screen_is_exact_in_float64_and_modulo_primes():
+def test_the_vector_screen_is_exact_in_float64():
     from qwalkspec import intmat
 
-    # float64: mu = (t - 2)^2 (t + 1), conjugated, so B = sum |mu_i| r^i stays small
+    # mu = (t - 2)^2 (t + 1), conjugated, so B = sum |mu_i| r^i stays small
     m = _unimodular_conjugate(_jordan([(2, 2), (1, -1), (1, 2), (1, -1)]), np.random.default_rng(2), 4)
     mu = [4, 0, -3, 1]
-    assert intmat._kills_vector(m.astype(np.float64), mu, [])
-    assert not intmat._kills_vector(m.astype(np.float64), [5, 0, -3, 1], [])
-    # modulo three primes: mu + p_1 p_2 differs from mu modulo the third prime alone
-    m = _jordan([(10, 25), (10, 25)]).astype(np.float64)
-    mu = [math.comb(10, i) * (-25) ** (10 - i) for i in range(11)]
-    p = intmat._primes(3, intmat._prime_ceiling(20))
-    assert intmat._kills_vector(m, mu, p)
-    assert not intmat._kills_vector(m, [mu[0] + p[0] * p[1]] + mu[1:], p)
+    assert intmat._kills_vector(m.astype(np.float64), mu)
+    assert not intmat._kills_vector(m.astype(np.float64), [5, 0, -3, 1])
 
 
-def test_a_bound_above_2_53_takes_the_modular_certificate(caplog, kernel_dims):
-    """J_10(25) twice: r = 26 and r^11 < 2^53, but mu = (t - 25)^10 has sum |mu_i| r^i = 51^10,
-    so mu(M) is checked modulo primes.  Terms such as mu_7 M^7 pass 2^53, so the powers above the
-    primes must be reduced before they are summed."""
+def test_a_bound_above_2_53_takes_the_hessenberg_route(caplog, kernel_dims, monkeypatch):
+    """J_10(25) twice: r = 26 and r^11 < 2^53, but mu = (t - 25)^10 has B = sum |mu_i| r^i = 51^10,
+    at or above 2^53, so mu(M) is not exact in float64.  The certificate refuses mu before it
+    forms a power, and the char poly takes the Hessenberg route for "bound"."""
     from qwalkspec import intmat
 
     m = _jordan([(10, 25), (10, 25)])
     cp, fields = _logged_char_poly(caplog, m)
-    assert fields["route"] == "minpoly" and kernel_dims == []
-    assert fields["krylov_degree"] == "10" and fields["cert_primes"] == "3"
+    assert (fields["route"], fields["reason"]) == ("hessenberg", "bound") and kernel_dims == [20]
     assert cp.coeffs == berkowitz_charpoly(m).coeffs
     mu = [math.comb(10, i) * (-25) ** (10 - i) for i in range(11)]
-    assert intmat._certify_minpoly(m, mu, 26) == ([20 * 25**i for i in range(11)], 3)
-    # 2 * 51^10 is about 2^58: three primes of about 2^24 exceed it.  mu + p_1 p_2 differs from mu
-    # modulo the third prime alone.
-    p = intmat._primes(3, intmat._prime_ceiling(20))
-    assert intmat._certify_minpoly(m, [mu[0] + p[0] * p[1]] + mu[1:], 26) == (None, 3)
+    assert sum(abs(c) * 26**i for i, c in enumerate(mu)) == 51**10 >= 2**53
+    calls, powers = [], intmat._powers
+    monkeypatch.setattr(intmat, "_powers", lambda *args: calls.append(args) or powers(*args))
+    assert intmat._certify_minpoly(m, mu, 26) is None and calls == []
+    # the spy sees the chain of a mu with B < 2^53: 25 I has mu = t - 25 and B = 50
+    assert intmat._certify_minpoly(25 * int_eye(2), [-25, 1], 25) == [2, 50] and len(calls) == 1
 
 
 _NILPOTENT = {"zero": [(1, 0)] * 6, "J4(0)": [(4, 0)], "J3(0)^2 J1(0)": [(3, 0), (3, 0), (1, 0)]}
@@ -922,8 +915,7 @@ def test_the_route_raises_on_inconsistent_traces_instead_of_falling_back(monkeyp
     certify = intmat._certify_minpoly
 
     def skewed(*args):
-        traces, primes = certify(*args)
-        return [x + (i == 1) for i, x in enumerate(traces)], primes
+        return [x + (i == 1) for i, x in enumerate(certify(*args))]
 
     monkeypatch.setattr(intmat, "_certify_minpoly", skewed)
     with pytest.raises(ArithmeticError, match="inconsistent"):
